@@ -142,12 +142,6 @@ def operator_two_norm(
     )
 
 
-def matrix_two_norm(B) -> float:
-    if sp.issparse(B):
-        return operator_two_norm(lambda x: B @ x, lambda x: B.T @ x, B.shape[1])
-    return float(np.linalg.norm(np.asarray(B), 2))
-
-
 def gronwall_constant(c3: float, t: float) -> float:
     """Time-variant boundedness surrogate ``1 + c3 t exp(c3 t)``."""
     with np.errstate(over="ignore"):

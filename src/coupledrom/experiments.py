@@ -34,21 +34,6 @@ from .storage import write_bundle
 # certified bounds for coupled queries
 
 
-def _slave_constraint_pairs(fom: FomProblem, g: np.ndarray):
-    dofs = np.concatenate([fom.slave.dirichlet_dofs, fom.slave.interface.dof_indices])
-    values = np.concatenate([fom.slave.dirichlet_values, g])
-    return dofs, values
-
-
-def _homogenized_system(A, f, dofs, values):
-    """Eliminated operator plus the lifted right-hand side of the
-    zero-boundary part (constrained rows zeroed)."""
-    A_bc, f_bc = apply_dirichlet_lifting(A, f, zip(dofs, values))
-    f_hom = f_bc.copy()
-    f_hom[np.asarray(dofs, dtype=np.int64)] = 0.0
-    return A_bc, f_hom
-
-
 @dataclass
 class SigmaCache:
     """Smallest-singular-value cache keyed by operator weights."""
@@ -76,16 +61,21 @@ def steady_query_bound(
     mu1m = fom.master.mu_mapping(mu1)
     mu2m = fom.slave.mu_mapping(mu2)
 
-    A1 = fom.master.assemble_operator(mu1m)
-    f1 = fom.master.assemble_load(mu1m)
-    A1_bc, f1_hom = _homogenized_system(
-        A1, f1, fom.master.dirichlet_dofs, fom.master.dirichlet_values
+    # eliminated operators and the lifted loads of the zero-boundary parts
+    master, slave = fom.master, fom.slave
+    A1_bc, f1_hom = apply_dirichlet_lifting(
+        master.assemble_operator(mu1m),
+        master.assemble_load(mu1m),
+        zip(master.constrained_dofs, master.constrained_values()),
     )
+    f1_hom[master.constrained_dofs] = 0.0
     g_exact = fom_result.dirichlet
-    dofs2, values2 = _slave_constraint_pairs(fom, g_exact)
-    A2 = fom.slave.assemble_operator(mu2m)
-    f2 = fom.slave.assemble_load(mu2m)
-    A2_bc, f2_hom = _homogenized_system(A2, f2, dofs2, values2)
+    A2_bc, f2_hom = apply_dirichlet_lifting(
+        slave.assemble_operator(mu2m),
+        slave.assemble_load(mu2m),
+        zip(slave.constrained_dofs, slave.constrained_values(g_exact)),
+    )
+    f2_hom[slave.constrained_dofs] = 0.0
 
     s1 = cache.get(("master", tuple(fom.master.theta_weights(mu1m))), lambda: est.sigma_min(A1_bc))
     s2 = cache.get(("slave", tuple(fom.slave.theta_weights(mu2m))), lambda: est.sigma_min(A2_bc))
@@ -126,7 +116,7 @@ def unsteady_query_bounds(
     V1, V2 = artifacts.master.basis.V, artifacts.slave.basis.V
 
     # master contribution on the unconstrained block
-    free1 = np.setdiff1d(np.arange(fom.master.n_dofs), fom.master.dirichlet_dofs)
+    free1 = fom.master.free_dofs
     A1 = fom.master.assemble_operator(mu1m).tocsr()
     A1_ff = A1[np.ix_(free1, free1)].tocsc()
     M1_ff = fom.master.mass[np.ix_(free1, free1)].tocsc()
@@ -134,10 +124,8 @@ def unsteady_query_bounds(
         ("semigroup-master", tuple(fom.master.theta_weights(mu1m))),
         lambda: est.semigroup_constant(M1_ff, A1_ff, dt * n_steps),
     )
-    u0_full = fom.master.u0.copy()
-    u0_full[fom.master.dirichlet_dofs] = fom.master.dirichlet_values
     e1_0 = float(
-        np.linalg.norm(u0_full[free1] - V1[free1] @ online.master_reduced[0])
+        np.linalg.norm(fom_result.master[0, free1] - V1[free1] @ online.master_reduced[0])
     )
     r1 = est.residual_unsteady(
         M1_ff,
@@ -166,65 +154,49 @@ def unsteady_query_bounds(
         "magic_rows_norm": sub_norm,
     }
 
-    if not fom.slave.spec.unsteady:
+    slave = fom.slave
+    values2 = slave.constrained_values(g_traj)
+    if not slave.spec.unsteady:
         # instantaneous slave: steady residual bound at every step
-        dofs2 = np.concatenate(
-            [fom.slave.dirichlet_dofs, fom.slave.interface.dof_indices]
+        loads = np.column_stack([f2(k * dt) for k in range(n_steps + 1)])
+        A2_bc, F2_hom = apply_dirichlet_lifting(
+            A2, loads, zip(slave.constrained_dofs, values2.T)
         )
-        A2_bc = None
-        slave_terms = np.empty(n_steps + 1)
-        for k in range(n_steps + 1):
-            values2 = np.concatenate([fom.slave.dirichlet_values, g_traj[k]])
-            A2_bc, f2_hom = _homogenized_system(A2, f2(k * dt), dofs2, values2)
-            r2 = est.residual_steady(A2_bc, f2_hom, V2, online.slave_reduced[k])
-            s2 = cache.get(
-                ("slave", tuple(fom.slave.theta_weights(mu2m))),
-                lambda: est.sigma_min(A2_bc),
-            )
-            slave_terms[k] = np.linalg.norm(r2) / s2
-        constants["sigma_min_slave"] = cache.values[
-            ("slave", tuple(fom.slave.theta_weights(mu2m)))
-        ]
+        F2_hom[slave.constrained_dofs] = 0.0
+        r2 = est.residual_steady(A2_bc, F2_hom, V2, online.slave_reduced.T)
+        s2 = cache.get(
+            ("slave", tuple(slave.theta_weights(mu2m))),
+            lambda: est.sigma_min(A2_bc),
+        )
+        slave_terms = np.linalg.norm(r2, axis=0) / s2
+        constants["sigma_min_slave"] = s2
     else:
         # unsteady slave: Gronwall-type bound on the homogenized dynamics;
         # the lifting enters the forcing with its discrete time derivative
-        free2 = np.setdiff1d(
-            np.arange(fom.slave.n_dofs),
-            np.concatenate([fom.slave.dirichlet_dofs, fom.slave.interface.dof_indices]),
-        )
+        free2 = slave.free_dofs
         A2_ff = A2.tocsr()[np.ix_(free2, free2)].tocsc()
-        M2_ff = fom.slave.mass[np.ix_(free2, free2)].tocsc()
+        M2_ff = slave.mass[np.ix_(free2, free2)].tocsc()
         c2, c3_2, method2 = cache.get(
-            ("semigroup-slave", tuple(fom.slave.theta_weights(mu2m))),
+            ("semigroup-slave", tuple(slave.theta_weights(mu2m))),
             lambda: est.semigroup_constant(M2_ff, A2_ff, dt * n_steps),
         )
         constants.update({"slave_semigroup_C2": c2, "slave_c3": c3_2})
-        gamma = fom.slave.interface.dof_indices
-        A2_csc = A2.tocsc()
-        M2_csc = fom.slave.mass.tocsc()
+        lift = np.zeros((n_steps + 1, slave.n_dofs))
+        lift[:, slave.constrained_dofs] = values2
+        dlift = np.vstack([np.zeros(slave.n_dofs), np.diff(lift, axis=0) / dt])
 
-        def f2_hom_free(k: int) -> np.ndarray:
-            lift = np.zeros(fom.slave.n_dofs)
-            lift[gamma] = g_traj[k]
-            dlift = np.zeros(fom.slave.n_dofs)
-            dlift[gamma] = (g_traj[k] - g_traj[k - 1]) / dt if k else 0.0
-            out = f2(k * dt) - A2_csc @ lift - M2_csc @ dlift
-            return out[free2]
+        def f2_hom_free(t: float) -> np.ndarray:
+            k = int(round(t / dt))  # residual_unsteady asks for t_k = k * dt
+            return (f2(t) - A2 @ lift[k] - slave.mass @ dlift[k])[free2]
 
         u2_tilde0 = fom_result.slave[0].copy()
-        u2_tilde0[gamma] = 0.0
+        u2_tilde0[slave.interface.dof_indices] = 0.0
         e2_0 = float(
             np.linalg.norm(u2_tilde0[free2] - V2[free2] @ online.slave_reduced[0])
         )
-        r2 = np.empty((n_steps, len(free2)))
-        from .fem import factorized_solver
-
-        m2_solve = factorized_solver(M2_ff)
-        V2f = V2[free2]
-        for k in range(1, n_steps + 1):
-            full = V2f @ online.slave_reduced[k]
-            dudt = V2f @ ((online.slave_reduced[k] - online.slave_reduced[k - 1]) / dt)
-            r2[k - 1] = m2_solve(f2_hom_free(k) - A2_ff @ full) - dudt
+        r2 = est.residual_unsteady(
+            M2_ff, A2_ff, f2_hom_free, V2[free2], online.slave_reduced, dt
+        )
         r2_norms = np.linalg.norm(r2, axis=1)
         integrals2 = est._cumulative_trapezoid(r2_norms, dt)
         slave_terms = c2 * (e2_0 + integrals2)

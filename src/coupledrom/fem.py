@@ -267,15 +267,17 @@ def l2_error(mesh: Mesh, u: np.ndarray, exact: Callable, n_qp: int | None = None
 
 
 def _normalize_dirichlet(dirichlet) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted constrained DoFs and their values from a mapping or ``(dof,
+    value)`` pairs; a value is a scalar, or one entry per load of a block."""
     if isinstance(dirichlet, Mapping):
         items: Iterable = dirichlet.items()
     else:
         items = dirichlet
-    seen: dict[int, float] = {}
+    seen: dict[int, np.ndarray] = {}
     for dof, value in items:
         dof = int(dof)
-        value = float(value)
-        if dof in seen and seen[dof] != value:
+        value = np.asarray(value, dtype=float)
+        if dof in seen and not np.array_equal(seen[dof], value):
             raise InconsistentConstraintError(
                 f"DoF {dof} constrained to both {seen[dof]} and {value}"
             )
@@ -310,14 +312,17 @@ def apply_dirichlet_lifting(
 
     Returns ``(A_bc, f_bc)`` with identity rows/columns at constrained DoFs and
     ``f - A u_D`` in the interior; solving the pair reproduces the constrained
-    solution exactly.
+    solution exactly.  ``f`` is one load ``(N,)`` or a block of loads
+    ``(N, k)``; for a block, each constrained DoF takes ``k`` values, one per
+    load.
     """
     dofs, values = _normalize_dirichlet(dirichlet)
+    f = np.asarray(f, dtype=float)
     if len(dofs) == 0:
-        return A.tocsr(), np.asarray(f, dtype=float).copy()
-    u_d = np.zeros(A.shape[0])
+        return A.tocsr(), f.copy()
+    u_d = np.zeros(f.shape)
     u_d[dofs] = values
-    g = np.asarray(f, dtype=float) - A @ u_d
+    g = f - A @ u_d
     g[dofs] = values
     return eliminate_rows_cols(A, dofs), g
 
@@ -350,64 +355,96 @@ def factorized_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
+def _check_residuals(res: np.ndarray, rhs: np.ndarray, rtol: float, first_step=None) -> None:
+    """Raise ``SolverFailureError`` at the first column of ``res`` whose norm
+    exceeds ``rtol`` times the norm of the same column of ``rhs``.
+
+    Column ``j`` is reported as step ``first_step + j``; a single vector
+    (``first_step=None``) carries no step.
+    """
+    norms = np.linalg.norm(res.reshape(len(res), -1), axis=0)
+    bounds = rtol * np.maximum(np.linalg.norm(rhs.reshape(len(rhs), -1), axis=0), 1e-300)
+    bad = np.flatnonzero(~(norms <= bounds))  # NaN and inf fail too
+    if bad.size:
+        j = int(bad[0])
+        step = None if first_step is None else first_step + j
+        where = "" if step is None else f"step {step}: "
+        raise SolverFailureError(
+            f"{where}residual {norms[j]:.3e} exceeds tolerance {bounds[j]:.3e}",
+            residual=float(norms[j]),
+            step=step,
+        )
+
+
 def solve_steady(A: sp.spmatrix, f: np.ndarray, rtol: float = SOLVE_RTOL) -> np.ndarray:
-    """Solve ``A u = f`` and verify the residual against ``rtol * ||f||``."""
+    """Solve ``A u = f`` and verify the residual against ``rtol * ||f||``.
+
+    ``f`` is one load ``(N,)`` or a block ``(N, k)`` solved with one
+    factorization; in a block, each column is checked on its own and column
+    ``j`` is reported as step ``j``.
+    """
+    f = np.asarray(f, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != len(f):
         raise DimensionMismatchError(
             f"system shape {A.shape} incompatible with load of length {len(f)}"
         )
-    u = factorized_solver(A)(np.asarray(f, dtype=float))
-    res = float(np.linalg.norm(f - A @ u))
-    bound = rtol * max(float(np.linalg.norm(f)), 1e-300)
-    if not np.isfinite(res) or res > bound:
-        raise SolverFailureError(
-            f"residual {res:.3e} exceeds tolerance {bound:.3e}", residual=res
-        )
+    solve = factorized_solver(A)
+    # a block is solved column by column: with threaded OpenBLAS on 2 CPUs,
+    # SuperLU's multi-column solve made the heat benchmark's offline build
+    # about 14% slower, and it did not with one BLAS thread
+    u = solve(f) if f.ndim == 1 else np.column_stack([solve(col) for col in f.T])
+    _check_residuals(f - A @ u, f, rtol, first_step=0 if f.ndim == 2 else None)
     return u
 
 
 def solve_unsteady_bdf1(
     M: sp.spmatrix,
-    A_of_t,
+    A: sp.spmatrix,
     f_of_t: Callable[[float], np.ndarray],
     u0: np.ndarray,
     dt: float,
     n_steps: int,
+    dofs=(),
+    values=(),
 ) -> np.ndarray:
-    """March ``M u' + A u = f`` with implicit Euler.
+    """March ``M u' + A u = f`` with implicit Euler under ``u[dofs] = values``.
 
-    ``A_of_t`` is either a constant sparse matrix (system factorized once) or
-    a callable ``t -> matrix``.  Returns the trajectory of ``n_steps + 1``
-    states, starting from ``u0``.
+    ``values`` holds one value per constrained DoF, either for every state
+    ``(len(dofs),)`` or per state ``(n_steps + 1, len(dofs))``; row 0 is
+    imposed on ``u0``.  The system ``M/dt + A`` is eliminated at ``dofs`` and
+    factorized once.  After the march every step's residual is checked with
+    one sparse product; the first step above ``SOLVE_RTOL`` raises
+    ``SolverFailureError`` with ``.step`` set.  Returns the trajectory of
+    ``n_steps + 1`` states.
     """
     if dt <= 0.0 or n_steps < 1:
         raise DimensionMismatchError("dt must be > 0 and n_steps >= 1")
-    u0 = np.asarray(u0, dtype=float)
-    traj = np.empty((n_steps + 1, len(u0)))
-    traj[0] = u0
+    dofs = np.asarray(dofs, dtype=np.int64)
+    values = np.broadcast_to(np.asarray(values, dtype=float), (n_steps + 1, len(dofs)))
     m_dt = (M / dt).tocsr()
+    system = (m_dt + A).tocsr()
+    system_bc = eliminate_rows_cols(system, dofs)
+    solver = factorized_solver(system_bc)
 
-    constant = not callable(A_of_t)
-    solver = None
-    if constant:
-        system = (m_dt + A_of_t).tocsr()
-        solver = factorized_solver(system)
-    for n in range(n_steps):
-        t_next = (n + 1) * dt
-        if not constant:
-            system = (m_dt + A_of_t(t_next)).tocsr()
-            solver = factorized_solver(system)
-        rhs = f_of_t(t_next) + m_dt @ traj[n]
+    traj = np.empty((n_steps + 1, M.shape[0]))
+    traj[0] = u0
+    traj[0, dofs] = values[0]
+    rhs = np.empty((n_steps, M.shape[0]))
+    lift = np.zeros(M.shape[0])
+    for k in range(1, n_steps + 1):
+        lift[dofs] = values[k]
+        r = f_of_t(k * dt) + m_dt @ traj[k - 1] - system @ lift
+        r[dofs] = 0.0
+        rhs[k - 1] = r
         try:
-            u = solver(rhs)
+            u = solver(r)
         except SolverFailureError as exc:
-            raise SolverFailureError(str(exc), residual=exc.residual, step=n + 1)
-        res = float(np.linalg.norm(rhs - system @ u))
-        if res > SOLVE_RTOL * max(float(np.linalg.norm(rhs)), 1e-300):
-            raise SolverFailureError(
-                f"step {n + 1}: residual {res:.3e} above tolerance",
-                residual=res,
-                step=n + 1,
-            )
-        traj[n + 1] = u
+            raise SolverFailureError(str(exc), residual=exc.residual, step=k)
+        u[dofs] = values[k]
+        traj[k] = u
+    # eliminated columns ignore the constrained entries, so the free rows are
+    # exactly the residuals of the systems solved above
+    res = rhs.T - system_bc @ traj[1:].T
+    res[dofs] = 0.0
+    _check_residuals(res, rhs.T, SOLVE_RTOL, first_step=1)
     return traj

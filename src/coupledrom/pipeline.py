@@ -88,6 +88,10 @@ class FomSubmodel:
     dirichlet_dofs: np.ndarray
     dirichlet_values: np.ndarray
     u0: np.ndarray
+    #: Dirichlet DoFs, followed on the slave by the interface DoFs
+    constrained_dofs: np.ndarray
+    #: sorted complement of ``constrained_dofs``
+    free_dofs: np.ndarray
 
     @property
     def n_dofs(self) -> int:
@@ -108,6 +112,17 @@ class FomSubmodel:
         for theta, vec in self.load_terms:
             out += eval_theta(theta, mu, t) * vec
         return out
+
+    def constrained_values(self, trace: np.ndarray | None = None) -> np.ndarray:
+        """Values at ``constrained_dofs``: the Dirichlet data, followed on the
+        slave by the interface ``trace`` (one row per step when 2-D)."""
+        if trace is None:
+            return self.dirichlet_values
+        trace = np.asarray(trace, dtype=float)
+        fixed = np.broadcast_to(
+            self.dirichlet_values, trace.shape[:-1] + self.dirichlet_values.shape
+        )
+        return np.concatenate([fixed, trace], axis=-1)
 
     def mu_mapping(self, mu) -> dict[str, float]:
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
@@ -144,11 +159,14 @@ def build_submodel(spec: SubmodelSpec, role: str) -> FomSubmodel:
         dofs = extract_interface(mesh, face).dof_indices
         pairs.extend((int(d), float(value)) for d in dofs)
     d_dofs, d_values = fem._normalize_dirichlet(pairs)
-    if role == "slave" and np.intersect1d(d_dofs, interface.dof_indices).size:
-        raise ConfigError(
-            "slave Dirichlet faces share DoFs with the interface face",
-            field="slave.dirichlet",
-        )
+    constrained = d_dofs
+    if role == "slave":
+        if np.intersect1d(d_dofs, interface.dof_indices).size:
+            raise ConfigError(
+                "slave Dirichlet faces share DoFs with the interface face",
+                field="slave.dirichlet",
+            )
+        constrained = np.concatenate([d_dofs, interface.dof_indices])
     u0 = np.asarray(eval_spatial(spec.initial, mesh.node_coords), dtype=float).copy()
     return FomSubmodel(
         spec=spec,
@@ -160,6 +178,8 @@ def build_submodel(spec: SubmodelSpec, role: str) -> FomSubmodel:
         dirichlet_dofs=d_dofs,
         dirichlet_values=d_values,
         u0=u0,
+        constrained_dofs=constrained,
+        free_dofs=np.setdiff1d(np.arange(mesh.n_dofs), constrained),
     )
 
 
@@ -187,47 +207,6 @@ def build_fom(spec: CoupledProblemSpec) -> FomProblem:
     )
 
 
-def _constrained_steady_solve(A, f, dofs, values):
-    A_bc, f_bc = fem.apply_dirichlet_lifting(A, f, zip(dofs, values))
-    return fem.solve_steady(A_bc, f_bc)
-
-
-def _march_constrained(M, A, dofs, values_of_step, load_of_t, u0, dt, n_steps):
-    """BDF1 marching with (possibly time-varying) Dirichlet values."""
-    S = (M / dt + A).tocsr()
-    S_bc = fem.eliminate_rows_cols(S, dofs)
-    solver = fem.factorized_solver(S_bc)
-    m_dt = (M / dt).tocsr()
-    traj = np.empty((n_steps + 1, M.shape[0]))
-    traj[0] = u0
-    for k in range(n_steps):
-        c = np.zeros(M.shape[0])
-        c[dofs] = values_of_step(k + 1)
-        rhs = load_of_t((k + 1) * dt) + m_dt @ traj[k] - S @ c
-        rhs[dofs] = 0.0
-        u = solver(rhs)
-        u[dofs] = c[dofs]
-        traj[k + 1] = u
-    return traj
-
-
-def _steady_response_series(A, dofs, values_of_step, load_of_t, dt, n_steps):
-    """Per-step steady solves of a time-independent operator under
-    time-varying Dirichlet data."""
-    A_bc = fem.eliminate_rows_cols(A, dofs)
-    solver = fem.factorized_solver(A_bc)
-    traj = np.empty((n_steps + 1, A.shape[0]))
-    for k in range(n_steps + 1):
-        c = np.zeros(A.shape[0])
-        c[dofs] = values_of_step(k)
-        rhs = load_of_t(k * dt) - A @ c
-        rhs[dofs] = 0.0
-        u = solver(rhs)
-        u[dofs] = c[dofs]
-        traj[k] = u
-    return traj
-
-
 @dataclass
 class FomResult:
     master: np.ndarray  # (N1,) or (n_steps+1, N1)
@@ -238,24 +217,26 @@ class FomResult:
 
 def fom_coupled_solve(fom: FomProblem, mu1, mu2) -> FomResult:
     """Reference path: master solve, trace transfer, slave solve."""
-    mu1m = fom.master.mu_mapping(mu1)
-    mu2m = fom.slave.mu_mapping(mu2)
+    master, slave = fom.master, fom.slave
+    mu1m = master.mu_mapping(mu1)
+    mu2m = slave.mu_mapping(mu2)
+    gamma1 = master.interface.dof_indices
     t0 = _time.perf_counter()
     if not fom.spec.is_unsteady:
-        A1 = fom.master.assemble_operator(mu1m)
-        f1 = fom.master.assemble_load(mu1m)
-        u1 = _constrained_steady_solve(
-            A1, f1, fom.master.dirichlet_dofs, fom.master.dirichlet_values
+        A1_bc, f1_bc = fem.apply_dirichlet_lifting(
+            master.assemble_operator(mu1m),
+            master.assemble_load(mu1m),
+            zip(master.constrained_dofs, master.constrained_values()),
         )
+        u1 = fem.solve_steady(A1_bc, f1_bc)
         t1 = _time.perf_counter()
-        g = fom.transfer @ u1[fom.master.interface.dof_indices]
-        slave_dofs = np.concatenate(
-            [fom.slave.dirichlet_dofs, fom.slave.interface.dof_indices]
+        g = fom.transfer @ u1[gamma1]
+        A2_bc, f2_bc = fem.apply_dirichlet_lifting(
+            slave.assemble_operator(mu2m),
+            slave.assemble_load(mu2m),
+            zip(slave.constrained_dofs, slave.constrained_values(g)),
         )
-        slave_vals = np.concatenate([fom.slave.dirichlet_values, g])
-        A2 = fom.slave.assemble_operator(mu2m)
-        f2 = fom.slave.assemble_load(mu2m)
-        u2 = _constrained_steady_solve(A2, f2, slave_dofs, slave_vals)
+        u2 = fem.solve_steady(A2_bc, f2_bc)
         t2 = _time.perf_counter()
         return FomResult(
             master=u1,
@@ -265,52 +246,40 @@ def fom_coupled_solve(fom: FomProblem, mu1, mu2) -> FomResult:
         )
 
     ts = fom.spec.time
-    A1 = fom.master.assemble_operator(mu1m)
-    u0_1 = fom.master.u0.copy()
-    u0_1[fom.master.dirichlet_dofs] = fom.master.dirichlet_values
-    traj1 = _march_constrained(
-        fom.master.mass,
-        A1,
-        fom.master.dirichlet_dofs,
-        lambda k: fom.master.dirichlet_values,
-        lambda t: fom.master.assemble_load(mu1m, t),
-        u0_1,
+    traj1 = fem.solve_unsteady_bdf1(
+        master.mass,
+        master.assemble_operator(mu1m),
+        lambda t: master.assemble_load(mu1m, t),
+        master.u0,
         ts.dt,
         ts.n_steps,
+        master.constrained_dofs,
+        master.constrained_values(),
     )
     t1 = _time.perf_counter()
-    g_traj = (fom.transfer @ traj1[:, fom.master.interface.dof_indices].T).T
-
-    slave_dofs = np.concatenate(
-        [fom.slave.dirichlet_dofs, fom.slave.interface.dof_indices]
-    )
-
-    def slave_values(k):
-        return np.concatenate([fom.slave.dirichlet_values, g_traj[k]])
-
-    A2 = fom.slave.assemble_operator(mu2m)
-    if fom.slave.spec.unsteady:
-        u0_2 = fom.slave.u0.copy()
-        u0_2[slave_dofs] = slave_values(0)
-        traj2 = _march_constrained(
-            fom.slave.mass,
+    g_traj = (fom.transfer @ traj1[:, gamma1].T).T
+    values2 = slave.constrained_values(g_traj)
+    A2 = slave.assemble_operator(mu2m)
+    if slave.spec.unsteady:
+        traj2 = fem.solve_unsteady_bdf1(
+            slave.mass,
             A2,
-            slave_dofs,
-            slave_values,
-            lambda t: fom.slave.assemble_load(mu2m, t),
-            u0_2,
+            lambda t: slave.assemble_load(mu2m, t),
+            slave.u0,
             ts.dt,
             ts.n_steps,
+            slave.constrained_dofs,
+            values2,
         )
     else:
-        traj2 = _steady_response_series(
-            A2,
-            slave_dofs,
-            slave_values,
-            lambda t: fom.slave.assemble_load(mu2m, t),
-            ts.dt,
-            ts.n_steps,
+        # quasi-static slave: one steady solve per state, one factorization
+        loads = np.column_stack(
+            [slave.assemble_load(mu2m, k * ts.dt) for k in range(ts.n_steps + 1)]
         )
+        A2_bc, F2_bc = fem.apply_dirichlet_lifting(
+            A2, loads, zip(slave.constrained_dofs, values2.T)
+        )
+        traj2 = np.ascontiguousarray(fem.solve_steady(A2_bc, F2_bc).T)
     t2 = _time.perf_counter()
     return FomResult(
         master=traj1,
@@ -526,11 +495,8 @@ def _assemble_artifacts(
     tolerances,
     provenance,
 ) -> RomArtifacts:
-    V1 = _zero_rows(V1, fom.master.dirichlet_dofs)
-    slave_constrained = np.union1d(
-        fom.slave.dirichlet_dofs, fom.slave.interface.dof_indices
-    )
-    V2 = _zero_rows(V2, slave_constrained)
+    V1 = _zero_rows(V1, fom.master.constrained_dofs)
+    V2 = _zero_rows(V2, fom.slave.constrained_dofs)
     basis1 = ReducedBasis(V=V1, singular_values=sv1, tolerance=tolerances[0])
     basis2 = ReducedBasis(V=V2, singular_values=sv2, tolerance=tolerances[1])
 
@@ -615,18 +581,19 @@ def offline(
     return build_artifacts(training, tolerances)
 
 
+def _unit_columns(n: int, rows: np.ndarray) -> np.ndarray:
+    """Columns of the ``n x n`` identity at ``rows``, without forming it."""
+    V = np.zeros((n, len(rows)))
+    V[rows, np.arange(len(rows))] = 1.0
+    return V
+
+
 def full_rank_artifacts(spec: CoupledProblemSpec) -> RomArtifacts:
     """Exactness-limit artifacts: identity bases on all free DoFs and a full
     interpolation basis on the slave trace (no truncation anywhere)."""
     fom = build_fom(spec)
-    n1, n2 = fom.master.n_dofs, fom.slave.n_dofs
-    free1 = np.setdiff1d(np.arange(n1), fom.master.dirichlet_dofs)
-    slave_constrained = np.union1d(
-        fom.slave.dirichlet_dofs, fom.slave.interface.dof_indices
-    )
-    free2 = np.setdiff1d(np.arange(n2), slave_constrained)
-    V1 = np.eye(n1)[:, free1]
-    V2 = np.eye(n2)[:, free2]
+    V1 = _unit_columns(fom.master.n_dofs, fom.master.free_dofs)
+    V2 = _unit_columns(fom.slave.n_dofs, fom.slave.free_dofs)
     n_trace = len(fom.slave.interface)
     deim_basis = make_deim_basis(np.eye(n_trace), indices=np.arange(n_trace))
     return _assemble_artifacts(
@@ -654,7 +621,7 @@ class OnlineResult:
     diagnostics: dict
 
 
-def _check_in_range(sub: FomSubmodel | ReducedSubmodel, spec_params, mu, label, warnings):
+def _check_in_range(spec_params, mu, label, warnings):
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu.size and not spec_params.contains(mu):
         msg = f"{label} parameters {mu.tolist()} outside trained ranges"
@@ -688,8 +655,8 @@ def online_steady(
     warnings: list[str] = []
     mu1m = spec.master.parameters.as_mapping(np.atleast_1d(np.asarray(mu1, float)))
     mu2m = spec.slave.parameters.as_mapping(np.atleast_1d(np.asarray(mu2, float)))
-    _check_in_range(artifacts.master, spec.master.parameters, mu1, "master", warnings)
-    _check_in_range(artifacts.slave, spec.slave.parameters, mu2, "slave", warnings)
+    _check_in_range(spec.master.parameters, mu1, "master", warnings)
+    _check_in_range(spec.slave.parameters, mu2, "slave", warnings)
 
     t0 = _time.perf_counter()
     A1 = artifacts.master.assemble_operator(mu1m)
@@ -741,8 +708,8 @@ def online_unsteady(
     warnings: list[str] = []
     mu1m = spec.master.parameters.as_mapping(np.atleast_1d(np.asarray(mu1, float)))
     mu2m = spec.slave.parameters.as_mapping(np.atleast_1d(np.asarray(mu2, float)))
-    _check_in_range(artifacts.master, spec.master.parameters, mu1, "master", warnings)
-    _check_in_range(artifacts.slave, spec.slave.parameters, mu2, "slave", warnings)
+    _check_in_range(spec.master.parameters, mu1, "master", warnings)
+    _check_in_range(spec.slave.parameters, mu2, "slave", warnings)
 
     dt, n_steps = spec.time.dt, spec.time.n_steps
     t0 = _time.perf_counter()

@@ -1,12 +1,11 @@
 """Orthonormal reduced bases from snapshot matrices.
 
 Truncation follows the relative-energy rule: the basis size ``n`` is the
-smallest integer with ``sum_{i>n} s_i^2 <= tol^2 * sum_i s_i^2``.  For tall
-snapshot matrices the factorization goes through the Gram matrix (method of
-snapshots); the computed vectors are then re-orthonormalized with a thin QR
-so the orthonormality contract holds even for singular values close to the
-truncation floor.  Column signs are fixed so the first nonzero entry of each
-basis vector is positive.
+smallest integer with ``sum_{i>n} s_i^2 <= tol^2 * sum_i s_i^2``.  The
+factorization is the thin SVD, which resolves singular values down to
+``eps * s_1``; the tail energies are summed from the smallest value up, so
+they do not cancel against the total.  Column signs are fixed so the first
+nonzero entry of each basis vector is positive.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ import numpy as np
 
 from .errors import DegenerateSnapshotsError, DimensionMismatchError, RomError
 from .mesh import InterfaceTrace
-
-#: switch to the Gram-matrix path when rows exceed this multiple of columns
-SNAPSHOT_METHOD_RATIO = 4
 
 
 @dataclass(frozen=True)
@@ -73,31 +69,18 @@ class PodFactorization:
             raise DimensionMismatchError("snapshot matrix must be 2-D and nonempty")
         if not np.any(X):
             raise DegenerateSnapshotsError("snapshot matrix is identically zero")
-        n_rows, n_cols = X.shape
-        if n_rows >= SNAPSHOT_METHOD_RATIO * n_cols:
-            gram = X.T @ X
-            lam, W = np.linalg.eigh(gram)
-            lam, W = lam[::-1], W[:, ::-1]
-            sigma = np.sqrt(np.clip(lam, 0.0, None))
-            rank = int(np.sum(sigma > sigma[0] * n_rows * np.finfo(float).eps))
-            U = X @ (W[:, :rank] / sigma[:rank])
-            # re-orthonormalize: Gram-path vectors lose orthogonality near the
-            # spectral tail at a rate (s_1/s_i)^2 * eps
-            U, _ = np.linalg.qr(U)
-        else:
-            U, sigma, _ = np.linalg.svd(X, full_matrices=False)
-            rank = int(np.sum(sigma > sigma[0] * max(X.shape) * np.finfo(float).eps))
-            U = U[:, :rank]
-        self.U = _fix_signs(U)
+        U, sigma, _ = np.linalg.svd(X, full_matrices=False)
+        rank = int(np.sum(sigma > sigma[0] * max(X.shape) * np.finfo(float).eps))
+        self.U = _fix_signs(U[:, :rank])
         self.singular_values = sigma
 
     def size_for(self, tolerance: float) -> int:
         if not 0.0 < tolerance < 1.0:
             raise RomError(f"POD tolerance must be in (0, 1), got {tolerance}")
         s2 = self.singular_values**2
-        cs = np.cumsum(s2)
-        total = cs[-1]
-        tail = total - cs  # tail[k] = energy beyond the first k+1 modes
+        energy = np.cumsum(s2[::-1])[::-1]  # energy[k] = energy from mode k on
+        total = energy[0]
+        tail = np.append(energy[1:], 0.0)  # tail[k] = energy beyond k+1 modes
         n = int(np.searchsorted(-tail, -(tolerance**2) * total) + 1)
         return min(n, self.U.shape[1])
 

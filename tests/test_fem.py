@@ -263,6 +263,11 @@ class TestDirichletLifting:
         u_ref[idx] = [constrained[d] for d in idx]
         u_ref[free] = np.linalg.solve(dense[np.ix_(free, free)], g[free])
         assert np.max(np.abs(u - u_ref)) <= 1e-10
+        # a block of loads, with one constrained value per load
+        block = {d: [v, -v] for d, v in constrained.items()}
+        A3, F3 = apply_dirichlet_lifting(A, np.column_stack([f, -f]), block)
+        U = solve_steady(A3, F3)
+        assert np.max(np.abs(U - np.column_stack([u_ref, -u_ref]))) <= 1e-10
 
 
 class TestSolveSteady:
@@ -401,3 +406,6 @@ class TestIterativeSolvePath:
         u = solve_steady(A, f)
         res = np.linalg.norm(f - A @ u)
         assert res <= 1e-10 * np.linalg.norm(f)
+        # a block of loads is solved column by column on this path
+        U = solve_steady(A, np.column_stack([f, 2.0 * f]))
+        assert np.linalg.norm(U[:, 1] - 2.0 * u) <= 1e-9 * np.linalg.norm(u)

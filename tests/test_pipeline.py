@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import coupledrom as cr
-from coupledrom.errors import ConfigError, DegenerateSnapshotsError
+import coupledrom.fem as fem
+from coupledrom.errors import ConfigError, DegenerateSnapshotsError, SolverFailureError
 from coupledrom.library import heat_laplace_pair, steady_pair_2d, transport_wall_pair
-from coupledrom.pipeline import OpLog, _constrained_steady_solve
+from coupledrom.pipeline import OpLog
 from coupledrom.problems import (
     AffineTerm,
     BoxMeshSpec,
@@ -52,7 +53,101 @@ def constant_pair(c=0.7):
     return CoupledProblemSpec(master=master, slave=slave, time=TimeSpec(0.1, 6))
 
 
+def reference_march(M, A, dofs, values_of_step, load_of_t, u0, dt, n_steps):
+    """Per-step BDF1 composition under time-varying Dirichlet values: one
+    factorization of the eliminated system, one lifted load per step."""
+    S = (M / dt + A).tocsr()
+    solver = fem.factorized_solver(fem.eliminate_rows_cols(S, dofs))
+    m_dt = (M / dt).tocsr()
+    traj = np.empty((n_steps + 1, M.shape[0]))
+    traj[0] = u0
+    traj[0, dofs] = values_of_step(0)
+    for k in range(n_steps):
+        c = np.zeros(M.shape[0])
+        c[dofs] = values_of_step(k + 1)
+        rhs = load_of_t((k + 1) * dt) + m_dt @ traj[k] - S @ c
+        rhs[dofs] = 0.0
+        u = solver(rhs)
+        u[dofs] = c[dofs]
+        traj[k + 1] = u
+    return traj
+
+
+def reference_series(A, dofs, values_of_step, load_of_t, dt, n_steps):
+    """Per-step steady solves of one operator under time-varying Dirichlet
+    values, one vector solve per state."""
+    solver = fem.factorized_solver(fem.eliminate_rows_cols(A, dofs))
+    traj = np.empty((n_steps + 1, A.shape[0]))
+    for k in range(n_steps + 1):
+        c = np.zeros(A.shape[0])
+        c[dofs] = values_of_step(k)
+        rhs = load_of_t(k * dt) - A @ c
+        rhs[dofs] = 0.0
+        u = solver(rhs)
+        u[dofs] = c[dofs]
+        traj[k] = u
+    return traj
+
+
+def reference_coupled_solve(fom, mu1, mu2):
+    """The coupled unsteady reference path composed step by step."""
+    ts = fom.spec.time
+    master, slave = fom.master, fom.slave
+    mu1m, mu2m = master.mu_mapping(mu1), slave.mu_mapping(mu2)
+    traj1 = reference_march(
+        master.mass,
+        master.assemble_operator(mu1m),
+        master.dirichlet_dofs,
+        lambda k: master.dirichlet_values,
+        lambda t: master.assemble_load(mu1m, t),
+        master.u0,
+        ts.dt,
+        ts.n_steps,
+    )
+    g_traj = (fom.transfer @ traj1[:, master.interface.dof_indices].T).T
+    dofs2 = np.concatenate([slave.dirichlet_dofs, slave.interface.dof_indices])
+
+    def values2(k):
+        return np.concatenate([slave.dirichlet_values, g_traj[k]])
+
+    A2 = slave.assemble_operator(mu2m)
+    load2 = lambda t: slave.assemble_load(mu2m, t)
+    if slave.spec.unsteady:
+        traj2 = reference_march(
+            slave.mass, A2, dofs2, values2, load2, slave.u0, ts.dt, ts.n_steps
+        )
+    else:
+        traj2 = reference_series(A2, dofs2, values2, load2, ts.dt, ts.n_steps)
+    return traj1, traj2
+
+
+def small_heat_fom(n_steps=8):
+    return cr.build_fom(
+        heat_laplace_pair(
+            master_subdivisions=(4, 4, 4), slave_subdivisions=(2, 2, 2), n_steps=n_steps
+        )
+    )
+
+
 class TestFomCoupledSolve:
+    def test_march_and_steady_series_match_per_step_reference(self):
+        fom = small_heat_fom()
+        res = cr.fom_coupled_solve(fom, [0.8], [])
+        traj1, traj2 = reference_coupled_solve(fom, [0.8], [])
+        assert np.array_equal(res.master, traj1)
+        # the series lifts all states as one block: summation order may differ
+        assert np.max(np.abs(res.slave - traj2)) <= 1e-12 * np.max(np.abs(traj2))
+
+    def test_unsteady_slave_march_matches_per_step_reference(self):
+        spec = transport_wall_pair(
+            channel_subdivisions=(4, 3, 3), wall_subdivisions=(2, 2, 2), n_steps=8
+        )
+        fom = cr.build_fom(spec)
+        res = cr.fom_coupled_solve(fom, [0.6], [])
+        traj1, traj2 = reference_coupled_solve(fom, [0.6], [])
+        assert np.array_equal(res.master, traj1)
+        assert np.array_equal(res.slave, traj2)
+
     def test_constant_master_gives_constant_slave(self):
         fom = cr.build_fom(constant_pair(0.7))
         res = cr.fom_coupled_solve(fom, [], [])
@@ -72,7 +167,10 @@ class TestFomCoupledSolve:
         )
         affine = lambda p: 0.4 + 0.3 * p[:, 0] - 1.1 * p[:, 1] + 0.9 * p[:, 2]
         values = affine(mesh.node_coords[boundary])
-        u = _constrained_steady_solve(K, np.zeros(mesh.n_dofs), boundary, values)
+        K_bc, f_bc = cr.apply_dirichlet_lifting(
+            K, np.zeros(mesh.n_dofs), zip(boundary, values)
+        )
+        u = cr.solve_steady(K_bc, f_bc)
         assert np.max(np.abs(u - affine(mesh.node_coords))) <= 1e-9
 
     def test_matches_componentwise_composition(self):
@@ -84,18 +182,56 @@ class TestFomCoupledSolve:
         mu1m = fom.master.mu_mapping(mu1)
         A1 = fom.master.assemble_operator(mu1m)
         f1 = fom.master.assemble_load(mu1m)
-        u1 = _constrained_steady_solve(
-            A1, f1, fom.master.dirichlet_dofs, fom.master.dirichlet_values
+        u1 = cr.solve_steady(
+            *cr.apply_dirichlet_lifting(
+                A1, f1, zip(fom.master.dirichlet_dofs, fom.master.dirichlet_values)
+            )
         )
         g = cr.transfer_linear(
             fom.master.interface, u1[fom.master.interface.dof_indices], fom.slave.interface
         )
         A2 = fom.slave.assemble_operator({})
-        u2 = _constrained_steady_solve(
-            A2, np.zeros(fom.slave.n_dofs), fom.slave.interface.dof_indices, g
+        u2 = cr.solve_steady(
+            *cr.apply_dirichlet_lifting(
+                A2, np.zeros(fom.slave.n_dofs), zip(fom.slave.interface.dof_indices, g)
+            )
         )
         assert np.array_equal(res.master, u1)
         assert np.allclose(res.slave, u2, atol=1e-12)
+
+
+def corrupt_solves(monkeypatch, n_dofs, call):
+    """Scale by 1.001 the solution of the ``call``-th solve (1-based) with a
+    factorization on ``n_dofs`` unknowns."""
+    real = fem.factorized_solver
+
+    def factory(A):
+        solve = real(A)
+        if A.shape[0] != n_dofs:
+            return solve
+        calls = []
+
+        def corrupted(b):
+            calls.append(1)
+            x = solve(b)
+            return 1.001 * x if len(calls) == call else x
+
+        return corrupted
+
+    monkeypatch.setattr(fem, "factorized_solver", factory)
+
+
+class TestResidualChecks:
+    # master: the BDF1 march solves steps 1..n; slave: the quasi-static
+    # steady series solves states 0..n
+    @pytest.mark.parametrize("side, call, step", [("master", 3, 3), ("slave", 6, 5)])
+    def test_corrupted_step_raises_with_its_step(self, monkeypatch, side, call, step):
+        fom = small_heat_fom()
+        corrupt_solves(monkeypatch, getattr(fom, side).n_dofs, call)
+        with pytest.raises(SolverFailureError) as info:
+            cr.fom_coupled_solve(fom, [0.8], [])
+        assert info.value.step == step
+        assert info.value.residual > 0.0
 
 
 class TestOffline:

@@ -39,9 +39,9 @@ class TestPod:
         Ua = align_signs(basis.V, U[:, : basis.n])
         assert np.max(np.abs(basis.V - Ua)) <= 1e-10
 
-    def test_gram_path_matches_dense_svd_oracle(self):
+    def test_tall_matrix_matches_dense_svd_oracle(self):
         rng = np.random.default_rng(12)
-        X = rng.standard_normal((200, 40))  # tall: Gram-matrix path
+        X = rng.standard_normal((200, 40))
         basis = pod(X, 1e-12)
         U, s, _ = np.linalg.svd(X, full_matrices=False)
         assert np.allclose(basis.singular_values[: len(s)], s, atol=1e-10)
