@@ -8,13 +8,17 @@ stored reduced-transfer operator.  The unsteady variant integrates residual
 norms in time and multiplies by a boundedness constant of the underlying
 semigroup; for symmetric definite pairs that constant is the sharp
 ``sqrt(cond(M))``, otherwise the Gronwall surrogate ``1 + c t exp(c t)``
-with ``c = ||M^{-1} A||_2`` is used.  The bounds certify but are heuristic
-in tightness; effectivities are reported, not constrained.
+with ``c = ||M^{-1} A||_2`` is used.  ``sqrt(cond(M))`` and the
+factorization of ``M`` depend on ``M`` alone: a ``MassBlock`` computes each
+once, on first use, so that a caller can keep them across queries.  The
+bounds certify but are heuristic in tightness; effectivities are reported,
+not constrained.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -22,6 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatchError, EstimatorConvergenceError
+from .fem import factorized_solver
 
 _POWER_MAX_ITER = 5000
 _POWER_RTOL = 1e-9
@@ -53,7 +58,8 @@ def residual_unsteady(
 
     The system is scaled to ``u' = -M^{-1} A u + M^{-1} f``; the time
     derivative uses the same backward difference as the solver.  Row ``k-1``
-    of the output is the residual at ``t_k``.
+    of the output is the residual at ``t_k``.  ``M`` is a matrix or a
+    ``MassBlock``, whose factorization is then reused.
     """
     traj = np.asarray(trajectory, dtype=float)
     if traj.ndim != 2 or traj.shape[1] != V.shape[1]:
@@ -63,15 +69,51 @@ def residual_unsteady(
     n_steps = traj.shape[0] - 1
     if n_steps < 1:
         raise DimensionMismatchError("trajectory must contain at least two states")
-    from .fem import factorized_solver
-
-    m_solve = factorized_solver(M.tocsc() if sp.issparse(M) else sp.csc_matrix(M))
+    m_solve = MassBlock.of(M).solve
     out = np.empty((n_steps, V.shape[0]))
     for k in range(1, n_steps + 1):
         full = V @ traj[k]
         dudt = V @ ((traj[k] - traj[k - 1]) / dt)
         out[k - 1] = m_solve(f_of_t(k * dt) - A_N @ full) - dudt
     return out
+
+
+# ---------------------------------------------------------------------------
+# mass block
+
+
+class MassBlock:
+    """A mass matrix with the quantities that depend on it alone.
+
+    The factorization ``solve`` and ``condition_root = sqrt(cond(M))`` are
+    each computed on first use and then kept, so that every query against
+    one full-order model shares them.
+    """
+
+    def __init__(self, M):
+        self.matrix = M.tocsc() if sp.issparse(M) else sp.csc_matrix(np.asarray(M))
+
+    @classmethod
+    def of(cls, M) -> MassBlock:
+        return M if isinstance(M, cls) else cls(M)
+
+    @cached_property
+    def solve(self) -> Callable[[np.ndarray], np.ndarray]:
+        return factorized_solver(self.matrix)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        M = self.matrix
+        return abs(M - M.T).max() <= 1e-10 * abs(M).max()
+
+    @cached_property
+    def condition_root(self) -> float:
+        """``sqrt(lambda_max / lambda_min)`` of a symmetric positive definite
+        ``M``: power iterations for ``lambda_max``, then for ``1/lambda_min``."""
+        M, n = self.matrix, self.matrix.shape[0]
+        lam_max = operator_two_norm(lambda x: M @ x, lambda x: M @ x, n)
+        lam_min_inv = operator_two_norm(self.solve, self.solve, n)
+        return float(np.sqrt(lam_max * lam_min_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -148,28 +190,31 @@ def gronwall_constant(c3: float, t: float) -> float:
         return float(1.0 + c3 * t * np.exp(c3 * t))
 
 
-def semigroup_constant(M, A, horizon: float) -> tuple[float, float, str]:
+def semigroup_constant(
+    M, A, horizon: float, known_dissipative: bool = False
+) -> tuple[float, float | None, str]:
     """Upper bound for ``sup_t ||exp(-M^{-1} A t)||_2`` on ``[0, horizon]``.
 
-    Returns ``(constant, c3, method)`` with ``c3 = ||M^{-1} A||_2``.  When
-    the symmetric part of ``A`` is positive semidefinite (symmetric M), the
-    semigroup contracts in the M-norm and the sharp two-norm bound
-    ``sqrt(cond(M))`` applies; otherwise the Gronwall surrogate is used
-    (which can overflow to inf for stiff operators, still a valid upper
-    bound).
-    """
-    from .fem import factorized_solver
+    Returns ``(constant, c3, method)``.  When ``M`` is symmetric and the
+    symmetric part of ``A`` is positive semidefinite, the semigroup
+    contracts in the M-norm and the sharp two-norm bound ``sqrt(cond(M))``
+    applies (``method == "dissipative"``, ``c3 is None``).  Otherwise the
+    Gronwall surrogate with ``c3 = ||M^{-1} A||_2`` is used; it can overflow
+    to inf for stiff operators and is still a valid upper bound.
 
-    M = M.tocsc() if sp.issparse(M) else sp.csc_matrix(np.asarray(M))
+    ``M`` is a matrix or a ``MassBlock``, whose factorization and
+    ``sqrt(cond(M))`` are then computed at most once across calls.
+    ``known_dissipative`` skips the eigenvalue test on ``A`` for a caller
+    that has already proved it.
+    """
+    mass = MassBlock.of(M)
     A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(np.asarray(A))
-    m_solve = factorized_solver(M)
+    if mass.symmetric and (known_dissipative or _is_dissipative(A)):
+        return mass.condition_root, None, "dissipative"
+    m_solve = mass.solve
     c3 = operator_two_norm(
         lambda x: m_solve(A @ x), lambda x: A.T @ m_solve(x), A.shape[0]
     )
-    if abs(M - M.T).max() <= 1e-10 * abs(M).max() and _is_dissipative(A):
-        lam_max = operator_two_norm(lambda x: M @ x, lambda x: M @ x, M.shape[0])
-        lam_min_inv = operator_two_norm(m_solve, m_solve, M.shape[0])
-        return float(np.sqrt(lam_max * lam_min_inv)), c3, "dissipative"
     return gronwall_constant(c3, horizon), c3, "gronwall"
 
 

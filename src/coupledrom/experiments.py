@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .fem import apply_dirichlet_lifting
 from .pipeline import (
     FomProblem,
+    FomSubmodel,
     OnlineResult,
     RomArtifacts,
     build_artifacts,
@@ -96,6 +97,21 @@ def steady_query_bound(
     )
 
 
+def _semigroup(
+    cache: SigmaCache, role: str, sub: FomSubmodel, mu: Mapping, A_ff, horizon: float
+):
+    """``est.semigroup_constant`` of one submodel's free block, cached by its
+    operator weights; the submodel's mass block and per-term dissipativity
+    carry over between queries."""
+    weights = sub.theta_weights(mu)
+    return cache.get(
+        (f"semigroup-{role}", tuple(weights)),
+        lambda: est.semigroup_constant(
+            sub.free_mass, A_ff, horizon, known_dissipative=sub.known_dissipative(weights)
+        ),
+    )
+
+
 def unsteady_query_bounds(
     fom: FomProblem,
     artifacts: RomArtifacts,
@@ -116,21 +132,17 @@ def unsteady_query_bounds(
     V1, V2 = artifacts.master.basis.V, artifacts.slave.basis.V
 
     # master contribution on the unconstrained block
-    free1 = fom.master.free_dofs
-    A1 = fom.master.assemble_operator(mu1m).tocsr()
-    A1_ff = A1[np.ix_(free1, free1)].tocsc()
-    M1_ff = fom.master.mass[np.ix_(free1, free1)].tocsc()
-    c1, c3, method = cache.get(
-        ("semigroup-master", tuple(fom.master.theta_weights(mu1m))),
-        lambda: est.semigroup_constant(M1_ff, A1_ff, dt * n_steps),
-    )
+    master = fom.master
+    free1 = master.free_dofs
+    A1_ff = master.assemble_operator(mu1m)[np.ix_(free1, free1)].tocsc()
+    c1, c3, method = _semigroup(cache, "master", master, mu1m, A1_ff, dt * n_steps)
     e1_0 = float(
         np.linalg.norm(fom_result.master[0, free1] - V1[free1] @ online.master_reduced[0])
     )
     r1 = est.residual_unsteady(
-        M1_ff,
+        master.free_mass,
         A1_ff,
-        lambda t: fom.master.assemble_load(mu1m, t)[free1],
+        lambda t: master.assemble_load(mu1m, t)[free1],
         V1[free1],
         online.master_reduced,
         dt,
@@ -174,12 +186,8 @@ def unsteady_query_bounds(
         # unsteady slave: Gronwall-type bound on the homogenized dynamics;
         # the lifting enters the forcing with its discrete time derivative
         free2 = slave.free_dofs
-        A2_ff = A2.tocsr()[np.ix_(free2, free2)].tocsc()
-        M2_ff = slave.mass[np.ix_(free2, free2)].tocsc()
-        c2, c3_2, method2 = cache.get(
-            ("semigroup-slave", tuple(slave.theta_weights(mu2m))),
-            lambda: est.semigroup_constant(M2_ff, A2_ff, dt * n_steps),
-        )
+        A2_ff = A2[np.ix_(free2, free2)].tocsc()
+        c2, c3_2, _ = _semigroup(cache, "slave", slave, mu2m, A2_ff, dt * n_steps)
         constants.update({"slave_semigroup_C2": c2, "slave_c3": c3_2})
         lift = np.zeros((n_steps + 1, slave.n_dofs))
         lift[:, slave.constrained_dofs] = values2
@@ -195,7 +203,7 @@ def unsteady_query_bounds(
             np.linalg.norm(u2_tilde0[free2] - V2[free2] @ online.slave_reduced[0])
         )
         r2 = est.residual_unsteady(
-            M2_ff, A2_ff, f2_hom_free, V2[free2], online.slave_reduced, dt
+            slave.free_mass, A2_ff, f2_hom_free, V2[free2], online.slave_reduced, dt
         )
         r2_norms = np.linalg.norm(r2, axis=1)
         integrals2 = est._cumulative_trapezoid(r2_norms, dt)

@@ -269,18 +269,15 @@ def make_deim_basis(Phi: np.ndarray, indices: np.ndarray | None = None) -> DeimB
 class InterfaceReducer:
     """Offline-assembled reduced transfer of interface Dirichlet data.
 
-    ``point_transfer @ u_n1`` yields the interpolation coefficients from the
-    reduced master solution; ``full_transfer @ u_n1`` the Dirichlet values on
-    the whole slave trace; ``lift_products[key] @ u_n1`` the reduced lifting
-    contribution of the slave operator term ``key``.
+    ``full_transfer @ u_n1`` yields the Dirichlet values on the whole slave
+    trace from the reduced master solution; ``lift_products[key] @ u_n1`` the
+    reduced lifting contribution of the slave operator term ``key``.
     """
 
     deim: DeimBasis
     master_trace: InterfaceTrace = field(repr=False)
     slave_trace: InterfaceTrace = field(repr=False)
-    master_positions: np.ndarray  # into master trace, ordered like deim.indices
-    master_indices: np.ndarray  # global master DoFs, same order
-    point_transfer: np.ndarray = field(repr=False)  # (m, n1)
+    master_indices: np.ndarray  # global master DoFs, ordered like deim.indices
     full_transfer: np.ndarray = field(repr=False)  # (len slave trace, n1)
     lift_products: dict = field(repr=False)  # key -> (n2, n1)
     transfer_norm: float  # two-norm of the full-order reduced-transfer operator
@@ -338,8 +335,7 @@ def assemble_reducer(
     # extraction of the master basis rows at the magic DoFs, then the
     # interpolation solve, both folded into dense offline products
     extracted = V1[master_indices, :]  # (m, n1)
-    point_transfer = sla.lu_solve(deim.lu, extracted)
-    full_transfer = deim.Phi @ point_transfer
+    full_transfer = deim.Phi @ sla.lu_solve(deim.lu, extracted)
 
     # two-norm of the end-to-end linear map from full master vectors to
     # reconstructed Dirichlet data; duplicate master DoFs merge columns
@@ -361,9 +357,7 @@ def assemble_reducer(
         deim=deim,
         master_trace=master_trace,
         slave_trace=slave_trace,
-        master_positions=master_positions,
         master_indices=master_indices,
-        point_transfer=point_transfer,
         full_transfer=full_transfer,
         lift_products=lift_products,
         transfer_norm=transfer_norm,

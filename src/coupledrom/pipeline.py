@@ -13,12 +13,14 @@ import logging
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from . import estimator as est
 from . import fem
 from .errors import ConfigError, SingularRomError
 from .interface import (
@@ -77,7 +79,12 @@ def _noop_matmul(name, A, x):
 
 @dataclass
 class FomSubmodel:
-    """Assembled full-order operators for one submodel."""
+    """Assembled full-order operators for one submodel.
+
+    What certification needs of the operators and not of the parameters
+    (the free mass block, its factorization and ``sqrt(cond)``, and the
+    dissipativity of each operator term) is computed on first use and kept.
+    """
 
     spec: SubmodelSpec
     mesh: Mesh
@@ -123,6 +130,26 @@ class FomSubmodel:
             self.dirichlet_values, trace.shape[:-1] + self.dirichlet_values.shape
         )
         return np.concatenate([fixed, trace], axis=-1)
+
+    @cached_property
+    def free_mass(self) -> est.MassBlock:
+        """The mass matrix on ``free_dofs``."""
+        free = self.free_dofs
+        return est.MassBlock(self.mass[np.ix_(free, free)])
+
+    @cached_property
+    def dissipative_terms(self) -> list[bool]:
+        """Per operator term: its free block has a positive semidefinite
+        symmetric part."""
+        free = self.free_dofs
+        return [est._is_dissipative(A[np.ix_(free, free)]) for _, A in self.op_terms]
+
+    def known_dissipative(self, weights) -> bool:
+        """True when ``sum_q weights[q] * term_q`` is dissipative on the free
+        block by its terms alone: no weight is negative and every term is
+        dissipative, and a non-negative sum of positive semidefinite matrices
+        is positive semidefinite.  False leaves the question open."""
+        return all(w >= 0.0 for w in weights) and all(self.dissipative_terms)
 
     def mu_mapping(self, mu) -> dict[str, float]:
         mu = np.atleast_1d(np.asarray(mu, dtype=float))

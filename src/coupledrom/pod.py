@@ -4,8 +4,10 @@ Truncation follows the relative-energy rule: the basis size ``n`` is the
 smallest integer with ``sum_{i>n} s_i^2 <= tol^2 * sum_i s_i^2``.  The
 factorization is the thin SVD, which resolves singular values down to
 ``eps * s_1``; the tail energies are summed from the smallest value up, so
-they do not cancel against the total.  Column signs are fixed so the first
-nonzero entry of each basis vector is positive.
+they do not cancel against the total.  Column signs are fixed so that the
+first entry of each basis vector above rounding noise, ``|u| > sqrt(eps) *
+max |u|``, is positive; entries at rows that vanish in every snapshot are
+noise and do not decide the sign.
 """
 
 from __future__ import annotations
@@ -94,12 +96,9 @@ class PodFactorization:
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
-    U = U.copy()
-    for j in range(U.shape[1]):
-        nz = np.nonzero(U[:, j])[0]
-        if nz.size and U[nz[0], j] < 0:
-            U[:, j] = -U[:, j]
-    return U
+    mag = np.abs(U)
+    first = np.argmax(mag > np.sqrt(np.finfo(float).eps) * mag.max(axis=0), axis=0)
+    return U * np.where(U[first, np.arange(U.shape[1])] < 0, -1.0, 1.0)
 
 
 def pod(snapshots: SnapshotSet | np.ndarray, tolerance: float) -> ReducedBasis:

@@ -3,8 +3,9 @@
 Matrix files carry a 4-byte magic ``ROMB``, a version, the row/column counts
 and a column-major float64 little-endian payload; round trips are
 bit-identical.  A bundle directory holds every stored product plus a
-deterministic manifest; wall-clock timings live in a separate file that the
-bundle hash deliberately skips.
+deterministic manifest with its own format version, which loading checks;
+wall-clock timings live in a separate file that the bundle hash deliberately
+skips.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ from .pod import ReducedBasis
 from .problems import problem_from_dict, problem_to_dict
 
 MAGIC = b"ROMB"
+#: matrix file header version
 VERSION = 1
+#: manifest version; 2 dropped the reducer's unused point transfer and
+#: master trace positions
+BUNDLE_VERSION = 2
 _HEADER = struct.Struct("<4sIQQ")
 
 #: files excluded from the bundle hash (non-reproducible content)
@@ -129,7 +134,6 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
         "slave_sv": _vec(artifacts.slave.basis.singular_values),
         "slave_u0": _vec(artifacts.slave.u0_reduced),
         "phi": artifacts.reducer.deim.Phi,
-        "point_transfer": artifacts.reducer.point_transfer,
         "full_transfer": artifacts.reducer.full_transfer,
     }
     for q, (_, A) in enumerate(artifacts.master.op_terms):
@@ -164,7 +168,7 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
 
     manifest = {
         "format": "coupledrom-bundle",
-        "version": VERSION,
+        "version": BUNDLE_VERSION,
         "problem": problem_to_dict(artifacts.spec),
         "tolerances": {
             "master": artifacts.tolerances[0],
@@ -185,7 +189,6 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
         },
         "reducer": {
             "indices": artifacts.reducer.deim.indices.tolist(),
-            "master_positions": artifacts.reducer.master_positions.tolist(),
             "master_indices": artifacts.reducer.master_indices.tolist(),
             "transfer_norm": artifacts.reducer.transfer_norm,
             "max_magic_distance": artifacts.reducer.max_magic_distance,
@@ -213,6 +216,11 @@ def load_bundle(path):
     manifest = load_json(manifest_path)
     if manifest.get("format") != "coupledrom-bundle":
         raise ConfigError(f"{path}: unrecognized bundle format")
+    if manifest.get("version") != BUNDLE_VERSION:
+        raise ConfigError(
+            f"{path}: bundle version {manifest.get('version')} is not {BUNDLE_VERSION}; "
+            "rebuild it with offline"
+        )
     spec = problem_from_dict(manifest["problem"])
 
     def mat(name):
@@ -260,9 +268,7 @@ def load_bundle(path):
         deim=deim,
         master_trace=master_trace,
         slave_trace=slave_trace,
-        master_positions=np.asarray(rd["master_positions"], dtype=np.int64),
         master_indices=np.asarray(rd["master_indices"], dtype=np.int64),
-        point_transfer=mat("point_transfer"),
         full_transfer=mat("full_transfer"),
         lift_products={key: mat(f"lift_{key}") for key in manifest["slave"]["lift_keys"]},
         transfer_norm=float(rd["transfer_norm"]),

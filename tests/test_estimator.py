@@ -4,8 +4,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import coupledrom as cr
+import coupledrom.estimator as est
 from coupledrom.errors import EstimatorConvergenceError
 from coupledrom.estimator import (
+    MassBlock,
+    _is_dissipative,
     deim_projection_term,
     error_bound_steady,
     error_bound_unsteady,
@@ -16,8 +19,18 @@ from coupledrom.estimator import (
     semigroup_constant,
     sigma_min,
 )
-from coupledrom.experiments import steady_query_bound, unsteady_query_bounds
+from coupledrom.experiments import SigmaCache, steady_query_bound, unsteady_query_bounds
+from coupledrom.fem import factorized_solver
 from coupledrom.library import heat_laplace_pair, steady_pair_2d, transport_wall_pair
+from coupledrom.problems import (
+    AffineTerm,
+    BoxMeshSpec,
+    CoupledProblemSpec,
+    ForcingTerm,
+    SubmodelSpec,
+    TimeSpec,
+)
+from coupledrom.sampling import ParameterSpace
 
 
 class TestResidualSteady:
@@ -124,7 +137,18 @@ class TestOperatorNorms:
         B = -np.linalg.inv(Md) @ Ad
         sup = max(np.linalg.norm(sla.expm(B * t), 2) for t in np.linspace(0, 1, 21))
         assert c >= sup * (1 - 1e-9)
+        assert c3 is None  # the dissipative branch does not need ||M^{-1} A||
+
+    def test_gronwall_c3_is_mass_scaled_operator_norm(self):
+        rng = np.random.default_rng(6)
+        n = 8
+        Md = np.diag(rng.uniform(0.5, 3.0, n))
+        K = rng.standard_normal((n, n))
+        Ad = K @ K.T - 2.0 * np.eye(n)  # indefinite symmetric part
+        c, c3, method = semigroup_constant(sp.csr_matrix(Md), sp.csr_matrix(Ad), 1.0)
+        assert method == "gronwall"
         assert c3 == pytest.approx(np.linalg.norm(np.linalg.inv(Md) @ Ad, 2), rel=1e-6)
+        assert c == gronwall_constant(c3, 1.0)
 
     def test_gronwall_constant_zero_dynamics(self):
         assert gronwall_constant(0.0, 5.0) == 1.0
@@ -244,3 +268,141 @@ class TestDissipativeDetection:
         c, c3, method = semigroup_constant(M, A, 1.0)
         assert method == "gronwall"
         assert c == pytest.approx(1.0 + c3 * np.exp(c3), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# constants that depend on the full-order model alone
+
+
+def reference_semigroup_constant(M, A, horizon, **_):
+    """Per-query composition of the semigroup constant, computing everything
+    afresh: one mass factorization, c3, the eigenvalue test on A(mu), then
+    lambda_max and 1/lambda_min of M."""
+    M = (M.matrix if isinstance(M, MassBlock) else M).tocsc()
+    A = A.tocsr()
+    m_solve = factorized_solver(M)
+    c3 = operator_two_norm(lambda x: m_solve(A @ x), lambda x: A.T @ m_solve(x), A.shape[0])
+    if abs(M - M.T).max() <= 1e-10 * abs(M).max() and _is_dissipative(A):
+        lam_max = operator_two_norm(lambda x: M @ x, lambda x: M @ x, M.shape[0])
+        lam_min_inv = operator_two_norm(m_solve, m_solve, M.shape[0])
+        return float(np.sqrt(lam_max * lam_min_inv)), c3, "dissipative"
+    return gronwall_constant(c3, horizon), c3, "gronwall"
+
+
+def reference_residual_unsteady(M, A_N, f_of_t, V, trajectory, dt):
+    """``residual_unsteady`` with its own factorization of ``M``."""
+    M = M.matrix if isinstance(M, MassBlock) else M
+    return residual_unsteady(sp.csc_matrix(M), A_N, f_of_t, V, trajectory, dt)
+
+
+def bounds_at(spec, artifacts, mu1s, fom=None):
+    """Per-step totals and constants of ``unsteady_query_bounds`` on one FOM,
+    each query with its own (empty) cache."""
+    fom = fom or cr.build_fom(spec)
+    out = []
+    for mu1 in mu1s:
+        res = cr.fom_coupled_solve(fom, mu1, [])
+        online = cr.online_unsteady(artifacts, mu1, [])
+        reports = unsteady_query_bounds(fom, artifacts, mu1, [], online, res, SigmaCache())
+        out.append((np.array([r.total for r in reports]), reports[0].constants))
+    return out
+
+
+def reaction_heat_pair(beta_range=(-30.0, 1.0)):
+    """2-D heat master ``u' - div grad u + beta u = f`` whose reaction weight
+    may be negative, feeding a steady Laplace slave."""
+    master = SubmodelSpec(
+        mesh=BoxMeshSpec((0, 0), (1, 1), (4, 4)),
+        operator=(
+            AffineTerm(kind="diffusion", theta=1.0, coefficient=1.0),
+            AffineTerm(kind="reaction", theta="beta", coefficient=1.0),
+        ),
+        forcing=(ForcingTerm(theta=1.0, profile="1 + x*y"),),
+        dirichlet={"x-": 0.0},
+        parameters=ParameterSpace(names=("beta",), ranges=(beta_range,)),
+        interface_tag="x+",
+        unsteady=True,
+        initial=0.0,
+    )
+    slave = SubmodelSpec(
+        mesh=BoxMeshSpec((1, 0), (1, 1), (2, 2)),
+        operator=(AffineTerm(kind="diffusion", theta=1.0, coefficient=1.0),),
+        interface_tag="x-",
+    )
+    return CoupledProblemSpec(master=master, slave=slave, time=TimeSpec(0.01, 5))
+
+
+@pytest.fixture(scope="module")
+def heat_artifacts():
+    spec = heat_laplace_pair(
+        master_subdivisions=(4, 4, 4), slave_subdivisions=(2, 2, 2), n_steps=12
+    )
+    training = cr.run_training(spec, 6, seed=3)
+    return spec, cr.build_artifacts(training, (1e-4, 1e-4, 1e-4))
+
+
+class TestConstantsPerFom:
+    ALPHAS = ([0.01], [0.7], [2.5], [4.9])
+
+    def test_bounds_bit_identical_to_per_query_composition(self, heat_artifacts, monkeypatch):
+        spec, art = heat_artifacts
+        cached = bounds_at(spec, art, self.ALPHAS)
+        monkeypatch.setattr(est, "semigroup_constant", reference_semigroup_constant)
+        monkeypatch.setattr(est, "residual_unsteady", reference_residual_unsteady)
+        fresh = bounds_at(spec, art, self.ALPHAS)
+        for (totals, constants), (ref_totals, ref_constants) in zip(cached, fresh):
+            assert np.array_equal(totals, ref_totals)
+            assert constants["master_semigroup_C1"] == ref_constants["master_semigroup_C1"]
+            assert constants["master_constant_method"] == "dissipative"
+            assert constants["master_c3"] is None
+            assert ref_constants["master_c3"] > 0.0
+
+    def test_mass_work_runs_once_per_fom(self, heat_artifacts, monkeypatch):
+        spec, art = heat_artifacts
+        calls = {"two_norm": 0, "factorize": 0, "eigsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(est, "operator_two_norm", counted("two_norm", operator_two_norm))
+        monkeypatch.setattr(est, "factorized_solver", counted("factorize", factorized_solver))
+        monkeypatch.setattr(est, "_is_dissipative", counted("eigsh", _is_dissipative))
+        fom = cr.build_fom(spec)
+        assert calls == {"two_norm": 0, "factorize": 0, "eigsh": 0}
+        assert "free_mass" not in vars(fom.master)
+        bounds_at(spec, art, self.ALPHAS, fom)
+        # lambda_max and 1/lambda_min once, one mass factorization, one
+        # eigenvalue test for the one operator term
+        assert calls == {"two_norm": 2, "factorize": 1, "eigsh": 1}
+
+    @pytest.mark.parametrize("beta", [0.5, -0.5, -30.0])
+    def test_negative_weight_runs_the_per_query_test(self, beta, monkeypatch):
+        spec = reaction_heat_pair()
+        art = cr.full_rank_artifacts(spec)
+        fom = cr.build_fom(spec)
+        sub = fom.master
+        free = sub.free_dofs
+        A_ff = sub.assemble_operator(sub.mu_mapping([beta]))[np.ix_(free, free)]
+        M_ff = sub.mass[np.ix_(free, free)]
+        expected = reference_semigroup_constant(M_ff, A_ff, spec.time.dt * spec.time.n_steps)
+        # K - 0.5 M stays definite on this mesh, K - 30 M does not
+        assert expected[2] == ("gronwall" if beta < -1.0 else "dissipative")
+        assert sub.dissipative_terms == [True, True]
+
+        tested = []
+
+        def recording(A, *args, **kwargs):
+            tested.append(A.shape)
+            return _is_dissipative(A, *args, **kwargs)
+
+        monkeypatch.setattr(est, "_is_dissipative", recording)
+        [(_, constants)] = bounds_at(spec, art, [[beta]], fom)
+        assert constants["master_semigroup_C1"] == expected[0]
+        assert constants["master_constant_method"] == expected[2]
+        assert constants["master_c3"] == (expected[1] if expected[2] == "gronwall" else None)
+        # the per-term verdicts are cached; only a negative weight tests A(mu)
+        assert len(tested) == (1 if beta < 0 else 0)

@@ -3,9 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coupledrom as cr
 from coupledrom.errors import DegenerateSnapshotsError, DimensionMismatchError
+from coupledrom.library import steady_pair_2d
 from coupledrom.mesh import build_box_mesh, extract_interface
-from coupledrom.pod import PodFactorization, SnapshotSet, pod, zero_interface_rows
+from coupledrom.pod import (
+    PodFactorization,
+    SnapshotSet,
+    _fix_signs,
+    pod,
+    zero_interface_rows,
+)
 
 
 def align_signs(A, B):
@@ -92,6 +100,29 @@ class TestPod:
         for j in range(a.n):
             nz = np.nonzero(a.V[:, j])[0]
             assert a.V[nz[0], j] > 0
+
+    def test_rounding_noise_does_not_decide_signs(self):
+        # leading rows of rounding noise with either sign, as the SVD leaves
+        # at rows that vanish in every snapshot
+        U = np.array([
+            [1e-18, -1e-18, 0.0],
+            [-1e-18, 1e-18, 0.0],
+            [-0.6, 0.8, 0.0],
+            [0.8, 0.6, 0.0],
+        ])
+        fixed = _fix_signs(U)
+        assert np.array_equal(fixed[:, 0], -U[:, 0])
+        assert np.array_equal(fixed[:, 1], U[:, 1])
+        assert np.array_equal(fixed[:, 2], U[:, 2])  # a zero column stays
+
+    def test_stored_bases_start_positive_after_zeroed_rows(self):
+        # the master and slave bases of this pair carry SVD noise at their
+        # constrained rows, which the stored bases then zero
+        art = cr.build_artifacts(cr.run_training(steady_pair_2d(), 4, seed=3), (1e-6,) * 3)
+        for V in (art.master.basis.V, art.slave.basis.V, art.reducer.deim.Phi):
+            for j in range(V.shape[1]):
+                nz = np.nonzero(V[:, j])[0]
+                assert V[nz[0], j] > 0
 
     def test_degenerate_snapshots(self):
         with pytest.raises(DegenerateSnapshotsError):

@@ -115,6 +115,37 @@ class TestBundle:
             write_bundle(tmp_path / name, art)
         assert hash_bundle(tmp_path / "r1") == hash_bundle(tmp_path / "r2")
 
+    def test_round_trip_answers_bit_identically(self, tmp_path):
+        spec = heat_laplace_pair(
+            master_subdivisions=(3, 3, 3), slave_subdivisions=(2, 2, 2), n_steps=4
+        )
+        art = cr.offline(spec, n_train=3, tolerances=(1e-4, 1e-4, 1e-4), seed=2)
+        write_bundle(tmp_path / "b", art)
+        loaded = load_bundle(tmp_path / "b")
+        assert np.array_equal(loaded.reducer.master_indices, art.reducer.master_indices)
+        for key, product in art.reducer.lift_products.items():
+            assert np.array_equal(loaded.reducer.lift_products[key], product)
+        a = cr.online_unsteady(art, [0.8], [])
+        b = cr.online_unsteady(loaded, [0.8], [])
+        assert np.array_equal(a.slave_solution, b.slave_solution)
+
+    def test_stores_no_point_transfer_or_master_positions(self, tmp_path, artifacts):
+        write_bundle(tmp_path / "b", artifacts)
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["version"] == 2
+        assert "master_positions" not in manifest["reducer"]
+        assert not (tmp_path / "b" / "point_transfer.rombin").exists()
+
+    def test_other_manifest_versions_rejected(self, tmp_path, artifacts):
+        write_bundle(tmp_path / "b", artifacts)
+        path = tmp_path / "b" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for version in (1, 3, None):
+            manifest["version"] = version
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(ConfigError, match="bundle version"):
+                load_bundle(tmp_path / "b")
+
     def test_missing_manifest_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(ConfigError):
