@@ -58,7 +58,6 @@ from .mesh import InterfaceTrace, Mesh, build_box_mesh, extract_interface
 from .pipeline import (
     FomProblem,
     OnlineResult,
-    OpLog,
     RomArtifacts,
     build_artifacts,
     build_fom,

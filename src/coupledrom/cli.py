@@ -62,6 +62,11 @@ def _threads(args) -> int:
     return max(1, int(os.environ.get("ROM_THREADS", "1")))
 
 
+def _states_as_columns(solution: np.ndarray) -> np.ndarray:
+    """One column per state: a steady field is the one-state case."""
+    return solution[:, None] if solution.ndim == 1 else solution.T
+
+
 def cmd_offline(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
@@ -90,12 +95,7 @@ def cmd_online(args) -> int:
         (np.array2string(mu1, precision=17) + np.array2string(mu2, precision=17)).encode()
     ).hexdigest()[:12]
 
-    solution = result.slave_solution
-    if solution.ndim == 1:
-        solution = solution[:, None]
-    else:
-        solution = solution.T  # states as columns
-    write_matrix(out_dir / f"slave_{tag}.rombin", solution)
+    write_matrix(out_dir / f"slave_{tag}.rombin", _states_as_columns(result.slave_solution))
 
     diagnostics = {
         "mu1": mu1.tolist(),
@@ -172,10 +172,7 @@ def cmd_fom(args) -> int:
     mu2 = _parse_mu(args.mu2)
     result = fom_coupled_solve(fom, mu1, mu2)
     out_dir = ensure_directory(config.output_dir)
-    solution = result.slave if result.slave.ndim == 2 else result.slave[:, None]
-    if solution.ndim == 2 and result.slave.ndim == 2:
-        solution = result.slave.T
-    write_matrix(out_dir / "fom_slave.rombin", solution)
+    write_matrix(out_dir / "fom_slave.rombin", _states_as_columns(result.slave))
     dump_json(out_dir / "fom_timings.json", result.timings)
     print(json.dumps(result.timings, indent=1, sort_keys=True))
     return EXIT_OK
@@ -201,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_on.add_argument("--mu2", default="")
     p_on.add_argument("--compare-fom", action="store_true")
     p_on.add_argument("--out", default=None)
-    p_on.add_argument("--threads", type=int, default=None)
     p_on.set_defaults(func=cmd_online)
 
     p_sw = sub.add_parser("sweep", help="tolerance-grid error tables")
@@ -213,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_f.add_argument("--config", required=True)
     p_f.add_argument("--mu1", default="")
     p_f.add_argument("--mu2", default="")
-    p_f.add_argument("--threads", type=int, default=None)
     p_f.set_defaults(func=cmd_fom)
     return parser
 

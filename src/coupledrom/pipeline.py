@@ -10,6 +10,7 @@ expansions, no online operation touches full-order dimensions.
 from __future__ import annotations
 
 import logging
+import math
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from .pod import PodFactorization, ReducedBasis, SnapshotSet
 from .problems import (
     CoupledProblemSpec,
     SubmodelSpec,
+    TimeSpec,
     eval_spatial,
     eval_theta,
     spatial_coefficient,
@@ -46,31 +48,39 @@ log = logging.getLogger(__name__)
 _SLAVE_SEED_OFFSET = 0x9E3779B9
 
 
-class OpLog:
-    """Record of matrix-product shapes on the online path.
-
-    Lets tests assert that nothing on the online path scales with full-order
-    dimensions except the explicitly named final expansions.
-    """
-
-    def __init__(self):
-        self.records: list[tuple[str, int, int]] = []
-
-    def matmul(self, name: str, A: np.ndarray, x: np.ndarray) -> np.ndarray:
-        self.records.append((name, int(A.shape[0]), int(A.shape[1])))
-        return A @ x
-
-    def max_dim(self, exclude_prefix: str = "expand") -> int:
-        dims = [
-            max(r, c)
-            for name, r, c in self.records
-            if not name.startswith(exclude_prefix)
-        ]
-        return max(dims) if dims else 0
+def affine_sum(weights, terms):
+    """``sum_q weights[q] * terms[q]``, accumulated in term order."""
+    out = weights[0] * terms[0]
+    for w, A in zip(weights[1:], terms[1:]):
+        out = out + w * A
+    return out
 
 
-def _noop_matmul(name, A, x):
-    return A @ x
+class AffineSubmodel:
+    """Parameter-affine operator and load sums, shared by the full-order and
+    the reduced submodels: ``op_terms`` and ``load_terms`` are ``(theta,
+    array)`` pairs and ``n`` is the number of unknowns."""
+
+    def theta_weights(self, mu: Mapping, t: float | None = None) -> list[float]:
+        return [eval_theta(theta, mu, t) for theta, _ in self.op_terms]
+
+    def assemble_operator(self, mu: Mapping, t: float | None = None):
+        return affine_sum(self.theta_weights(mu, t), [A for _, A in self.op_terms])
+
+    def assemble_load(self, mu: Mapping, t: float | None = None) -> np.ndarray:
+        out = np.zeros(self.n)
+        for theta, vec in self.load_terms:
+            out += eval_theta(theta, mu, t) * vec
+        return out
+
+    def loads_per_state(self, mu: Mapping, time: TimeSpec | None = None) -> np.ndarray:
+        """The steady load when ``time`` is None, else one load column per
+        state ``t_0 .. t_n`` of the time grid."""
+        if time is None:
+            return self.assemble_load(mu)
+        return np.column_stack(
+            [self.assemble_load(mu, k * time.dt) for k in range(time.n_steps + 1)]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +88,7 @@ def _noop_matmul(name, A, x):
 
 
 @dataclass
-class FomSubmodel:
+class FomSubmodel(AffineSubmodel):
     """Assembled full-order operators for one submodel.
 
     What certification needs of the operators and not of the parameters
@@ -104,21 +114,7 @@ class FomSubmodel:
     def n_dofs(self) -> int:
         return self.mesh.n_dofs
 
-    def theta_weights(self, mu: Mapping, t: float | None = None) -> list[float]:
-        return [eval_theta(theta, mu, t) for theta, _ in self.op_terms]
-
-    def assemble_operator(self, mu: Mapping, t: float | None = None) -> sp.csr_matrix:
-        weights = self.theta_weights(mu, t)
-        out = weights[0] * self.op_terms[0][1]
-        for w, (_, A) in zip(weights[1:], self.op_terms[1:]):
-            out = out + w * A
-        return out.tocsr()
-
-    def assemble_load(self, mu: Mapping, t: float | None = None) -> np.ndarray:
-        out = np.zeros(self.n_dofs)
-        for theta, vec in self.load_terms:
-            out += eval_theta(theta, mu, t) * vec
-        return out
+    n = n_dofs
 
     def constrained_values(self, trace: np.ndarray | None = None) -> np.ndarray:
         """Values at ``constrained_dofs``: the Dirichlet data, followed on the
@@ -243,52 +239,42 @@ class FomResult:
 
 
 def fom_coupled_solve(fom: FomProblem, mu1, mu2) -> FomResult:
-    """Reference path: master solve, trace transfer, slave solve."""
+    """Reference path: master solve, trace transfer, slave solve.
+
+    A steady problem is the one-state case: its arrays are 1-D, and an
+    unsteady problem's hold one row per state.
+    """
     master, slave = fom.master, fom.slave
     mu1m = master.mu_mapping(mu1)
     mu2m = slave.mu_mapping(mu2)
-    gamma1 = master.interface.dof_indices
+    ts = fom.spec.time if fom.spec.is_unsteady else None
     t0 = _time.perf_counter()
-    if not fom.spec.is_unsteady:
-        A1_bc, f1_bc = fem.apply_dirichlet_lifting(
-            master.assemble_operator(mu1m),
-            master.assemble_load(mu1m),
-            zip(master.constrained_dofs, master.constrained_values()),
+    A1 = master.assemble_operator(mu1m)
+    if ts is None:
+        u1 = fem.solve_steady(
+            *fem.apply_dirichlet_lifting(
+                A1,
+                master.assemble_load(mu1m),
+                zip(master.constrained_dofs, master.constrained_values()),
+            )
         )
-        u1 = fem.solve_steady(A1_bc, f1_bc)
-        t1 = _time.perf_counter()
-        g = fom.transfer @ u1[gamma1]
-        A2_bc, f2_bc = fem.apply_dirichlet_lifting(
-            slave.assemble_operator(mu2m),
-            slave.assemble_load(mu2m),
-            zip(slave.constrained_dofs, slave.constrained_values(g)),
+    else:
+        u1 = fem.solve_unsteady_bdf1(
+            master.mass,
+            A1,
+            lambda t: master.assemble_load(mu1m, t),
+            master.u0,
+            ts.dt,
+            ts.n_steps,
+            master.constrained_dofs,
+            master.constrained_values(),
         )
-        u2 = fem.solve_steady(A2_bc, f2_bc)
-        t2 = _time.perf_counter()
-        return FomResult(
-            master=u1,
-            slave=u2,
-            dirichlet=g,
-            timings={"master_s": t1 - t0, "slave_s": t2 - t1, "total_s": t2 - t0},
-        )
-
-    ts = fom.spec.time
-    traj1 = fem.solve_unsteady_bdf1(
-        master.mass,
-        master.assemble_operator(mu1m),
-        lambda t: master.assemble_load(mu1m, t),
-        master.u0,
-        ts.dt,
-        ts.n_steps,
-        master.constrained_dofs,
-        master.constrained_values(),
-    )
     t1 = _time.perf_counter()
-    g_traj = (fom.transfer @ traj1[:, gamma1].T).T
-    values2 = slave.constrained_values(g_traj)
+    g = (fom.transfer @ u1[..., master.interface.dof_indices].T).T
+    values2 = slave.constrained_values(g)
     A2 = slave.assemble_operator(mu2m)
     if slave.spec.unsteady:
-        traj2 = fem.solve_unsteady_bdf1(
+        u2 = fem.solve_unsteady_bdf1(
             slave.mass,
             A2,
             lambda t: slave.assemble_load(mu2m, t),
@@ -299,19 +285,16 @@ def fom_coupled_solve(fom: FomProblem, mu1, mu2) -> FomResult:
             values2,
         )
     else:
-        # quasi-static slave: one steady solve per state, one factorization
-        loads = np.column_stack(
-            [slave.assemble_load(mu2m, k * ts.dt) for k in range(ts.n_steps + 1)]
-        )
+        # instantaneous slave: one lifting and one factorization for all states
         A2_bc, F2_bc = fem.apply_dirichlet_lifting(
-            A2, loads, zip(slave.constrained_dofs, values2.T)
+            A2, slave.loads_per_state(mu2m, ts), zip(slave.constrained_dofs, values2.T)
         )
-        traj2 = np.ascontiguousarray(fem.solve_steady(A2_bc, F2_bc).T)
+        u2 = np.ascontiguousarray(fem.solve_steady(A2_bc, F2_bc).T)
     t2 = _time.perf_counter()
     return FomResult(
-        master=traj1,
-        slave=traj2,
-        dirichlet=g_traj,
+        master=u1,
+        slave=u2,
+        dirichlet=g,
         timings={"master_s": t1 - t0, "slave_s": t2 - t1, "total_s": t2 - t0},
     )
 
@@ -443,7 +426,7 @@ def run_training(
 
 
 @dataclass
-class ReducedSubmodel:
+class ReducedSubmodel(AffineSubmodel):
     basis: ReducedBasis
     op_terms: list[tuple[object, np.ndarray]]
     mass: np.ndarray | None
@@ -454,22 +437,6 @@ class ReducedSubmodel:
     @property
     def n(self) -> int:
         return self.basis.n
-
-    def theta_weights(self, mu: Mapping, t: float | None = None) -> list[float]:
-        return [eval_theta(theta, mu, t) for theta, _ in self.op_terms]
-
-    def assemble_operator(self, mu: Mapping, t: float | None = None) -> np.ndarray:
-        weights = self.theta_weights(mu, t)
-        out = weights[0] * self.op_terms[0][1]
-        for w, (_, A) in zip(weights[1:], self.op_terms[1:]):
-            out = out + w * A
-        return out
-
-    def assemble_load(self, mu: Mapping, t: float | None = None) -> np.ndarray:
-        out = np.zeros(self.n)
-        for theta, vec in self.load_terms:
-            out += eval_theta(theta, mu, t) * vec
-        return out
 
 
 @dataclass
@@ -648,149 +615,91 @@ class OnlineResult:
     diagnostics: dict
 
 
-def _check_in_range(spec_params, mu, label, warnings):
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu.size and not spec_params.contains(mu):
-        msg = f"{label} parameters {mu.tolist()} outside trained ranges"
-        warnings.append(msg)
-        log.warning("%s (proceeding)", msg)
+def _query_parameters(spec: CoupledProblemSpec, mu1, mu2):
+    """Parameter mappings of a query, and a warning for each side whose
+    parameters lie outside its trained ranges."""
+    warnings: list[str] = []
+    mappings = []
+    for label, sub, mu in (("master", spec.master, mu1), ("slave", spec.slave, mu2)):
+        mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        mappings.append(sub.parameters.as_mapping(mu))
+        if mu.size and not sub.parameters.contains(mu):
+            msg = f"{label} parameters {mu.tolist()} outside trained ranges"
+            warnings.append(msg)
+            log.warning("%s (proceeding)", msg)
+    return mappings[0], mappings[1], warnings
 
 
-def _lift_weights(artifacts: RomArtifacts, mu2m: Mapping, t: float | None = None) -> dict:
-    weights = {
-        f"A{q}": w
-        for q, w in enumerate(artifacts.slave.theta_weights(mu2m, t))
-    }
-    return weights
+# Every reduced factorization and solve goes through ``_reduced_solve`` or
+# ``_reduced_march``: an exactly singular system or a non-finite result
+# raises ``SingularRomError``.
 
 
-def _solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _singular(detail: str) -> SingularRomError:
+    return SingularRomError(f"reduced system singular ({detail}); tolerances may be too loose")
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    # one dot product is half the cost of np.isfinite(x).all() on these
+    # small arrays; a squared norm beyond the float range counts as well
+    if not math.isfinite(np.vdot(x, x)):
+        raise _singular("non-finite solution")
+    return x
+
+
+def _reduced_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A^{-1} B`` for one reduced system and one or many right-hand sides."""
     try:
-        return np.linalg.solve(A, b)
+        return _finite(np.linalg.solve(A, B))
     except np.linalg.LinAlgError as exc:
-        raise SingularRomError(
-            f"reduced system singular ({exc}); tolerances may be too loose"
-        )
+        raise _singular(str(exc))
 
 
-def online_steady(
-    artifacts: RomArtifacts, mu1, mu2, expand: bool = True, oplog: OpLog | None = None
-) -> OnlineResult:
-    """Reduced master solve, reduced slave solve, optional expansion."""
-    mm = oplog.matmul if oplog else _noop_matmul
-    spec = artifacts.spec
-    warnings: list[str] = []
-    mu1m = spec.master.parameters.as_mapping(np.atleast_1d(np.asarray(mu1, float)))
-    mu2m = spec.slave.parameters.as_mapping(np.atleast_1d(np.asarray(mu2, float)))
-    _check_in_range(spec.master.parameters, mu1, "master", warnings)
-    _check_in_range(spec.slave.parameters, mu2, "slave", warnings)
-
-    t0 = _time.perf_counter()
-    A1 = artifacts.master.assemble_operator(mu1m)
-    f1 = artifacts.master.assemble_load(mu1m)
-    u_n1 = _solve_dense(A1, f1)
-
-    lifting = artifacts.reducer.reduced_lifting(u_n1, _lift_weights(artifacts, mu2m))
-    A2 = artifacts.slave.assemble_operator(mu2m)
-    f2 = artifacts.slave.assemble_load(mu2m)
-    u_n2 = _solve_dense(A2, f2 - lifting)
-    t_solve = _time.perf_counter() - t0
-
-    trace = slave_solution = None
-    t_expand = 0.0
-    if expand:
-        t1 = _time.perf_counter()
-        trace = mm("expand_trace", artifacts.reducer.full_transfer, u_n1)
-        slave_solution = mm("expand_slave", artifacts.slave.basis.V, u_n2)
-        slave_solution[artifacts.reducer.slave_trace.dof_indices] = trace
-        t_expand = _time.perf_counter() - t1
-
-    return OnlineResult(
-        master_reduced=u_n1,
-        slave_reduced=u_n2,
-        trace=trace,
-        slave_solution=slave_solution,
-        diagnostics={
-            "online_s": t_solve,
-            "expand_s": t_expand,
-            "basis_sizes": artifacts.basis_sizes,
-            "warnings": warnings,
-        },
-    )
-
-
-def online_unsteady(
-    artifacts: RomArtifacts, mu1, mu2, expand: bool = True, oplog: OpLog | None = None
-) -> OnlineResult:
-    """Reduced BDF1 marching of the coupled pair.
-
-    The master marches implicitly; the slave either marches with the
-    precomputed mass/stiffness lifting products or, when declared steady,
-    responds instantaneously to each new interface state.
-    """
-    mm = oplog.matmul if oplog else _noop_matmul
-    spec = artifacts.spec
-    if spec.time is None:
-        raise ConfigError("online_unsteady requires a time grid", field="time")
-    warnings: list[str] = []
-    mu1m = spec.master.parameters.as_mapping(np.atleast_1d(np.asarray(mu1, float)))
-    mu2m = spec.slave.parameters.as_mapping(np.atleast_1d(np.asarray(mu2, float)))
-    _check_in_range(spec.master.parameters, mu1, "master", warnings)
-    _check_in_range(spec.slave.parameters, mu2, "slave", warnings)
-
-    dt, n_steps = spec.time.dt, spec.time.n_steps
-    t0 = _time.perf_counter()
-
-    # master: (M/dt + A) u^{k+1} = f^{k+1} + (M/dt) u^k
-    m1 = artifacts.master
-    A1 = m1.assemble_operator(mu1m)
-    M1_dt = m1.mass / dt
-    lu1 = sla.lu_factor(M1_dt + A1)
-    u1 = np.empty((n_steps + 1, m1.n))
-    u1[0] = m1.u0_reduced
+def _reduced_march(S: np.ndarray, rhs, u0: np.ndarray, n_steps: int) -> np.ndarray:
+    """States ``u[0] = u0`` and ``S u[k+1] = rhs(k, u[k])``, with ``S``
+    factorized once."""
+    # getrf itself: scipy's lu_factor only warns on an exactly zero pivot
+    (getrf,) = sla.get_lapack_funcs(("getrf",), (S,))
+    lu, piv, info = getrf(S)
+    if info != 0:
+        raise _singular(f"getrf info {info}")
+    u = np.empty((n_steps + 1, len(u0)))
+    u[0] = u0
     for k in range(n_steps):
-        rhs = m1.assemble_load(mu1m, (k + 1) * dt) + mm("master_mass", M1_dt, u1[k])
-        u1[k + 1] = sla.lu_solve(lu1, rhs)
+        u[k + 1] = sla.lu_solve((lu, piv), rhs(k, u[k]), check_finite=False)
+    return _finite(u)
 
+
+def _instantaneous_slave(
+    artifacts: RomArtifacts, u1: np.ndarray, mu2m: Mapping, time: TimeSpec | None = None
+) -> np.ndarray:
+    """Reduced slave response to each master state: one state ``(n1,)`` when
+    steady, else one row per state of ``time``; one lifting and one dense
+    solve of all load columns."""
     s2 = artifacts.slave
-    reducer = artifacts.reducer
-    stiff_weights = _lift_weights(artifacts, mu2m)
-    u2 = np.empty((n_steps + 1, s2.n))
-    if s2.unsteady:
-        LM = reducer.lift_products["M"]
-        LA = None
-        for key, w in stiff_weights.items():
-            term = w * reducer.lift_products[key]
-            LA = term if LA is None else LA + term
-        A2 = s2.assemble_operator(mu2m)
-        M2_dt = s2.mass / dt
-        lu2 = sla.lu_factor(M2_dt + A2)
-        u2[0] = s2.u0_reduced
-        for k in range(n_steps):
-            rhs = (
-                s2.assemble_load(mu2m, (k + 1) * dt)
-                + mm("slave_mass", M2_dt, u2[k])
-                + mm("lift_mass", LM / dt, u1[k] - u1[k + 1])
-                - mm("lift_stiff", LA, u1[k + 1])
-            )
-            u2[k + 1] = sla.lu_solve(lu2, rhs)
-    else:
-        A2 = s2.assemble_operator(mu2m)
-        lu2 = sla.lu_factor(A2)
-        for k in range(n_steps + 1):
-            lifting = reducer.reduced_lifting(u1[k], stiff_weights)
-            u2[k] = sla.lu_solve(lu2, s2.assemble_load(mu2m, k * dt) - lifting)
-    t_solve = _time.perf_counter() - t0
+    weights = {f"A{q}": w for q, w in enumerate(s2.theta_weights(mu2m))}
+    lifting = artifacts.reducer.reduced_lifting(u1.T, weights)
+    loads = s2.loads_per_state(mu2m, time)
+    return _reduced_solve(s2.assemble_operator(mu2m), loads - lifting).T
 
+
+def _online_result(
+    artifacts: RomArtifacts, u1: np.ndarray, u2: np.ndarray, warnings, t0: float, expand: bool
+) -> OnlineResult:
+    """Stop the solve clock started at ``t0`` and, when asked, expand the
+    trace and the slave field of one state or of every state."""
+    t_solve = _time.perf_counter() - t0
     trace = slave_solution = None
     t_expand = 0.0
     if expand:
         t1 = _time.perf_counter()
-        trace = mm("expand_trace", reducer.full_transfer, u1.T).T
-        slave_solution = mm("expand_slave", s2.basis.V, u2.T).T
-        slave_solution[:, reducer.slave_trace.dof_indices] = trace
+        # states as columns, then back to one row per state
+        reducer = artifacts.reducer
+        trace = reducer.full_transfer @ u1.T
+        slave_solution = artifacts.slave.basis.V @ u2.T
+        slave_solution[reducer.slave_trace.dof_indices] = trace
+        trace, slave_solution = trace.T, slave_solution.T
         t_expand = _time.perf_counter() - t1
-
     return OnlineResult(
         master_reduced=u1,
         slave_reduced=u2,
@@ -803,6 +712,63 @@ def online_unsteady(
             "warnings": warnings,
         },
     )
+
+
+def online_steady(artifacts: RomArtifacts, mu1, mu2, expand: bool = True) -> OnlineResult:
+    """Reduced master solve, the slave's response to its one state, optional
+    expansion."""
+    mu1m, mu2m, warnings = _query_parameters(artifacts.spec, mu1, mu2)
+    t0 = _time.perf_counter()
+    m1 = artifacts.master
+    u1 = _reduced_solve(m1.assemble_operator(mu1m), m1.assemble_load(mu1m))
+    u2 = _instantaneous_slave(artifacts, u1, mu2m)
+    return _online_result(artifacts, u1, u2, warnings, t0, expand)
+
+
+def online_unsteady(artifacts: RomArtifacts, mu1, mu2, expand: bool = True) -> OnlineResult:
+    """Reduced BDF1 marching of the coupled pair.
+
+    The master marches implicitly; the slave either marches with the
+    precomputed mass/stiffness lifting products or, when declared steady,
+    responds instantaneously to every master state.
+    """
+    spec = artifacts.spec
+    if spec.time is None:
+        raise ConfigError("online_unsteady requires a time grid", field="time")
+    mu1m, mu2m, warnings = _query_parameters(spec, mu1, mu2)
+    dt, n_steps = spec.time.dt, spec.time.n_steps
+    t0 = _time.perf_counter()
+
+    # master: (M/dt + A) u^{k+1} = f^{k+1} + (M/dt) u^k
+    m1 = artifacts.master
+    M1_dt = m1.mass / dt
+    u1 = _reduced_march(
+        M1_dt + m1.assemble_operator(mu1m),
+        lambda k, u: m1.assemble_load(mu1m, (k + 1) * dt) + M1_dt @ u,
+        m1.u0_reduced,
+        n_steps,
+    )
+
+    s2 = artifacts.slave
+    if s2.unsteady:
+        # the lifting enters with its stiffness and its discrete time derivative
+        lift = artifacts.reducer.lift_products
+        w2 = s2.theta_weights(mu2m)
+        LA = affine_sum(w2, [lift[f"A{q}"] for q in range(len(w2))])
+        LM_dt = lift["M"] / dt
+        M2_dt = s2.mass / dt
+        u2 = _reduced_march(
+            M2_dt + s2.assemble_operator(mu2m),
+            lambda k, u: s2.assemble_load(mu2m, (k + 1) * dt)
+            + M2_dt @ u
+            + LM_dt @ (u1[k] - u1[k + 1])
+            - LA @ u1[k + 1],
+            s2.u0_reduced,
+            n_steps,
+        )
+    else:
+        u2 = _instantaneous_slave(artifacts, u1, mu2m, spec.time)
+    return _online_result(artifacts, u1, u2, warnings, t0, expand)
 
 
 def online_solve(artifacts: RomArtifacts, mu1, mu2, **kwargs) -> OnlineResult:

@@ -6,9 +6,13 @@ import pytest
 
 import coupledrom as cr
 import coupledrom.fem as fem
-from coupledrom.errors import ConfigError, DegenerateSnapshotsError, SolverFailureError
+from coupledrom.errors import (
+    ConfigError,
+    DegenerateSnapshotsError,
+    SingularRomError,
+    SolverFailureError,
+)
 from coupledrom.library import heat_laplace_pair, steady_pair_2d, transport_wall_pair
-from coupledrom.pipeline import OpLog
 from coupledrom.problems import (
     AffineTerm,
     BoxMeshSpec,
@@ -32,6 +36,14 @@ def unsteady_training():
         master_subdivisions=(6, 6, 6), slave_subdivisions=(3, 3, 3), n_steps=25
     )
     return cr.run_training(spec, n_train=10, seed=7)
+
+
+@pytest.fixture(scope="module")
+def marching_training():
+    spec = transport_wall_pair(
+        channel_subdivisions=(6, 4, 4), wall_subdivisions=(3, 2, 2), n_steps=15
+    )
+    return cr.run_training(spec, 6, seed=3)
 
 
 def constant_pair(c=0.7):
@@ -309,15 +321,6 @@ class TestOnlineSteady:
         rel = np.linalg.norm(res.slave - online.slave_solution) / np.linalg.norm(res.slave)
         assert rel <= 1e-10
 
-    def test_online_path_stays_reduced(self, steady_training):
-        art = cr.build_artifacts(steady_training, (1e-4, 1e-4, 1e-4))
-        log = OpLog()
-        cr.online_steady(art, [1.0, 1.0], [], oplog=log)
-        n_max = max(art.basis_sizes.values())
-        assert log.max_dim() <= n_max
-        expanded = [r for r in log.records if r[0].startswith("expand")]
-        assert expanded  # the final expansions are the only full-order products
-
     def test_out_of_range_warns_but_proceeds(self, steady_training):
         art = cr.build_artifacts(steady_training, (1e-4, 1e-4, 1e-4))
         online = cr.online_steady(art, [50.0, 1.0], [])
@@ -357,11 +360,8 @@ class TestOnlineUnsteady:
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert 0.8 <= rates.mean() <= 1.25
 
-    def test_unsteady_slave_pair_runs_and_is_accurate(self):
-        spec = transport_wall_pair(
-            channel_subdivisions=(6, 4, 4), wall_subdivisions=(3, 2, 2), n_steps=15
-        )
-        training = cr.run_training(spec, 6, seed=3)
+    def test_unsteady_slave_pair_runs_and_is_accurate(self, marching_training):
+        training = marching_training
         art = cr.build_artifacts(training, (1e-6, 1e-6, 1e-6))
         mu = training.master_samples.points[2]
         res = cr.fom_coupled_solve(training.fom, mu, [])
@@ -405,14 +405,79 @@ class TestToleranceMonotonicity:
                 assert err >= ref / 2.0
 
 
-class TestOnlineInstrumentation:
-    def test_unsteady_online_path_stays_reduced(self, unsteady_training):
-        art = cr.build_artifacts(unsteady_training, (1e-4, 1e-4, 1e-4))
-        log = OpLog()
-        cr.online_unsteady(art, [1.0], [], oplog=log)
-        n_max = max(art.basis_sizes.values())
-        assert log.max_dim() <= n_max
-        assert any(r[0].startswith("expand") for r in log.records)
+def without_full_order_arrays(art):
+    """The artifacts with every full-order array emptied: ``basis.V`` is
+    ``(0, n)``, ``reducer.full_transfer`` ``(0, n1)``, ``deim.Phi`` ``(0, m)``,
+    and the reducer holds no interface traces."""
+    reducer = art.reducer
+    empty = lambda sub: dataclasses.replace(
+        sub, basis=dataclasses.replace(sub.basis, V=np.empty((0, sub.n)))
+    )
+    return dataclasses.replace(
+        art,
+        master=empty(art.master),
+        slave=empty(art.slave),
+        reducer=dataclasses.replace(
+            reducer,
+            deim=dataclasses.replace(reducer.deim, Phi=np.empty((0, reducer.m))),
+            full_transfer=np.empty((0, art.master.n)),
+            master_trace=None,
+            slave_trace=None,
+        ),
+    )
+
+
+class TestOnlineReads:
+    # apart from the final expansions, the online path reads no full-order
+    # array: with all of them emptied the reduced answers are unchanged
+    @pytest.mark.parametrize("training", ["steady", "unsteady", "marching"])
+    def test_reduced_answers_without_full_order_arrays(self, request, training):
+        training = request.getfixturevalue(f"{training}_training")
+        art = cr.build_artifacts(training, (1e-4, 1e-4, 1e-4))
+        mu1 = training.master_samples.points[0]
+        intact = cr.online_solve(art, mu1, [], expand=False)
+        hollow = cr.online_solve(without_full_order_arrays(art), mu1, [], expand=False)
+        assert np.array_equal(hollow.master_reduced, intact.master_reduced)
+        assert np.array_equal(hollow.slave_reduced, intact.slave_reduced)
+
+
+def with_zero_system(sub):
+    """The reduced submodel with every operator term and its mass zeroed."""
+    return dataclasses.replace(
+        sub,
+        op_terms=[(theta, np.zeros_like(A)) for theta, A in sub.op_terms],
+        mass=None if sub.mass is None else np.zeros_like(sub.mass),
+    )
+
+
+class TestSingularReducedSystems:
+    # the master march, the marching slave and the instantaneous slave each
+    # raise the typed error that the CLI maps to exit code 3
+    @pytest.mark.parametrize("pair", ["heat", "transport"])
+    @pytest.mark.parametrize("side", ["master", "slave"])
+    def test_zero_system_raises_singular_rom_error(self, pair, side):
+        if pair == "heat":
+            spec = heat_laplace_pair(
+                master_subdivisions=(4, 4, 4), slave_subdivisions=(2, 2, 2), n_steps=8
+            )
+        else:
+            spec = transport_wall_pair(
+                channel_subdivisions=(6, 4, 4), wall_subdivisions=(3, 2, 2), n_steps=15
+            )
+        art = cr.full_rank_artifacts(spec)
+        art = dataclasses.replace(art, **{side: with_zero_system(getattr(art, side))})
+        with pytest.raises(SingularRomError):
+            cr.online_unsteady(art, [0.5], [])
+
+    def test_overflowing_steady_solution_raises_singular_rom_error(self):
+        # nonzero pivots, so the factorization passes; the solution overflows
+        art = cr.full_rank_artifacts(
+            steady_pair_2d(master_subdivisions=(4, 4), slave_subdivisions=(2, 2))
+        )
+        tiny = [(theta, 1e-310 * A) for theta, A in art.master.op_terms]
+        art = dataclasses.replace(art, master=dataclasses.replace(art.master, op_terms=tiny))
+        with pytest.raises(SingularRomError):
+            cr.online_steady(art, [1.0, 1.0], [])
 
 
 class TestConformingTraceExactness:

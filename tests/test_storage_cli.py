@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coupledrom as cr
-from coupledrom.cli import main
+from coupledrom.cli import build_parser, main
 from coupledrom.errors import ConfigError
 from coupledrom.experiments import config_from_dict
 from coupledrom.library import heat_laplace_pair, steady_pair_2d
@@ -341,6 +341,20 @@ def test_rom_threads_env_fallback(tmp_path, monkeypatch):
     config = make_config(tmp_path)
     assert main(["offline", "--config", str(config)]) == 0
     assert sorted((tmp_path / "out").glob("bundle_*"))
+
+
+@pytest.mark.parametrize("verb, required", [("online", "--bundle"), ("fom", "--config")])
+def test_threads_flag_rejected_where_unused(verb, required, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([verb, required, "x", "--threads", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_threads_flag_kept_on_parallel_verbs():
+    parser = build_parser()
+    for verb in ("offline", "sweep"):
+        assert parser.parse_args([verb, "--config", "x", "--threads", "2"]).threads == 2
 
 
 def test_partial_write_cleanup_on_failure(tmp_path, artifacts, monkeypatch):
