@@ -144,23 +144,17 @@ def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     rows = run_sweep(config, threads=_threads(args))
     out_dir = ensure_directory(config.output_dir)
-    csv_rows = [
-        [
-            r["eps_master"],
-            r["eps_interface"],
-            r["eps_slave"],
-            r["mean_error"],
-            float("nan") if r["mean_bound"] is None else r["mean_bound"],
-            r["online_s"],
-        ]
-        for r in rows
+    header = [
+        "eps_master", "eps_interface", "eps_slave", "mean_error", "mean_bound", "online_s",
+        "bound_valid_fraction", "median_effectivity", "n1", "n2", "m",
     ]
+    sizes = {"n1": "master", "n2": "slave", "m": "interface"}
+    csv_rows = []
+    for r in rows:
+        r = {**r, **{key: r["basis_sizes"][side] for key, side in sizes.items()}}
+        csv_rows.append([float("nan") if r[key] is None else r[key] for key in header])
     path = out_dir / "sweep.csv"
-    write_csv(
-        path,
-        ["eps_master", "eps_interface", "eps_slave", "mean_error", "mean_bound", "online_s"],
-        csv_rows,
-    )
+    write_csv(path, header, csv_rows)
     print(f"wrote {path} ({len(rows)} grid points)")
     return EXIT_OK
 

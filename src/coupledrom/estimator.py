@@ -47,21 +47,18 @@ def residual_steady(A_N, f_N: np.ndarray, V: np.ndarray, u_n: np.ndarray) -> np.
 
 
 def residual_unsteady(
-    M,
-    A_N,
-    f_of_t: Callable[[float], np.ndarray],
-    V: np.ndarray,
-    trajectory: np.ndarray,
-    dt: float,
+    M, A_N, F: np.ndarray, V: np.ndarray, trajectory: np.ndarray, dt: float
 ) -> np.ndarray:
     """Dynamical-system residuals of a reduced trajectory at steps 1..n.
 
     The system is scaled to ``u' = -M^{-1} A u + M^{-1} f``; the time
-    derivative uses the same backward difference as the solver.  Row ``k-1``
-    of the output is the residual at ``t_k``.  ``M`` is a matrix or a
-    ``MassBlock``, whose factorization is then reused.
+    derivative uses the same backward difference as the solver.  ``F`` holds
+    one load column per state of ``trajectory``.  Row ``k-1`` of the output
+    is the residual at ``t_k``.  ``M`` is a matrix or a ``MassBlock``, whose
+    factorization is then reused.
     """
     traj = np.asarray(trajectory, dtype=float)
+    F = np.asarray(F, dtype=float)
     if traj.ndim != 2 or traj.shape[1] != V.shape[1]:
         raise DimensionMismatchError(
             f"trajectory shape {traj.shape} incompatible with basis {V.shape}"
@@ -69,12 +66,16 @@ def residual_unsteady(
     n_steps = traj.shape[0] - 1
     if n_steps < 1:
         raise DimensionMismatchError("trajectory must contain at least two states")
+    if F.shape != (A_N.shape[0], n_steps + 1):
+        raise DimensionMismatchError(
+            f"load block {F.shape} is not one column per state ({A_N.shape[0]}, {n_steps + 1})"
+        )
     m_solve = MassBlock.of(M).solve
     out = np.empty((n_steps, V.shape[0]))
     for k in range(1, n_steps + 1):
         full = V @ traj[k]
         dudt = V @ ((traj[k] - traj[k - 1]) / dt)
-        out[k - 1] = m_solve(f_of_t(k * dt) - A_N @ full) - dudt
+        out[k - 1] = m_solve(F[:, k] - A_N @ full) - dudt
     return out
 
 
@@ -292,7 +293,7 @@ def error_bound_steady(
     s2 = sigma2 if sigma2 is not None else sigma_min(A2)
     r1 = np.linalg.norm(residual_steady(A1, f1, V1, u_n1))
     r2 = np.linalg.norm(residual_steady(A2, f2, V2, u_n2))
-    sub_norm = float(np.linalg.norm(reducer.deim.Phi[reducer.deim.indices], 2))
+    sub_norm = reducer.deim.magic_rows_norm
     deim_term = deim_projection_term(reducer.deim.Phi, sub_norm, dirichlet_data)
     C = reducer.transfer_norm
     return ErrorBoundReport(

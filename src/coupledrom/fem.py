@@ -400,25 +400,30 @@ def solve_steady(A: sp.spmatrix, f: np.ndarray, rtol: float = SOLVE_RTOL) -> np.
 def solve_unsteady_bdf1(
     M: sp.spmatrix,
     A: sp.spmatrix,
-    f_of_t: Callable[[float], np.ndarray],
+    F: np.ndarray,
     u0: np.ndarray,
     dt: float,
-    n_steps: int,
     dofs=(),
     values=(),
 ) -> np.ndarray:
     """March ``M u' + A u = f`` with implicit Euler under ``u[dofs] = values``.
 
-    ``values`` holds one value per constrained DoF, either for every state
-    ``(len(dofs),)`` or per state ``(n_steps + 1, len(dofs))``; row 0 is
-    imposed on ``u0``.  The system ``M/dt + A`` is eliminated at ``dofs`` and
-    factorized once.  After the march every step's residual is checked with
-    one sparse product; the first step above ``SOLVE_RTOL`` raises
-    ``SolverFailureError`` with ``.step`` set.  Returns the trajectory of
-    ``n_steps + 1`` states.
+    ``F`` holds one load column per state ``(N, n_steps + 1)``; column 0
+    belongs to ``u0`` and is not used.  ``values`` holds one value per
+    constrained DoF, either for every state ``(len(dofs),)`` or per state
+    ``(n_steps + 1, len(dofs))``; row 0 is imposed on ``u0``.  The system
+    ``M/dt + A`` is eliminated at ``dofs`` and factorized once.  After the
+    march every step's residual is checked with one sparse product; the first
+    step above ``SOLVE_RTOL`` raises ``SolverFailureError`` with ``.step``
+    set.  Returns the trajectory of ``n_steps + 1`` states.
     """
-    if dt <= 0.0 or n_steps < 1:
-        raise DimensionMismatchError("dt must be > 0 and n_steps >= 1")
+    F = np.asarray(F, dtype=float)
+    if dt <= 0.0 or F.ndim != 2 or F.shape[0] != M.shape[0] or F.shape[1] < 2:
+        raise DimensionMismatchError(
+            f"need dt > 0 and a load block ({M.shape[0]}, n_steps + 1) with "
+            f"n_steps >= 1, got dt={dt} and {F.shape}"
+        )
+    n_steps = F.shape[1] - 1
     dofs = np.asarray(dofs, dtype=np.int64)
     values = np.broadcast_to(np.asarray(values, dtype=float), (n_steps + 1, len(dofs)))
     m_dt = (M / dt).tocsr()
@@ -433,7 +438,7 @@ def solve_unsteady_bdf1(
     lift = np.zeros(M.shape[0])
     for k in range(1, n_steps + 1):
         lift[dofs] = values[k]
-        r = f_of_t(k * dt) + m_dt @ traj[k - 1] - system @ lift
+        r = F[:, k] + m_dt @ traj[k - 1] - system @ lift
         r[dofs] = 0.0
         rhs[k - 1] = r
         try:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -240,6 +241,11 @@ class DeimBasis:
     @property
     def m(self) -> int:
         return self.Phi.shape[1]
+
+    @cached_property
+    def magic_rows_norm(self) -> float:
+        """``||Phi[indices]||_2``, the interpolation error's amplification."""
+        return float(np.linalg.norm(self.Phi[self.indices], 2))
 
     def interpolate(self, values_at_indices: np.ndarray) -> np.ndarray:
         """Coefficients reproducing ``values_at_indices`` at the magic rows."""

@@ -67,20 +67,16 @@ class AffineSubmodel:
     def assemble_operator(self, mu: Mapping, t: float | None = None):
         return affine_sum(self.theta_weights(mu, t), [A for _, A in self.op_terms])
 
-    def assemble_load(self, mu: Mapping, t: float | None = None) -> np.ndarray:
-        out = np.zeros(self.n)
-        for theta, vec in self.load_terms:
-            out += eval_theta(theta, mu, t) * vec
-        return out
-
     def loads_per_state(self, mu: Mapping, time: TimeSpec | None = None) -> np.ndarray:
-        """The steady load when ``time`` is None, else one load column per
-        state ``t_0 .. t_n`` of the time grid."""
-        if time is None:
-            return self.assemble_load(mu)
-        return np.column_stack(
-            [self.assemble_load(mu, k * time.dt) for k in range(time.n_steps + 1)]
-        )
+        """The steady load ``(n,)`` when ``time`` is None, else one load
+        column per state ``t_0 .. t_n`` of the time grid ``(n, n_steps + 1)``:
+        each weight is evaluated once per state and each term is added into
+        every state at once."""
+        states = [None] if time is None else [k * time.dt for k in range(time.n_steps + 1)]
+        out = np.zeros((self.n, len(states)))
+        for theta, vec in self.load_terms:
+            out += vec[:, None] * np.array([eval_theta(theta, mu, t) for t in states])
+        return out[:, 0] if time is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -250,22 +246,20 @@ def fom_coupled_solve(fom: FomProblem, mu1, mu2) -> FomResult:
     ts = fom.spec.time if fom.spec.is_unsteady else None
     t0 = _time.perf_counter()
     A1 = master.assemble_operator(mu1m)
+    F1 = master.loads_per_state(mu1m, ts)
     if ts is None:
         u1 = fem.solve_steady(
             *fem.apply_dirichlet_lifting(
-                A1,
-                master.assemble_load(mu1m),
-                zip(master.constrained_dofs, master.constrained_values()),
+                A1, F1, zip(master.constrained_dofs, master.constrained_values())
             )
         )
     else:
         u1 = fem.solve_unsteady_bdf1(
             master.mass,
             A1,
-            lambda t: master.assemble_load(mu1m, t),
+            F1,
             master.u0,
             ts.dt,
-            ts.n_steps,
             master.constrained_dofs,
             master.constrained_values(),
         )
@@ -273,21 +267,15 @@ def fom_coupled_solve(fom: FomProblem, mu1, mu2) -> FomResult:
     g = (fom.transfer @ u1[..., master.interface.dof_indices].T).T
     values2 = slave.constrained_values(g)
     A2 = slave.assemble_operator(mu2m)
+    F2 = slave.loads_per_state(mu2m, ts)
     if slave.spec.unsteady:
         u2 = fem.solve_unsteady_bdf1(
-            slave.mass,
-            A2,
-            lambda t: slave.assemble_load(mu2m, t),
-            slave.u0,
-            ts.dt,
-            ts.n_steps,
-            slave.constrained_dofs,
-            values2,
+            slave.mass, A2, F2, slave.u0, ts.dt, slave.constrained_dofs, values2
         )
     else:
         # instantaneous slave: one lifting and one factorization for all states
         A2_bc, F2_bc = fem.apply_dirichlet_lifting(
-            A2, slave.loads_per_state(mu2m, ts), zip(slave.constrained_dofs, values2.T)
+            A2, F2, zip(slave.constrained_dofs, values2.T)
         )
         u2 = np.ascontiguousarray(fem.solve_steady(A2_bc, F2_bc).T)
     t2 = _time.perf_counter()
@@ -354,8 +342,6 @@ def run_training(
     S1 = np.empty((fom.master.n_dofs, n_cols))
     S2 = np.empty((fom.slave.n_dofs, n_cols))
     SD = np.empty((len(fom.slave.interface), n_cols))
-    col_params: list = [None] * n_cols
-    col_times: list = [None] * n_cols
 
     def solve_pair(k: int):
         i, j = pairs[k]
@@ -363,21 +349,16 @@ def run_training(
         return k, res
 
     def commit(k: int, res: FomResult):
-        i, j = pairs[k]
         base = k * cols_per
         if nt:
             # columns are the states at t_1 .. t_nt; t_0 is data, not response
             S1[:, base : base + nt] = res.master[1:].T
             S2[:, base : base + nt] = res.slave[1:].T
             SD[:, base : base + nt] = res.dirichlet[1:].T
-            for s in range(nt):
-                col_params[base + s] = (tuple(master_samples.points[i]), tuple(slave_samples.points[j]))
-                col_times[base + s] = (s + 1) * fom.spec.time.dt
         else:
             S1[:, base] = res.master
             S2[:, base] = res.slave
             SD[:, base] = res.dirichlet
-            col_params[base] = (tuple(master_samples.points[i]), tuple(slave_samples.points[j]))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -390,9 +371,7 @@ def run_training(
 
     gamma2 = fom.slave.interface.dof_indices
     S2[gamma2, :] = 0.0  # homogenized slave snapshots
-    snap1 = SnapshotSet(matrix=S1, params=tuple(col_params), times=tuple(col_times))
-    snap2 = SnapshotSet(matrix=S2, params=tuple(col_params), times=tuple(col_times))
-    snapD = SnapshotSet(matrix=SD, params=tuple(col_params), times=tuple(col_times))
+    snap1, snap2, snapD = SnapshotSet(S1), SnapshotSet(S2), SnapshotSet(SD)
     pod1 = PodFactorization(snap1)
     pod2 = PodFactorization(snap2)
     podD = PodFactorization(snapD)
@@ -655,18 +634,18 @@ def _reduced_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise _singular(str(exc))
 
 
-def _reduced_march(S: np.ndarray, rhs, u0: np.ndarray, n_steps: int) -> np.ndarray:
-    """States ``u[0] = u0`` and ``S u[k+1] = rhs(k, u[k])``, with ``S``
-    factorized once."""
+def _reduced_march(S: np.ndarray, M_dt: np.ndarray, G: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """States ``u[0] = u0`` and ``S u[k+1] = G[:, k] + M_dt u[k]``, one per
+    column of ``G``, with ``S`` factorized once."""
     # getrf itself: scipy's lu_factor only warns on an exactly zero pivot
     (getrf,) = sla.get_lapack_funcs(("getrf",), (S,))
     lu, piv, info = getrf(S)
     if info != 0:
         raise _singular(f"getrf info {info}")
-    u = np.empty((n_steps + 1, len(u0)))
+    u = np.empty((G.shape[1] + 1, len(u0)))
     u[0] = u0
-    for k in range(n_steps):
-        u[k + 1] = sla.lu_solve((lu, piv), rhs(k, u[k]), check_finite=False)
+    for k in range(G.shape[1]):
+        u[k + 1] = sla.lu_solve((lu, piv), G[:, k] + M_dt @ u[k], check_finite=False)
     return _finite(u)
 
 
@@ -720,7 +699,7 @@ def online_steady(artifacts: RomArtifacts, mu1, mu2, expand: bool = True) -> Onl
     mu1m, mu2m, warnings = _query_parameters(artifacts.spec, mu1, mu2)
     t0 = _time.perf_counter()
     m1 = artifacts.master
-    u1 = _reduced_solve(m1.assemble_operator(mu1m), m1.assemble_load(mu1m))
+    u1 = _reduced_solve(m1.assemble_operator(mu1m), m1.loads_per_state(mu1m))
     u2 = _instantaneous_slave(artifacts, u1, mu2m)
     return _online_result(artifacts, u1, u2, warnings, t0, expand)
 
@@ -736,7 +715,7 @@ def online_unsteady(artifacts: RomArtifacts, mu1, mu2, expand: bool = True) -> O
     if spec.time is None:
         raise ConfigError("online_unsteady requires a time grid", field="time")
     mu1m, mu2m, warnings = _query_parameters(spec, mu1, mu2)
-    dt, n_steps = spec.time.dt, spec.time.n_steps
+    dt = spec.time.dt
     t0 = _time.perf_counter()
 
     # master: (M/dt + A) u^{k+1} = f^{k+1} + (M/dt) u^k
@@ -744,9 +723,9 @@ def online_unsteady(artifacts: RomArtifacts, mu1, mu2, expand: bool = True) -> O
     M1_dt = m1.mass / dt
     u1 = _reduced_march(
         M1_dt + m1.assemble_operator(mu1m),
-        lambda k, u: m1.assemble_load(mu1m, (k + 1) * dt) + M1_dt @ u,
+        M1_dt,
+        m1.loads_per_state(mu1m, spec.time)[:, 1:],
         m1.u0_reduced,
-        n_steps,
     )
 
     s2 = artifacts.slave
@@ -757,15 +736,12 @@ def online_unsteady(artifacts: RomArtifacts, mu1, mu2, expand: bool = True) -> O
         LA = affine_sum(w2, [lift[f"A{q}"] for q in range(len(w2))])
         LM_dt = lift["M"] / dt
         M2_dt = s2.mass / dt
-        u2 = _reduced_march(
-            M2_dt + s2.assemble_operator(mu2m),
-            lambda k, u: s2.assemble_load(mu2m, (k + 1) * dt)
-            + M2_dt @ u
-            + LM_dt @ (u1[k] - u1[k + 1])
-            - LA @ u1[k + 1],
-            s2.u0_reduced,
-            n_steps,
+        G2 = (
+            s2.loads_per_state(mu2m, spec.time)[:, 1:]
+            + LM_dt @ (u1[:-1] - u1[1:]).T
+            - LA @ u1[1:].T
         )
+        u2 = _reduced_march(M2_dt + s2.assemble_operator(mu2m), M2_dt, G2, s2.u0_reduced)
     else:
         u2 = _instantaneous_slave(artifacts, u1, mu2m, spec.time)
     return _online_result(artifacts, u1, u2, warnings, t0, expand)

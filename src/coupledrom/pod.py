@@ -22,22 +22,9 @@ from .mesh import InterfaceTrace
 
 @dataclass(frozen=True)
 class SnapshotSet:
-    """Column-stacked solution vectors with their generating parameters."""
+    """Column-stacked solution vectors."""
 
     matrix: np.ndarray = field(repr=False)  # (N, n_snapshots)
-    params: tuple = ()
-    times: tuple | None = None
-
-    def __post_init__(self):
-        if self.params and len(self.params) != self.matrix.shape[1]:
-            raise DimensionMismatchError(
-                f"{len(self.params)} parameter records for "
-                f"{self.matrix.shape[1]} snapshot columns"
-            )
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -51,10 +38,6 @@ class ReducedBasis:
     @property
     def n(self) -> int:
         return self.V.shape[1]
-
-    @property
-    def n_full(self) -> int:
-        return self.V.shape[0]
 
 
 class PodFactorization:
@@ -118,4 +101,4 @@ def zero_interface_rows(
                 f"trace rows exceed snapshot row count {matrix.shape[0]}"
             )
         matrix[rows, :] = 0.0
-    return SnapshotSet(matrix=matrix, params=snapshots.params, times=snapshots.times)
+    return SnapshotSet(matrix)

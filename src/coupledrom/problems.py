@@ -70,11 +70,20 @@ def eval_spatial(value, points: np.ndarray):
     return np.broadcast_to(np.asarray(out, dtype=float), points.shape[:-1])
 
 
+#: compiled weight expressions by (source, allowed names); a rejected
+#: expression is not kept, so it raises again on every evaluation
+_THETA_CODE: dict = {}
+
+
 def eval_theta(value, mu: Mapping[str, float], t: float | None = None) -> float:
-    """Evaluate a parameter/time weight (number or expression)."""
+    """Evaluate a parameter/time weight (number or expression), compiling
+    each expression once."""
     if not isinstance(value, str):
         return float(value)
-    code = compile_expression(value, set(mu) | {"t"}, "theta")
+    key = (value, frozenset(mu))
+    code = _THETA_CODE.get(key)
+    if code is None:
+        code = _THETA_CODE[key] = compile_expression(value, set(mu) | {"t"}, "theta")
     env = {**mu, "t": 0.0 if t is None else float(t), **_FUNCTIONS}
     return float(eval(code, {"__builtins__": {}}, env))
 

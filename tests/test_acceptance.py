@@ -288,10 +288,9 @@ def test_criterion_9_bdf1_temporal_order():
         traj = cr.solve_unsteady_bdf1(
             sp.identity(1, format="csr"),
             sp.identity(1, format="csr"),
-            lambda t: np.zeros(1),
+            np.zeros((1, n + 1)),
             np.ones(1),
             1.0 / n,
-            n,
         )
         errs.append(abs(traj[-1, 0] - np.exp(-1.0)))
     rates["scalar-full"] = np.log2(np.array(errs[:-1]) / np.array(errs[1:])).mean()
@@ -325,8 +324,11 @@ def test_criterion_9_bdf1_temporal_order():
 
     T = 0.5
 
+    def loads(load_of_t, n):
+        return np.column_stack([load_of_t(k * (T / n)) for k in range(n + 1)])
+
     def march_full(n):
-        return cr.solve_unsteady_bdf1(M_bc, K_bc, rhs, u0, T / n, n)
+        return cr.solve_unsteady_bdf1(M_bc, K_bc, loads(rhs, n), u0, T / n)
 
     ref = march_full(512)[-1]
     errs = [np.linalg.norm(march_full(n)[-1] - ref) for n in (8, 16, 32)]
@@ -340,7 +342,7 @@ def test_criterion_9_bdf1_temporal_order():
     u0_r = V.T @ u0
 
     def march_reduced(n):
-        return cr.solve_unsteady_bdf1(M_r, K_r, lambda t: V.T @ rhs(t), u0_r, T / n, n)
+        return cr.solve_unsteady_bdf1(M_r, K_r, loads(lambda t: V.T @ rhs(t), n), u0_r, T / n)
 
     ref_r = march_reduced(512)[-1]
     errs = [np.linalg.norm(march_reduced(n)[-1] - ref_r) for n in (8, 16, 32)]

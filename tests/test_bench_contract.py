@@ -1,11 +1,17 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps library functions
-and methods by name.  Installing and removing it here makes a rename or a
-deletion of any wrapped name fail the test suite, not only a traced
-benchmark run."""
+and methods by name, and its driver (``perfbench/run.py``) calls library
+functions with fixed arguments.  Installing and removing the tracer, and
+binding each driver call to its signature, make a rename, a deletion or a
+signature change that would break the benchmark fail the test suite, not
+only a benchmark run."""
 
+import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+
+import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,3 +57,27 @@ def test_tracer_installs_on_every_wrapped_name_and_undoes():
     finally:
         for owner, attr in changed(before):  # a failed install leaves wrappers
             setattr(owner, attr, before[(owner, attr)])
+
+
+
+#: each library call of ``perfbench/run.py`` and the positional arguments it passes
+BENCHMARK_CALLS = [
+    ("experiments.config_from_dict", 1),
+    ("pipeline.build_fom", 1),
+    ("experiments.run_offline", 1),
+    ("storage.load_bundle", 1),
+    ("experiments.SigmaCache", 0),
+    ("pipeline.online_solve", 3),
+    ("pipeline.fom_coupled_solve", 3),
+    ("experiments.relative_error", 2),
+    ("experiments.unsteady_query_bounds", 7),
+    ("experiments.steady_query_bound", 7),
+    ("experiments.run_sweep", 1),
+]
+
+
+@pytest.mark.parametrize("name, arity", BENCHMARK_CALLS, ids=[n for n, _ in BENCHMARK_CALLS])
+def test_benchmark_call_binds_to_library_signature(name, arity):
+    module, attr = name.split(".")
+    function = getattr(importlib.import_module(f"coupledrom.{module}"), attr)
+    inspect.signature(function).bind(*range(arity))

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 import coupledrom as cr
 import coupledrom.estimator as est
-from coupledrom.errors import EstimatorConvergenceError
+from coupledrom.errors import DimensionMismatchError, EstimatorConvergenceError
 from coupledrom.estimator import (
     MassBlock,
     _is_dissipative,
@@ -62,8 +62,15 @@ class TestResidualUnsteady:
         M = sp.identity(3, format="csr")
         A = sp.csr_matrix((3, 3))
         traj = np.tile(np.array([1.0, -2.0, 0.5]), (5, 1))
-        r = residual_unsteady(M, A, lambda t: np.zeros(3), np.eye(3), traj, 0.1)
+        r = residual_unsteady(M, A, np.zeros((3, 5)), np.eye(3), traj, 0.1)
         assert np.max(np.abs(r)) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 5), (3,)])
+    def test_load_block_needs_one_column_per_state(self, shape):
+        M = sp.identity(3, format="csr")
+        traj = np.zeros((5, 3))
+        with pytest.raises(DimensionMismatchError):
+            residual_unsteady(M, M, np.zeros(shape), np.eye(3), traj, 0.1)
 
     def test_full_basis_residual_at_solver_tolerance(self):
         rng = np.random.default_rng(2)
@@ -72,8 +79,9 @@ class TestResidualUnsteady:
         K = rng.standard_normal((n, n))
         A = sp.csr_matrix(K @ K.T + n * np.eye(n))
         f = rng.standard_normal(n)
-        traj = cr.solve_unsteady_bdf1(M, A, lambda t: f, np.zeros(n), 0.05, 10)
-        r = residual_unsteady(M, A, lambda t: f, np.eye(n), traj, 0.05)
+        F = np.tile(f[:, None], 11)
+        traj = cr.solve_unsteady_bdf1(M, A, F, np.zeros(n), 0.05)
+        r = residual_unsteady(M, A, F, np.eye(n), traj, 0.05)
         assert np.max(np.linalg.norm(r, axis=1)) <= 1e-9
 
     def test_matches_dense_oracle(self):
@@ -85,7 +93,8 @@ class TestResidualUnsteady:
         traj = rng.standard_normal((steps + 1, m))
         loads = {k: rng.standard_normal(n) for k in range(1, steps + 1)}
         dt = 0.2
-        r = residual_unsteady(M, A, lambda t: loads[round(t / dt)], V, traj, dt)
+        F = np.column_stack([np.zeros(n)] + [loads[k] for k in range(1, steps + 1)])
+        r = residual_unsteady(M, A, F, V, traj, dt)
         Minv = np.linalg.inv(M.toarray())
         for k in range(1, steps + 1):
             dense = Minv @ (loads[k] - A.toarray() @ (V @ traj[k])) - V @ (
@@ -289,10 +298,10 @@ def reference_semigroup_constant(M, A, horizon, **_):
     return gronwall_constant(c3, horizon), c3, "gronwall"
 
 
-def reference_residual_unsteady(M, A_N, f_of_t, V, trajectory, dt):
+def reference_residual_unsteady(M, A_N, F, V, trajectory, dt):
     """``residual_unsteady`` with its own factorization of ``M``."""
     M = M.matrix if isinstance(M, MassBlock) else M
-    return residual_unsteady(sp.csc_matrix(M), A_N, f_of_t, V, trajectory, dt)
+    return residual_unsteady(sp.csc_matrix(M), A_N, F, V, trajectory, dt)
 
 
 def bounds_at(spec, artifacts, mu1s, fom=None):

@@ -313,16 +313,22 @@ class TestSolveUnsteadyBdf1:
         M = sp.identity(4, format="csr")
         A = sp.csr_matrix((4, 4))
         u0 = np.array([1.0, -1.0, 2.0, 0.5])
-        traj = solve_unsteady_bdf1(M, A, lambda t: np.zeros(4), u0, 0.1, 5)
+        traj = solve_unsteady_bdf1(M, A, np.zeros((4, 6)), u0, 0.1)
         assert np.allclose(traj, u0[None, :], atol=1e-14)
 
     def test_scalar_closed_form(self):
         M = sp.identity(1, format="csr")
         A = sp.identity(1, format="csr")
         dt, n = 0.05, 20
-        traj = solve_unsteady_bdf1(M, A, lambda t: np.zeros(1), np.ones(1), dt, n)
+        traj = solve_unsteady_bdf1(M, A, np.zeros((1, n + 1)), np.ones(1), dt)
         expected = (1 + dt) ** (-np.arange(n + 1))
         assert np.allclose(traj[:, 0], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape, dt", [((4, 1), 0.1), ((3, 6), 0.1), ((4,), 0.1), ((4, 6), 0.0)])
+    def test_malformed_load_block_or_step_rejected(self, shape, dt):
+        M = sp.identity(4, format="csr")
+        with pytest.raises(DimensionMismatchError):
+            solve_unsteady_bdf1(M, M, np.zeros(shape), np.ones(4), dt)
 
     def test_heat_equation_first_order_in_time(self):
         mesh = unit_square(8)
@@ -357,11 +363,14 @@ class TestSolveUnsteadyBdf1:
             f[idx] = 0.0
             return f
 
+        def loads(dt, n):
+            return np.column_stack([rhs(k * dt) for k in range(n + 1)])
+
         T = 0.5
-        ref = solve_unsteady_bdf1(M_bc, K_bc, rhs, u0, T / 256, 256)[-1]
+        ref = solve_unsteady_bdf1(M_bc, K_bc, loads(T / 256, 256), u0, T / 256)[-1]
         errs = []
         for n in (8, 16, 32):
-            traj = solve_unsteady_bdf1(M_bc, K_bc, rhs, u0, T / n, n)
+            traj = solve_unsteady_bdf1(M_bc, K_bc, loads(T / n, n), u0, T / n)
             errs.append(np.linalg.norm(traj[-1] - ref))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert 0.8 <= rates.mean() <= 1.2

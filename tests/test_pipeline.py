@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import coupledrom as cr
 import coupledrom.fem as fem
@@ -13,6 +14,7 @@ from coupledrom.errors import (
     SolverFailureError,
 )
 from coupledrom.library import heat_laplace_pair, steady_pair_2d, transport_wall_pair
+from coupledrom.pipeline import affine_sum
 from coupledrom.problems import (
     AffineTerm,
     BoxMeshSpec,
@@ -20,6 +22,7 @@ from coupledrom.problems import (
     ForcingTerm,
     SubmodelSpec,
     TimeSpec,
+    eval_theta,
 )
 from coupledrom.sampling import ParameterSpace
 
@@ -63,6 +66,15 @@ def constant_pair(c=0.7):
         interface_tag="x-",
     )
     return CoupledProblemSpec(master=master, slave=slave, time=TimeSpec(0.1, 6))
+
+
+def load_at(sub, mu, t=None):
+    """One state's load ``sum_q theta_q(mu, t) f_q``, accumulated term by
+    term into zeros."""
+    out = np.zeros(sub.n)
+    for theta, vec in sub.load_terms:
+        out += eval_theta(theta, mu, t) * vec
+    return out
 
 
 def reference_march(M, A, dofs, values_of_step, load_of_t, u0, dt, n_steps):
@@ -111,7 +123,7 @@ def reference_coupled_solve(fom, mu1, mu2):
         master.assemble_operator(mu1m),
         master.dirichlet_dofs,
         lambda k: master.dirichlet_values,
-        lambda t: master.assemble_load(mu1m, t),
+        lambda t: load_at(master, mu1m, t),
         master.u0,
         ts.dt,
         ts.n_steps,
@@ -123,7 +135,7 @@ def reference_coupled_solve(fom, mu1, mu2):
         return np.concatenate([slave.dirichlet_values, g_traj[k]])
 
     A2 = slave.assemble_operator(mu2m)
-    load2 = lambda t: slave.assemble_load(mu2m, t)
+    load2 = lambda t: load_at(slave, mu2m, t)
     if slave.spec.unsteady:
         traj2 = reference_march(
             slave.mass, A2, dofs2, values2, load2, slave.u0, ts.dt, ts.n_steps
@@ -193,7 +205,7 @@ class TestFomCoupledSolve:
         # manual composition of the primitives
         mu1m = fom.master.mu_mapping(mu1)
         A1 = fom.master.assemble_operator(mu1m)
-        f1 = fom.master.assemble_load(mu1m)
+        f1 = load_at(fom.master, mu1m)
         u1 = cr.solve_steady(
             *cr.apply_dirichlet_lifting(
                 A1, f1, zip(fom.master.dirichlet_dofs, fom.master.dirichlet_values)
@@ -369,6 +381,74 @@ class TestOnlineUnsteady:
         rel = np.linalg.norm(res.slave - online.slave_solution) / np.linalg.norm(res.slave)
         assert rel <= 1e-3
         assert online.slave_solution.shape == res.slave.shape
+
+
+def reference_online_unsteady(art, mu1, mu2):
+    """The reduced coupled march composed step by step: one load per state
+    from the load terms, one factorization per march and one solve per
+    step."""
+    ts = art.spec.time
+    dt, n = ts.dt, ts.n_steps
+    m1, s2 = art.master, art.slave
+    mu1m = art.spec.master.parameters.as_mapping(np.atleast_1d(mu1))
+    mu2m = art.spec.slave.parameters.as_mapping(np.atleast_1d(mu2))
+
+    def march(S, rhs, u0):
+        lu = sla.lu_factor(S)
+        u = np.empty((n + 1, len(u0)))
+        u[0] = u0
+        for k in range(n):
+            u[k + 1] = sla.lu_solve(lu, rhs(k, u[k]), check_finite=False)
+        return u
+
+    M1_dt = m1.mass / dt
+    u1 = march(
+        M1_dt + m1.assemble_operator(mu1m),
+        lambda k, u: load_at(m1, mu1m, (k + 1) * dt) + M1_dt @ u,
+        m1.u0_reduced,
+    )
+    w2 = s2.theta_weights(mu2m)
+    if s2.unsteady:
+        lift = art.reducer.lift_products
+        LA = affine_sum(w2, [lift[f"A{q}"] for q in range(len(w2))])
+        LM_dt = lift["M"] / dt
+        M2_dt = s2.mass / dt
+        u2 = march(
+            M2_dt + s2.assemble_operator(mu2m),
+            lambda k, u: load_at(s2, mu2m, (k + 1) * dt)
+            + M2_dt @ u
+            + LM_dt @ (u1[k] - u1[k + 1])
+            - LA @ u1[k + 1],
+            s2.u0_reduced,
+        )
+    else:
+        lifting = art.reducer.reduced_lifting(
+            u1.T, {f"A{q}": w for q, w in enumerate(w2)}
+        )
+        loads = np.column_stack([load_at(s2, mu2m, k * dt) for k in range(n + 1)])
+        u2 = np.linalg.solve(s2.assemble_operator(mu2m), loads - lifting).T
+    return u1, u2
+
+
+class TestOnlineMatchesPerStepMarch:
+    @pytest.mark.parametrize("sample", [0, 3])
+    def test_heat_pair_bit_identical(self, unsteady_training, sample):
+        art = cr.build_artifacts(unsteady_training, (1e-5, 1e-5, 1e-5))
+        mu1 = unsteady_training.master_samples.points[sample]
+        online = cr.online_unsteady(art, mu1, [], expand=False)
+        u1, u2 = reference_online_unsteady(art, mu1, [])
+        assert np.array_equal(online.master_reduced, u1)
+        assert np.array_equal(online.slave_reduced, u2)
+
+    @pytest.mark.parametrize("sample", [0, 2])
+    def test_marching_slave_matches(self, marching_training, sample):
+        art = cr.build_artifacts(marching_training, (1e-6, 1e-6, 1e-6))
+        mu1 = marching_training.master_samples.points[sample]
+        online = cr.online_unsteady(art, mu1, [], expand=False)
+        u1, u2 = reference_online_unsteady(art, mu1, [])
+        assert np.array_equal(online.master_reduced, u1)
+        # the slave's lifting terms enter as one block: summation order differs
+        assert np.max(np.abs(online.slave_reduced - u2)) <= 1e-12 * np.max(np.abs(u2))
 
 
 class TestToleranceMonotonicity:

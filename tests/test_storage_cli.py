@@ -233,9 +233,16 @@ class TestCli:
             "mean_error",
             "mean_bound",
             "online_s",
+            "bound_valid_fraction",
+            "median_effectivity",
+            "n1",
+            "n2",
+            "m",
         ]
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
         assert len(rows) == 8
+        # every grid point is certified
+        assert all(float(row["bound_valid_fraction"]) == 1.0 for row in rows)
         # floats round-trip through the 17-digit format
         for row in rows:
             for key in header:
