@@ -36,6 +36,7 @@ from .problems import (
     CoupledProblemSpec,
     SubmodelSpec,
     TimeSpec,
+    compile_expression,
     eval_spatial,
     eval_theta,
     spatial_coefficient,
@@ -61,8 +62,22 @@ class AffineSubmodel:
     the reduced submodels: ``op_terms`` and ``load_terms`` are ``(theta,
     array)`` pairs and ``n`` is the number of unknowns."""
 
+    @cached_property
+    def _theta_code(self) -> dict:
+        return {}
+
+    def _compiled(self, theta, mu: Mapping):
+        """``theta``, an expression compiled once per submodel and set of
+        parameter names; one with an unknown name raises on every call."""
+        if not isinstance(theta, str):
+            return theta
+        key = (theta, frozenset(mu))
+        if key not in self._theta_code:
+            self._theta_code[key] = compile_expression(theta, set(mu) | {"t"}, "theta")
+        return self._theta_code[key]
+
     def theta_weights(self, mu: Mapping, t: float | None = None) -> list[float]:
-        return [eval_theta(theta, mu, t) for theta, _ in self.op_terms]
+        return [eval_theta(self._compiled(theta, mu), mu, t) for theta, _ in self.op_terms]
 
     def assemble_operator(self, mu: Mapping, t: float | None = None):
         return affine_sum(self.theta_weights(mu, t), [A for _, A in self.op_terms])
@@ -75,7 +90,8 @@ class AffineSubmodel:
         states = [None] if time is None else [k * time.dt for k in range(time.n_steps + 1)]
         out = np.zeros((self.n, len(states)))
         for theta, vec in self.load_terms:
-            out += vec[:, None] * np.array([eval_theta(theta, mu, t) for t in states])
+            code = self._compiled(theta, mu)
+            out += vec[:, None] * np.array([eval_theta(code, mu, t) for t in states])
         return out[:, 0] if time is None else out
 
 
@@ -635,17 +651,18 @@ def _reduced_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _reduced_march(S: np.ndarray, M_dt: np.ndarray, G: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    """States ``u[0] = u0`` and ``S u[k+1] = G[:, k] + M_dt u[k]``, one per
-    column of ``G``, with ``S`` factorized once."""
+    """States ``u[0] = u0`` and ``S u[k+1] = G[:, k+1] + M_dt u[k]``, one per
+    column of the load block ``G`` (column 0 is not read), with ``S``
+    factorized once."""
     # getrf itself: scipy's lu_factor only warns on an exactly zero pivot
     (getrf,) = sla.get_lapack_funcs(("getrf",), (S,))
     lu, piv, info = getrf(S)
     if info != 0:
         raise _singular(f"getrf info {info}")
-    u = np.empty((G.shape[1] + 1, len(u0)))
+    u = np.empty((G.shape[1], len(u0)))
     u[0] = u0
-    for k in range(G.shape[1]):
-        u[k + 1] = sla.lu_solve((lu, piv), G[:, k] + M_dt @ u[k], check_finite=False)
+    for k in range(G.shape[1] - 1):
+        u[k + 1] = sla.lu_solve((lu, piv), G[:, k + 1] + M_dt @ u[k], check_finite=False)
     return _finite(u)
 
 
@@ -724,7 +741,7 @@ def online_unsteady(artifacts: RomArtifacts, mu1, mu2, expand: bool = True) -> O
     u1 = _reduced_march(
         M1_dt + m1.assemble_operator(mu1m),
         M1_dt,
-        m1.loads_per_state(mu1m, spec.time)[:, 1:],
+        m1.loads_per_state(mu1m, spec.time),
         m1.u0_reduced,
     )
 
@@ -736,11 +753,9 @@ def online_unsteady(artifacts: RomArtifacts, mu1, mu2, expand: bool = True) -> O
         LA = affine_sum(w2, [lift[f"A{q}"] for q in range(len(w2))])
         LM_dt = lift["M"] / dt
         M2_dt = s2.mass / dt
-        G2 = (
-            s2.loads_per_state(mu2m, spec.time)[:, 1:]
-            + LM_dt @ (u1[:-1] - u1[1:]).T
-            - LA @ u1[1:].T
-        )
+        # du[k] = u1[k] - u1[k-1], zero at k = 0
+        du = np.diff(u1, axis=0, prepend=u1[:1])
+        G2 = s2.loads_per_state(mu2m, spec.time) - LM_dt @ du.T - LA @ u1.T
         u2 = _reduced_march(M2_dt + s2.assemble_operator(mu2m), M2_dt, G2, s2.u0_reduced)
     else:
         u2 = _instantaneous_slave(artifacts, u1, mu2m, spec.time)

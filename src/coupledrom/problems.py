@@ -12,6 +12,7 @@ expression strings evaluated with numpy semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import CodeType
 from typing import Mapping
 
 import numpy as np
@@ -70,22 +71,15 @@ def eval_spatial(value, points: np.ndarray):
     return np.broadcast_to(np.asarray(out, dtype=float), points.shape[:-1])
 
 
-#: compiled weight expressions by (source, allowed names); a rejected
-#: expression is not kept, so it raises again on every evaluation
-_THETA_CODE: dict = {}
-
-
 def eval_theta(value, mu: Mapping[str, float], t: float | None = None) -> float:
-    """Evaluate a parameter/time weight (number or expression), compiling
-    each expression once."""
-    if not isinstance(value, str):
+    """Evaluate a parameter/time weight: a number, an expression, or an
+    expression already compiled by ``compile_expression``."""
+    if isinstance(value, str):
+        value = compile_expression(value, set(mu) | {"t"}, "theta")
+    elif not isinstance(value, CodeType):
         return float(value)
-    key = (value, frozenset(mu))
-    code = _THETA_CODE.get(key)
-    if code is None:
-        code = _THETA_CODE[key] = compile_expression(value, set(mu) | {"t"}, "theta")
     env = {**mu, "t": 0.0 if t is None else float(t), **_FUNCTIONS}
-    return float(eval(code, {"__builtins__": {}}, env))
+    return float(eval(value, {"__builtins__": {}}, env))
 
 
 def spatial_coefficient(value) -> Coefficient:

@@ -14,7 +14,9 @@ from coupledrom.errors import (
     SolverFailureError,
 )
 from coupledrom.library import heat_laplace_pair, steady_pair_2d, transport_wall_pair
-from coupledrom.pipeline import affine_sum
+from coupledrom.experiments import unsteady_query_bounds
+from coupledrom.pipeline import ReducedSubmodel, affine_sum
+from coupledrom.pod import ReducedBasis
 from coupledrom.problems import (
     AffineTerm,
     BoxMeshSpec,
@@ -449,6 +451,58 @@ class TestOnlineMatchesPerStepMarch:
         assert np.array_equal(online.master_reduced, u1)
         # the slave's lifting terms enter as one block: summation order differs
         assert np.max(np.abs(online.slave_reduced - u2)) <= 1e-12 * np.max(np.abs(u2))
+
+
+    @pytest.mark.parametrize("sample", [0, 2])
+    def test_marching_slave_bound_totals_match(self, marching_training, sample):
+        training = marching_training
+        art = cr.build_artifacts(training, (1e-6, 1e-6, 1e-6))
+        mu1 = training.master_samples.points[sample]
+        res = cr.fom_coupled_solve(training.fom, mu1, [])
+        online = cr.online_unsteady(art, mu1, [])
+        u1, u2 = reference_online_unsteady(art, mu1, [])
+        reference = dataclasses.replace(online, master_reduced=u1, slave_reduced=u2)
+        totals, ref_totals = (
+            np.array([r.total for r in unsteady_query_bounds(training.fom, art, mu1, [], o, res)])
+            for o in (online, reference)
+        )
+        # the slave residual cancels: its 1e-16 state differences grow here
+        assert np.all(np.abs(totals - ref_totals) <= 2e-11 * ref_totals)
+
+
+def test_weights_compiled_once_per_submodel_and_rejected_every_time(monkeypatch):
+    import coupledrom.pipeline as pipeline
+
+    calls = []
+    real = pipeline.compile_expression
+
+    def counting(source, *args):
+        calls.append(source)
+        return real(source, *args)
+
+    monkeypatch.setattr(pipeline, "compile_expression", counting)
+    source = "0.25 * kappa_once + t ** 3"
+    sub = ReducedSubmodel(
+        basis=ReducedBasis(np.eye(2), np.ones(2), 0.0),
+        op_terms=[(source, np.eye(2))],
+        mass=np.eye(2),
+        load_terms=[(source, np.ones(2))],
+        u0_reduced=np.zeros(2),
+        unsteady=True,
+    )
+    mu = {"kappa_once": 2.0}
+    loads = sub.loads_per_state(mu, TimeSpec(0.001, 999))
+    weights = [sub.theta_weights(mu, k * 0.001)[0] for k in range(1000)]
+    assert calls == [source]
+    expected = [eval_theta(source, mu, k * 0.001) for k in range(1000)]
+    assert np.array_equal(loads[0], expected) and weights == expected
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            sub.theta_weights({"kappa": 1.0})
+    assert calls == [source] * 3
+    # a submodel built again compiles again, so every run compiles as often
+    dataclasses.replace(sub).theta_weights(mu)
+    assert calls == [source] * 4
 
 
 class TestToleranceMonotonicity:

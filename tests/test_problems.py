@@ -35,26 +35,10 @@ class TestExpressions:
         assert eval_theta("sin(pi*t)", {}, t=0.5) == pytest.approx(1.0)
         assert eval_theta(1.25, {}) == 1.25
 
-    def test_theta_compiled_once_and_rejected_every_time(self, monkeypatch):
-        import coupledrom.problems as problems
-
-        calls = []
-        real = problems.compile_expression
-
-        def counting(*args):
-            calls.append(args[0])
-            return real(*args)
-
-        monkeypatch.setattr(problems, "compile_expression", counting)
-        source = "0.25 * kappa_once + t ** 3"
-        values = [eval_theta(source, {"kappa_once": 2.0}, t=0.001 * i) for i in range(1000)]
-        assert calls == [source]
-        assert values[10] == pytest.approx(0.5 + 1e-6)
-        bad = "kappa_twice * 2"
-        for _ in range(2):
-            with pytest.raises(ConfigError):
-                eval_theta(bad, {"kappa": 1.0})
-        assert calls == [source, bad, bad]
+    def test_theta_accepts_compiled_expression(self):
+        source = "alpha * sin(pi*t)"
+        code = compile_expression(source, {"alpha", "t"}, "theta")
+        assert eval_theta(code, {"alpha": 3.0}, t=0.25) == eval_theta(source, {"alpha": 3.0}, t=0.25)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
