@@ -10,9 +10,15 @@ semigroup; for symmetric definite pairs that constant is the sharp
 ``sqrt(cond(M))``, otherwise the Gronwall surrogate ``1 + c t exp(c t)``
 with ``c = ||M^{-1} A||_2`` is used.  ``sqrt(cond(M))`` and the
 factorization of ``M`` depend on ``M`` alone: a ``MassBlock`` computes each
-once, on first use, so that a caller can keep them across queries.  The
-bounds certify but are heuristic in tightness; effectivities are reported,
-not constrained.
+once, on first use, so that a caller can keep them across queries.
+
+``sqrt(cond(M))`` and ``sigma_min`` are proved, not estimated: an
+eigenvalue estimate is moved a small margin to its safe side and one
+factorization with positive pivots, whose rounding error is bounded
+rigorously (S. M. Rump, "Verification of positive definiteness", BIT 46,
+2006), proves the shifted bound.  The Gronwall ``c3`` stays a power-iteration
+estimate.  The bounds are heuristic in tightness; effectivities are
+reported, not constrained.
 """
 
 from __future__ import annotations
@@ -30,6 +36,12 @@ from .fem import factorized_solver
 
 _POWER_MAX_ITER = 5000
 _POWER_RTOL = 1e-9
+#: relative distance of the first certified shift from an eigenvalue
+#: estimate; each factorization that fails multiplies it by _CERT_GROWTH
+_CERT_MARGIN = 1e-10
+_CERT_GROWTH = 100.0
+_CERT_TRIES = 5
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +83,8 @@ def residual_unsteady(
             f"load block {F.shape} is not one column per state ({A_N.shape[0]}, {n_steps + 1})"
         )
     m_solve = MassBlock.of(M).solve
-    out = np.empty((n_steps, V.shape[0]))
-    for k in range(1, n_steps + 1):
-        full = V @ traj[k]
-        dudt = V @ ((traj[k] - traj[k - 1]) / dt)
-        out[k - 1] = m_solve(F[:, k] - A_N @ full) - dudt
-    return out
+    dudt = V @ (np.diff(traj, axis=0).T / dt)
+    return (m_solve(F[:, 1:] - A_N @ (V @ traj[1:].T)) - dudt).T
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +112,31 @@ class MassBlock:
 
     @cached_property
     def symmetric(self) -> bool:
-        M = self.matrix
-        return abs(M - M.T).max() <= 1e-10 * abs(M).max()
+        return _nearly_symmetric(self.matrix)
 
     @cached_property
     def condition_root(self) -> float:
-        """``sqrt(lambda_max / lambda_min)`` of a symmetric positive definite
-        ``M``: power iterations for ``lambda_max``, then for ``1/lambda_min``."""
+        """A proved upper bound on ``sqrt(lambda_max / lambda_min)`` of a
+        symmetric positive definite ``M``.  Lanczos estimates both ends, the
+        smaller one by shift-invert through the kept factorization, and
+        ``_certified_eigenvalue`` proves each."""
         M, n = self.matrix, self.matrix.shape[0]
-        lam_max = operator_two_norm(lambda x: M @ x, lambda x: M @ x, n)
-        lam_min_inv = operator_two_norm(self.solve, self.solve, n)
-        return float(np.sqrt(lam_max * lam_min_inv))
+        op_inv = spla.LinearOperator(M.shape, matvec=self.solve, dtype=float)
+        try:
+            lam_min = spla.eigsh(M, k=1, sigma=0.0, OPinv=op_inv, v0=_start_vector(n),
+                                 return_eigenvectors=False)[0]
+            lam_max = spla.eigsh(M, k=1, which="LA", v0=_start_vector(n),
+                                 return_eigenvectors=False)[0]
+        except spla.ArpackNoConvergence as exc:
+            raise EstimatorConvergenceError(f"Lanczos on the mass matrix: {exc}") from exc
+        lower = _certified_eigenvalue(M, float(lam_min), "min")
+        upper = _certified_eigenvalue(M, float(lam_max), "max")
+        if lower is None or upper is None or not lower > 0.0:
+            raise EstimatorConvergenceError(
+                f"could not certify the spectrum of the mass matrix near "
+                f"[{lam_min:.6e}, {lam_max:.6e}]"
+            )
+        return float(_up(np.sqrt(_up(upper / lower))))
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +144,12 @@ class MassBlock:
 
 
 def sigma_min(A, tol: float = 1e-6, max_iter: int = _POWER_MAX_ITER, seed: int = 0) -> float:
-    """Smallest singular value by inverse power iteration on ``A^T A``.
+    """A proved lower bound on the smallest singular value.
 
-    A tiny diagonal shift is retried once if the factorization hits an
-    exactly singular pivot.
+    Inverse power iteration on ``A^T A`` estimates it; a tiny diagonal shift
+    is retried once if the factorization hits an exactly singular pivot.
+    ``_certified_sigma`` then proves the estimate, or returns 0.0, the
+    trivial lower bound.
     """
     A = A.tocsc() if sp.issparse(A) else sp.csc_matrix(np.asarray(A))
     if A.shape[0] != A.shape[1]:
@@ -150,11 +174,129 @@ def sigma_min(A, tol: float = 1e-6, max_iter: int = _POWER_MAX_ITER, seed: int =
             raise EstimatorConvergenceError("inverse iteration collapsed to zero")
         v = w / norm_w
         if abs(lam - lam_old) <= min(tol * 1e-2, _POWER_RTOL) * abs(lam):
-            return 1.0 / np.sqrt(lam)
+            return _certified_sigma(A, float(1.0 / np.sqrt(lam)))
         lam_old = lam
     raise EstimatorConvergenceError(
         f"sigma_min did not converge within {max_iter} iterations"
     )
+
+
+def _certified_sigma(A, estimate: float) -> float:
+    """A proved lower bound on ``sigma_min(A)`` near ``estimate``, or 0.0.
+
+    A symmetric ``A`` is certified on itself: ``x^T A x <= ||A x|| ||x||``, so
+    a positive lower bound on ``lambda_min`` of its symmetric part bounds
+    ``sigma_min`` from below.  Otherwise, or when that fails (``A`` is
+    indefinite), ``lambda_min(A^T A)`` is certified, less the rounding of
+    the product ``A^T A``."""
+    if _nearly_symmetric(A):
+        lower = _certified_eigenvalue(A, estimate, "min")
+        if lower is not None and lower > 0.0:
+            return lower
+    gram = (A.T @ A).tocsc()
+    lower = _certified_eigenvalue(gram, estimate * estimate, "min")
+    if lower is None:
+        return 0.0
+    absA = abs(A)
+    terms = int(np.diff(A.indptr).max(initial=0))
+    lower = _down(lower - _gamma(terms) * _product_norm_bound(absA.T, absA))
+    return float(_down(np.sqrt(lower))) if lower > 0.0 else 0.0
+
+
+# ---------------------------------------------------------------------------
+# certificates
+
+
+def _up(x):
+    return np.nextafter(x, np.inf)
+
+
+def _down(x):
+    return np.nextafter(x, -np.inf)
+
+
+def _gamma(k: int) -> float:
+    """``k u / (1 - k u)``: relative error bound of a sum of ``k`` products."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _nearly_symmetric(A) -> bool:
+    return abs(A - A.T).max() <= 1e-10 * abs(A).max()
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """The start vector of every ARPACK call: without one, ARPACK's start
+    depends on the call history of the process, and so do its results."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
+def _product_norm_bound(P, Q) -> float:
+    """An upper bound on ``||P Q||_2`` for entrywise non-negative sparse ``P``
+    and ``Q``: ``sqrt(||PQ||_1 ||PQ||_inf)``, each norm from two mat-vecs with
+    a ones vector, raised for the rounding of their non-negative sums."""
+    inf_norm = (P @ (Q @ np.ones(Q.shape[1]))).max(initial=0.0)
+    one_norm = (Q.T @ (P.T @ np.ones(P.shape[0]))).max(initial=0.0)
+    return float(np.sqrt(one_norm * inf_norm)) * (1.0 + 8.0 * _gamma(sum(P.shape) + 4))
+
+
+def _negative_radius(B) -> float | None:
+    """An ``eps`` with ``B >= -eps I`` for a symmetric sparse ``B``, proved by
+    one factorization, or None when a pivot is not positive.
+
+    ``P B P^T = L U`` with diagonal pivots ``d = diag(U)``.  With ``d > 0``,
+    ``L D L^T`` is positive semidefinite, and ``P B P^T - L D L^T = L F - E``
+    with ``F = U - D L^T`` and the backward error ``|E| <= gamma_k |L| |U|``
+    of Gaussian elimination, ``k`` bounding the products summed into any
+    entry.  So ``eps = ||X||_2`` for ``X = |L| |F| + gamma_k |L| |U|``.  The
+    computed ``F`` has ``|F| <= (1 + 3u) |fl(F)| + 2u |U|``, hence the extra
+    ``2u``, and a factor ``1 + 8u`` that also covers the rounding in forming
+    ``G``.
+    """
+    try:
+        lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # exactly zero pivot
+        return None
+    L, U = lu.L, lu.U  # CSC
+    d = U.diagonal()
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(d > 0.0)):  # NaN fails too
+        return None
+    rows = L.tocsr()  # row j of L is column j of L^T
+    DLt = sp.csc_matrix((rows.data * d[rows.indices], rows.indices, rows.indptr), shape=L.shape)
+    k = 1 + max(np.diff(L.indptr).max(), np.diff(rows.indptr).max(),
+                np.diff(U.indptr).max(), np.bincount(U.indices).max())
+    G = abs(U - DLt) + (_gamma(int(k)) + 2.0 * _UNIT_ROUNDOFF) * abs(U)
+    radius = _product_norm_bound(abs(L), G) * (1.0 + 8.0 * _UNIT_ROUNDOFF)
+    return radius if np.isfinite(radius) else None
+
+
+def _certified_eigenvalue(S, estimate: float, end: str) -> float | None:
+    """A proved bound on an extreme eigenvalue of the symmetric part of
+    ``S``, near its ``estimate``: a lower bound on ``lambda_min`` for
+    ``end == "min"``, an upper bound on ``lambda_max`` for ``"max"``.
+
+    The shift ``s`` is the estimate moved a relative margin to the safe side;
+    ``B = +-(sym(S) - s I)`` then certifies ``lambda_min >= s - eps`` or
+    ``lambda_max <= s + eps`` by ``_negative_radius``, with ``eps`` raised by
+    the rounding in forming ``B``.  A failed factorization widens the margin,
+    up to ``_CERT_TRIES`` times; None when none succeeds.
+    """
+    sign = 1.0 if end == "min" else -1.0
+    S = S.tocsc()
+    sym = (S + S.tocsr().T) * 0.5  # CSC plus the CSC layout of S^T
+    eye = sp.identity(S.shape[0], format="csc")
+    margin = _CERT_MARGIN
+    for _ in range(_CERT_TRIES):
+        shift = estimate - sign * margin * abs(estimate)
+        margin *= _CERT_GROWTH
+        B = sym - shift * eye if end == "min" else shift * eye - sym
+        radius = _negative_radius(B)
+        if radius is None:
+            continue
+        # every entry of B took at most two roundings from sym(S) - s I
+        radius += 4.0 * _UNIT_ROUNDOFF * float((abs(B) @ np.ones(B.shape[0])).max())
+        return float(_down(shift - radius) if end == "min" else _up(shift + radius))
+    return None
 
 
 def operator_two_norm(
@@ -226,7 +368,8 @@ def _is_dissipative(A, rtol: float = 1e-10) -> bool:
     if scale == 0.0:
         return True
     try:
-        lam = spla.eigsh(sym, k=1, which="SA", return_eigenvectors=False, maxiter=5000)
+        lam = spla.eigsh(sym, k=1, which="SA", v0=_start_vector(sym.shape[0]),
+                         return_eigenvectors=False, maxiter=5000)
         return float(lam[0]) >= -rtol * scale
     except (spla.ArpackNoConvergence, RuntimeError):
         # indefinite-shift factorization or no convergence: fall back to the
@@ -305,6 +448,7 @@ def error_bound_steady(
             "sigma_min_slave": s2,
             "transfer_norm_C": C,
             "magic_rows_norm": sub_norm,
+            "certified": True,
         },
         actual_error=actual_error,
         detail={"master_residual": r1, "slave_residual": r2},
@@ -315,10 +459,7 @@ def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     """Trapezoidal integral of ``||r||`` up to each step; the value at the
     first node is extended backwards over the initial interval."""
     norms = np.concatenate([[values[0]], values])
-    out = np.zeros(len(values) + 1)
-    for k in range(1, len(norms)):
-        out[k] = out[k - 1] + 0.5 * dt * (norms[k - 1] + norms[k])
-    return out
+    return np.concatenate([[0.0], np.cumsum(0.5 * dt * (norms[:-1] + norms[1:]))])
 
 
 def error_bound_unsteady(

@@ -332,7 +332,8 @@ def apply_dirichlet_lifting(
 
 
 def factorized_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Return a reusable solver for ``A``; LU for moderate sizes, CG above."""
+    """Return a reusable solver for ``A``, of one right-hand side or a block
+    of columns; LU for moderate sizes, CG (column by column) above."""
     n = A.shape[0]
     if n <= DIRECT_SOLVE_LIMIT:
         try:
@@ -346,6 +347,8 @@ def factorized_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     precond = spla.LinearOperator(A.shape, matvec=lambda x: x / diag)
 
     def solve(b: np.ndarray) -> np.ndarray:
+        if b.ndim == 2:
+            return np.column_stack([solve(col) for col in b.T])
         x, info = spla.cg(A, b, rtol=SOLVE_RTOL, atol=0.0, M=precond, maxiter=20 * n)
         if info != 0:
             res = float(np.linalg.norm(b - A @ x))

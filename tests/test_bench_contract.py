@@ -81,3 +81,26 @@ def test_benchmark_call_binds_to_library_signature(name, arity):
     module, attr = name.split(".")
     function = getattr(importlib.import_module(f"coupledrom.{module}"), attr)
     inspect.signature(function).bind(*range(arity))
+
+
+def test_certified_constants_unchanged_under_the_tracer():
+    """The tracer replaces ``estimator.spla`` by a proxy whose ``splu``
+    returns a counting stand-in; the certificates read the factors through
+    it and must give the same bits."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    from coupledrom import estimator
+
+    rng = np.random.default_rng(1)
+    K = sp.random(60, 60, density=0.1, random_state=rng)
+    A = (K @ K.T + sp.identity(60)).tocsc()
+    plain = (estimator.MassBlock(A).condition_root, estimator.sigma_min(A))
+    tracing = load_tracing()
+    handle = tracing.install(tracing.Tracer())
+    try:
+        assert not isinstance(estimator.spla, type(sp))
+        traced = (estimator.MassBlock(A).condition_root, estimator.sigma_min(A))
+    finally:
+        handle.undo()
+    assert traced == plain

@@ -185,6 +185,7 @@ class TestErrorBoundSteady:
         total = report.master_term + report.deim_term + report.slave_term
         assert report.total == pytest.approx(total, rel=1e-12)
         assert report.total >= 0.0
+        assert report.constants["certified"] is True
 
     def test_full_rank_bound_and_error_tiny(self):
         spec = steady_pair_2d(master_subdivisions=(3, 3), slave_subdivisions=(3, 3))
@@ -286,15 +287,13 @@ class TestDissipativeDetection:
 def reference_semigroup_constant(M, A, horizon, **_):
     """Per-query composition of the semigroup constant, computing everything
     afresh: one mass factorization, c3, the eigenvalue test on A(mu), then
-    lambda_max and 1/lambda_min of M."""
+    ``sqrt(cond(M))`` of a new mass block."""
     M = (M.matrix if isinstance(M, MassBlock) else M).tocsc()
     A = A.tocsr()
     m_solve = factorized_solver(M)
     c3 = operator_two_norm(lambda x: m_solve(A @ x), lambda x: A.T @ m_solve(x), A.shape[0])
     if abs(M - M.T).max() <= 1e-10 * abs(M).max() and _is_dissipative(A):
-        lam_max = operator_two_norm(lambda x: M @ x, lambda x: M @ x, M.shape[0])
-        lam_min_inv = operator_two_norm(m_solve, m_solve, M.shape[0])
-        return float(np.sqrt(lam_max * lam_min_inv)), c3, "dissipative"
+        return MassBlock(M).condition_root, c3, "dissipative"
     return gronwall_constant(c3, horizon), c3, "gronwall"
 
 
@@ -368,7 +367,7 @@ class TestConstantsPerFom:
 
     def test_mass_work_runs_once_per_fom(self, heat_artifacts, monkeypatch):
         spec, art = heat_artifacts
-        calls = {"two_norm": 0, "factorize": 0, "eigsh": 0}
+        calls = {"two_norm": 0, "factorize": 0, "dissipative": 0, "eigsh": 0, "certificate": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -379,14 +378,21 @@ class TestConstantsPerFom:
 
         monkeypatch.setattr(est, "operator_two_norm", counted("two_norm", operator_two_norm))
         monkeypatch.setattr(est, "factorized_solver", counted("factorize", factorized_solver))
-        monkeypatch.setattr(est, "_is_dissipative", counted("eigsh", _is_dissipative))
+        monkeypatch.setattr(est, "_is_dissipative", counted("dissipative", _is_dissipative))
+        monkeypatch.setattr(est.spla, "eigsh", counted("eigsh", est.spla.eigsh))
+        monkeypatch.setattr(est, "_negative_radius", counted("certificate", est._negative_radius))
         fom = cr.build_fom(spec)
-        assert calls == {"two_norm": 0, "factorize": 0, "eigsh": 0}
+        assert set(calls.values()) == {0}
         assert "free_mass" not in vars(fom.master)
+        bounds_at(spec, art, [[0.7]], fom)
+        # one factorization and the two certificates of the mass; one Lanczos
+        # run per spectrum end and one for the eigenvalue test of the one
+        # operator term; one certificate of the slave's sigma_min
+        once = {"two_norm": 0, "factorize": 1, "dissipative": 1, "eigsh": 3, "certificate": 3}
+        assert calls == once
         bounds_at(spec, art, self.ALPHAS, fom)
-        # lambda_max and 1/lambda_min once, one mass factorization, one
-        # eigenvalue test for the one operator term
-        assert calls == {"two_norm": 2, "factorize": 1, "eigsh": 1}
+        # later queries, each with its own cache, certify only the slave
+        assert calls == dict(once, certificate=3 + len(self.ALPHAS))
 
     @pytest.mark.parametrize("beta", [0.5, -0.5, -30.0])
     def test_negative_weight_runs_the_per_query_test(self, beta, monkeypatch):
@@ -413,5 +419,113 @@ class TestConstantsPerFom:
         assert constants["master_semigroup_C1"] == expected[0]
         assert constants["master_constant_method"] == expected[2]
         assert constants["master_c3"] == (expected[1] if expected[2] == "gronwall" else None)
+        # the Gronwall c3 is an estimate; every other constant is proved
+        assert constants["certified"] is (expected[2] == "dissipative")
         # the per-term verdicts are cached; only a negative weight tests A(mu)
         assert len(tested) == (1 if beta < 0 else 0)
+
+
+# ---------------------------------------------------------------------------
+# certified constants against dense oracles
+
+
+def free_mass(sub):
+    return sub.mass[np.ix_(sub.free_dofs, sub.free_dofs)].tocsc()
+
+
+def dense_condition_root(M):
+    lam = np.linalg.eigvalsh(M.toarray())
+    return float(np.sqrt(lam[-1] / lam[0]))
+
+
+class EigshOffset:
+    """``scipy.sparse.linalg`` whose shift-invert ``eigsh`` returns its
+    eigenvalues scaled by ``factor``: an estimate on the unsafe side."""
+
+    def __init__(self, factor):
+        self.factor = factor
+
+    def eigsh(self, *args, **kwargs):
+        lam = sp.linalg.eigsh(*args, **kwargs)
+        return lam * self.factor if "sigma" in kwargs else lam
+
+    def __getattr__(self, attr):
+        return getattr(sp.linalg, attr)
+
+
+class TestCertifiedConstants:
+    @pytest.fixture(
+        scope="class",
+        params=["heat-4^3", "reaction-heat-2d", "transport-clustered"],
+    )
+    def mass(self, request):
+        spec = {
+            "heat-4^3": lambda: heat_laplace_pair(
+                master_subdivisions=(4, 4, 4), slave_subdivisions=(2, 2, 2), n_steps=2
+            ),
+            "reaction-heat-2d": reaction_heat_pair,
+            # the channel's smallest mass eigenvalues: a pair 0.6% above lambda_min
+            "transport-clustered": lambda: transport_wall_pair((12, 8, 8), (6, 2, 4)),
+        }[request.param]()
+        return free_mass(cr.build_fom(spec).master)
+
+    def test_condition_root_above_dense_oracle(self, mass):
+        oracle = dense_condition_root(mass)
+        got = MassBlock(mass).condition_root
+        assert oracle <= got <= oracle * (1 + 1e-8)
+
+    def test_unsafe_estimate_stays_on_the_safe_side(self, mass, monkeypatch):
+        oracle = dense_condition_root(mass)
+        monkeypatch.setattr(est, "spla", EigshOffset(1 + 1e-3))
+        got = MassBlock(mass).condition_root
+        assert oracle <= got <= oracle * 1.01
+
+    @pytest.mark.parametrize("role", ["master", "slave"])
+    def test_sigma_min_below_dense_oracle_steady_pair(self, role):
+        from coupledrom.experiments import _eliminated
+
+        fom = cr.build_fom(steady_pair_2d())
+        sub = getattr(fom, role)
+        mu = sub.mu_mapping([hi for _, hi in sub.spec.parameters.ranges])
+        trace = np.zeros(len(sub.interface.dof_indices)) if role == "slave" else None
+        A, _ = _eliminated(sub, mu, trace)
+        oracle = np.linalg.svd(A.toarray(), compute_uv=False)[-1]
+        got = sigma_min(A)
+        assert oracle * (1 - 1e-8) <= got <= oracle
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_sigma_min_below_dense_oracle_nonsymmetric(self, seed):
+        A = np.random.default_rng(seed).standard_normal((30, 30))
+        oracle = np.linalg.svd(A, compute_uv=False)[-1]
+        got = sigma_min(sp.csr_matrix(A))
+        assert oracle * (1 - 1e-6) <= got <= oracle
+
+    def test_symmetric_indefinite_certified_on_normal_matrix(self):
+        # A - s I is indefinite at every shift near sigma_min, so A^T A
+        # carries the certificate
+        got = sigma_min(sp.csr_matrix(np.diag([1.5, -1.0, 3.0])))
+        assert 1.0 - 1e-8 <= got <= 1.0
+
+    def test_no_certificate_gives_trivial_bound(self, monkeypatch):
+        monkeypatch.setattr(est, "_negative_radius", lambda B: None)
+        assert sigma_min(sp.diags([2.0, 3.0]).tocsr()) == 0.0
+        with pytest.raises(EstimatorConvergenceError):
+            MassBlock(sp.diags([2.0, 3.0, 4.0]).tocsc()).condition_root
+
+    def test_arpack_start_is_seeded(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        K = rng.standard_normal((40, 40))
+        A = sp.csr_matrix(K + K.T + 20 * np.eye(40))
+        seen = []
+        eigsh = est.spla.eigsh
+
+        def recording(*args, **kwargs):
+            seen.append(eigsh(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(est.spla, "eigsh", recording)
+        _is_dissipative(A)
+        eigsh(sp.identity(40, format="csr") + A, k=2)  # moves ARPACK's own start
+        _is_dissipative(A)
+        assert len(seen) == 2
+        assert seen[0].tobytes() == seen[1].tobytes()

@@ -418,3 +418,5 @@ class TestIterativeSolvePath:
         # a block of loads is solved column by column on this path
         U = solve_steady(A, np.column_stack([f, 2.0 * f]))
         assert np.linalg.norm(U[:, 1] - 2.0 * u) <= 1e-9 * np.linalg.norm(u)
+        # so is a block passed to the solver itself
+        assert np.array_equal(fem.factorized_solver(A)(np.column_stack([f, 2.0 * f])), U)
