@@ -120,17 +120,15 @@ class MassBlock:
         symmetric positive definite ``M``.  Lanczos estimates both ends, the
         smaller one by shift-invert through the kept factorization, and
         ``_certified_eigenvalue`` proves each."""
-        M, n = self.matrix, self.matrix.shape[0]
+        M = self.matrix
         op_inv = spla.LinearOperator(M.shape, matvec=self.solve, dtype=float)
         try:
-            lam_min = spla.eigsh(M, k=1, sigma=0.0, OPinv=op_inv, v0=_start_vector(n),
-                                 return_eigenvectors=False)[0]
-            lam_max = spla.eigsh(M, k=1, which="LA", v0=_start_vector(n),
-                                 return_eigenvectors=False)[0]
+            lam_min = _lanczos_eigenvalue(M, sigma=0.0, OPinv=op_inv)
+            lam_max = _lanczos_eigenvalue(M, which="LA")
         except spla.ArpackNoConvergence as exc:
             raise EstimatorConvergenceError(f"Lanczos on the mass matrix: {exc}") from exc
-        lower = _certified_eigenvalue(M, float(lam_min), "min")
-        upper = _certified_eigenvalue(M, float(lam_max), "max")
+        lower = _certified_eigenvalue(M, lam_min, "min")
+        upper = _certified_eigenvalue(M, lam_max, "max")
         if lower is None or upper is None or not lower > 0.0:
             raise EstimatorConvergenceError(
                 f"could not certify the spectrum of the mass matrix near "
@@ -228,6 +226,15 @@ def _start_vector(n: int) -> np.ndarray:
     """The start vector of every ARPACK call: without one, ARPACK's start
     depends on the call history of the process, and so do its results."""
     return np.random.default_rng(0).standard_normal(n)
+
+
+def _lanczos_eigenvalue(S, **options) -> float:
+    """One eigenvalue of a symmetric sparse ``S`` by ``eigsh(k=1, **options)``.
+    ARPACK needs ``k < N``: the one entry of a 1x1 ``S`` is its eigenvalue."""
+    if S.shape[0] == 1:
+        return float(S[0, 0])
+    return float(spla.eigsh(S, k=1, v0=_start_vector(S.shape[0]),
+                            return_eigenvectors=False, **options)[0])
 
 
 def _product_norm_bound(P, Q) -> float:
@@ -368,9 +375,7 @@ def _is_dissipative(A, rtol: float = 1e-10) -> bool:
     if scale == 0.0:
         return True
     try:
-        lam = spla.eigsh(sym, k=1, which="SA", v0=_start_vector(sym.shape[0]),
-                         return_eigenvectors=False, maxiter=5000)
-        return float(lam[0]) >= -rtol * scale
+        return _lanczos_eigenvalue(sym, which="SA", maxiter=5000) >= -rtol * scale
     except (spla.ArpackNoConvergence, RuntimeError):
         # indefinite-shift factorization or no convergence: fall back to the
         # safe answer (the Gronwall surrogate remains an upper bound)

@@ -39,6 +39,7 @@ from .problems import (
     compile_expression,
     eval_spatial,
     eval_theta,
+    reads_time,
     spatial_coefficient,
 )
 from .sampling import SampleSet, lhs_sample
@@ -85,13 +86,16 @@ class AffineSubmodel:
     def loads_per_state(self, mu: Mapping, time: TimeSpec | None = None) -> np.ndarray:
         """The steady load ``(n,)`` when ``time`` is None, else one load
         column per state ``t_0 .. t_n`` of the time grid ``(n, n_steps + 1)``:
-        each weight is evaluated once per state and each term is added into
-        every state at once."""
+        each weight is evaluated once per state, or once when it does not
+        read ``t``, and each term is added into every state at once."""
         states = [None] if time is None else [k * time.dt for k in range(time.n_steps + 1)]
         out = np.zeros((self.n, len(states)))
         for theta, vec in self.load_terms:
             code = self._compiled(theta, mu)
-            out += vec[:, None] * np.array([eval_theta(code, mu, t) for t in states])
+            if reads_time(code):
+                out += vec[:, None] * np.array([eval_theta(code, mu, t) for t in states])
+            else:
+                out += vec[:, None] * eval_theta(code, mu)
         return out[:, 0] if time is None else out
 
 
@@ -654,15 +658,19 @@ def _reduced_march(S: np.ndarray, M_dt: np.ndarray, G: np.ndarray, u0: np.ndarra
     """States ``u[0] = u0`` and ``S u[k+1] = G[:, k+1] + M_dt u[k]``, one per
     column of the load block ``G`` (column 0 is not read), with ``S``
     factorized once."""
-    # getrf itself: scipy's lu_factor only warns on an exactly zero pivot
-    (getrf,) = sla.get_lapack_funcs(("getrf",), (S,))
+    # LAPACK itself: scipy's lu_factor only warns on an exactly zero pivot,
+    # and lu_solve(..., check_finite=False) calls this same getrs on the same
+    # arrays behind a per-call wrapper that costs more than the 2n^2 flops
+    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (S,))
     lu, piv, info = getrf(S)
     if info != 0:
         raise _singular(f"getrf info {info}")
     u = np.empty((G.shape[1], len(u0)))
     u[0] = u0
     for k in range(G.shape[1] - 1):
-        u[k + 1] = sla.lu_solve((lu, piv), G[:, k + 1] + M_dt @ u[k], check_finite=False)
+        u[k + 1], info = getrs(lu, piv, G[:, k + 1] + M_dt @ u[k])
+        if info != 0:
+            raise _singular(f"getrs info {info}")
     return _finite(u)
 
 

@@ -82,6 +82,15 @@ def eval_theta(value, mu: Mapping[str, float], t: float | None = None) -> float:
     return float(eval(value, {"__builtins__": {}}, env))
 
 
+def reads_time(value) -> bool:
+    """Whether a weight compiled by ``compile_expression`` names ``t``, in
+    its own code or in a nested one (a comprehension has its own); a number
+    never does."""
+    if not isinstance(value, CodeType):
+        return False
+    return "t" in value.co_names or any(reads_time(c) for c in value.co_consts)
+
+
 def spatial_coefficient(value) -> Coefficient:
     if isinstance(value, (tuple, list)):
         comps = tuple(value)

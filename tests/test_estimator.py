@@ -529,3 +529,30 @@ class TestCertifiedConstants:
         _is_dissipative(A)
         assert len(seen) == 2
         assert seen[0].tobytes() == seen[1].tobytes()
+
+
+class TestOneByOneBlocks:
+    # ARPACK cannot take k = 1 eigenvalue of a 1x1 matrix: the entry is the
+    # estimate, and the certificate still proves it
+    pytestmark = pytest.mark.filterwarnings("error")
+
+    @pytest.mark.parametrize("entry, expected", [(1.0, True), (-1.0, False), (0.0, True)])
+    def test_is_dissipative(self, entry, expected):
+        assert _is_dissipative(sp.csr_matrix([[entry]])) == expected
+
+    def test_condition_root_proved(self, monkeypatch):
+        assert 1.0 <= MassBlock(sp.csr_matrix([[2.0]])).condition_root <= 1.0 + 1e-8
+        monkeypatch.setattr(est, "_negative_radius", lambda B: None)
+        with pytest.raises(EstimatorConvergenceError):
+            MassBlock(sp.csr_matrix([[2.0]])).condition_root
+
+    def test_semigroup_constant(self):
+        M = sp.csr_matrix([[2.0]])
+        c, c3, method = semigroup_constant(M, sp.csr_matrix([[3.0]]), 1.0)
+        assert method == "dissipative" and c3 is None and 1.0 <= c <= 1.0 + 1e-8
+        c, c3, method = semigroup_constant(M, sp.csr_matrix([[-1.0]]), 1.0)
+        assert method == "gronwall" and c3 == pytest.approx(0.5)
+        assert c == pytest.approx(gronwall_constant(c3, 1.0))
+
+    def test_sigma_min_proved(self):
+        assert 2.0 * (1 - 1e-8) <= sigma_min(sp.csr_matrix([[2.0]])) < 2.0

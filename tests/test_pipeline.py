@@ -4,6 +4,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coupledrom as cr
 import coupledrom.fem as fem
@@ -15,7 +17,7 @@ from coupledrom.errors import (
 )
 from coupledrom.library import heat_laplace_pair, steady_pair_2d, transport_wall_pair
 from coupledrom.experiments import unsteady_query_bounds
-from coupledrom.pipeline import ReducedSubmodel, affine_sum
+from coupledrom.pipeline import ReducedSubmodel, _reduced_march, affine_sum
 from coupledrom.pod import ReducedBasis
 from coupledrom.problems import (
     AffineTerm,
@@ -24,7 +26,9 @@ from coupledrom.problems import (
     ForcingTerm,
     SubmodelSpec,
     TimeSpec,
+    compile_expression,
     eval_theta,
+    reads_time,
 )
 from coupledrom.sampling import ParameterSpace
 
@@ -505,6 +509,70 @@ def test_weights_compiled_once_per_submodel_and_rejected_every_time(monkeypatch)
     assert calls == [source] * 4
 
 
+class TestTimeIndependentLoadWeights:
+    # a weight that does not read t is evaluated once per query; the loads
+    # stay those of the per-state evaluation, bit for bit
+    WEIGHTS = {
+        "number": 1.5,
+        "mu-only": "2.0 * kappa + 0.25",
+        "time": "kappa * sin(3 * t) + t ** 2",
+        "comprehension": "maximum(*[k * k for k in (t, kappa)])",
+    }
+
+    @pytest.mark.parametrize("name", list(WEIGHTS))
+    def test_loads_equal_per_state_evaluation(self, name):
+        rng = np.random.default_rng(11)
+        theta = self.WEIGHTS[name]
+        sub = ReducedSubmodel(
+            basis=ReducedBasis(np.eye(5), np.ones(5), 0.0),
+            op_terms=[(1.0, np.eye(5))],
+            mass=np.eye(5),
+            load_terms=[(0.3, rng.standard_normal(5)), (theta, rng.standard_normal(5))],
+            u0_reduced=np.zeros(5),
+            unsteady=True,
+        )
+        mu, time = {"kappa": 0.7}, TimeSpec(0.013, 40)
+        loads = sub.loads_per_state(mu, time)
+        for k in range(time.n_steps + 1):
+            assert np.array_equal(loads[:, k], load_at(sub, mu, k * time.dt))
+        assert np.array_equal(sub.loads_per_state(mu), load_at(sub, mu))
+
+    def test_reads_time_looks_into_nested_code(self):
+        names = {"t", "kappa"}
+        assert reads_time(compile_expression("kappa * t", names))
+        assert reads_time(compile_expression("minimum(*[k * t for k in (1.0, 2.0)])", names))
+        assert not reads_time(compile_expression("minimum(*[t for t in (1.0, kappa)])", names))
+        assert not reads_time(compile_expression("2.0 * kappa", names))
+        assert not reads_time(1.0)
+
+    def test_heat_query_evaluates_its_load_weight_once(self, monkeypatch):
+        import coupledrom.pipeline as pipeline
+
+        spec = heat_laplace_pair(
+            master_subdivisions=(4, 4, 4), slave_subdivisions=(2, 2, 2), n_steps=50
+        )
+        art = cr.full_rank_artifacts(spec)
+        calls = []
+        real = pipeline.eval_theta
+
+        def counting(value, mu, t=None):
+            calls.append(t)
+            return real(value, mu, t)
+
+        monkeypatch.setattr(pipeline, "eval_theta", counting)
+        mu1m = spec.master.parameters.as_mapping(np.array([0.5]))
+        art.master.loads_per_state(mu1m, spec.time)
+        assert calls == [None]
+        # the whole query: one call per weight, however many steps
+        calls.clear()
+        cr.online_unsteady(art, [0.5], [], expand=False)
+        per_query = len(calls)
+        short = dataclasses.replace(art, spec=dataclasses.replace(spec, time=TimeSpec(0.02, 3)))
+        calls.clear()
+        cr.online_unsteady(short, [0.5], [], expand=False)
+        assert len(calls) == per_query and set(calls) == {None}
+
+
 class TestToleranceMonotonicity:
     def test_plateau_property_on_grid(self, steady_training):
         # once the slave tolerance drops below the other two, further
@@ -612,6 +680,65 @@ class TestSingularReducedSystems:
         art = dataclasses.replace(art, master=dataclasses.replace(art.master, op_terms=tiny))
         with pytest.raises(SingularRomError):
             cr.online_steady(art, [1.0, 1.0], [])
+
+
+    def test_overflowing_unsteady_march_raises_singular_rom_error(self):
+        # nonzero pivots, so the factorization passes; the states overflow,
+        # and the march's final check is the one that sees it
+        spec = heat_laplace_pair(
+            master_subdivisions=(4, 4, 4), slave_subdivisions=(2, 2, 2), n_steps=8
+        )
+        art = cr.full_rank_artifacts(spec)
+        m1 = art.master
+        tiny = dataclasses.replace(
+            m1, op_terms=[(theta, 1e-310 * A) for theta, A in m1.op_terms], mass=1e-310 * m1.mass
+        )
+        art = dataclasses.replace(art, master=tiny)
+        with pytest.raises(SingularRomError):
+            cr.online_unsteady(art, [0.5], [])
+        mu1m = spec.master.parameters.as_mapping(np.array([0.5]))
+        M_dt = tiny.mass / spec.time.dt
+        with pytest.raises(SingularRomError, match="non-finite"):
+            _reduced_march(
+                M_dt + tiny.assemble_operator(mu1m),
+                M_dt,
+                tiny.loads_per_state(mu1m, spec.time),
+                tiny.u0_reduced,
+            )
+
+
+def reference_reduced_march(S, M_dt, G, u0):
+    """``_reduced_march`` composed from scipy's factor and solve wrappers."""
+    lu = sla.lu_factor(S)
+    u = np.empty((G.shape[1], len(u0)))
+    u[0] = u0
+    for k in range(G.shape[1] - 1):
+        u[k + 1] = sla.lu_solve(lu, G[:, k + 1] + M_dt @ u[k], check_finite=False)
+    return u
+
+
+class TestReducedMarch:
+    @given(n=st.integers(1, 12), n_steps=st.integers(1, 60), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_lu_solve_bit_for_bit(self, n, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        K = rng.standard_normal((n, n))
+        S = K + (np.linalg.norm(K) + 1.0) * np.eye(n)  # sigma_min(S) >= 1
+        M_dt = rng.standard_normal((n, n))
+        G = rng.standard_normal((n, n_steps + 1))
+        u0 = rng.standard_normal(n)
+        got = _reduced_march(S, M_dt, G, u0)
+        assert np.array_equal(got, reference_reduced_march(S, M_dt, G, u0))
+
+    @given(n=st.integers(1, 12), seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_exactly_singular_system_raises(self, n, seed, data):
+        # a zero column stays zero under elimination: an exactly zero pivot
+        rng = np.random.default_rng(seed)
+        S = rng.standard_normal((n, n))
+        S[:, data.draw(st.integers(0, n - 1))] = 0.0
+        with pytest.raises(SingularRomError, match="getrf"):
+            _reduced_march(S, np.eye(n), rng.standard_normal((n, 4)), np.zeros(n))
 
 
 class TestConformingTraceExactness:
