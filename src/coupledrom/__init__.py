@@ -28,6 +28,7 @@ from .experiments import (
     config_from_dict,
     evaluate_test_set,
     measure_speedup,
+    query_bounds,
     run_offline,
     run_sweep,
     steady_query_bound,

@@ -1,11 +1,13 @@
 """Residual-based a-posteriori error bounds for the coupled reduction.
 
-The steady bound sums three computable terms: the slave residual scaled by
-the smallest singular value of the (eliminated) slave operator, the
-interpolation-projection error of the interface data, and the master
-residual scaled by its own smallest singular value times the norm of the
-stored reduced-transfer operator.  The unsteady variant integrates residual
-norms in time and multiplies by a boundedness constant of the underlying
+A coupled bound sums three computable terms at each state: the master
+error bound carried through the norm of the stored reduced-transfer
+operator, the interpolation-projection error of the interface data, and the
+slave error bound.  Each submodel bounds its own error by the rule of its
+kind.  A steady or instantaneous submodel takes the steady rule: its
+residual over the smallest singular value of its eliminated operator.  A
+marching submodel takes the marching rule: the residual norms integrated in
+time plus the initial error, times a boundedness constant of the underlying
 semigroup; for symmetric definite pairs that constant is the sharp
 ``sqrt(cond(M))``, otherwise the Gronwall surrogate ``1 + c t exp(c t)``
 with ``c = ||M^{-1} A||_2`` is used.  ``sqrt(cond(M))`` and the
@@ -388,24 +390,17 @@ def _is_dissipative(A, rtol: float = 1e-10) -> bool:
 
 @dataclass
 class ErrorBoundReport:
-    """Three-term certified bound; ``total`` is their exact sum."""
+    """Three-term certified bound at one state; ``total`` is their exact sum."""
 
     master_term: float
     deim_term: float
     slave_term: float
     constants: dict = field(default_factory=dict)
     actual_error: float | None = None
-    detail: dict = field(default_factory=dict)
 
     @property
     def total(self) -> float:
         return self.master_term + self.deim_term + self.slave_term
-
-    @property
-    def effectivity(self) -> float | None:
-        if self.actual_error is None or self.actual_error == 0.0:
-            return None
-        return self.total / self.actual_error
 
 
 def deim_projection_term(Phi: np.ndarray, sub_norm: float, data: np.ndarray) -> float:
@@ -416,48 +411,15 @@ def deim_projection_term(Phi: np.ndarray, sub_norm: float, data: np.ndarray) -> 
 
 
 def error_bound_steady(
-    master_system: tuple,
-    V1: np.ndarray,
-    u_n1: np.ndarray,
-    slave_system: tuple,
-    V2: np.ndarray,
-    u_n2: np.ndarray,
-    reducer,
-    dirichlet_data: np.ndarray,
-    sigma1: float | None = None,
-    sigma2: float | None = None,
-    actual_error: float | None = None,
-) -> ErrorBoundReport:
-    """Steady three-term bound on the slave reconstruction error.
+    A, F: np.ndarray, V: np.ndarray, states: np.ndarray, sigma: float
+) -> np.ndarray:
+    """The steady rule ``||f - A V u|| / sigma_min(A)`` of each state: each
+    column of ``states`` against the same column of ``F``, or the one state.
 
-    ``master_system``/``slave_system`` are the eliminated pairs ``(A, f)``;
-    the slave load must carry the exact interface lifting.
-    ``dirichlet_data`` is the transferred interface data whose distance to
-    the interpolation space forms the middle term.
+    ``A`` is the eliminated operator and ``F`` its load with the exact
+    constrained values lifted; ``sigma`` bounds ``sigma_min(A)`` from below.
     """
-    A1, f1 = master_system
-    A2, f2 = slave_system
-    s1 = sigma1 if sigma1 is not None else sigma_min(A1)
-    s2 = sigma2 if sigma2 is not None else sigma_min(A2)
-    r1 = np.linalg.norm(residual_steady(A1, f1, V1, u_n1))
-    r2 = np.linalg.norm(residual_steady(A2, f2, V2, u_n2))
-    sub_norm = reducer.deim.magic_rows_norm
-    deim_term = deim_projection_term(reducer.deim.Phi, sub_norm, dirichlet_data)
-    C = reducer.transfer_norm
-    return ErrorBoundReport(
-        master_term=C * r1 / s1,
-        deim_term=deim_term,
-        slave_term=r2 / s2,
-        constants={
-            "sigma_min_master": s1,
-            "sigma_min_slave": s2,
-            "transfer_norm_C": C,
-            "magic_rows_norm": sub_norm,
-            "certified": True,
-        },
-        actual_error=actual_error,
-        detail={"master_residual": r1, "slave_residual": r2},
-    )
+    return np.atleast_1d(np.linalg.norm(residual_steady(A, F, V, states), axis=0) / sigma)
 
 
 def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
@@ -468,36 +430,10 @@ def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 def error_bound_unsteady(
-    master_residual_norms: np.ndarray,
-    master_initial_error: float,
-    master_constant: float,
-    slave_term_per_step: np.ndarray,
-    deim_term_per_step: np.ndarray,
-    transfer_norm: float,
-    dt: float,
-    constants: dict | None = None,
-    actual_errors: np.ndarray | None = None,
-) -> list[ErrorBoundReport]:
-    """Per-step bounds combining the integrated master contribution with the
-    per-step slave and interpolation terms.
-
-    ``slave_term_per_step`` already carries its own constant (either the
-    per-step steady bound for an instantaneous slave, or the integrated
-    unsteady slave contribution).
-    """
-    n_steps = len(master_residual_norms)
-    integrals = _cumulative_trapezoid(master_residual_norms, dt)
-    reports = []
-    for k in range(n_steps + 1):
-        master_bound = master_constant * (master_initial_error + integrals[k])
-        reports.append(
-            ErrorBoundReport(
-                master_term=transfer_norm * master_bound,
-                deim_term=float(deim_term_per_step[k]),
-                slave_term=float(slave_term_per_step[k]),
-                constants=dict(constants or {}),
-                actual_error=None if actual_errors is None else float(actual_errors[k]),
-                detail={"master_residual_integral": float(integrals[k])},
-            )
-        )
-    return reports
+    M, A, F, V, trajectory: np.ndarray, dt: float, initial_error: float, constant: float
+) -> np.ndarray:
+    """The marching rule ``C (e_0 + int_0^t ||r||)`` of each state of a
+    reduced ``trajectory``, with the residuals of ``residual_unsteady`` and
+    ``constant`` a bound on the semigroup of ``(M, A)`` over the horizon."""
+    norms = np.linalg.norm(residual_unsteady(M, A, F, V, trajectory, dt), axis=1)
+    return constant * (initial_error + _cumulative_trapezoid(norms, dt))

@@ -37,7 +37,7 @@ from .storage import write_bundle
 
 @dataclass
 class SigmaCache:
-    """Smallest-singular-value cache keyed by operator weights."""
+    """Cache of stability constants keyed by role and operator weights."""
 
     values: dict = field(default_factory=dict)
 
@@ -61,61 +61,56 @@ def _eliminated(sub: FomSubmodel, mu: Mapping, trace=None, time=None):
     return A_bc, F_hom
 
 
-def _sigma(cache: SigmaCache, role: str, sub: FomSubmodel, mu: Mapping, A_bc) -> float:
-    """``est.sigma_min`` of an eliminated operator, cached by its weights."""
-    return cache.get((role, tuple(sub.theta_weights(mu))), lambda: est.sigma_min(A_bc))
+def _submodel_bound(
+    cache: SigmaCache, role: str, sub: FomSubmodel, V, reduced, exact, mu, trace, time
+) -> tuple[np.ndarray, dict]:
+    """One submodel's error bound at each state, by the rule of its kind,
+    and the constants the rule used, each cached by role and operator
+    weights.
 
-
-def steady_query_bound(
-    fom: FomProblem,
-    artifacts: RomArtifacts,
-    mu1,
-    mu2,
-    online: OnlineResult,
-    fom_result,
-    sigma_cache: SigmaCache | None = None,
-) -> est.ErrorBoundReport:
-    """Three-term steady bound, evaluated with the exact interface data from
-    the reference solve."""
-    cache = sigma_cache or SigmaCache()
-    master, slave = fom.master, fom.slave
-    mu1m = master.mu_mapping(mu1)
-    mu2m = slave.mu_mapping(mu2)
-    g_exact = fom_result.dirichlet
-    A1_bc, f1_hom = _eliminated(master, mu1m)
-    A2_bc, f2_hom = _eliminated(slave, mu2m, g_exact)
-    actual = float(np.linalg.norm(fom_result.slave - online.slave_solution))
-    return est.error_bound_steady(
-        (A1_bc, f1_hom),
-        artifacts.master.basis.V,
-        online.master_reduced,
-        (A2_bc, f2_hom),
-        artifacts.slave.basis.V,
-        online.slave_reduced,
-        artifacts.reducer,
-        dirichlet_data=g_exact,
-        sigma1=_sigma(cache, "master", master, mu1m, A1_bc),
-        sigma2=_sigma(cache, "slave", slave, mu2m, A2_bc),
-        actual_error=actual,
-    )
-
-
-def _semigroup(
-    cache: SigmaCache, role: str, sub: FomSubmodel, mu: Mapping, A_ff, horizon: float
-):
-    """``est.semigroup_constant`` of one submodel's free block, cached by its
-    operator weights; the submodel's mass block and per-term dissipativity
-    carry over between queries."""
-    weights = sub.theta_weights(mu)
-    return cache.get(
-        (f"semigroup-{role}", tuple(weights)),
+    A steady or instantaneous submodel takes the steady rule on its
+    eliminated system.  A marching one takes the marching rule on its free
+    block, with the lifting ``A L + M dL/dt`` of its constrained values
+    ``L`` (on the slave, the exact interface ``trace``) subtracted from the
+    load and the initial error ``e_0`` taken on the free DoFs; its mass
+    block and per-term dissipativity carry over between queries.
+    """
+    weights = tuple(sub.theta_weights(mu))
+    if not sub.spec.unsteady:
+        A_bc, F_hom = _eliminated(sub, mu, trace, time)
+        sigma = cache.get((role, weights), lambda: est.sigma_min(A_bc))
+        return est.error_bound_steady(A_bc, F_hom, V, reduced.T, sigma), {
+            f"sigma_min_{role}": sigma
+        }
+    free = sub.free_dofs
+    A = sub.assemble_operator(mu)
+    A_ff = A[np.ix_(free, free)].tocsc()
+    constant, c3, method = cache.get(
+        (f"semigroup-{role}", weights),
         lambda: est.semigroup_constant(
-            sub.free_mass, A_ff, horizon, known_dissipative=sub.known_dissipative(weights)
+            sub.free_mass, A_ff, time.horizon, known_dissipative=sub.known_dissipative(weights)
         ),
     )
+    F_hom = sub.loads_per_state(mu, time)
+    values = sub.constrained_values(trace)
+    if np.any(values):  # zero values have a zero lifting
+        lift = np.zeros((time.n_steps + 1, sub.n_dofs))
+        lift[:, sub.constrained_dofs] = values
+        dlift = np.diff(lift, axis=0, prepend=lift[:1]) / time.dt
+        F_hom = F_hom - A @ lift.T - sub.mass @ dlift.T
+    e0 = float(np.linalg.norm(exact[0, free] - V[free] @ reduced[0]))
+    bounds = est.error_bound_unsteady(
+        sub.free_mass, A_ff, F_hom[free], V[free], reduced, time.dt, e0, constant
+    )
+    index = 1 if role == "master" else 2
+    return bounds, {
+        f"{role}_semigroup_C{index}": constant,
+        f"{role}_c3": c3,
+        f"{role}_constant_method": method,
+    }
 
 
-def unsteady_query_bounds(
+def query_bounds(
     fom: FomProblem,
     artifacts: RomArtifacts,
     mu1,
@@ -124,100 +119,53 @@ def unsteady_query_bounds(
     fom_result,
     sigma_cache: SigmaCache | None = None,
 ) -> list[est.ErrorBoundReport]:
-    """Per-step bounds for an unsteady master coupled to a steady or unsteady
-    slave, using the exact interface trajectory from the reference solve."""
+    """Three-term bound of one coupled query at each of its states (the one
+    state of a steady query), evaluated with the exact interface data from
+    the reference solve.  Each submodel bounds its own error by the rule of
+    its kind; the master's bound reaches the slave through the transfer
+    norm."""
     cache = sigma_cache or SigmaCache()
-    spec = artifacts.spec
-    dt, n_steps = spec.time.dt, spec.time.n_steps
-    mu1m = fom.master.mu_mapping(mu1)
-    mu2m = fom.slave.mu_mapping(mu2)
-    reducer = artifacts.reducer
-    V1, V2 = artifacts.master.basis.V, artifacts.slave.basis.V
-
-    # master contribution on the unconstrained block
-    master = fom.master
-    free1 = master.free_dofs
-    A1_ff = master.assemble_operator(mu1m)[np.ix_(free1, free1)].tocsc()
-    c1, c3, method = _semigroup(cache, "master", master, mu1m, A1_ff, dt * n_steps)
-    e1_0 = float(
-        np.linalg.norm(fom_result.master[0, free1] - V1[free1] @ online.master_reduced[0])
+    time = artifacts.spec.time if artifacts.spec.is_unsteady else None
+    master, slave = fom.master, fom.slave
+    g_exact = fom_result.dirichlet
+    master_bounds, constants = _submodel_bound(
+        cache, "master", master, artifacts.master.basis.V, online.master_reduced,
+        fom_result.master, master.mu_mapping(mu1), None, time,
     )
-    r1 = est.residual_unsteady(
-        master.free_mass,
-        A1_ff,
-        master.loads_per_state(mu1m, spec.time)[free1],
-        V1[free1],
-        online.master_reduced,
-        dt,
+    slave_bounds, slave_constants = _submodel_bound(
+        cache, "slave", slave, artifacts.slave.basis.V, online.slave_reduced,
+        fom_result.slave, slave.mu_mapping(mu2), g_exact, time,
     )
-    r1_norms = np.linalg.norm(r1, axis=1)
-
-    # interpolation term per step on the exact transferred data
-    g_traj = fom_result.dirichlet
-    sub_norm = reducer.deim.magic_rows_norm
-    deim_terms = np.array(
-        [est.deim_projection_term(reducer.deim.Phi, sub_norm, g) for g in g_traj]
-    )
-
-    constants = {
-        "master_semigroup_C1": c1,
-        "master_c3": c3,
-        "master_constant_method": method,
-        "transfer_norm_C": reducer.transfer_norm,
-        "magic_rows_norm": sub_norm,
+    transfer_norm = artifacts.reducer.transfer_norm
+    deim = artifacts.reducer.deim
+    constants.update(slave_constants)
+    constants.update({
+        "transfer_norm_C": transfer_norm,
+        "magic_rows_norm": deim.magic_rows_norm,
         # every constant is proved except the Gronwall c3
-        "certified": method != "gronwall",
-    }
-
-    slave = fom.slave
-    if not slave.spec.unsteady:
-        # instantaneous slave: steady residual bound at every step
-        A2_bc, F2_hom = _eliminated(slave, mu2m, g_traj, spec.time)
-        r2 = est.residual_steady(A2_bc, F2_hom, V2, online.slave_reduced.T)
-        s2 = _sigma(cache, "slave", slave, mu2m, A2_bc)
-        slave_terms = np.linalg.norm(r2, axis=0) / s2
-        constants["sigma_min_slave"] = s2
-    else:
-        # unsteady slave: Gronwall-type bound on the homogenized dynamics;
-        # the lifting enters the forcing with its discrete time derivative
-        A2 = slave.assemble_operator(mu2m)
-        free2 = slave.free_dofs
-        A2_ff = A2[np.ix_(free2, free2)].tocsc()
-        c2, c3_2, method2 = _semigroup(cache, "slave", slave, mu2m, A2_ff, dt * n_steps)
-        constants.update({
-            "slave_semigroup_C2": c2,
-            "slave_c3": c3_2,
-            "certified": constants["certified"] and method2 != "gronwall",
-        })
-        lift = np.zeros((n_steps + 1, slave.n_dofs))
-        lift[:, slave.constrained_dofs] = slave.constrained_values(g_traj)
-        dlift = np.vstack([np.zeros(slave.n_dofs), np.diff(lift, axis=0) / dt])
-        F2 = slave.loads_per_state(mu2m, spec.time)
-        F2_hom_free = (F2 - A2 @ lift.T - slave.mass @ dlift.T)[free2]
-        u2_tilde0 = fom_result.slave[0].copy()
-        u2_tilde0[slave.interface.dof_indices] = 0.0
-        e2_0 = float(
-            np.linalg.norm(u2_tilde0[free2] - V2[free2] @ online.slave_reduced[0])
+        "certified": "gronwall" not in constants.values(),
+    })
+    actual = np.linalg.norm(np.atleast_2d(fom_result.slave - online.slave_solution), axis=1)
+    return [
+        est.ErrorBoundReport(
+            master_term=float(transfer_norm * m),
+            deim_term=est.deim_projection_term(deim.Phi, deim.magic_rows_norm, g),
+            slave_term=float(s),
+            constants=dict(constants),
+            actual_error=float(a),
         )
-        r2 = est.residual_unsteady(
-            slave.free_mass, A2_ff, F2_hom_free, V2[free2], online.slave_reduced, dt
-        )
-        r2_norms = np.linalg.norm(r2, axis=1)
-        integrals2 = est._cumulative_trapezoid(r2_norms, dt)
-        slave_terms = c2 * (e2_0 + integrals2)
+        for m, g, s, a in zip(master_bounds, np.atleast_2d(g_exact), slave_bounds, actual)
+    ]
 
-    actual = np.linalg.norm(fom_result.slave - online.slave_solution, axis=1)
-    return est.error_bound_unsteady(
-        master_residual_norms=r1_norms,
-        master_initial_error=e1_0,
-        master_constant=c1,
-        slave_term_per_step=slave_terms,
-        deim_term_per_step=deim_terms,
-        transfer_norm=reducer.transfer_norm,
-        dt=dt,
-        constants=constants,
-        actual_errors=actual,
-    )
+
+def steady_query_bound(fom, artifacts, mu1, mu2, online, fom_result, sigma_cache=None):
+    """The one report of ``query_bounds`` for a steady query."""
+    return query_bounds(fom, artifacts, mu1, mu2, online, fom_result, sigma_cache)[0]
+
+
+def unsteady_query_bounds(fom, artifacts, mu1, mu2, online, fom_result, sigma_cache=None):
+    """The per-step reports of ``query_bounds`` for an unsteady query."""
+    return query_bounds(fom, artifacts, mu1, mu2, online, fom_result, sigma_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +221,7 @@ def evaluate_test_set(
             warnings=online.diagnostics["warnings"],
         )
         if with_bounds:
-            # a steady query is the one-state case of the per-step bounds
-            if artifacts.spec.is_unsteady:
-                reports = unsteady_query_bounds(fom, artifacts, mu1, mu2, online, fres, cache)
-            else:
-                reports = [steady_query_bound(fom, artifacts, mu1, mu2, online, fres, cache)]
+            reports = query_bounds(fom, artifacts, mu1, mu2, online, fres, cache)
             per_step_bounds = np.array([r.total for r in reports])
             per_step_errors = np.array([r.actual_error for r in reports])
             row.bound = float(np.linalg.norm(per_step_bounds))

@@ -88,11 +88,11 @@ class AffineSubmodel:
         column per state ``t_0 .. t_n`` of the time grid ``(n, n_steps + 1)``:
         each weight is evaluated once per state, or once when it does not
         read ``t``, and each term is added into every state at once."""
-        states = [None] if time is None else [k * time.dt for k in range(time.n_steps + 1)]
-        out = np.zeros((self.n, len(states)))
+        out = np.zeros((self.n, 1 if time is None else time.n_steps + 1))
         for theta, vec in self.load_terms:
             code = self._compiled(theta, mu)
             if reads_time(code):
+                states = [None] if time is None else time.instants()
                 out += vec[:, None] * np.array([eval_theta(code, mu, t) for t in states])
             else:
                 out += vec[:, None] * eval_theta(code, mu)
@@ -329,6 +329,20 @@ class TrainingData:
     timings: dict
 
 
+def _require_zero_dirichlet(spec: CoupledProblemSpec) -> None:
+    """A reduced model vanishes at the constrained DoFs and its loads carry
+    no lifting of Dirichlet values, so it would drop nonzero Dirichlet data:
+    refuse such data before any solve."""
+    for role, sub in (("master", spec.master), ("slave", spec.slave)):
+        for face, value in sub.dirichlet.items():
+            if value != 0.0:
+                raise ConfigError(
+                    f"{role} Dirichlet value {value:g} on face {face!r}: reduced models "
+                    "support zero Dirichlet data only",
+                    field=f"{role}.dirichlet",
+                )
+
+
 def run_training(
     spec_or_fom,
     n_train: int,
@@ -344,6 +358,7 @@ def run_training(
     if pairing not in ("paired", "tensor"):
         raise ConfigError(f"pairing must be 'paired' or 'tensor', got {pairing!r}")
     fom = spec_or_fom if isinstance(spec_or_fom, FomProblem) else build_fom(spec_or_fom)
+    _require_zero_dirichlet(fom.spec)
     t0 = _time.perf_counter()
 
     m_space, s_space = fom.master.spec.parameters, fom.slave.spec.parameters
@@ -584,6 +599,7 @@ def _unit_columns(n: int, rows: np.ndarray) -> np.ndarray:
 def full_rank_artifacts(spec: CoupledProblemSpec) -> RomArtifacts:
     """Exactness-limit artifacts: identity bases on all free DoFs and a full
     interpolation basis on the slave trace (no truncation anywhere)."""
+    _require_zero_dirichlet(spec)
     fom = build_fom(spec)
     V1 = _unit_columns(fom.master.n_dofs, fom.master.free_dofs)
     V2 = _unit_columns(fom.slave.n_dofs, fom.slave.free_dofs)
@@ -681,10 +697,13 @@ def _instantaneous_slave(
     steady, else one row per state of ``time``; one lifting and one dense
     solve of all load columns."""
     s2 = artifacts.slave
-    weights = {f"A{q}": w for q, w in enumerate(s2.theta_weights(mu2m))}
-    lifting = artifacts.reducer.reduced_lifting(u1.T, weights)
+    weights = s2.theta_weights(mu2m)
+    lifting = artifacts.reducer.reduced_lifting(
+        u1.T, {f"A{q}": w for q, w in enumerate(weights)}
+    )
     loads = s2.loads_per_state(mu2m, time)
-    return _reduced_solve(s2.assemble_operator(mu2m), loads - lifting).T
+    operator = affine_sum(weights, [A for _, A in s2.op_terms])
+    return _reduced_solve(operator, loads - lifting).T
 
 
 def _online_result(

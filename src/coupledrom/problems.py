@@ -42,13 +42,23 @@ _FUNCTIONS = {
 _SPATIAL_NAMES = {"x", "y", "z"}
 
 
+def _names(code: CodeType) -> set[str]:
+    """The global names that ``code`` reads, in its own code or in a nested
+    one (a comprehension has its own)."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            names |= _names(const)
+    return names
+
+
 def compile_expression(source: str, allowed: set[str], where: str = "expression"):
     """Compile an expression string, rejecting names outside ``allowed``."""
     try:
         code = compile(source, f"<{where}>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse {source!r}: {exc}", field=where)
-    bad = set(code.co_names) - allowed - set(_FUNCTIONS)
+    bad = _names(code) - allowed - set(_FUNCTIONS)
     if bad:
         raise ConfigError(
             f"unknown name(s) {sorted(bad)} in {source!r}", field=where
@@ -61,13 +71,15 @@ def eval_spatial(value, points: np.ndarray):
     if not isinstance(value, str):
         return np.broadcast_to(float(value), points.shape[:-1])
     code = compile_expression(value, _SPATIAL_NAMES, "spatial profile")
+    # the names are globals, so that a comprehension's own code reads them too
     env = {
+        "__builtins__": {},
         "x": points[..., 0],
         "y": points[..., 1],
         "z": points[..., 2] if points.shape[-1] > 2 else 0.0,
         **_FUNCTIONS,
     }
-    out = eval(code, {"__builtins__": {}}, env)
+    out = eval(code, env)
     return np.broadcast_to(np.asarray(out, dtype=float), points.shape[:-1])
 
 
@@ -78,17 +90,14 @@ def eval_theta(value, mu: Mapping[str, float], t: float | None = None) -> float:
         value = compile_expression(value, set(mu) | {"t"}, "theta")
     elif not isinstance(value, CodeType):
         return float(value)
-    env = {**mu, "t": 0.0 if t is None else float(t), **_FUNCTIONS}
-    return float(eval(value, {"__builtins__": {}}, env))
+    env = {"__builtins__": {}, **mu, "t": 0.0 if t is None else float(t), **_FUNCTIONS}
+    return float(eval(value, env))
 
 
 def reads_time(value) -> bool:
-    """Whether a weight compiled by ``compile_expression`` names ``t``, in
-    its own code or in a nested one (a comprehension has its own); a number
-    never does."""
-    if not isinstance(value, CodeType):
-        return False
-    return "t" in value.co_names or any(reads_time(c) for c in value.co_consts)
+    """Whether a weight compiled by ``compile_expression`` reads ``t``; a
+    number never does."""
+    return isinstance(value, CodeType) and "t" in _names(value)
 
 
 def spatial_coefficient(value) -> Coefficient:

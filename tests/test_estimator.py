@@ -19,7 +19,12 @@ from coupledrom.estimator import (
     semigroup_constant,
     sigma_min,
 )
-from coupledrom.experiments import SigmaCache, steady_query_bound, unsteady_query_bounds
+from coupledrom.experiments import (
+    SigmaCache,
+    query_bounds,
+    steady_query_bound,
+    unsteady_query_bounds,
+)
 from coupledrom.fem import factorized_solver
 from coupledrom.library import heat_laplace_pair, steady_pair_2d, transport_wall_pair
 from coupledrom.problems import (
@@ -214,17 +219,21 @@ class TestErrorBoundSteady:
 
 class TestErrorBoundUnsteady:
     def test_zero_dynamics_reduces_to_initial_terms(self):
-        reports = error_bound_unsteady(
-            master_residual_norms=np.zeros(4),
-            master_initial_error=0.25,
-            master_constant=1.0,
-            slave_term_per_step=np.zeros(5),
-            deim_term_per_step=np.zeros(5),
-            transfer_norm=2.0,
+        # a constant trajectory of u' = 0 has zero residuals at every step
+        n = 3
+        bounds = error_bound_unsteady(
+            M=sp.identity(n, format="csc"),
+            A=sp.csr_matrix((n, n)),
+            F=np.zeros((n, 5)),
+            V=np.eye(n),
+            trajectory=np.ones((5, n)),
             dt=0.1,
+            initial_error=0.25,
+            constant=2.0,
         )
-        for r in reports:
-            assert r.total == pytest.approx(2.0 * 0.25)
+        assert len(bounds) == 5
+        for b in bounds:
+            assert b == pytest.approx(2.0 * 0.25)
 
     def test_full_rank_bound_tiny(self):
         spec = heat_laplace_pair(
@@ -257,6 +266,50 @@ class TestErrorBoundUnsteady:
         art = cr.build_artifacts(training, (1e-5, 1e-5, 1e-5))
         rows = cr.evaluate_test_set(art, training.fom, n_test=3, seed=77, with_bounds=True)
         assert all(r.bound_valid for r in rows)
+
+
+class TestQueryBounds:
+    # one per-state path: each submodel applies the rule of its kind
+    def test_steady_query_is_the_one_state_case(self):
+        training = cr.run_training(steady_pair_2d(), 10, seed=1)
+        art = cr.build_artifacts(training, (1e-3, 1e-3, 1e-3))
+        mu1 = [1.5, 2.0]
+        res = cr.fom_coupled_solve(training.fom, mu1, [])
+        online = cr.online_steady(art, mu1, [])
+        reports = query_bounds(training.fom, art, mu1, [], online, res)
+        assert len(reports) == 1
+        single = steady_query_bound(training.fom, art, mu1, [], online, res)
+        assert reports[0].total == single.total
+
+    def test_instantaneous_slave_takes_the_steady_rule_at_each_step(self):
+        spec = heat_laplace_pair(
+            master_subdivisions=(4, 4, 4), slave_subdivisions=(2, 2, 2), n_steps=12
+        )
+        training = cr.run_training(spec, 8, seed=3)
+        art = cr.build_artifacts(training, (1e-4, 1e-4, 1e-4))
+        fom, mu1 = training.fom, [0.7]
+        res = cr.fom_coupled_solve(fom, mu1, [])
+        online = cr.online_unsteady(art, mu1, [])
+        reports = query_bounds(fom, art, mu1, [], online, res)
+        assert len(reports) == spec.time.n_steps + 1
+        slave = fom.slave
+        sigma = reports[0].constants["sigma_min_slave"]
+        for k, report in enumerate(reports):
+            A_bc, f_hom = cr.apply_dirichlet_lifting(
+                slave.assemble_operator({}),
+                slave.loads_per_state({}),
+                zip(slave.constrained_dofs, slave.constrained_values(res.dirichlet[k])),
+            )
+            f_hom[slave.constrained_dofs] = 0.0
+            alone = error_bound_steady(
+                A_bc, f_hom, art.slave.basis.V, online.slave_reduced[k], sigma
+            )
+            assert alone.shape == (1,)
+            # the residual cancels about four digits of the load, so the
+            # rounding of one product V u against the block V U shows at
+            # 1e-11 of the term; it stays at 1e-13 of the load's scale
+            scale = np.linalg.norm(f_hom) / sigma
+            assert abs(report.slave_term - alone[0]) <= 1e-13 * scale
 
 
 class TestDissipativeDetection:

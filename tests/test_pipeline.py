@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -571,6 +572,67 @@ class TestTimeIndependentLoadWeights:
         calls.clear()
         cr.online_unsteady(short, [0.5], [], expand=False)
         assert len(calls) == per_query and set(calls) == {None}
+
+
+def test_heat_query_evaluates_each_weight_once(monkeypatch):
+    import coupledrom.pipeline as pipeline
+
+    spec = heat_laplace_pair(
+        master_subdivisions=(4, 4, 4), slave_subdivisions=(2, 2, 2), n_steps=10
+    )
+    art = cr.full_rank_artifacts(spec)
+    calls = []
+    real = pipeline.eval_theta
+
+    def counting(value, mu, t=None):
+        calls.append(value)
+        return real(value, mu, t)
+
+    monkeypatch.setattr(pipeline, "eval_theta", counting)
+    online = cr.online_unsteady(art, [0.5], [], expand=False)
+    # the master operator and load weights and the slave operator weight
+    assert len(calls) == 3
+    # the slave states of the composition that evaluates its weights twice
+    s2 = art.slave
+    weights = {f"A{q}": w for q, w in enumerate(s2.theta_weights({}))}
+    lifting = art.reducer.reduced_lifting(online.master_reduced.T, weights)
+    loads = s2.loads_per_state({}, spec.time)
+    expected = np.linalg.solve(s2.assemble_operator({}), loads - lifting).T
+    assert np.array_equal(online.slave_reduced, expected)
+
+
+class TestNonzeroDirichletData:
+    # reduced bases vanish at constrained DoFs and reduced loads carry no
+    # lifting, so a reduced model would silently drop nonzero values
+    @staticmethod
+    def spec_with(side, face):
+        spec = steady_pair_2d(master_subdivisions=(4, 4), slave_subdivisions=(2, 2))
+        sub = dataclasses.replace(getattr(spec, side), dirichlet={face: 1.0})
+        return dataclasses.replace(spec, **{side: sub})
+
+    @pytest.mark.parametrize("side, face", [("master", "x-"), ("slave", "x+")])
+    def test_reduced_models_refuse_it_before_any_solve(self, monkeypatch, side, face):
+        import coupledrom.pipeline as pipeline
+
+        def no_solve(*args):
+            raise AssertionError("a full-order solve ran")
+
+        monkeypatch.setattr(pipeline, "fom_coupled_solve", no_solve)
+        spec = self.spec_with(side, face)
+        with pytest.raises(ConfigError, match=f"{side}.*'{re.escape(face)}'"):
+            cr.run_training(spec, 4, seed=3)
+        with pytest.raises(ConfigError, match=f"{side}.*'{re.escape(face)}'"):
+            cr.run_training(cr.build_fom(spec), 4, seed=3)
+        with pytest.raises(ConfigError, match=f"{side}.*'{re.escape(face)}'"):
+            cr.full_rank_artifacts(spec)
+
+    @pytest.mark.parametrize("side, face", [("master", "x-"), ("slave", "x+")])
+    def test_full_order_solve_imposes_it(self, side, face):
+        fom = cr.build_fom(self.spec_with(side, face))
+        res = cr.fom_coupled_solve(fom, [1.0, 1.0], [])
+        sub = getattr(fom, side)
+        dofs = cr.extract_interface(sub.mesh, face).dof_indices
+        assert np.all(getattr(res, side)[dofs] == 1.0)
 
 
 class TestToleranceMonotonicity:

@@ -52,6 +52,16 @@ class TestExpressions:
         with pytest.raises(ConfigError):
             compile_expression("1 +", set(), "theta")
 
+    def test_unknown_name_inside_comprehension_rejected(self):
+        with pytest.raises(ConfigError):
+            compile_expression("minimum(*[bogus for k in (1.0,)])", {"t"}, "theta")
+
+    def test_comprehension_reads_the_evaluation_names(self):
+        code = compile_expression("minimum(*[k * t for k in (1.0, 2.0)])", {"t"}, "theta")
+        assert eval_theta(code, {}, t=0.5) == 0.5
+        pts = np.array([[0.25, 0.0]])
+        assert eval_spatial("maximum(*[k * x for k in (1.0, 2.0)])", pts)[0] == 0.5
+
     def test_vector_coefficient(self):
         coeff = spatial_coefficient(("y", "0.0"))
         pts = np.array([[[0.0, 2.0]]])

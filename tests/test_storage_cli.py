@@ -318,6 +318,34 @@ class TestCli:
         assert solution.shape[1] == 11  # states as columns, n_steps + 1
 
 
+@pytest.mark.parametrize("side, face", [("master", "x-"), ("slave", "x+")])
+def test_offline_refuses_nonzero_dirichlet_data(tmp_path, capsys, side, face):
+    config = json.loads(make_config(tmp_path).read_text())
+    config["problem"][side]["dirichlet"] = {face: 1.0}
+    path = tmp_path / "dirichlet.json"
+    path.write_text(json.dumps(config))
+    assert main(["offline", "--config", str(path)]) == 2
+    assert f"{side}.dirichlet" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("bundle_*"))
+
+
+@pytest.mark.parametrize("unsteady", [False, True], ids=["steady", "unsteady"])
+def test_compare_fom_reports_the_largest_bound_and_its_terms(tmp_path, capsys, unsteady):
+    config = make_config(tmp_path, unsteady=unsteady)
+    assert main(["offline", "--config", str(config)]) == 0
+    bundle = sorted((tmp_path / "out").glob("bundle_*"))[0]
+    mu1 = "2.0" if unsteady else "1.5,2.0"
+    capsys.readouterr()
+    assert main(["online", "--bundle", str(bundle), "--mu1", mu1, "--compare-fom"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{"):])
+    assert "bound_max" not in payload
+    terms = payload["bound_terms"]
+    assert set(terms) == {"master", "interface", "slave"}
+    assert payload["bound"] == terms["master"] + terms["interface"] + terms["slave"]
+    assert payload["bound_valid"] is True
+
+
 def test_config_validation_field_paths():
     with pytest.raises(ConfigError) as err:
         config_from_dict({"problem": {"master": {}, "slave": {}}})
