@@ -5,7 +5,7 @@ error bound carried through the norm of the stored reduced-transfer
 operator, the interpolation-projection error of the interface data, and the
 slave error bound.  Each submodel bounds its own error by the rule of its
 kind.  A steady or instantaneous submodel takes the steady rule: its
-residual over the smallest singular value of its eliminated operator.  A
+residual over the smallest singular value of its free block.  A
 marching submodel takes the marching rule: the residual norms integrated in
 time plus the initial error, times a boundedness constant of the underlying
 semigroup; for symmetric definite pairs that constant is the sharp
@@ -402,6 +402,12 @@ class ErrorBoundReport:
     def total(self) -> float:
         return self.master_term + self.deim_term + self.slave_term
 
+    @property
+    def valid(self) -> bool:
+        """The bound holds at ``actual_error``, up to a relative ``1e-12``
+        for the rounding of the two norms."""
+        return self.total >= self.actual_error * (1 - 1e-12)
+
 
 def deim_projection_term(Phi: np.ndarray, sub_norm: float, data: np.ndarray) -> float:
     """Interpolation-error term ``||Phi_I||_2 ||(I - Phi Phi^T) w||_2``."""
@@ -416,8 +422,9 @@ def error_bound_steady(
     """The steady rule ``||f - A V u|| / sigma_min(A)`` of each state: each
     column of ``states`` against the same column of ``F``, or the one state.
 
-    ``A`` is the eliminated operator and ``F`` its load with the exact
-    constrained values lifted; ``sigma`` bounds ``sigma_min(A)`` from below.
+    ``A`` is the operator on the free DoFs and ``F`` its load with the
+    exact constrained values lifted; ``sigma`` bounds ``sigma_min(A)`` from
+    below.
     """
     return np.atleast_1d(np.linalg.norm(residual_steady(A, F, V, states), axis=0) / sigma)
 

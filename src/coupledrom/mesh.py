@@ -65,14 +65,6 @@ class Mesh:
     def cell_diagonal(self) -> float:
         return float(np.linalg.norm(self.cell_sizes))
 
-    @property
-    def metadata(self) -> dict:
-        return {
-            "cell_diagonal": self.cell_diagonal,
-            "n_dofs": self.n_dofs,
-            "n_cells": self.n_cells,
-        }
-
     def axis_coords(self, axis: int) -> np.ndarray:
         """1D DoF coordinates along one axis."""
         n = self.order * self.subdivisions[axis]

@@ -107,9 +107,10 @@ class AffineSubmodel:
 class FomSubmodel(AffineSubmodel):
     """Assembled full-order operators for one submodel.
 
-    What certification needs of the operators and not of the parameters
-    (the free mass block, its factorization and ``sqrt(cond)``, and the
-    dissipativity of each operator term) is computed on first use and kept.
+    What the solves and certification need of the operators and not of the
+    parameters (the free and constrained blocks of each term, the free mass
+    block, its factorization and ``sqrt(cond)``, and the dissipativity of
+    each operator term) is computed on first use and kept.
     """
 
     spec: SubmodelSpec
@@ -143,18 +144,67 @@ class FomSubmodel(AffineSubmodel):
         )
         return np.concatenate([fixed, trace], axis=-1)
 
+    def _split(self, A: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """The rows of ``A`` at ``free_dofs``, split into the columns at
+        ``free_dofs`` and the columns at ``constrained_dofs``."""
+        rows = A[self.free_dofs]
+        return rows[:, self.free_dofs], rows[:, self.constrained_dofs]
+
+    @cached_property
+    def free_blocks(self) -> list[tuple[sp.csr_matrix, sp.csr_matrix]]:
+        """Per operator term, its free-free and free-constrained blocks."""
+        return [self._split(A) for _, A in self.op_terms]
+
+    @cached_property
+    def _mass_blocks(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        return self._split(self.mass)
+
     @cached_property
     def free_mass(self) -> est.MassBlock:
         """The mass matrix on ``free_dofs``."""
-        free = self.free_dofs
-        return est.MassBlock(self.mass[np.ix_(free, free)])
+        return est.MassBlock(self._mass_blocks[0])
 
     @cached_property
     def dissipative_terms(self) -> list[bool]:
         """Per operator term: its free block has a positive semidefinite
         symmetric part."""
-        free = self.free_dofs
-        return [est._is_dissipative(A[np.ix_(free, free)]) for _, A in self.op_terms]
+        return [est._is_dissipative(A_ff) for A_ff, _ in self.free_blocks]
+
+    def free_system(self, mu: Mapping, trace=None, time: TimeSpec | None = None):
+        """``(A_ff, F)``: the operator on the free DoFs, and the load of each
+        state on them less the lifting of the constrained values ``L`` (on
+        the slave, with the interface ``trace``): ``f - A_fc L``, and for a
+        marching submodel ``- M_fc dL/dt`` too.  ``F`` is one load when
+        ``time`` is None, else one column per state."""
+        weights = self.theta_weights(mu)
+        A_ff = affine_sum(weights, [ff for ff, _ in self.free_blocks])
+        F = self.loads_per_state(mu, time)[self.free_dofs]
+        values = self.constrained_values(trace)
+        if np.any(values):  # zero values have a zero lifting
+            if time is not None:
+                values = np.broadcast_to(values, (time.n_steps + 1, values.shape[-1]))
+            F = F - affine_sum(weights, [fc for _, fc in self.free_blocks]) @ values.T
+            if self.spec.unsteady:
+                dL = np.diff(values, axis=0, prepend=values[:1]) / time.dt
+                F = F - self._mass_blocks[1] @ dL.T
+        return A_ff, F
+
+    def solve(self, mu: Mapping, trace=None, time: TimeSpec | None = None) -> np.ndarray:
+        """Full-order states under the constrained values: one ``(n,)`` when
+        ``time`` is None, else one row per state.  A marching submodel
+        marches from ``u0``; a steady or instantaneous one solves its free
+        system, every state with one factorization."""
+        values = self.constrained_values(trace)
+        if self.spec.unsteady:
+            return fem.solve_unsteady_bdf1(
+                self.mass, self.assemble_operator(mu), self.loads_per_state(mu, time),
+                self.u0, time.dt, self.constrained_dofs, values,
+            )
+        A_ff, F = self.free_system(mu, trace, time)
+        u = np.empty(F.shape[1:] + (self.n_dofs,))
+        u[..., self.free_dofs] = fem.solve_steady(A_ff, F).T
+        u[..., self.constrained_dofs] = values
+        return u
 
     def known_dissipative(self, weights) -> bool:
         """True when ``sum_q weights[q] * term_q`` is dissipative on the free
@@ -164,11 +214,6 @@ class FomSubmodel(AffineSubmodel):
         return all(w >= 0.0 for w in weights) and all(self.dissipative_terms)
 
     def mu_mapping(self, mu) -> dict[str, float]:
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        if mu.size != self.spec.parameters.dim:
-            raise ConfigError(
-                f"expected {self.spec.parameters.dim} parameter value(s), got {mu.size}"
-            )
         return self.spec.parameters.as_mapping(mu)
 
 
@@ -265,39 +310,10 @@ def fom_coupled_solve(fom: FomProblem, mu1, mu2) -> FomResult:
     mu2m = slave.mu_mapping(mu2)
     ts = fom.spec.time if fom.spec.is_unsteady else None
     t0 = _time.perf_counter()
-    A1 = master.assemble_operator(mu1m)
-    F1 = master.loads_per_state(mu1m, ts)
-    if ts is None:
-        u1 = fem.solve_steady(
-            *fem.apply_dirichlet_lifting(
-                A1, F1, zip(master.constrained_dofs, master.constrained_values())
-            )
-        )
-    else:
-        u1 = fem.solve_unsteady_bdf1(
-            master.mass,
-            A1,
-            F1,
-            master.u0,
-            ts.dt,
-            master.constrained_dofs,
-            master.constrained_values(),
-        )
+    u1 = master.solve(mu1m, time=ts)
     t1 = _time.perf_counter()
     g = (fom.transfer @ u1[..., master.interface.dof_indices].T).T
-    values2 = slave.constrained_values(g)
-    A2 = slave.assemble_operator(mu2m)
-    F2 = slave.loads_per_state(mu2m, ts)
-    if slave.spec.unsteady:
-        u2 = fem.solve_unsteady_bdf1(
-            slave.mass, A2, F2, slave.u0, ts.dt, slave.constrained_dofs, values2
-        )
-    else:
-        # instantaneous slave: one lifting and one factorization for all states
-        A2_bc, F2_bc = fem.apply_dirichlet_lifting(
-            A2, F2, zip(slave.constrained_dofs, values2.T)
-        )
-        u2 = np.ascontiguousarray(fem.solve_steady(A2_bc, F2_bc).T)
+    u2 = slave.solve(mu2m, g, ts)
     t2 = _time.perf_counter()
     return FomResult(
         master=u1,
@@ -348,7 +364,6 @@ def run_training(
     n_train: int,
     seed: int,
     pairing: str = "paired",
-    centered: bool = False,
     threads: int = 1,
 ) -> TrainingData:
     """Solve the coupled full-order model over the training plan and collect
@@ -362,10 +377,8 @@ def run_training(
     t0 = _time.perf_counter()
 
     m_space, s_space = fom.master.spec.parameters, fom.slave.spec.parameters
-    master_samples = lhs_sample(m_space, n_train, seed, "train", centered)
-    slave_samples = lhs_sample(
-        s_space, n_train, seed + _SLAVE_SEED_OFFSET, "train", centered
-    )
+    master_samples = lhs_sample(m_space, n_train, seed, "train")
+    slave_samples = lhs_sample(s_space, n_train, seed + _SLAVE_SEED_OFFSET, "train")
     if pairing == "paired":
         pairs = [(i, i) for i in range(n_train)]
     else:
@@ -581,11 +594,10 @@ def offline(
     tolerances,
     seed: int,
     pairing: str = "paired",
-    centered: bool = False,
     threads: int = 1,
 ) -> RomArtifacts:
     """Complete offline stage: training solves, bases, stored products."""
-    training = run_training(spec, n_train, seed, pairing, centered, threads)
+    training = run_training(spec, n_train, seed, pairing, threads)
     return build_artifacts(training, tolerances)
 
 

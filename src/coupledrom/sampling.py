@@ -32,7 +32,11 @@ class ParameterSpace:
         return all(lo <= v <= hi for v, (lo, hi) in zip(point, self.ranges))
 
     def as_mapping(self, point) -> dict[str, float]:
-        point = np.atleast_1d(point)
+        """Parameter values by name; a point with another count of values
+        raises ``ConfigError``."""
+        point = np.atleast_1d(np.asarray(point, dtype=float))
+        if point.size != self.dim:
+            raise ConfigError(f"expected {self.dim} parameter value(s), got {point.size}")
         return {n: float(v) for n, v in zip(self.names, point)}
 
 

@@ -104,3 +104,20 @@ def test_certified_constants_unchanged_under_the_tracer():
     finally:
         handle.undo()
     assert traced == plain
+
+
+#: library bindings that ``perfbench/test_perfbench.py`` reads: each module
+#: attribute must exist and be the original it re-exports
+SELF_TEST_BINDINGS = [
+    ("experiments", "apply_dirichlet_lifting", "fem"),
+    ("experiments", "fom_coupled_solve", "pipeline"),
+    ("pipeline", "eval_theta", "problems"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, attr, origin", SELF_TEST_BINDINGS, ids=[f"{m}.{a}" for m, a, _ in SELF_TEST_BINDINGS]
+)
+def test_benchmark_self_test_bindings_are_the_originals(module, attr, origin):
+    binding = getattr(importlib.import_module(f"coupledrom.{module}"), attr)
+    assert binding is getattr(importlib.import_module(f"coupledrom.{origin}"), attr)

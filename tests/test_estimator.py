@@ -311,6 +311,51 @@ class TestQueryBounds:
             scale = np.linalg.norm(f_hom) / sigma
             assert abs(report.slave_term - alone[0]) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("unsteady", [False, True], ids=["steady-pair", "heat-series"])
+    def test_free_system_residuals_match_the_identity_padded_system(self, unsteady):
+        # the identity rows of the padded system carry no residual, and its
+        # free rows are those of the free block bit for bit
+        if unsteady:
+            spec = heat_laplace_pair(
+                master_subdivisions=(4, 4, 4), slave_subdivisions=(2, 2, 2), n_steps=6
+            )
+            mu1, online_solve, sides = [0.7], cr.online_unsteady, ("slave",)
+        else:
+            spec = steady_pair_2d()
+            mu1, online_solve, sides = [1.5, 2.0], cr.online_steady, ("master", "slave")
+        training = cr.run_training(spec, 8, seed=3)
+        art = cr.build_artifacts(training, (1e-3, 1e-3, 1e-3))
+        fom = training.fom
+        res = cr.fom_coupled_solve(fom, mu1, [])
+        online = online_solve(art, mu1, [])
+        for role in sides:
+            sub, V = getattr(fom, role), getattr(art, role).basis.V
+            mu = sub.mu_mapping(mu1 if role == "master" else [])
+            trace = res.dirichlet if role == "slave" else None
+            states = getattr(online, f"{role}_reduced").T
+            A_bc, F_bc = cr.apply_dirichlet_lifting(
+                sub.assemble_operator(mu),
+                sub.loads_per_state(mu, spec.time),
+                zip(sub.constrained_dofs, sub.constrained_values(trace).T),
+            )
+            F_bc[sub.constrained_dofs] = 0.0
+            A_ff, F = sub.free_system(mu, trace, spec.time)
+            padded = residual_steady(A_bc, F_bc, V, states)
+            free = residual_steady(A_ff, F, V[sub.free_dofs], states)
+            assert not np.any(padded[sub.constrained_dofs])
+            assert np.array_equal(padded[sub.free_dofs], free)
+            # the norms differ only in the blocking of their sums
+            assert np.allclose(
+                np.linalg.norm(padded, axis=0), np.linalg.norm(free, axis=0),
+                rtol=1e-15, atol=0.0,
+            )
+
+    def test_validity_allows_rounding_of_the_norms(self):
+        report = est.ErrorBoundReport(0.5, 0.0, 0.5, actual_error=1.0)
+        assert report.valid
+        assert est.ErrorBoundReport(0.5, 0.0, 0.5, actual_error=1.0 + 1e-13).valid
+        assert not est.ErrorBoundReport(0.5, 0.0, 0.5, actual_error=1.0 + 1e-11).valid
+
 
 class TestDissipativeDetection:
     def test_skew_perturbed_spd_still_dissipative(self):
@@ -535,13 +580,11 @@ class TestCertifiedConstants:
 
     @pytest.mark.parametrize("role", ["master", "slave"])
     def test_sigma_min_below_dense_oracle_steady_pair(self, role):
-        from coupledrom.experiments import _eliminated
-
         fom = cr.build_fom(steady_pair_2d())
         sub = getattr(fom, role)
         mu = sub.mu_mapping([hi for _, hi in sub.spec.parameters.ranges])
         trace = np.zeros(len(sub.interface.dof_indices)) if role == "slave" else None
-        A, _ = _eliminated(sub, mu, trace)
+        A, _ = sub.free_system(mu, trace)
         oracle = np.linalg.svd(A.toarray(), compute_uv=False)[-1]
         got = sigma_min(A)
         assert oracle * (1 - 1e-8) <= got <= oracle

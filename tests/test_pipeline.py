@@ -230,6 +230,27 @@ class TestFomCoupledSolve:
         assert np.array_equal(res.master, u1)
         assert np.allclose(res.slave, u2, atol=1e-12)
 
+    @pytest.mark.parametrize("unsteady", [False, True], ids=["steady-pair", "heat-series"])
+    def test_free_system_solve_matches_lifting_composition(self, unsteady):
+        # the slave of the steady pair and the instantaneous heat slave, one
+        # state and a series of states: the free block solves bit for bit
+        # like the identity-padded system
+        if unsteady:
+            fom, mu1 = small_heat_fom(), [0.8]
+        else:
+            fom, mu1 = cr.build_fom(steady_pair_2d()), [1.3, 2.2]
+        time = fom.spec.time
+        res = cr.fom_coupled_solve(fom, mu1, [])
+        slave = fom.slave
+        A_bc, F_bc = cr.apply_dirichlet_lifting(
+            slave.assemble_operator({}),
+            slave.loads_per_state({}, time),
+            zip(slave.constrained_dofs, slave.constrained_values(res.dirichlet).T),
+        )
+        composed = cr.solve_steady(A_bc, F_bc).T
+        assert np.array_equal(slave.solve({}, res.dirichlet, time), composed)
+        assert np.array_equal(res.slave, composed)
+
 
 def corrupt_solves(monkeypatch, n_dofs, call):
     """Scale by 1.001 the solution of the ``call``-th solve (1-based) with a
@@ -258,11 +279,24 @@ class TestResidualChecks:
     @pytest.mark.parametrize("side, call, step", [("master", 3, 3), ("slave", 6, 5)])
     def test_corrupted_step_raises_with_its_step(self, monkeypatch, side, call, step):
         fom = small_heat_fom()
-        corrupt_solves(monkeypatch, getattr(fom, side).n_dofs, call)
+        # the march factorizes the whole system, the series its free block
+        n = fom.master.n_dofs if side == "master" else len(fom.slave.free_dofs)
+        corrupt_solves(monkeypatch, n, call)
         with pytest.raises(SolverFailureError) as info:
             cr.fom_coupled_solve(fom, [0.8], [])
         assert info.value.step == step
         assert info.value.residual > 0.0
+
+
+class TestParameterCount:
+    @pytest.mark.parametrize("mu1, mu2", [([0.7, 123.0], []), ([0.7], [5.0]), ([], [])])
+    def test_online_query_rejects_a_wrong_count(self, mu1, mu2):
+        spec = heat_laplace_pair(
+            master_subdivisions=(2, 2, 2), slave_subdivisions=(1, 1, 1), n_steps=3
+        )
+        art = cr.full_rank_artifacts(spec)
+        with pytest.raises(ConfigError, match="parameter value"):
+            cr.online_solve(art, mu1, mu2)
 
 
 class TestOffline:

@@ -65,3 +65,9 @@ def test_points_inside_space():
     s = lhs_sample(SPACE_2D, 25, seed=9, kind="test")
     assert s.kind == "test"
     assert all(SPACE_2D.contains(p) for p in s)
+
+
+@pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5], []])
+def test_mapping_rejects_a_wrong_count(point):
+    with pytest.raises(ConfigError, match="expected 2 parameter value"):
+        SPACE_2D.as_mapping(point)

@@ -318,6 +318,15 @@ class TestCli:
         assert solution.shape[1] == 11  # states as columns, n_steps + 1
 
 
+@pytest.mark.parametrize("mu1", ["0.7,1", ""], ids=["too-many", "too-few"])
+def test_online_wrong_parameter_count_exit_code(tmp_path, capsys, mu1):
+    config = make_config(tmp_path, unsteady=True, n_train=2)
+    assert main(["offline", "--config", str(config)]) == 0
+    bundle = sorted((tmp_path / "out").glob("bundle_*"))[0]
+    assert main(["online", "--bundle", str(bundle), "--mu1", mu1]) == 2
+    assert "parameter value(s)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("side, face", [("master", "x-"), ("slave", "x+")])
 def test_offline_refuses_nonzero_dirichlet_data(tmp_path, capsys, side, face):
     config = json.loads(make_config(tmp_path).read_text())
