@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate the example CLI configs in configs/ from the problem library."""
+"""Regenerate the example CLI configs in configs/ from the problem library.
+
+Usage: ``python scripts/make_configs.py [OUT_DIR]`` (default: configs/).
+"""
 
 import json
+import sys
 from pathlib import Path
 
 from coupledrom.library import heat_laplace_pair, steady_reaction_diffusion_pair
@@ -10,21 +14,23 @@ from coupledrom.problems import problem_to_dict
 ROOT = Path(__file__).resolve().parent.parent / "configs"
 
 
-def write(name, problem, training, testing, out_dir):
+def write(root, name, problem, training, testing, out_dir):
     config = {
         "problem": problem_to_dict(problem),
         "training": training,
         "testing": testing,
         "outputs": {"directory": out_dir},
     }
-    path = ROOT / name
+    path = root / name
     path.write_text(json.dumps(config, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")
 
 
-def main():
-    ROOT.mkdir(exist_ok=True)
+def main(root=ROOT):
+    root = Path(root)
+    root.mkdir(exist_ok=True)
     write(
+        root,
         "steady_pair.json",
         steady_reaction_diffusion_pair((8, 8, 8), (4, 4, 4)),
         {
@@ -36,6 +42,7 @@ def main():
         "out/steady_pair",
     )
     write(
+        root,
         "steady_pair_grid.json",
         steady_reaction_diffusion_pair((8, 8, 8), (4, 4, 4)),
         {
@@ -51,6 +58,7 @@ def main():
         "out/steady_pair_grid",
     )
     write(
+        root,
         "heat_laplace.json",
         heat_laplace_pair((8, 8, 8), (4, 4, 4), dt=0.01, n_steps=50),
         {
@@ -61,7 +69,20 @@ def main():
         {"n_test": 5, "seed": 99},
         "out/heat_laplace",
     )
+    # the non-conforming interface: slave trace points between master ones
+    write(
+        root,
+        "heat_laplace_nonnested.json",
+        heat_laplace_pair((8, 8, 8), (5, 5, 5), dt=0.01, n_steps=50),
+        {
+            "n_train": 20,
+            "seed": 11,
+            "tolerances": {"master": 1e-5, "slave": 1e-5, "interface": 1e-5},
+        },
+        {"n_test": 5, "seed": 99},
+        "out/heat_laplace_nonnested",
+    )
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:])

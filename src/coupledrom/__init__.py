@@ -48,8 +48,6 @@ from .fem import (
 )
 from .interface import (
     InterfaceReducer,
-    apply_deim,
-    build_interface_reducer,
     build_transfer_matrix,
     deim_indices,
     nearest_dof_map,

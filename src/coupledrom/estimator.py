@@ -6,9 +6,9 @@ operator, the interpolation-projection error of the interface data, and the
 slave error bound.  Each submodel bounds its own error by the rule of its
 kind.  A steady or instantaneous submodel takes the steady rule: its
 residual over the smallest singular value of its free block.  A
-marching submodel takes the marching rule: the residual norms integrated in
-time plus the initial error, times a boundedness constant of the underlying
-semigroup; for symmetric definite pairs that constant is the sharp
+marching submodel takes the marching rule: the initial error plus ``dt``
+times the sum of the residual norms up to each step, times a boundedness
+constant of the underlying semigroup; for symmetric definite pairs that constant is the sharp
 ``sqrt(cond(M))``, otherwise the Gronwall surrogate ``1 + c t exp(c t)``
 with ``c = ||M^{-1} A||_2`` is used.  ``sqrt(cond(M))`` and the
 factorization of ``M`` depend on ``M`` alone: a ``MassBlock`` computes each
@@ -409,11 +409,14 @@ class ErrorBoundReport:
         return self.total >= self.actual_error * (1 - 1e-12)
 
 
-def deim_projection_term(Phi: np.ndarray, sub_norm: float, data: np.ndarray) -> float:
-    """Interpolation-error term ``||Phi_I||_2 ||(I - Phi Phi^T) w||_2``."""
+def deim_projection_term(Phi: np.ndarray, inverse_norm: float, data: np.ndarray) -> float:
+    """Interpolation-error term ``||Phi_I^{-1}||_2 ||(I - Phi Phi^T) w||_2``,
+    with ``inverse_norm`` an upper bound of ``||Phi_I^{-1}||_2``; it bounds the
+    interpolation error of ``w`` (Chaturantabut and Sorensen, SIAM J. Sci.
+    Comput. 32, 2010, Lemma 3.2)."""
     w = np.asarray(data, dtype=float)
     residual = w - Phi @ (Phi.T @ w)
-    return float(sub_norm * np.linalg.norm(residual))
+    return float(inverse_norm * np.linalg.norm(residual))
 
 
 def error_bound_steady(
@@ -429,18 +432,17 @@ def error_bound_steady(
     return np.atleast_1d(np.linalg.norm(residual_steady(A, F, V, states), axis=0) / sigma)
 
 
-def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoidal integral of ``||r||`` up to each step; the value at the
-    first node is extended backwards over the initial interval."""
-    norms = np.concatenate([[values[0]], values])
-    return np.concatenate([[0.0], np.cumsum(0.5 * dt * (norms[:-1] + norms[1:]))])
-
-
 def error_bound_unsteady(
     M, A, F, V, trajectory: np.ndarray, dt: float, initial_error: float, constant: float
 ) -> np.ndarray:
-    """The marching rule ``C (e_0 + int_0^t ||r||)`` of each state of a
-    reduced ``trajectory``, with the residuals of ``residual_unsteady`` and
-    ``constant`` a bound on the semigroup of ``(M, A)`` over the horizon."""
+    """The marching rule ``C (e_0 + dt sum_{j<=k} ||r^j||)`` of each state
+    ``k`` of a reduced ``trajectory`` (0 at state 0), with the residuals of
+    ``residual_unsteady`` and ``constant`` a bound on the semigroup of
+    ``(M, A)`` over the horizon.
+
+    The BDF1 error obeys ``e^k = (M + dt A)^{-1} M (e^{k-1} + dt r^k)``;
+    unrolled, ``e^k`` is the propagated ``e^0`` plus ``dt`` times each
+    propagated ``r^j``, ``j <= k``, which gives the right-endpoint sum.
+    """
     norms = np.linalg.norm(residual_unsteady(M, A, F, V, trajectory, dt), axis=1)
-    return constant * (initial_error + _cumulative_trapezoid(norms, dt))
+    return constant * (initial_error + np.concatenate([[0.0], dt * np.cumsum(norms)]))

@@ -119,7 +119,7 @@ def query_bounds(
     constants.update(slave_constants)
     constants.update({
         "transfer_norm_C": transfer_norm,
-        "magic_rows_norm": deim.magic_rows_norm,
+        "deim_inverse_norm": deim.inverse_norm,
         # every constant is proved except the Gronwall c3
         "certified": "gronwall" not in constants.values(),
     })
@@ -127,7 +127,7 @@ def query_bounds(
     return [
         est.ErrorBoundReport(
             master_term=float(transfer_norm * m),
-            deim_term=est.deim_projection_term(deim.Phi, deim.magic_rows_norm, g),
+            deim_term=est.deim_projection_term(deim.Phi, deim.inverse_norm, g),
             slave_term=float(s),
             constants=dict(constants),
             actual_error=float(a),

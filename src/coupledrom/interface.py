@@ -1,20 +1,21 @@
 """Interface Dirichlet-data reduction.
 
-The full-order transfer of interface data is a piecewise-(bi)linear
-interpolation from the source trace grid to the target trace points,
+The full-order transfer ``B`` of interface data is a piecewise-(bi)linear
+interpolation from the master trace grid to the slave trace points,
 realized as a precomputed sparse matrix (a permutation when the traces
-conform).  The reduced transfer replaces it with an interpolation basis over
-trace snapshots, greedily selected interpolation indices on the target trace
-("magic points"), their nearest-DoF counterparts on the source trace, and
-dense products that make every online application an operation in reduced
-dimensions only.
+conform).  The reduced transfer keeps ``B`` and interpolates its output: an
+interpolation basis ``Phi`` over trace snapshots, greedily selected
+interpolation indices on the slave trace ("magic points"), and the rows
+``B_I`` of ``B`` at those points, so that the reduced trace is
+``Phi Phi_I^{-1} B_I`` applied to the master trace.  Dense products fold the
+master basis in, which makes every online application an operation in
+reduced dimensions only.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -27,11 +28,10 @@ from .errors import (
     DimensionMismatchError,
     EmptyTraceError,
     InvalidGeometryError,
-    OversamplingError,
     ProjectionDistanceError,
 )
 from .mesh import InterfaceTrace
-from .pod import PodFactorization, ReducedBasis, SnapshotSet
+from .pod import ReducedBasis
 
 log = logging.getLogger(__name__)
 
@@ -237,15 +237,13 @@ class DeimBasis:
     indices: np.ndarray  # selection order positions into the trace
     lu: tuple = field(repr=False)
     cond: float
+    #: upper bound of ``||Phi_I^{-1}||_2``, the amplification of the
+    #: projection error in the interpolation error
+    inverse_norm: float
 
     @property
     def m(self) -> int:
         return self.Phi.shape[1]
-
-    @cached_property
-    def magic_rows_norm(self) -> float:
-        """``||Phi[indices]||_2``, the interpolation error's amplification."""
-        return float(np.linalg.norm(self.Phi[self.indices], 2))
 
     def interpolate(self, values_at_indices: np.ndarray) -> np.ndarray:
         """Coefficients reproducing ``values_at_indices`` at the magic rows."""
@@ -256,15 +254,26 @@ class DeimBasis:
 
 
 def make_deim_basis(Phi: np.ndarray, indices: np.ndarray | None = None) -> DeimBasis:
+    """Factorize the magic rows ``Phi_I`` and take ``cond(Phi_I)`` and
+    ``||Phi_I^{-1}||_2 = 1 / s_min`` from one SVD.
+
+    The computed singular values are off by at most a modest multiple of
+    ``m eps s_max`` (backward stability of the SVD); ``s_min`` is lowered by
+    the margin ``4 m eps s_max`` before it is inverted, so that
+    ``inverse_norm`` stays an upper bound.
+    """
     indices = deim_indices(Phi) if indices is None else np.asarray(indices)
     sub = Phi[indices, :]
     try:
         lu = sla.lu_factor(sub)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise DegenerateBasisError(f"magic-row submatrix not factorizable: {exc}")
-    cond = float(np.linalg.cond(sub))
+    s = np.linalg.svd(sub, compute_uv=False)
+    cond = float(s[0] / s[-1])
+    s_low = s[-1] - 4 * len(s) * np.finfo(float).eps * s[0]
+    inverse_norm = float(1.0 / s_low) if s_low > 0 else np.inf
     log.info("interpolation basis: m=%d, cond(selected rows)=%.3e", Phi.shape[1], cond)
-    return DeimBasis(Phi=Phi, indices=indices, lu=lu, cond=cond)
+    return DeimBasis(Phi=Phi, indices=indices, lu=lu, cond=cond, inverse_norm=inverse_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +290,12 @@ class InterfaceReducer:
     """
 
     deim: DeimBasis
-    master_trace: InterfaceTrace = field(repr=False)
     slave_trace: InterfaceTrace = field(repr=False)
-    master_indices: np.ndarray  # global master DoFs, ordered like deim.indices
     full_transfer: np.ndarray = field(repr=False)  # (len slave trace, n1)
     lift_products: dict = field(repr=False)  # key -> (n2, n1)
-    transfer_norm: float  # two-norm of the full-order reduced-transfer operator
-    max_magic_distance: float
+    #: ``||Phi Phi_I^{-1} B_I||_2``, the reduced transfer's two-norm on
+    #: master trace values
+    transfer_norm: float
 
     @property
     def m(self) -> int:
@@ -320,36 +328,29 @@ def _basis_matrix(basis) -> np.ndarray:
 
 def assemble_reducer(
     deim: DeimBasis,
+    transfer: sp.spmatrix,
     master_trace: InterfaceTrace,
     slave_trace: InterfaceTrace,
     master_basis,
     slave_basis,
     slave_operators: Mapping[str, sp.spmatrix] | None = None,
 ) -> InterfaceReducer:
-    """Assemble the stored online products for a given interpolation basis."""
+    """Assemble the stored online products for a given interpolation basis.
+
+    ``transfer`` is the full-order transfer ``B`` (slave trace x master
+    trace) that made the interface snapshots; the reduced trace reads its
+    rows ``B_I`` at the magic points, ``Phi Phi_I^{-1} B_I V1[master trace]``.
+    """
     V1 = _basis_matrix(master_basis)
     V2 = _basis_matrix(slave_basis)
-    magic_coords = slave_trace.coords[deim.indices]
-    master_positions = nearest_dof_map(magic_coords, master_trace)
-    master_indices = master_trace.dof_indices[master_positions]
-    dist = np.linalg.norm(
-        magic_coords - master_trace.coords[master_positions], axis=1
-    )
-    max_dist = float(dist.max()) if dist.size else 0.0
-    log.info("magic points: max slave-master distance %.3e", max_dist)
+    B_I = sp.csr_matrix(transfer)[deim.indices]  # (m, len master trace)
 
-    # extraction of the master basis rows at the magic DoFs, then the
-    # interpolation solve, both folded into dense offline products
-    extracted = V1[master_indices, :]  # (m, n1)
+    # the magic-point values of the master basis, then the interpolation
+    # solve, both folded into dense offline products
+    extracted = B_I @ V1[master_trace.dof_indices]  # (m, n1)
     full_transfer = deim.Phi @ sla.lu_solve(deim.lu, extracted)
-
-    # two-norm of the end-to-end linear map from full master vectors to
-    # reconstructed Dirichlet data; duplicate master DoFs merge columns
-    G = deim.Phi @ sla.lu_solve(deim.lu, np.eye(deim.m))  # Phi @ inv(Phi_I)
-    uniq, inverse = np.unique(master_indices, return_inverse=True)
-    merged = np.zeros((G.shape[0], len(uniq)))
-    np.add.at(merged.T, inverse, G.T)
-    transfer_norm = float(np.linalg.norm(merged, 2))
+    # Phi has orthonormal columns: ||Phi Phi_I^{-1} B_I||_2 = ||Phi_I^{-1} B_I||_2
+    transfer_norm = float(np.linalg.norm(sla.lu_solve(deim.lu, B_I.toarray()), 2))
 
     lift_products = {}
     if slave_operators:
@@ -361,52 +362,8 @@ def assemble_reducer(
 
     return InterfaceReducer(
         deim=deim,
-        master_trace=master_trace,
         slave_trace=slave_trace,
-        master_indices=master_indices,
         full_transfer=full_transfer,
         lift_products=lift_products,
         transfer_norm=transfer_norm,
-        max_magic_distance=max_dist,
     )
-
-
-def build_interface_reducer(
-    snapshots: SnapshotSet | np.ndarray,
-    tolerance: float,
-    master_trace: InterfaceTrace,
-    slave_trace: InterfaceTrace,
-    master_basis,
-    slave_basis,
-    slave_operators: Mapping[str, sp.spmatrix] | None = None,
-) -> InterfaceReducer:
-    """Offline construction: basis over transferred trace snapshots, greedy
-    indices, nearest source DoFs, and the stored online products."""
-    factorization = PodFactorization(snapshots)
-    basis = factorization.truncate(tolerance)
-    if basis.n > len(master_trace):
-        raise OversamplingError(
-            f"{basis.n} interpolation indices exceed the master trace size "
-            f"{len(master_trace)}"
-        )
-    deim = make_deim_basis(basis.V)
-    return assemble_reducer(
-        deim, master_trace, slave_trace, master_basis, slave_basis, slave_operators
-    )
-
-
-def apply_deim(
-    reducer: InterfaceReducer,
-    u_n1: np.ndarray,
-    weights: Mapping | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Dirichlet data on the full slave trace plus the reduced lifting term.
-
-    Both outputs are computed purely from reduced-dimension products with the
-    reduced master solution ``u_n1``.
-    """
-    trace_values = reducer.dirichlet_trace(np.asarray(u_n1, dtype=float))
-    lifting = None
-    if reducer.lift_products:
-        lifting = reducer.reduced_lifting(u_n1, weights)
-    return trace_values, lifting

@@ -4,7 +4,8 @@ Three families mirror the experiment suite: a steady reaction-diffusion
 master feeding a Laplace slave, an unsteady heat master feeding a steady
 Laplace slave, and an unsteady advection-diffusion channel feeding an
 unsteady diffusive wall.  Slave subdivisions that divide the master's give
-nested (non-conforming but pointwise-matching) interfaces.
+nested (non-conforming but pointwise-matching) interfaces; any others give
+non-nested ones, whose slave trace points lie between master trace points.
 """
 
 from __future__ import annotations

@@ -526,6 +526,7 @@ def _assemble_artifacts(
         slave_ops["M"] = fom.slave.mass
     reducer = assemble_reducer(
         deim_basis,
+        fom.transfer,
         fom.master.interface,
         fom.slave.interface,
         V1,

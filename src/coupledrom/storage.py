@@ -27,8 +27,9 @@ MAGIC = b"ROMB"
 #: matrix file header version
 VERSION = 1
 #: manifest version; 2 dropped the reducer's unused point transfer and
-#: master trace positions
-BUNDLE_VERSION = 2
+#: master trace positions, 3 its nearest master DoFs of the magic points
+#: (the reduced trace reads the full-order transfer's rows instead)
+BUNDLE_VERSION = 3
 _HEADER = struct.Struct("<4sIQQ")
 
 #: files excluded from the bundle hash (non-reproducible content)
@@ -189,9 +190,7 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
         },
         "reducer": {
             "indices": artifacts.reducer.deim.indices.tolist(),
-            "master_indices": artifacts.reducer.master_indices.tolist(),
             "transfer_norm": artifacts.reducer.transfer_norm,
-            "max_magic_distance": artifacts.reducer.max_magic_distance,
             "cond": artifacts.reducer.deim.cond,
         },
         "provenance": provenance,
@@ -257,22 +256,16 @@ def load_bundle(path):
     master = load_submodel("master")
     slave = load_submodel("slave")
 
-    master_mesh = spec.master.mesh.build()
-    slave_mesh = spec.slave.mesh.build()
-    master_trace = extract_interface(master_mesh, spec.master.interface_tag)
-    slave_trace = extract_interface(slave_mesh, spec.slave.interface_tag)
+    slave_trace = extract_interface(spec.slave.mesh.build(), spec.slave.interface_tag)
 
     rd = manifest["reducer"]
     deim = make_deim_basis(mat("phi"), indices=np.asarray(rd["indices"], dtype=np.int64))
     reducer = InterfaceReducer(
         deim=deim,
-        master_trace=master_trace,
         slave_trace=slave_trace,
-        master_indices=np.asarray(rd["master_indices"], dtype=np.int64),
         full_transfer=mat("full_transfer"),
         lift_products={key: mat(f"lift_{key}") for key in manifest["slave"]["lift_keys"]},
         transfer_norm=float(rd["transfer_norm"]),
-        max_magic_distance=float(rd["max_magic_distance"]),
     )
     tol = manifest["tolerances"]
     return RomArtifacts(

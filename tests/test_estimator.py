@@ -235,6 +235,23 @@ class TestErrorBoundUnsteady:
         for b in bounds:
             assert b == pytest.approx(2.0 * 0.25)
 
+    def test_right_endpoint_sum_of_given_residual_norms(self):
+        # u' = f with M = 1, A = 0 and the zero trajectory: the residual at
+        # step k is f^k, and BDF1's error e^k = e^{k-1} + dt f^k meets the
+        # rule C (e_0 + dt sum_{j<=k} |f^j|) with equality for C = 1
+        f = np.array([0.0, 1.0, 2.0, 3.0])
+        dt = 0.5
+        kwargs = dict(
+            M=sp.identity(1, format="csc"), A=sp.csr_matrix((1, 1)), F=f[None, :],
+            V=np.eye(1), trajectory=np.zeros((4, 1)), dt=dt,
+        )
+        fom_march = np.cumsum(dt * f)
+        assert np.array_equal(fom_march, [0.0, 0.5, 1.5, 3.0])
+        bounds = error_bound_unsteady(**kwargs, initial_error=0.0, constant=1.0)
+        assert np.array_equal(bounds, fom_march)
+        bounds = error_bound_unsteady(**kwargs, initial_error=0.25, constant=2.0)
+        assert np.array_equal(bounds, 2.0 * (0.25 + fom_march))
+
     def test_full_rank_bound_tiny(self):
         spec = heat_laplace_pair(
             master_subdivisions=(3, 3, 3), slave_subdivisions=(3, 3, 3), n_steps=5

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coupledrom as cr
 from coupledrom.errors import (
     DegenerateBasisError,
     OversamplingError,
@@ -10,9 +13,7 @@ from coupledrom.errors import (
 )
 from coupledrom.fem import assemble_stiffness
 from coupledrom.interface import (
-    apply_deim,
     assemble_reducer,
-    build_interface_reducer,
     build_transfer_matrix,
     deim_indices,
     make_deim_basis,
@@ -20,7 +21,8 @@ from coupledrom.interface import (
     transfer_linear,
 )
 from coupledrom.mesh import build_box_mesh, extract_interface
-from coupledrom.pod import pod
+from coupledrom.library import steady_pair_2d
+from coupledrom.pod import PodFactorization, pod
 
 
 def cube_trace(n, order=1, origin=(0, 0, 0), face="x+"):
@@ -163,6 +165,14 @@ class TestNearestDofMap:
         assert got.tolist() == [0]
 
 
+def reducer_from_snapshots(S_D, eps, tm, ts, V1, V2=None, slave_operators=None):
+    """Interpolation basis over the trace snapshots ``S_D`` and the stored
+    products, through the full-order transfer from ``tm`` to ``ts``."""
+    deim = make_deim_basis(pod(S_D, eps).V)
+    P = build_transfer_matrix(tm, ts)
+    return assemble_reducer(deim, P, tm, ts, V1, V2, slave_operators)
+
+
 def make_reducer_setup(n_master=4, n_slave=2, n_snap=12, eps=1e-10, order=1):
     master_mesh, tm = cube_trace(n_master, order=order)
     slave_mesh = build_box_mesh((1, 0, 0), (1, 1, 1), (n_slave, n_slave, n_slave))
@@ -183,50 +193,55 @@ def make_reducer_setup(n_master=4, n_slave=2, n_snap=12, eps=1e-10, order=1):
     K2 = assemble_stiffness(slave_mesh, diffusion=1.0)
     V2 = np.linalg.qr(np.random.default_rng(5).standard_normal((slave_mesh.n_dofs, 6)))[0]
     V2[ts.dof_indices] = 0.0
-    reducer = build_interface_reducer(
-        S_D, eps, tm, ts, q1, V2, slave_operators={"A": K2}
-    )
-    return reducer, tm, ts, S_D, q1, V2, K2
+    reducer = reducer_from_snapshots(S_D, eps, tm, ts, q1, V2, slave_operators={"A": K2})
+    return reducer, tm, ts, P, q1, V2, K2
+
+
+#: a slave trace nested in the master's (every slave point a master point)
+#: and one that is not
+SLAVE_SUBDIVISIONS = {"nested": 2, "non-nested": 3}
 
 
 class TestInterfaceReducer:
     def test_single_snapshot_reconstruction(self):
-        _, tm = cube_trace(3)
+        mesh, tm = cube_trace(3)
         slave_mesh = build_box_mesh((1, 0, 0), (1, 1, 1), (2, 2, 2))
         ts = extract_interface(slave_mesh, "x-")
-        s = 1.0 + ts.coords[:, 1] * 2.0
-        reducer = build_interface_reducer(
-            s[:, None], 1e-8, tm, ts, np.eye(len(tm.dof_indices)), None
-        )
+        V1 = np.zeros((mesh.n_dofs, 1))
+        V1[tm.dof_indices, 0] = 1.0 + tm.coords[:, 1] * 2.0
+        s = 1.0 + ts.coords[:, 1] * 2.0  # the affine field's exact transfer
+        reducer = reducer_from_snapshots(s[:, None], 1e-8, tm, ts, V1)
         assert reducer.m == 1
-        w = s[reducer.deim.indices]
-        rec = reducer.deim.reconstruct(w)
+        rec = reducer.deim.reconstruct(s[reducer.deim.indices])
         assert np.linalg.norm(rec - s) <= 1e-12 * np.linalg.norm(s)
+        trace = reducer.dirichlet_trace(np.array([1.0]))
+        assert np.linalg.norm(trace - s) <= 1e-12 * np.linalg.norm(s)
 
     def test_oversampling_rejected(self):
-        _, tm = cube_trace(1)  # 4 master trace DoFs
-        slave_mesh = build_box_mesh((1, 0, 0), (1, 1, 1), (3, 3, 3))
-        ts = extract_interface(slave_mesh, "x-")
-        rng = np.random.default_rng(0)
-        S = rng.standard_normal((len(ts), 8))
+        spec = steady_pair_2d(master_subdivisions=(1, 1), slave_subdivisions=(3, 3))
+        training = cr.run_training(spec, 3, seed=1)  # 2 master trace DoFs
+        n_trace = len(training.fom.slave.interface)
+        S = np.random.default_rng(0).standard_normal((n_trace, n_trace))
+        training = dataclasses.replace(training, pod_dirichlet=PodFactorization(S))
         with pytest.raises(OversamplingError):
-            build_interface_reducer(S, 1e-14, tm, ts, np.eye(len(tm)), None)
+            cr.build_artifacts(training, (1e-14, 1e-14, 1e-14))
 
     def test_full_deim_on_conforming_grids_reproduces_snapshots(self):
         mesh, tm = cube_trace(3)
         slave_mesh = build_box_mesh((1, 0, 0), (1, 1, 1), (3, 3, 3))
         ts = extract_interface(slave_mesh, "x-")
+        P = build_transfer_matrix(tm, ts)
         rng = np.random.default_rng(1)
-        S = rng.standard_normal((len(ts), len(ts)))  # full rank: m = trace size
         V1 = np.zeros((mesh.n_dofs, len(ts)))
-        V1[tm.dof_indices] = S  # master carries exactly the snapshot traces
-        reducer = build_interface_reducer(S, 1e-14, tm, ts, V1, None)
+        V1[tm.dof_indices] = rng.standard_normal((len(tm), len(ts)))
+        S = P @ V1[tm.dof_indices]  # full rank: m = trace size
+        reducer = reducer_from_snapshots(S, 1e-14, tm, ts, V1)
         assert reducer.m == len(ts)
         for j in range(4):
             coeff = np.zeros(len(ts))
             coeff[j] = 1.0
             # u_n1 = e_j reconstructs column j of the snapshot matrix
-            trace, _ = apply_deim(reducer, coeff)
+            trace = reducer.dirichlet_trace(coeff)
             assert np.linalg.norm(trace - S[:, j]) <= 1e-10 * np.linalg.norm(S[:, j])
 
     def test_held_out_reconstruction_within_tolerance_budget(self):
@@ -252,21 +267,22 @@ class TestInterfaceReducer:
             rel_errors.append(np.linalg.norm(rec - w) / np.linalg.norm(w))
         assert max(rel_errors) <= 10 * eps
 
-    def test_apply_deim_zero_input(self):
+    def test_zero_input(self):
         reducer, *_ = make_reducer_setup()
-        trace, lift = apply_deim(reducer, np.zeros(reducer.full_transfer.shape[1]))
-        assert not np.any(trace)
-        assert not np.any(lift)
+        u_n1 = np.zeros(reducer.full_transfer.shape[1])
+        assert not np.any(reducer.dirichlet_trace(u_n1))
+        assert not np.any(reducer.reduced_lifting(u_n1))
 
-    def test_apply_deim_matches_unreduced_path(self):
-        reducer, tm, ts, S_D, V1, V2, K2 = make_reducer_setup()
+    @pytest.mark.parametrize("slave", SLAVE_SUBDIVISIONS.values(), ids=SLAVE_SUBDIVISIONS)
+    def test_matches_unreduced_path(self, slave):
+        reducer, tm, ts, P, V1, V2, K2 = make_reducer_setup(n_slave=slave)
         rng = np.random.default_rng(23)
         u_n1 = rng.standard_normal(V1.shape[1])
-        trace, lift = apply_deim(reducer, u_n1)
-        # unreduced oracle: expand master, extract trace, interpolate, then
+        trace = reducer.dirichlet_trace(u_n1)
+        lift = reducer.reduced_lifting(u_n1)
+        # unreduced oracle: expand master, extract trace, transfer, then
         # interpolate again from the magic values
         u_full = V1 @ u_n1
-        P = build_transfer_matrix(tm, ts)
         transferred = P @ u_full[tm.dof_indices]
         oracle_trace = reducer.deim.reconstruct(transferred[reducer.deim.indices])
         assert np.linalg.norm(trace - oracle_trace) <= 1e-10 * max(
@@ -280,17 +296,33 @@ class TestInterfaceReducer:
             np.linalg.norm(oracle_lift), 1e-30
         )
 
+    @pytest.mark.parametrize("slave", SLAVE_SUBDIVISIONS.values(), ids=SLAVE_SUBDIVISIONS)
+    def test_transfer_norm_is_the_reduced_transfer_norm(self, slave):
+        reducer, tm, ts, P, *_ = make_reducer_setup(n_slave=slave)
+        deim = reducer.deim
+        dense = deim.Phi @ np.linalg.solve(deim.Phi[deim.indices], P[deim.indices].toarray())
+        assert reducer.transfer_norm == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
+
     def test_order_covariance_under_permutation(self):
-        reducer, tm, ts, S_D, V1, V2, K2 = make_reducer_setup()
+        reducer, tm, ts, P, V1, V2, K2 = make_reducer_setup()
         rng = np.random.default_rng(31)
         perm = rng.permutation(reducer.m)
         permuted = make_deim_basis(reducer.deim.Phi, indices=reducer.deim.indices[perm])
-        other = assemble_reducer(permuted, tm, ts, V1, V2, {"A": K2})
+        other = assemble_reducer(permuted, P, tm, ts, V1, V2, {"A": K2})
         u_n1 = rng.standard_normal(V1.shape[1])
-        t0, l0 = apply_deim(reducer, u_n1)
-        t1, l1 = apply_deim(other, u_n1)
+        t0, t1 = reducer.dirichlet_trace(u_n1), other.dirichlet_trace(u_n1)
+        l0, l1 = reducer.reduced_lifting(u_n1), other.reduced_lifting(u_n1)
         assert np.allclose(t0, t1, atol=1e-11 * max(1.0, np.abs(t0).max()))
         assert np.allclose(l0, l1, atol=1e-11 * max(1.0, np.abs(l0).max()))
+
+    def test_inverse_norm_bounds_the_dense_inverse(self):
+        rng = np.random.default_rng(43)
+        for n, m in ((30, 5), (12, 12), (50, 1)):
+            Phi, _ = np.linalg.qr(rng.standard_normal((n, m)))
+            basis = make_deim_basis(Phi)
+            dense = np.linalg.norm(np.linalg.inv(Phi[basis.indices]), 2)
+            assert dense <= basis.inverse_norm <= dense * (1 + 1e-12)
+        assert make_deim_basis(np.eye(7), np.arange(7)).inverse_norm >= 1.0
 
     def test_reconstruction_error_surrogate_bound(self):
         # the computable two-norm surrogate dominates the interpolation error
@@ -311,6 +343,6 @@ class TestInterfaceReducer:
         const = np.ones(len(ts))
         V1 = np.zeros((mesh.n_dofs, 1))
         V1[tm.dof_indices, 0] = 1.0
-        reducer = build_interface_reducer(const[:, None], 1e-10, tm, ts, V1, None)
-        trace, _ = apply_deim(reducer, np.array([1.0]))
+        reducer = reducer_from_snapshots(const[:, None], 1e-10, tm, ts, V1)
+        trace = reducer.dirichlet_trace(np.array([1.0]))
         assert np.allclose(trace, 1.0, atol=1e-12)

@@ -17,7 +17,7 @@ from coupledrom.errors import (
     SolverFailureError,
 )
 from coupledrom.library import heat_laplace_pair, steady_pair_2d, transport_wall_pair
-from coupledrom.experiments import unsteady_query_bounds
+from coupledrom.experiments import query_bounds, unsteady_query_bounds
 from coupledrom.pipeline import ReducedSubmodel, _reduced_march, affine_sum
 from coupledrom.pod import ReducedBasis
 from coupledrom.problems import (
@@ -31,7 +31,7 @@ from coupledrom.problems import (
     eval_theta,
     reads_time,
 )
-from coupledrom.sampling import ParameterSpace
+from coupledrom.sampling import ParameterSpace, lhs_sample
 
 
 @pytest.fixture(scope="module")
@@ -706,7 +706,7 @@ class TestToleranceMonotonicity:
 def without_full_order_arrays(art):
     """The artifacts with every full-order array emptied: ``basis.V`` is
     ``(0, n)``, ``reducer.full_transfer`` ``(0, n1)``, ``deim.Phi`` ``(0, m)``,
-    and the reducer holds no interface traces."""
+    and the reducer holds no interface trace."""
     reducer = art.reducer
     empty = lambda sub: dataclasses.replace(
         sub, basis=dataclasses.replace(sub.basis, V=np.empty((0, sub.n)))
@@ -719,7 +719,6 @@ def without_full_order_arrays(art):
             reducer,
             deim=dataclasses.replace(reducer.deim, Phi=np.empty((0, reducer.m))),
             full_transfer=np.empty((0, art.master.n)),
-            master_trace=None,
             slave_trace=None,
         ),
     )
@@ -850,3 +849,62 @@ class TestConformingTraceExactness:
         master_vals = res.master[fom.master.interface.dof_indices]
         scale = np.linalg.norm(master_vals)
         assert np.linalg.norm(online.trace - master_vals) <= 1e-12 * scale
+
+
+#: per family: the pair for given slave subdivisions, the nested and the
+#: non-nested slave subdivisions (the paper's case: slave trace points between
+#: master trace points), and the tolerance of every triple entry
+INTERFACE_PAIRS = {
+    "heat": (
+        lambda slave: heat_laplace_pair((8, 8, 8), slave, n_steps=10), (4, 4, 4), (5, 5, 5), 1e-5
+    ),
+    "steady-2d": (lambda slave: steady_pair_2d((8, 8), slave), (4, 4), (5, 5), 1e-6),
+}
+NESTINGS = ("nested", "non-nested")
+
+
+@pytest.fixture(scope="module")
+def interface_pairs():
+    """Spec, full-order problem, artifacts and test rows of every pair."""
+    out = {}
+    for family, (make, nested, non_nested, tol) in INTERFACE_PAIRS.items():
+        for nesting, slave in zip(NESTINGS, (nested, non_nested)):
+            spec = make(slave)
+            training = cr.run_training(spec, n_train=12, seed=11)
+            art = cr.build_artifacts(training, (tol, tol, tol))
+            rows = cr.evaluate_test_set(art, training.fom, n_test=4, seed=99, with_bounds=True)
+            out[family, nesting] = (spec, training.fom, art, rows)
+    return out
+
+
+class TestNonNestedInterface:
+    @pytest.mark.parametrize("family", INTERFACE_PAIRS)
+    def test_full_rank_reproduces_full_order_solve(self, interface_pairs, family):
+        spec, fom, _, _ = interface_pairs[family, "non-nested"]
+        assert not fom.conforming
+        art = cr.full_rank_artifacts(spec)
+        for mu1 in lhs_sample(fom.master.spec.parameters, 2, 5, "test").points:
+            res = cr.fom_coupled_solve(fom, mu1, [])
+            online = cr.online_solve(art, mu1, [])
+            rel = np.linalg.norm(res.slave - online.slave_solution) / np.linalg.norm(res.slave)
+            assert rel <= 1e-10
+
+    @pytest.mark.parametrize("family", INTERFACE_PAIRS)
+    def test_error_within_ten_times_the_nested_pair(self, interface_pairs, family):
+        nested, non_nested = (
+            cr.summarize(interface_pairs[family, nesting][3]) for nesting in NESTINGS
+        )
+        assert non_nested["max_rel_error"] <= 10 * nested["max_rel_error"]
+        assert nested["bound_valid_fraction"] == non_nested["bound_valid_fraction"] == 1.0
+
+    @pytest.mark.parametrize("nesting", NESTINGS)
+    @pytest.mark.parametrize("family", INTERFACE_PAIRS)
+    def test_interface_terms_bound_the_trace_error(self, interface_pairs, family, nesting):
+        _, fom, art, _ = interface_pairs[family, nesting]
+        for mu1 in lhs_sample(fom.master.spec.parameters, 4, 99, "test").points:
+            res = cr.fom_coupled_solve(fom, mu1, [])
+            online = cr.online_solve(art, mu1, [])
+            reports = query_bounds(fom, art, mu1, [], online, res)
+            trace_errors = np.linalg.norm(np.atleast_2d(res.dirichlet - online.trace), axis=1)
+            for report, error in zip(reports, trace_errors, strict=True):
+                assert error <= report.deim_term + report.master_term

@@ -40,3 +40,12 @@ def test_unsteady_experiment_script(tmp_path):
     )
     assert stdout.count("bound_valid=100%") == 3
     assert "speedup" in stdout
+
+
+def test_make_configs_regenerates_every_committed_config(tmp_path):
+    out = tmp_path / "configs"
+    run_script("make_configs.py", str(out), cwd=tmp_path)
+    committed = sorted(p.name for p in (ROOT / "configs").glob("*.json"))
+    assert sorted(p.name for p in out.glob("*.json")) == committed
+    for name in committed:
+        assert (out / name).read_bytes() == (ROOT / "configs" / name).read_bytes(), name

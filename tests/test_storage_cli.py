@@ -122,7 +122,8 @@ class TestBundle:
         art = cr.offline(spec, n_train=3, tolerances=(1e-4, 1e-4, 1e-4), seed=2)
         write_bundle(tmp_path / "b", art)
         loaded = load_bundle(tmp_path / "b")
-        assert np.array_equal(loaded.reducer.master_indices, art.reducer.master_indices)
+        assert np.array_equal(loaded.reducer.full_transfer, art.reducer.full_transfer)
+        assert loaded.reducer.transfer_norm == art.reducer.transfer_norm
         for key, product in art.reducer.lift_products.items():
             assert np.array_equal(loaded.reducer.lift_products[key], product)
         a = cr.online_unsteady(art, [0.8], [])
@@ -132,15 +133,17 @@ class TestBundle:
     def test_stores_no_point_transfer_or_master_positions(self, tmp_path, artifacts):
         write_bundle(tmp_path / "b", artifacts)
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
-        assert manifest["version"] == 2
-        assert "master_positions" not in manifest["reducer"]
+        assert manifest["version"] == 3
+        assert not {"master_positions", "master_indices", "max_magic_distance"} & set(
+            manifest["reducer"]
+        )
         assert not (tmp_path / "b" / "point_transfer.rombin").exists()
 
     def test_other_manifest_versions_rejected(self, tmp_path, artifacts):
         write_bundle(tmp_path / "b", artifacts)
         path = tmp_path / "b" / "manifest.json"
         manifest = json.loads(path.read_text())
-        for version in (1, 3, None):
+        for version in (1, 2, None):
             manifest["version"] = version
             path.write_text(json.dumps(manifest))
             with pytest.raises(ConfigError, match="bundle version"):
