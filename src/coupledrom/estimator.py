@@ -34,7 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatchError, EstimatorConvergenceError
-from .fem import factorized_solver
+from .fem import LU_ORDERING, factorized_solver
 
 _POWER_MAX_ITER = 5000
 _POWER_RTOL = 1e-9
@@ -146,8 +146,9 @@ class MassBlock:
 def sigma_min(A, tol: float = 1e-6, max_iter: int = _POWER_MAX_ITER, seed: int = 0) -> float:
     """A proved lower bound on the smallest singular value.
 
-    Inverse power iteration on ``A^T A`` estimates it; a tiny diagonal shift
-    is retried once if the factorization hits an exactly singular pivot.
+    Inverse power iteration on ``A^T A`` estimates it, through one LU of
+    ``A`` ordered by ``fem.LU_ORDERING``; a tiny diagonal shift is retried
+    once if the factorization hits an exactly singular pivot.
     ``_certified_sigma`` then proves the estimate, or returns 0.0, the
     trivial lower bound.
     """
@@ -155,11 +156,12 @@ def sigma_min(A, tol: float = 1e-6, max_iter: int = _POWER_MAX_ITER, seed: int =
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatchError("sigma_min requires a square matrix")
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(A, **LU_ORDERING)
     except RuntimeError:
         shift = 1e-14 * abs(A).max()
         try:
-            lu = spla.splu((A + shift * sp.identity(A.shape[0], format="csc")).tocsc())
+            lu = spla.splu((A + shift * sp.identity(A.shape[0], format="csc")).tocsc(),
+                           **LU_ORDERING)
         except RuntimeError as exc:
             raise EstimatorConvergenceError(f"factorization failed twice: {exc}")
     rng = np.random.default_rng(seed)

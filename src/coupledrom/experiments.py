@@ -38,7 +38,11 @@ from .storage import write_bundle
 
 @dataclass
 class SigmaCache:
-    """Cache of stability constants keyed by role and operator weights."""
+    """Stability constants keyed by role and operator weights, shared by the
+    queries of one caller: ``run_sweep`` keeps one across its tolerance
+    triples, where the master weights of the test set repeat.  A steady rule
+    reads the submodel's kept ``sigma_min`` (``FomSubmodel.free_sigma_min``)
+    before this cache."""
 
     values: dict = field(default_factory=dict)
 
@@ -53,7 +57,8 @@ def _submodel_bound(
 ) -> tuple[np.ndarray, dict]:
     """One submodel's error bound at each state, by the rule of its kind,
     and the constants the rule used, each cached by role and operator
-    weights.
+    weights; the steady rule first reads the ``sigma_min`` the submodel kept
+    for its last weights.
 
     Both rules read the submodel's free system under its exact constrained
     values (on the slave, with the exact interface ``trace``).  A steady or
@@ -65,7 +70,9 @@ def _submodel_bound(
     A_ff, F = sub.free_system(mu, trace, time)
     free = sub.free_dofs
     if not sub.spec.unsteady:
-        sigma = cache.get((role, weights), lambda: est.sigma_min(A_ff))
+        sigma = sub.free_sigma_min(
+            weights, lambda: cache.get((role, weights), lambda: est.sigma_min(A_ff))
+        )
         return est.error_bound_steady(A_ff, F, V[free], reduced.T, sigma), {
             f"sigma_min_{role}": sigma
         }

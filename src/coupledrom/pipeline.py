@@ -15,7 +15,7 @@ import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 import scipy.linalg as sla
@@ -110,7 +110,8 @@ class FomSubmodel(AffineSubmodel):
     What the solves and certification need of the operators and not of the
     parameters (the free and constrained blocks of each term, the free mass
     block, its factorization and ``sqrt(cond)``, and the dissipativity of
-    each operator term) is computed on first use and kept.
+    each operator term) is computed on first use and kept; so is the
+    certified ``sigma_min`` of the free operator for the last weights seen.
     """
 
     spec: SubmodelSpec
@@ -126,6 +127,8 @@ class FomSubmodel(AffineSubmodel):
     constrained_dofs: np.ndarray
     #: sorted complement of ``constrained_dofs``
     free_dofs: np.ndarray
+    #: ``(weights, sigma)`` of the last ``free_sigma_min`` call
+    _sigma_min: tuple = field(default=(None, 0.0), init=False, repr=False, compare=False)
 
     @property
     def n_dofs(self) -> int:
@@ -205,6 +208,18 @@ class FomSubmodel(AffineSubmodel):
         u[..., self.free_dofs] = fem.solve_steady(A_ff, F).T
         u[..., self.constrained_dofs] = values
         return u
+
+    def free_sigma_min(self, weights: tuple, compute: Callable[[], float]) -> float:
+        """The certified ``sigma_min`` of the free operator under ``weights``,
+        from ``compute`` unless these are the weights of the last call.  A
+        submodel whose weights do not depend on the parameters certifies once.
+        The entry is one tuple, read and replaced whole: threads that race on
+        it compute twice, and each returns the value of its own weights."""
+        kept_weights, sigma = self._sigma_min
+        if kept_weights != weights:
+            sigma = compute()
+            self._sigma_min = (weights, sigma)
+        return sigma
 
     def known_dissipative(self, weights) -> bool:
         """True when ``sum_q weights[q] * term_q`` is dissipative on the free

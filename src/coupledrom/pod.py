@@ -12,12 +12,15 @@ noise and do not decide the sign.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateSnapshotsError, DimensionMismatchError, RomError
 from .mesh import InterfaceTrace
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,8 @@ class PodFactorization:
         self.singular_values = sigma
 
     def size_for(self, tolerance: float) -> int:
+        """The energy rule's basis size, capped at the numerical rank of the
+        snapshots (the columns of ``U``), with a warning when it caps."""
         if not 0.0 < tolerance < 1.0:
             raise RomError(f"POD tolerance must be in (0, 1), got {tolerance}")
         s2 = self.singular_values**2
@@ -67,7 +72,13 @@ class PodFactorization:
         total = energy[0]
         tail = np.append(energy[1:], 0.0)  # tail[k] = energy beyond k+1 modes
         n = int(np.searchsorted(-tail, -(tolerance**2) * total) + 1)
-        return min(n, self.U.shape[1])
+        rank = self.U.shape[1]
+        if n > rank:
+            log.warning(
+                "POD tolerance %g asks for %d modes, above the numerical rank %d "
+                "of the snapshots; the basis keeps %d", tolerance, n, rank, rank,
+            )
+        return min(n, rank)
 
     def truncate(self, tolerance: float) -> ReducedBasis:
         n = self.size_for(tolerance)

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -21,7 +24,9 @@ from coupledrom.estimator import (
 )
 from coupledrom.experiments import (
     SigmaCache,
+    config_from_dict,
     query_bounds,
+    run_sweep,
     steady_query_bound,
     unsteady_query_bounds,
 )
@@ -34,6 +39,7 @@ from coupledrom.problems import (
     ForcingTerm,
     SubmodelSpec,
     TimeSpec,
+    problem_to_dict,
 )
 from coupledrom.sampling import ParameterSpace
 
@@ -506,8 +512,76 @@ class TestConstantsPerFom:
         once = {"two_norm": 0, "factorize": 1, "dissipative": 1, "eigsh": 3, "certificate": 3}
         assert calls == once
         bounds_at(spec, art, self.ALPHAS, fom)
-        # later queries, each with its own cache, certify only the slave
-        assert calls == dict(once, certificate=3 + len(self.ALPHAS))
+        # the slave keeps its sigma_min: later queries, each with its own
+        # cache, certify nothing
+        assert calls == once
+
+    def test_steady_sigma_min_once_per_distinct_weights(self, monkeypatch):
+        spec = steady_pair_2d()
+        training = cr.run_training(spec, 6, seed=1)
+        art = cr.build_artifacts(training, (1e-3, 1e-3, 1e-3))
+        certified = []
+
+        def counted(A, *args, **kwargs):
+            certified.append(A.shape[0])
+            return sigma_min(A, *args, **kwargs)
+
+        def reports(fom, mu1):
+            res = cr.fom_coupled_solve(fom, mu1, [])
+            online = cr.online_steady(art, mu1, [])
+            return query_bounds(fom, art, mu1, [], online, res, SigmaCache())
+
+        mu1s = ([1.0, 2.0], [1.0, 2.0], [3.0, 0.5], [3.0, 0.5], [4.5, 4.5])
+        fresh = [reports(cr.build_fom(spec), mu1) for mu1 in mu1s]
+        monkeypatch.setattr(est, "sigma_min", counted)
+        fom = cr.build_fom(spec)
+        kept = [reports(fom, mu1) for mu1 in mu1s]
+        assert kept == fresh
+        # the slave's weights do not depend on mu: one certificate; the
+        # master's one per change of its weights
+        n_master, n_slave = len(fom.master.free_dofs), len(fom.slave.free_dofs)
+        assert certified == [n_master, n_slave, n_master, n_master]
+
+    def test_kept_sigma_min_under_racing_threads(self):
+        sub = cr.build_fom(steady_pair_2d((2, 2), (2, 2))).master
+        computed = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            for w in rng.integers(0, 3, size=2000):
+                weights = (float(w), 1.0)
+                got = sub.free_sigma_min(weights, lambda: computed.append(1) or sum(weights))
+                if got != sum(weights):
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(worker, seed) for seed in range(4)]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 0 < len(computed) < 8000  # a repeat of the last weights is kept
+
+    def test_sweep_rows_do_not_depend_on_threads(self, tmp_path):
+        problem = steady_pair_2d(master_subdivisions=(6, 6), slave_subdivisions=(3, 3))
+        tols = [1e-2, 1e-4]
+        config = config_from_dict({
+            "problem": problem_to_dict(problem),
+            "training": {
+                "n_train": 6,
+                "seed": 7,
+                "tolerances": {"master": tols, "slave": tols, "interface": tols},
+            },
+            "testing": {"n_test": 3, "seed": 77},
+            "outputs": {"directory": str(tmp_path / "out")},
+        })
+        serial, threaded = run_sweep(config, threads=1), run_sweep(config, threads=2)
+        for row in serial + threaded:
+            del row["online_s"]  # a wall-clock time
+        assert threaded == serial
 
     @pytest.mark.parametrize("beta", [0.5, -0.5, -30.0])
     def test_negative_weight_runs_the_per_query_test(self, beta, monkeypatch):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coupledrom as cr
 from coupledrom.errors import (
     CoefficientDomainError,
     DimensionMismatchError,
@@ -11,16 +13,19 @@ from coupledrom.errors import (
     SolverFailureError,
 )
 from coupledrom.fem import (
+    SOLVE_RTOL,
     apply_dirichlet_lifting,
     assemble_advection,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
     cell_quadrature,
+    factorized_solver,
     l2_error,
     solve_steady,
     solve_unsteady_bdf1,
 )
+from coupledrom.library import heat_laplace_pair, transport_wall_pair
 from coupledrom.mesh import build_box_mesh, extract_interface
 
 
@@ -420,3 +425,26 @@ class TestIterativeSolvePath:
         assert np.linalg.norm(U[:, 1] - 2.0 * u) <= 1e-9 * np.linalg.norm(u)
         # so is a block passed to the solver itself
         assert np.array_equal(fem.factorized_solver(A)(np.column_stack([f, 2.0 * f])), U)
+
+
+def march_system(spec, mu):
+    """The free block of ``M/dt + A(mu)`` of a spec's master."""
+    sub = cr.build_fom(spec).master
+    A_ff, _ = sub.free_system(sub.mu_mapping(mu))
+    return (sub.free_mass.matrix / spec.time.dt + A_ff).tocsc()
+
+
+class TestLuOrdering:
+    def test_symmetric_ordering_keeps_diagonal_pivots_and_fills_less(self):
+        A = march_system(heat_laplace_pair(), [1.0])
+        lu = factorized_solver(A).__self__
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        colamd = spla.splu(A)  # scipy's default column ordering
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+    def test_advection_system_solves_within_tolerance(self):
+        A = march_system(transport_wall_pair(), [1.0])
+        assert abs(A - A.T).max() > 1e-3 * abs(A).max()  # not symmetric
+        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        u = factorized_solver(A)(b)
+        assert np.linalg.norm(b - A @ u) <= SOLVE_RTOL * np.linalg.norm(b)

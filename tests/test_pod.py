@@ -33,6 +33,20 @@ class TestPod:
         assert basis.n == 1
         assert np.allclose(np.abs(basis.V[:, 0]), s / 5.0)
 
+    def test_size_capped_at_rank_with_a_warning(self, caplog):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((20, 2)) @ rng.standard_normal((2, 10))
+        factorization = PodFactorization(X)
+        assert factorization.U.shape[1] == 2
+        with caplog.at_level("WARNING", logger="coupledrom.pod"):
+            assert factorization.size_for(1e-6) == 2
+            assert not caplog.records
+            # the rounding-level tail holds more than 1e-32 of the energy
+            assert factorization.size_for(1e-16) == 2
+        [record] = caplog.records
+        assert "asks for 3 modes" in record.message
+        assert "numerical rank 2" in record.message
+
     def test_identity_snapshots(self):
         basis = pod(np.eye(3), 1e-6)
         assert basis.n == 3
