@@ -51,7 +51,6 @@ from .interface import (
     build_transfer_matrix,
     deim_indices,
     nearest_dof_map,
-    transfer_linear,
 )
 from .mesh import InterfaceTrace, Mesh, build_box_mesh, extract_interface
 from .pipeline import (
@@ -68,7 +67,7 @@ from .pipeline import (
     online_unsteady,
     run_training,
 )
-from .pod import PodFactorization, ReducedBasis, SnapshotSet, pod, zero_interface_rows
+from .pod import PodFactorization, ReducedBasis, SnapshotSet, pod
 from .problems import (
     AffineTerm,
     BoxMeshSpec,

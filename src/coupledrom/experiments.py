@@ -317,6 +317,9 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     n_train = int(training.get("n_train", 0))
     if n_train < 2:
         raise ConfigError("n_train must be >= 2", field="training.n_train")
+    n_test = int(testing.get("n_test", 5))
+    if n_test < 1:
+        raise ConfigError("n_test must be >= 1", field="testing.n_test")
     pairing = training.get("pairing", "paired")
     if pairing not in ("paired", "tensor"):
         raise ConfigError("pairing must be 'paired' or 'tensor'", field="training.pairing")
@@ -332,7 +335,7 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
         tolerances_interface=_tolerance_tuple(
             tols["interface"], "training.tolerances.interface"
         ),
-        n_test=int(testing.get("n_test", 5)),
+        n_test=n_test,
         test_seed=int(testing.get("seed", 10_000)),
         output_dir=str(outputs["directory"]),
         pairing=pairing,

@@ -410,58 +410,37 @@ def solve_steady(A: sp.spmatrix, f: np.ndarray, rtol: float = SOLVE_RTOL) -> np.
 
 
 def solve_unsteady_bdf1(
-    M: sp.spmatrix,
-    A: sp.spmatrix,
-    F: np.ndarray,
-    u0: np.ndarray,
-    dt: float,
-    dofs=(),
-    values=(),
+    M: sp.spmatrix, A: sp.spmatrix, F: np.ndarray, u0: np.ndarray, dt: float
 ) -> np.ndarray:
-    """March ``M u' + A u = f`` with implicit Euler under ``u[dofs] = values``.
+    """March ``M u' + A u = f`` with implicit Euler from ``u0``.
 
     ``F`` holds one load column per state ``(N, n_steps + 1)``; column 0
-    belongs to ``u0`` and is not used.  ``values`` holds one value per
-    constrained DoF, either for every state ``(len(dofs),)`` or per state
-    ``(n_steps + 1, len(dofs))``; row 0 is imposed on ``u0``.  The system
-    ``M/dt + A`` is eliminated at ``dofs`` and factorized once.  After the
-    march every step's residual is checked with one sparse product; the first
-    step above ``SOLVE_RTOL`` raises ``SolverFailureError`` with ``.step``
-    set.  Returns the trajectory of ``n_steps + 1`` states.
+    belongs to ``u0`` and is not used.  ``M/dt + A`` is factorized once.
+    After the march every step's residual is checked with one sparse product;
+    the first step above ``SOLVE_RTOL`` raises ``SolverFailureError`` with
+    ``.step`` set.  Returns the trajectory of ``n_steps + 1`` states.
     """
     F = np.asarray(F, dtype=float)
-    if dt <= 0.0 or F.ndim != 2 or F.shape[0] != M.shape[0] or F.shape[1] < 2:
+    u0 = np.asarray(u0, dtype=float)
+    n = M.shape[0]
+    if dt <= 0.0 or F.ndim != 2 or F.shape[0] != n or F.shape[1] < 2 or u0.shape != (n,):
         raise DimensionMismatchError(
-            f"need dt > 0 and a load block ({M.shape[0]}, n_steps + 1) with "
-            f"n_steps >= 1, got dt={dt} and {F.shape}"
+            f"need dt > 0, a load block ({n}, n_steps + 1) with n_steps >= 1 and "
+            f"an initial state ({n},), got dt={dt}, {F.shape} and {u0.shape}"
         )
     n_steps = F.shape[1] - 1
-    dofs = np.asarray(dofs, dtype=np.int64)
-    values = np.broadcast_to(np.asarray(values, dtype=float), (n_steps + 1, len(dofs)))
     m_dt = (M / dt).tocsr()
     system = (m_dt + A).tocsr()
-    system_bc = eliminate_rows_cols(system, dofs)
-    solver = factorized_solver(system_bc)
+    solver = factorized_solver(system)
 
-    traj = np.empty((n_steps + 1, M.shape[0]))
+    traj = np.empty((n_steps + 1, n))
     traj[0] = u0
-    traj[0, dofs] = values[0]
-    rhs = np.empty((n_steps, M.shape[0]))
-    lift = np.zeros(M.shape[0])
+    rhs = np.empty((n_steps, n))
     for k in range(1, n_steps + 1):
-        lift[dofs] = values[k]
-        r = F[:, k] + m_dt @ traj[k - 1] - system @ lift
-        r[dofs] = 0.0
-        rhs[k - 1] = r
+        rhs[k - 1] = F[:, k] + m_dt @ traj[k - 1]
         try:
-            u = solver(r)
+            traj[k] = solver(rhs[k - 1])
         except SolverFailureError as exc:
             raise SolverFailureError(str(exc), residual=exc.residual, step=k)
-        u[dofs] = values[k]
-        traj[k] = u
-    # eliminated columns ignore the constrained entries, so the free rows are
-    # exactly the residuals of the systems solved above
-    res = rhs.T - system_bc @ traj[1:].T
-    res[dofs] = 0.0
-    _check_residuals(res, rhs.T, SOLVE_RTOL, first_step=1)
+    _check_residuals(rhs.T - system @ traj[1:].T, rhs.T, SOLVE_RTOL, first_step=1)
     return traj

@@ -176,21 +176,6 @@ def build_transfer_matrix(
     return mat
 
 
-def transfer_linear(
-    master_trace: InterfaceTrace,
-    values: np.ndarray,
-    slave_trace: InterfaceTrace,
-    max_distance: float | None = None,
-) -> np.ndarray:
-    """Interpolate master trace values onto the slave trace points."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != len(master_trace):
-        raise DimensionMismatchError(
-            f"{values.shape[0]} values for a trace of size {len(master_trace)}"
-        )
-    return build_transfer_matrix(master_trace, slave_trace, max_distance) @ values
-
-
 # ---------------------------------------------------------------------------
 # greedy interpolation indices
 
@@ -300,14 +285,6 @@ class InterfaceReducer:
     @property
     def m(self) -> int:
         return self.deim.m
-
-    def dirichlet_trace(self, u_n1: np.ndarray) -> np.ndarray:
-        if len(u_n1) != self.full_transfer.shape[1]:
-            raise DimensionMismatchError(
-                f"reduced master solution has length {len(u_n1)}, "
-                f"expected {self.full_transfer.shape[1]}"
-            )
-        return self.full_transfer @ u_n1
 
     def reduced_lifting(self, u_n1: np.ndarray, weights: Mapping | None = None) -> np.ndarray:
         keys = list(self.lift_products)

@@ -194,19 +194,19 @@ class FomSubmodel(AffineSubmodel):
 
     def solve(self, mu: Mapping, trace=None, time: TimeSpec | None = None) -> np.ndarray:
         """Full-order states under the constrained values: one ``(n,)`` when
-        ``time`` is None, else one row per state.  A marching submodel
-        marches from ``u0``; a steady or instantaneous one solves its free
-        system, every state with one factorization."""
-        values = self.constrained_values(trace)
-        if self.spec.unsteady:
-            return fem.solve_unsteady_bdf1(
-                self.mass, self.assemble_operator(mu), self.loads_per_state(mu, time),
-                self.u0, time.dt, self.constrained_dofs, values,
-            )
+        ``time`` is None, else one row per state.  Every kind solves its free
+        system: a marching submodel marches it from ``u0``, a steady or
+        instantaneous one solves every state with one factorization."""
         A_ff, F = self.free_system(mu, trace, time)
+        if self.spec.unsteady:
+            free = fem.solve_unsteady_bdf1(
+                self._mass_blocks[0], A_ff, F, self.u0[self.free_dofs], time.dt
+            )
+        else:
+            free = fem.solve_steady(A_ff, F).T
         u = np.empty(F.shape[1:] + (self.n_dofs,))
-        u[..., self.free_dofs] = fem.solve_steady(A_ff, F).T
-        u[..., self.constrained_dofs] = values
+        u[..., self.free_dofs] = free
+        u[..., self.constrained_dofs] = self.constrained_values(trace)
         return u
 
     def free_sigma_min(self, weights: tuple, compute: Callable[[], float]) -> float:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSnapshotsError, DimensionMismatchError, RomError
-from .mesh import InterfaceTrace
 
 log = logging.getLogger(__name__)
 
@@ -98,18 +97,3 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
 def pod(snapshots: SnapshotSet | np.ndarray, tolerance: float) -> ReducedBasis:
     """Build the orthonormal basis retaining all but ``tolerance**2`` energy."""
     return PodFactorization(snapshots).truncate(tolerance)
-
-
-def zero_interface_rows(
-    snapshots: SnapshotSet, trace: InterfaceTrace | np.ndarray
-) -> SnapshotSet:
-    """Copy of the snapshot set with the trace's rows set exactly to zero."""
-    rows = trace.dof_indices if isinstance(trace, InterfaceTrace) else np.asarray(trace)
-    matrix = snapshots.matrix.copy()
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= matrix.shape[0]:
-            raise DimensionMismatchError(
-                f"trace rows exceed snapshot row count {matrix.shape[0]}"
-            )
-        matrix[rows, :] = 0.0
-    return SnapshotSet(matrix)

@@ -329,11 +329,17 @@ class TestSolveUnsteadyBdf1:
         expected = (1 + dt) ** (-np.arange(n + 1))
         assert np.allclose(traj[:, 0], expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("shape, dt", [((4, 1), 0.1), ((3, 6), 0.1), ((4,), 0.1), ((4, 6), 0.0)])
-    def test_malformed_load_block_or_step_rejected(self, shape, dt):
+    # a length-1 initial state would broadcast to a constant one
+    @pytest.mark.parametrize(
+        "shape, dt, n0",
+        [((4, 1), 0.1, 4), ((3, 6), 0.1, 4), ((4,), 0.1, 4), ((4, 6), 0.0, 4),
+         ((4, 6), 0.1, 1), ((4, 6), 0.1, 5)],
+        ids=["shape0-0.1", "shape1-0.1", "shape2-0.1", "shape3-0.0", "u0-1", "u0-5"],
+    )
+    def test_malformed_load_block_or_step_rejected(self, shape, dt, n0):
         M = sp.identity(4, format="csr")
         with pytest.raises(DimensionMismatchError):
-            solve_unsteady_bdf1(M, M, np.zeros(shape), np.ones(4), dt)
+            solve_unsteady_bdf1(M, M, np.zeros(shape), np.ones(n0), dt)
 
     def test_heat_equation_first_order_in_time(self):
         mesh = unit_square(8)

@@ -18,7 +18,6 @@ from coupledrom.interface import (
     deim_indices,
     make_deim_basis,
     nearest_dof_map,
-    transfer_linear,
 )
 from coupledrom.mesh import build_box_mesh, extract_interface
 from coupledrom.library import steady_pair_2d
@@ -45,7 +44,7 @@ class TestTransferLinear:
     def test_constant_preserved(self):
         _, tm = cube_trace(4)
         _, ts = cube_trace(3)
-        out = transfer_linear(tm, np.full(len(tm), 2.5), ts)
+        out = build_transfer_matrix(tm, ts) @ np.full(len(tm), 2.5)
         assert np.allclose(out, 2.5, atol=1e-14)
 
     def test_conforming_is_bit_identical_permutation(self):
@@ -56,7 +55,7 @@ class TestTransferLinear:
         P = build_transfer_matrix(tm, ts)
         assert P.nnz == len(tm)
         assert np.all(P.data == 1.0)
-        assert np.array_equal(transfer_linear(tm, vals, ts), vals)
+        assert np.array_equal(P @ vals, vals)
 
     def test_affine_field_reproduced_exactly(self):
         _, tm = cube_trace(5)
@@ -65,7 +64,7 @@ class TestTransferLinear:
         def affine(c):
             return 0.3 + 1.7 * c[:, 1] - 0.9 * c[:, 2]
 
-        out = transfer_linear(tm, affine(tm.coords), ts)
+        out = build_transfer_matrix(tm, ts) @ affine(tm.coords)
         assert np.max(np.abs(out - affine(ts.coords))) <= 1e-12
 
     def test_affine_2d_line_trace(self):
@@ -74,7 +73,7 @@ class TestTransferLinear:
         tm = extract_interface(m2, "x+")
         ts = extract_interface(s2, "x-")
         vals = 1.0 + 2.0 * tm.coords[:, 1]
-        out = transfer_linear(tm, vals, ts)
+        out = build_transfer_matrix(tm, ts) @ vals
         assert np.max(np.abs(out - (1.0 + 2.0 * ts.coords[:, 1]))) <= 1e-12
 
     def test_out_of_hull_points_snap(self):
@@ -82,7 +81,7 @@ class TestTransferLinear:
         small = build_box_mesh((1, 0.5, 0.5), (1, 1, 1), (2, 2, 2))
         tm = extract_interface(small, "x-")  # small face
         ts = extract_interface(big, "x+")  # larger face: some points outside
-        out = transfer_linear(tm, np.ones(len(tm)), ts)
+        out = build_transfer_matrix(tm, ts) @ np.ones(len(tm))
         assert np.allclose(out, 1.0, atol=1e-14)  # constants survive snapping
 
     def test_distance_limit_enforced(self):
@@ -91,7 +90,7 @@ class TestTransferLinear:
         tm = extract_interface(far, "x+")
         ts = extract_interface(off, "x-")
         with pytest.raises(ProjectionDistanceError):
-            transfer_linear(tm, np.ones(len(tm)), ts, max_distance=0.5)
+            build_transfer_matrix(tm, ts, max_distance=0.5)
 
 
 class TestDeimIndices:
@@ -214,7 +213,7 @@ class TestInterfaceReducer:
         assert reducer.m == 1
         rec = reducer.deim.reconstruct(s[reducer.deim.indices])
         assert np.linalg.norm(rec - s) <= 1e-12 * np.linalg.norm(s)
-        trace = reducer.dirichlet_trace(np.array([1.0]))
+        trace = reducer.full_transfer @ np.array([1.0])
         assert np.linalg.norm(trace - s) <= 1e-12 * np.linalg.norm(s)
 
     def test_oversampling_rejected(self):
@@ -241,7 +240,7 @@ class TestInterfaceReducer:
             coeff = np.zeros(len(ts))
             coeff[j] = 1.0
             # u_n1 = e_j reconstructs column j of the snapshot matrix
-            trace = reducer.dirichlet_trace(coeff)
+            trace = reducer.full_transfer @ coeff
             assert np.linalg.norm(trace - S[:, j]) <= 1e-10 * np.linalg.norm(S[:, j])
 
     def test_held_out_reconstruction_within_tolerance_budget(self):
@@ -270,7 +269,7 @@ class TestInterfaceReducer:
     def test_zero_input(self):
         reducer, *_ = make_reducer_setup()
         u_n1 = np.zeros(reducer.full_transfer.shape[1])
-        assert not np.any(reducer.dirichlet_trace(u_n1))
+        assert not np.any(reducer.full_transfer @ u_n1)
         assert not np.any(reducer.reduced_lifting(u_n1))
 
     @pytest.mark.parametrize("slave", SLAVE_SUBDIVISIONS.values(), ids=SLAVE_SUBDIVISIONS)
@@ -278,7 +277,7 @@ class TestInterfaceReducer:
         reducer, tm, ts, P, V1, V2, K2 = make_reducer_setup(n_slave=slave)
         rng = np.random.default_rng(23)
         u_n1 = rng.standard_normal(V1.shape[1])
-        trace = reducer.dirichlet_trace(u_n1)
+        trace = reducer.full_transfer @ u_n1
         lift = reducer.reduced_lifting(u_n1)
         # unreduced oracle: expand master, extract trace, transfer, then
         # interpolate again from the magic values
@@ -310,7 +309,7 @@ class TestInterfaceReducer:
         permuted = make_deim_basis(reducer.deim.Phi, indices=reducer.deim.indices[perm])
         other = assemble_reducer(permuted, P, tm, ts, V1, V2, {"A": K2})
         u_n1 = rng.standard_normal(V1.shape[1])
-        t0, t1 = reducer.dirichlet_trace(u_n1), other.dirichlet_trace(u_n1)
+        t0, t1 = reducer.full_transfer @ u_n1, other.full_transfer @ u_n1
         l0, l1 = reducer.reduced_lifting(u_n1), other.reduced_lifting(u_n1)
         assert np.allclose(t0, t1, atol=1e-11 * max(1.0, np.abs(t0).max()))
         assert np.allclose(l0, l1, atol=1e-11 * max(1.0, np.abs(l0).max()))
@@ -344,5 +343,5 @@ class TestInterfaceReducer:
         V1 = np.zeros((mesh.n_dofs, 1))
         V1[tm.dof_indices, 0] = 1.0
         reducer = reducer_from_snapshots(const[:, None], 1e-10, tm, ts, V1)
-        trace = reducer.dirichlet_trace(np.array([1.0]))
+        trace = reducer.full_transfer @ np.array([1.0])
         assert np.allclose(trace, 1.0, atol=1e-12)

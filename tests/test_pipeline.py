@@ -177,7 +177,9 @@ class TestFomCoupledSolve:
         res = cr.fom_coupled_solve(fom, [0.6], [])
         traj1, traj2 = reference_coupled_solve(fom, [0.6], [])
         assert np.array_equal(res.master, traj1)
-        assert np.array_equal(res.slave, traj2)
+        # the march lifts on the free rows as A_fc L + M_fc dL/dt, the
+        # reference as system @ lift on padded rows: summation order differs
+        assert np.max(np.abs(res.slave - traj2)) <= 1e-12 * np.max(np.abs(traj2))
 
     def test_constant_master_gives_constant_slave(self):
         fom = cr.build_fom(constant_pair(0.7))
@@ -218,9 +220,8 @@ class TestFomCoupledSolve:
                 A1, f1, zip(fom.master.dirichlet_dofs, fom.master.dirichlet_values)
             )
         )
-        g = cr.transfer_linear(
-            fom.master.interface, u1[fom.master.interface.dof_indices], fom.slave.interface
-        )
+        B = cr.build_transfer_matrix(fom.master.interface, fom.slave.interface)
+        g = B @ u1[fom.master.interface.dof_indices]
         A2 = fom.slave.assemble_operator({})
         u2 = cr.solve_steady(
             *cr.apply_dirichlet_lifting(
@@ -279,13 +280,35 @@ class TestResidualChecks:
     @pytest.mark.parametrize("side, call, step", [("master", 3, 3), ("slave", 6, 5)])
     def test_corrupted_step_raises_with_its_step(self, monkeypatch, side, call, step):
         fom = small_heat_fom()
-        # the march factorizes the whole system, the series its free block
-        n = fom.master.n_dofs if side == "master" else len(fom.slave.free_dofs)
+        # the march and the series each factorize their submodel's free block
+        n = len(getattr(fom, side).free_dofs)
         corrupt_solves(monkeypatch, n, call)
         with pytest.raises(SolverFailureError) as info:
             cr.fom_coupled_solve(fom, [0.8], [])
         assert info.value.step == step
         assert info.value.residual > 0.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        heat_laplace_pair(master_subdivisions=(3, 3, 3), slave_subdivisions=(2, 2, 2), n_steps=4),
+        transport_wall_pair(channel_subdivisions=(4, 3, 3), wall_subdivisions=(2, 2, 2), n_steps=4),
+    ],
+    ids=["heat", "transport"],
+)
+def test_constrained_dofs_enter_only_through_the_free_system(monkeypatch, spec):
+    # the identity-padded primitives are test references, not library paths
+    def padded(*args, **kwargs):
+        raise AssertionError("identity-padded system built")
+
+    monkeypatch.setattr(fem, "eliminate_rows_cols", padded)
+    monkeypatch.setattr(fem, "apply_dirichlet_lifting", padded)
+    art = cr.full_rank_artifacts(spec)
+    fom, mu1 = cr.build_fom(spec), [0.6]
+    res = cr.fom_coupled_solve(fom, mu1, [])
+    reports = query_bounds(fom, art, mu1, [], cr.online_solve(art, mu1, []), res)
+    assert len(reports) == spec.time.n_steps + 1
 
 
 class TestParameterCount:

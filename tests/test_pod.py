@@ -4,16 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coupledrom as cr
-from coupledrom.errors import DegenerateSnapshotsError, DimensionMismatchError
+from coupledrom.errors import DegenerateSnapshotsError
 from coupledrom.library import steady_pair_2d
-from coupledrom.mesh import build_box_mesh, extract_interface
-from coupledrom.pod import (
-    PodFactorization,
-    SnapshotSet,
-    _fix_signs,
-    pod,
-    zero_interface_rows,
-)
+from coupledrom.pod import PodFactorization, _fix_signs, pod
 
 
 def align_signs(A, B):
@@ -149,39 +142,3 @@ class TestPod:
         for tol in (1e-1, 1e-3, 1e-6):
             assert np.array_equal(fact.truncate(tol).V, pod(X, tol).V)
 
-
-class TestZeroInterfaceRows:
-    def setup_method(self):
-        self.mesh = build_box_mesh((0, 0), (1, 1), (2, 2))
-        self.trace = extract_interface(self.mesh, "x+")
-
-    def test_empty_trace_rows_no_change(self):
-        X = np.arange(18, dtype=float).reshape(9, 2)
-        out = zero_interface_rows(SnapshotSet(matrix=X), np.array([], dtype=int))
-        assert np.array_equal(out.matrix, X)
-
-    def test_all_rows_zeroed(self):
-        X = np.ones((9, 3))
-        out = zero_interface_rows(SnapshotSet(matrix=X), np.arange(9))
-        assert not np.any(out.matrix)
-
-    def test_energy_bookkeeping(self):
-        rng = np.random.default_rng(2)
-        X = rng.standard_normal((9, 4))
-        k = 5
-        out = zero_interface_rows(SnapshotSet(matrix=X), np.array([k]))
-        before = np.sum(X**2, axis=0)
-        after = np.sum(out.matrix**2, axis=0)
-        assert np.allclose(before - after, X[k] ** 2)
-
-    def test_trace_rows_zeroed_others_kept(self):
-        rng = np.random.default_rng(3)
-        X = rng.standard_normal((self.mesh.n_dofs, 5))
-        out = zero_interface_rows(SnapshotSet(matrix=X), self.trace)
-        assert not np.any(out.matrix[self.trace.dof_indices])
-        others = np.setdiff1d(np.arange(self.mesh.n_dofs), self.trace.dof_indices)
-        assert np.array_equal(out.matrix[others], X[others])
-
-    def test_out_of_range_rows(self):
-        with pytest.raises(DimensionMismatchError):
-            zero_interface_rows(SnapshotSet(matrix=np.ones((4, 2))), np.array([7]))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coupledrom as cr
+from coupledrom import pipeline
 from coupledrom.cli import build_parser, main
 from coupledrom.errors import ConfigError
 from coupledrom.experiments import config_from_dict
@@ -362,6 +363,19 @@ def test_config_validation_field_paths():
     with pytest.raises(ConfigError) as err:
         config_from_dict({"problem": {"master": {}, "slave": {}}})
     assert "master" in str(err.value)
+
+
+def test_empty_test_sample_is_config_error_before_any_solve(tmp_path, monkeypatch):
+    config = json.loads(make_config(tmp_path, n_test=0).read_text())
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(config)
+    assert err.value.field == "testing.n_test"
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a full-order solve ran before validation")
+
+    monkeypatch.setattr(pipeline.FomSubmodel, "solve", no_solve)
+    assert main(["sweep", "--config", str(make_config(tmp_path, n_test=0))]) == 2
 
 
 def test_unwritable_output_directory_is_config_error(tmp_path):
