@@ -8,11 +8,13 @@ of the tolerance study at desk scale.
 
 import argparse
 import time
+from pathlib import Path
 
-import coupledrom as cr
-from coupledrom.experiments import SigmaCache
+from coupledrom.experiments import ExperimentConfig, run_sweep
 from coupledrom.library import steady_reaction_diffusion_pair
 from coupledrom.storage import write_csv
+
+COLUMNS = ["eps_master", "eps_interface", "eps_slave", "mean_error", "mean_bound", "online_s"]
 
 
 def main():
@@ -29,44 +31,29 @@ def main():
     )
     args = parser.parse_args()
 
-    grid = [float(v) for v in args.tolerances.split(",")]
-    spec = steady_reaction_diffusion_pair(
-        (args.master_subdiv,) * 3, (args.slave_subdiv,) * 3
+    grid = tuple(float(v) for v in args.tolerances.split(","))
+    config = ExperimentConfig(
+        problem=steady_reaction_diffusion_pair(
+            (args.master_subdiv,) * 3, (args.slave_subdiv,) * 3
+        ),
+        n_train=args.n_train,
+        train_seed=args.seed,
+        tolerances_master=grid,
+        tolerances_slave=grid,
+        tolerances_interface=grid,
+        n_test=args.n_test,
+        test_seed=args.seed + 1,
+        output_dir=str(Path(args.out).parent),
     )
     t0 = time.perf_counter()
-    training = cr.run_training(spec, args.n_train, args.seed)
-    print(
-        f"training: {args.n_train} coupled solves on "
-        f"{training.fom.master.n_dofs}/{training.fom.slave.n_dofs} DoFs "
-        f"in {time.perf_counter() - t0:.1f}s"
-    )
-
-    cache = SigmaCache()
-    rows = []
-    for e1 in grid:
-        for ed in grid:
-            for e2 in grid:
-                art = cr.build_artifacts(training, (e1, e2, ed))
-                results = cr.evaluate_test_set(
-                    art, training.fom, args.n_test, seed=args.seed + 1,
-                    with_bounds=True, sigma_cache=cache,
-                )
-                summary = cr.summarize(results)
-                rows.append(
-                    [e1, ed, e2, summary["mean_rel_error"],
-                     summary["mean_rel_bound"], summary["mean_online_s"]]
-                )
-                print(
-                    f"eps=({e1:.0e},{ed:.0e},{e2:.0e}) sizes={art.basis_sizes} "
-                    f"mean_err={summary['mean_rel_error']:.3e} "
-                    f"mean_bound={summary['mean_rel_bound']:.3e} "
-                    f"valid={summary['bound_valid_fraction']:.0%}"
-                )
-    write_csv(
-        args.out,
-        ["eps_master", "eps_interface", "eps_slave", "mean_error", "mean_bound", "online_s"],
-        rows,
-    )
+    rows = run_sweep(config)
+    for r in rows:
+        print(
+            f"eps=({r['eps_master']:.0e},{r['eps_interface']:.0e},{r['eps_slave']:.0e}) "
+            f"sizes={r['basis_sizes']} mean_err={r['mean_error']:.3e} "
+            f"mean_bound={r['mean_bound']:.3e} valid={r['bound_valid_fraction']:.0%}"
+        )
+    write_csv(args.out, COLUMNS, [[r[key] for key in COLUMNS] for r in rows])
     print(f"wrote {args.out} ({len(rows)} rows) in {time.perf_counter() - t0:.1f}s")
 
 

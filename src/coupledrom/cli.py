@@ -40,9 +40,12 @@ def _parse_mu(text: str | None) -> np.ndarray:
     if not text:
         return np.zeros(0)
     try:
-        return np.array([float(v) for v in text.split(",")])
+        mu = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise ConfigError(f"cannot parse parameter list {text!r}")
+    if not np.all(np.isfinite(mu)):
+        raise ConfigError(f"parameter list {text!r} is not finite")
+    return mu
 
 
 def _load_config(path: str):
@@ -52,13 +55,20 @@ def _load_config(path: str):
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    return config_from_dict(data)
+    try:
+        return config_from_dict(data)
+    except (TypeError, ValueError) as exc:  # a value of the wrong type or shape
+        raise ConfigError(f"invalid config value: {exc}")
 
 
 def _threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
-    return max(1, int(os.environ.get("ROM_THREADS", "1")))
+    raw = os.environ.get("ROM_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ConfigError(f"ROM_THREADS must be an integer, got {raw!r}")
 
 
 def _states_as_columns(solution: np.ndarray) -> np.ndarray:

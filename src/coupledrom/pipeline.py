@@ -718,36 +718,55 @@ def _reduced_march(S: np.ndarray, M_dt: np.ndarray, G: np.ndarray, u0: np.ndarra
     return _finite(u)
 
 
-def _instantaneous_slave(
-    artifacts: RomArtifacts, u1: np.ndarray, mu2m: Mapping, time: TimeSpec | None = None
+def _reduced_states(
+    sub: ReducedSubmodel, mu: Mapping, time: TimeSpec | None = None, lifting=None
 ) -> np.ndarray:
-    """Reduced slave response to each master state: one state ``(n1,)`` when
-    steady, else one row per state of ``time``; one lifting and one dense
-    solve of all load columns."""
-    s2 = artifacts.slave
-    weights = s2.theta_weights(mu2m)
-    lifting = artifacts.reducer.reduced_lifting(
-        u1.T, {f"A{q}": w for q, w in enumerate(weights)}
-    )
-    loads = s2.loads_per_state(mu2m, time)
-    operator = affine_sum(weights, [A for _, A in s2.op_terms])
-    return _reduced_solve(operator, loads - lifting).T
+    """Reduced states under ``mu``, the reduced mirror of ``FomSubmodel.solve``:
+    one ``(n,)`` when ``time`` is None, else one row per state.  When given,
+    ``lifting(weights)`` of the operator weights is subtracted from the loads.
+    A marching submodel marches from ``u0_reduced``; a steady or
+    instantaneous one solves every state with one factorization."""
+    weights = sub.theta_weights(mu)
+    A = affine_sum(weights, [term for _, term in sub.op_terms])
+    F = sub.loads_per_state(mu, time)
+    if lifting is not None:
+        F = F - lifting(weights)
+    if sub.unsteady:
+        # (M/dt + A) u^{k+1} = f^{k+1} + (M/dt) u^k
+        M_dt = sub.mass / time.dt
+        return _reduced_march(M_dt + A, M_dt, F, sub.u0_reduced)
+    return _reduced_solve(A, F).T
 
 
-def _online_result(
-    artifacts: RomArtifacts, u1: np.ndarray, u2: np.ndarray, warnings, t0: float, expand: bool
+def _online(
+    artifacts: RomArtifacts, mu1, mu2, time: TimeSpec | None, expand: bool
 ) -> OnlineResult:
-    """Stop the solve clock started at ``t0`` and, when asked, expand the
-    trace and the slave field of one state or of every state."""
+    """The reduced mirror of ``fom_coupled_solve``: reduced master states,
+    their reduced transfer as the slave's lifting, reduced slave states; then,
+    when asked, the trace and the slave field of one state or of every state."""
+    mu1m, mu2m, warnings = _query_parameters(artifacts.spec, mu1, mu2)
+    slave, reducer = artifacts.slave, artifacts.reducer
+    t0 = _time.perf_counter()
+    u1 = _reduced_states(artifacts.master, mu1m, time)
+
+    def lifting(weights):
+        # the stiffness terms on the master states and, for a marching slave,
+        # the mass term on their discrete time derivative (zero at t_0)
+        out = reducer.reduced_lifting(u1.T, {f"A{q}": w for q, w in enumerate(weights)})
+        if slave.unsteady:
+            du = np.diff(u1, axis=0, prepend=u1[:1])
+            out = out + reducer.reduced_lifting(du.T, {"M": 1.0 / time.dt})
+        return out
+
+    u2 = _reduced_states(slave, mu2m, time, lifting)
     t_solve = _time.perf_counter() - t0
     trace = slave_solution = None
     t_expand = 0.0
     if expand:
         t1 = _time.perf_counter()
         # states as columns, then back to one row per state
-        reducer = artifacts.reducer
         trace = reducer.full_transfer @ u1.T
-        slave_solution = artifacts.slave.basis.V @ u2.T
+        slave_solution = slave.basis.V @ u2.T
         slave_solution[reducer.slave_trace.dof_indices] = trace
         trace, slave_solution = trace.T, slave_solution.T
         t_expand = _time.perf_counter() - t1
@@ -768,53 +787,18 @@ def _online_result(
 def online_steady(artifacts: RomArtifacts, mu1, mu2, expand: bool = True) -> OnlineResult:
     """Reduced master solve, the slave's response to its one state, optional
     expansion."""
-    mu1m, mu2m, warnings = _query_parameters(artifacts.spec, mu1, mu2)
-    t0 = _time.perf_counter()
-    m1 = artifacts.master
-    u1 = _reduced_solve(m1.assemble_operator(mu1m), m1.loads_per_state(mu1m))
-    u2 = _instantaneous_slave(artifacts, u1, mu2m)
-    return _online_result(artifacts, u1, u2, warnings, t0, expand)
+    if artifacts.spec.is_unsteady:
+        raise ConfigError("online_steady requires a steady problem", field="time")
+    return _online(artifacts, mu1, mu2, None, expand)
 
 
 def online_unsteady(artifacts: RomArtifacts, mu1, mu2, expand: bool = True) -> OnlineResult:
-    """Reduced BDF1 marching of the coupled pair.
-
-    The master marches implicitly; the slave either marches with the
-    precomputed mass/stiffness lifting products or, when declared steady,
-    responds instantaneously to every master state.
-    """
-    spec = artifacts.spec
-    if spec.time is None:
+    """Reduced BDF1 marching of the coupled pair: the master marches; the
+    slave marches too or, when declared steady, responds instantaneously to
+    every master state."""
+    if artifacts.spec.time is None:
         raise ConfigError("online_unsteady requires a time grid", field="time")
-    mu1m, mu2m, warnings = _query_parameters(spec, mu1, mu2)
-    dt = spec.time.dt
-    t0 = _time.perf_counter()
-
-    # master: (M/dt + A) u^{k+1} = f^{k+1} + (M/dt) u^k
-    m1 = artifacts.master
-    M1_dt = m1.mass / dt
-    u1 = _reduced_march(
-        M1_dt + m1.assemble_operator(mu1m),
-        M1_dt,
-        m1.loads_per_state(mu1m, spec.time),
-        m1.u0_reduced,
-    )
-
-    s2 = artifacts.slave
-    if s2.unsteady:
-        # the lifting enters with its stiffness and its discrete time derivative
-        lift = artifacts.reducer.lift_products
-        w2 = s2.theta_weights(mu2m)
-        LA = affine_sum(w2, [lift[f"A{q}"] for q in range(len(w2))])
-        LM_dt = lift["M"] / dt
-        M2_dt = s2.mass / dt
-        # du[k] = u1[k] - u1[k-1], zero at k = 0
-        du = np.diff(u1, axis=0, prepend=u1[:1])
-        G2 = s2.loads_per_state(mu2m, spec.time) - LM_dt @ du.T - LA @ u1.T
-        u2 = _reduced_march(M2_dt + s2.assemble_operator(mu2m), M2_dt, G2, s2.u0_reduced)
-    else:
-        u2 = _instantaneous_slave(artifacts, u1, mu2m, spec.time)
-    return _online_result(artifacts, u1, u2, warnings, t0, expand)
+    return _online(artifacts, mu1, mu2, artifacts.spec.time, expand)
 
 
 def online_solve(artifacts: RomArtifacts, mu1, mu2, **kwargs) -> OnlineResult:

@@ -504,6 +504,20 @@ class TestOnlineMatchesPerStepMarch:
         assert np.array_equal(online.master_reduced, u1)
         assert np.array_equal(online.slave_reduced, u2)
 
+    @pytest.mark.parametrize("sample", [0, 5])
+    def test_steady_pair_bit_identical(self, steady_training, sample):
+        art = cr.build_artifacts(steady_training, (1e-5, 1e-5, 1e-5))
+        mu1 = steady_training.master_samples.points[sample]
+        online = cr.online_steady(art, mu1, [], expand=False)
+        m1, s2 = art.master, art.slave
+        mu1m = art.spec.master.parameters.as_mapping(mu1)
+        u1 = np.linalg.solve(m1.assemble_operator(mu1m), m1.loads_per_state(mu1m))
+        weights = s2.theta_weights({})
+        lifting = art.reducer.reduced_lifting(u1, {f"A{q}": w for q, w in enumerate(weights)})
+        u2 = np.linalg.solve(s2.assemble_operator({}), s2.loads_per_state({}) - lifting)
+        assert np.array_equal(online.master_reduced, u1)
+        assert np.array_equal(online.slave_reduced, u2)
+
     @pytest.mark.parametrize("sample", [0, 2])
     def test_marching_slave_matches(self, marching_training, sample):
         art = cr.build_artifacts(marching_training, (1e-6, 1e-6, 1e-6))
@@ -511,7 +525,9 @@ class TestOnlineMatchesPerStepMarch:
         online = cr.online_unsteady(art, mu1, [], expand=False)
         u1, u2 = reference_online_unsteady(art, mu1, [])
         assert np.array_equal(online.master_reduced, u1)
-        # the slave's lifting terms enter as one block: summation order differs
+        # the slave's lifting is summed term by term, sum_q w_q (L_q u1) +
+        # (1/dt)(L_M du), not as (sum_q w_q L_q) u1 + (L_M/dt) du: the
+        # summation order differs
         assert np.max(np.abs(online.slave_reduced - u2)) <= 1e-12 * np.max(np.abs(u2))
 
 
@@ -768,6 +784,15 @@ def with_zero_system(sub):
         op_terms=[(theta, np.zeros_like(A)) for theta, A in sub.op_terms],
         mass=None if sub.mass is None else np.zeros_like(sub.mass),
     )
+
+
+def test_online_steady_rejects_unsteady_artifacts():
+    # a steady solve of the heat master would drop its mass and u0
+    spec = heat_laplace_pair(
+        master_subdivisions=(4, 4, 4), slave_subdivisions=(2, 2, 2), n_steps=8
+    )
+    with pytest.raises(ConfigError, match="online_steady requires a steady problem"):
+        cr.online_steady(cr.full_rank_artifacts(spec), [0.5], [])
 
 
 class TestSingularReducedSystems:

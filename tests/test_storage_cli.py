@@ -378,6 +378,54 @@ def test_empty_test_sample_is_config_error_before_any_solve(tmp_path, monkeypatc
     assert main(["sweep", "--config", str(make_config(tmp_path, n_test=0))]) == 2
 
 
+def _set(*path_and_value):
+    """A config edit that sets the value at the key path."""
+    *path, key, value = path_and_value
+
+    def edit(config):
+        for part in path:
+            config = config[part]
+        config[key] = value
+
+    return edit
+
+
+BAD_CLI_INPUTS = {
+    "n_train-text": (["sweep"], _set("training", "n_train", "abc"), {}),
+    "tolerance-text": (["sweep"], _set("training", "tolerances", "master", "x"), {}),
+    "short-range": (
+        ["sweep"], _set("problem", "master", "parameters", "ranges", 0, [1.0]), {}
+    ),
+    "scalar-subdivisions": (
+        ["sweep"], _set("problem", "master", "mesh", "subdivisions", 8), {}
+    ),
+    "null-n_test": (["sweep"], _set("testing", "n_test", None), {}),
+    "rom-threads-text": (["sweep"], None, {"ROM_THREADS": "two"}),
+    "nan-parameter": (["fom", "--mu1", "nan,1.0"], None, {}),
+    "inf-parameter": (["fom", "--mu1", "inf,1.0"], None, {}),
+}
+
+
+@pytest.mark.parametrize("argv, edit, env", BAD_CLI_INPUTS.values(), ids=list(BAD_CLI_INPUTS))
+def test_bad_input_is_config_error_before_any_solve(
+    tmp_path, monkeypatch, capsys, argv, edit, env
+):
+    config = json.loads(make_config(tmp_path).read_text())
+    if edit is not None:
+        edit(config)
+    path = tmp_path / "bad_input.json"
+    path.write_text(json.dumps(config))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a full-order solve ran before validation")
+
+    monkeypatch.setattr(pipeline.FomSubmodel, "solve", no_solve)
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_unwritable_output_directory_is_config_error(tmp_path):
     config = json.loads(make_config(tmp_path).read_text())
     blocker = tmp_path / "blocker"
