@@ -36,7 +36,6 @@ from .experiments import (
     unsteady_query_bounds,
 )
 from .fem import (
-    Coefficient,
     apply_dirichlet_lifting,
     assemble_advection,
     assemble_load,

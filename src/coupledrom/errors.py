@@ -10,11 +10,11 @@ class InvalidGeometryError(RomError):
 
 
 class MissingTagError(RomError):
-    """A boundary tag was requested that does not exist on the mesh."""
+    """A boundary face was requested that does not exist on the mesh."""
 
 
 class EmptyTraceError(RomError):
-    """A boundary tag resolved to an empty set of degrees of freedom."""
+    """An interface trace holds no degrees of freedom."""
 
 
 class CoefficientDomainError(RomError):

@@ -36,8 +36,16 @@ import scipy.sparse.linalg as spla
 from .errors import DimensionMismatchError, EstimatorConvergenceError
 from .fem import LU_ORDERING, factorized_solver
 
+#: iteration cap and seed of the power iterations in ``sigma_min`` and
+#: ``operator_two_norm``, and the relative change of the eigenvalue
+#: estimate at which each stops
 _POWER_MAX_ITER = 5000
+_POWER_SEED = 0
 _POWER_RTOL = 1e-9
+_TWO_NORM_RTOL = 1e-8
+#: relative margin below zero at which ``_is_dissipative`` still accepts the
+#: smallest eigenvalue of a symmetric part
+_DISSIPATIVE_RTOL = 1e-10
 #: relative distance of the first certified shift from an eigenvalue
 #: estimate; each factorization that fails multiplies it by _CERT_GROWTH
 _CERT_MARGIN = 1e-10
@@ -143,7 +151,7 @@ class MassBlock:
 # spectral estimates
 
 
-def sigma_min(A, tol: float = 1e-6, max_iter: int = _POWER_MAX_ITER, seed: int = 0) -> float:
+def sigma_min(A) -> float:
     """A proved lower bound on the smallest singular value.
 
     Inverse power iteration on ``A^T A`` estimates it, through one LU of
@@ -164,22 +172,22 @@ def sigma_min(A, tol: float = 1e-6, max_iter: int = _POWER_MAX_ITER, seed: int =
                            **LU_ORDERING)
         except RuntimeError as exc:
             raise EstimatorConvergenceError(f"factorization failed twice: {exc}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
     lam_old = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = lu.solve(lu.solve(v, trans="T"))
         lam = float(v @ w)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             raise EstimatorConvergenceError("inverse iteration collapsed to zero")
         v = w / norm_w
-        if abs(lam - lam_old) <= min(tol * 1e-2, _POWER_RTOL) * abs(lam):
+        if abs(lam - lam_old) <= _POWER_RTOL * abs(lam):
             return _certified_sigma(A, float(1.0 / np.sqrt(lam)))
         lam_old = lam
     raise EstimatorConvergenceError(
-        f"sigma_min did not converge within {max_iter} iterations"
+        f"sigma_min did not converge within {_POWER_MAX_ITER} iterations"
     )
 
 
@@ -314,27 +322,24 @@ def operator_two_norm(
     matvec: Callable[[np.ndarray], np.ndarray],
     rmatvec: Callable[[np.ndarray], np.ndarray],
     n: int,
-    tol: float = 1e-6,
-    max_iter: int = _POWER_MAX_ITER,
-    seed: int = 0,
 ) -> float:
     """Two-norm of a linear operator by power iteration on ``B^T B``."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam_old = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = rmatvec(matvec(v))
         lam = float(v @ w)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
-        if abs(lam - lam_old) <= tol * 1e-2 * max(abs(lam), 1e-300):
+        if abs(lam - lam_old) <= _TWO_NORM_RTOL * max(abs(lam), 1e-300):
             return float(np.sqrt(max(lam, 0.0)))
         lam_old = lam
     raise EstimatorConvergenceError(
-        f"two-norm power iteration did not converge within {max_iter} iterations"
+        f"two-norm power iteration did not converge within {_POWER_MAX_ITER} iterations"
     )
 
 
@@ -372,14 +377,15 @@ def semigroup_constant(
     return gronwall_constant(c3, horizon), c3, "gronwall"
 
 
-def _is_dissipative(A, rtol: float = 1e-10) -> bool:
+def _is_dissipative(A) -> bool:
     """True when the symmetric part of ``A`` is positive semidefinite."""
     sym = ((A + A.T) * 0.5).tocsc()
     scale = abs(sym).max()
     if scale == 0.0:
         return True
     try:
-        return _lanczos_eigenvalue(sym, which="SA", maxiter=5000) >= -rtol * scale
+        lam = _lanczos_eigenvalue(sym, which="SA", maxiter=5000)
+        return lam >= -_DISSIPATIVE_RTOL * scale
     except (spla.ArpackNoConvergence, RuntimeError):
         # indefinite-shift factorization or no convergence: fall back to the
         # safe answer (the Gronwall surrogate remains an upper bound)

@@ -22,12 +22,11 @@ from .pipeline import (
     OnlineResult,
     RomArtifacts,
     build_artifacts,
-    build_fom,
     fom_coupled_solve,
     online_solve,
     run_training,
 )
-from .problems import CoupledProblemSpec, problem_from_dict
+from .problems import CoupledProblemSpec, config_value, problem_from_dict
 from .sampling import lhs_sample
 from .storage import write_bundle
 
@@ -295,7 +294,7 @@ def _tolerance_tuple(raw, where: str) -> tuple[float, ...]:
     values = raw if isinstance(raw, (list, tuple)) else [raw]
     out = []
     for v in values:
-        v = float(v)
+        v = config_value(float, v, where)
         if not 0.0 < v < 1.0:
             raise ConfigError(f"tolerance {v} outside (0, 1)", field=where)
         out.append(v)
@@ -314,10 +313,10 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     for key in ("master", "slave", "interface"):
         if key not in tols:
             raise ConfigError(f"missing tolerance {key!r}", field="training.tolerances")
-    n_train = int(training.get("n_train", 0))
+    n_train = config_value(int, training.get("n_train", 0), "training.n_train")
     if n_train < 2:
         raise ConfigError("n_train must be >= 2", field="training.n_train")
-    n_test = int(testing.get("n_test", 5))
+    n_test = config_value(int, testing.get("n_test", 5), "testing.n_test")
     if n_test < 1:
         raise ConfigError("n_test must be >= 1", field="testing.n_test")
     pairing = training.get("pairing", "paired")
@@ -329,14 +328,14 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     return ExperimentConfig(
         problem=problem,
         n_train=n_train,
-        train_seed=int(training.get("seed", 0)),
+        train_seed=config_value(int, training.get("seed", 0), "training.seed"),
         tolerances_master=_tolerance_tuple(tols["master"], "training.tolerances.master"),
         tolerances_slave=_tolerance_tuple(tols["slave"], "training.tolerances.slave"),
         tolerances_interface=_tolerance_tuple(
             tols["interface"], "training.tolerances.interface"
         ),
         n_test=n_test,
-        test_seed=int(testing.get("seed", 10_000)),
+        test_seed=config_value(int, testing.get("seed", 10_000), "testing.seed"),
         output_dir=str(outputs["directory"]),
         pairing=pairing,
     )

@@ -40,42 +40,15 @@ LU_ORDERING = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}
 # coefficient fields
 
 
-class Coefficient:
-    """Deterministic scalar or vector field ``(x, t, mu) -> value``."""
-
-    def __init__(self, evaluator: Callable, vector: bool = False):
-        self.evaluator = evaluator
-        self.vector = vector
-
-    @classmethod
-    def constant(cls, value) -> "Coefficient":
-        value = np.asarray(value, dtype=float)
-        if value.ndim == 0:
-            return cls(lambda x, t, mu: np.broadcast_to(value, x.shape[:-1]))
-        return cls(
-            lambda x, t, mu: np.broadcast_to(value, x.shape[:-1] + value.shape),
-            vector=True,
-        )
-
-    @classmethod
-    def from_callable(cls, fn: Callable, vector: bool = False) -> "Coefficient":
-        return cls(fn, vector=vector)
-
-    def evaluate(self, points: np.ndarray, t=None, mu=None) -> np.ndarray:
-        out = np.asarray(self.evaluator(points, t, mu or {}), dtype=float)
-        if self.vector:
-            # keep the field's own component count; callers validate it
-            k = out.shape[-1] if out.ndim else 1
-            return np.broadcast_to(out, points.shape[:-1] + (k,))
-        return np.broadcast_to(out, points.shape[:-1])
-
-
-def as_coefficient(value, vector: bool = False) -> Coefficient:
-    if isinstance(value, Coefficient):
-        return value
-    if callable(value):
-        return Coefficient.from_callable(value, vector=vector)
-    return Coefficient.constant(value)
+def _at_points(value, points: np.ndarray, vector: bool = False) -> np.ndarray:
+    """A coefficient at ``points`` ``(..., dim)``: a number, a tuple of numbers
+    or a function of position, broadcast to ``points.shape[:-1]``.  A vector
+    field keeps its own component count on a last axis; callers validate it."""
+    out = np.asarray(value(points) if callable(value) else value, dtype=float)
+    shape = points.shape[:-1]
+    if vector:
+        shape += (out.shape[-1] if out.ndim else 1,)
+    return np.broadcast_to(out, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +154,7 @@ def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
 
 
 def assemble_mass(
-    mesh: Mesh,
-    density=None,
-    mu: Mapping | None = None,
-    t: float | None = None,
-    quadrature: CellQuadrature | None = None,
+    mesh: Mesh, density=None, quadrature: CellQuadrature | None = None
 ) -> sp.csr_matrix:
     """Mass matrix with entries ``∫ rho phi_j phi_k`` (``rho = 1`` by default)."""
     q = quadrature or cell_quadrature(mesh)
@@ -193,50 +162,35 @@ def assemble_mass(
         local = np.einsum("aq,bq,q->ab", q.phi, q.phi, q.weights)
         local = np.broadcast_to(local, (mesh.n_cells,) + local.shape)
     else:
-        rho = as_coefficient(density).evaluate(q.points, t, mu)
+        rho = _at_points(density, q.points)
         local = np.einsum("cq,aq,bq,q->cab", rho, q.phi, q.phi, q.weights, optimize=True)
     return _scatter(mesh, local)
 
 
 def assemble_stiffness(
-    mesh: Mesh,
-    diffusion,
-    reaction=None,
-    mu: Mapping | None = None,
-    t: float | None = None,
-    quadrature: CellQuadrature | None = None,
+    mesh: Mesh, diffusion, quadrature: CellQuadrature | None = None
 ) -> sp.csr_matrix:
-    """Diffusion-reaction operator ``∫ a grad(phi_j).grad(phi_k) + r phi_j phi_k``.
+    """Diffusion operator with entries ``∫ a grad(phi_j).grad(phi_k)``.
 
     The diffusion coefficient must be strictly positive at every quadrature
     point.
     """
     q = quadrature or cell_quadrature(mesh)
-    a = as_coefficient(diffusion).evaluate(q.points, t, mu)
+    a = _at_points(diffusion, q.points)
     if np.any(a <= 0.0):
         raise CoefficientDomainError(
             f"diffusion must be > 0 at quadrature points (min {a.min():g})"
         )
     local = np.einsum("cq,aqk,bqk,q->cab", a, q.grad, q.grad, q.weights, optimize=True)
-    if reaction is not None:
-        r = as_coefficient(reaction).evaluate(q.points, t, mu)
-        if np.any(r != 0.0):
-            local = local + np.einsum(
-                "cq,aq,bq,q->cab", r, q.phi, q.phi, q.weights, optimize=True
-            )
     return _scatter(mesh, local)
 
 
 def assemble_advection(
-    mesh: Mesh,
-    velocity,
-    mu: Mapping | None = None,
-    t: float | None = None,
-    quadrature: CellQuadrature | None = None,
+    mesh: Mesh, velocity, quadrature: CellQuadrature | None = None
 ) -> sp.csr_matrix:
     """Advection operator with entries ``∫ (v . grad phi_j) phi_k``."""
     q = quadrature or cell_quadrature(mesh)
-    v = as_coefficient(velocity, vector=True).evaluate(q.points, t, mu)
+    v = _at_points(velocity, q.points, vector=True)
     if v.shape[-1] != mesh.dim:
         raise DimensionMismatchError(
             f"velocity has {v.shape[-1]} components, mesh dim is {mesh.dim}"
@@ -246,15 +200,11 @@ def assemble_advection(
 
 
 def assemble_load(
-    mesh: Mesh,
-    source,
-    mu: Mapping | None = None,
-    t: float | None = None,
-    quadrature: CellQuadrature | None = None,
+    mesh: Mesh, source, quadrature: CellQuadrature | None = None
 ) -> np.ndarray:
     """Load vector with entries ``∫ f phi_k`` (higher-order default rule)."""
     q = quadrature or cell_quadrature(mesh, n_qp=mesh.order + 4)
-    f = as_coefficient(source).evaluate(q.points, t, mu)
+    f = _at_points(source, q.points)
     local = np.einsum("cq,aq,q->ca", f, q.phi, q.weights, optimize=True)
     vec = np.zeros(mesh.n_dofs)
     np.add.at(vec, mesh.elements.ravel(), local.ravel())
@@ -367,15 +317,15 @@ def factorized_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
-def _check_residuals(res: np.ndarray, rhs: np.ndarray, rtol: float, first_step=None) -> None:
+def _check_residuals(res: np.ndarray, rhs: np.ndarray, first_step=None) -> None:
     """Raise ``SolverFailureError`` at the first column of ``res`` whose norm
-    exceeds ``rtol`` times the norm of the same column of ``rhs``.
+    exceeds ``SOLVE_RTOL`` times the norm of the same column of ``rhs``.
 
     Column ``j`` is reported as step ``first_step + j``; a single vector
     (``first_step=None``) carries no step.
     """
     norms = np.linalg.norm(res.reshape(len(res), -1), axis=0)
-    bounds = rtol * np.maximum(np.linalg.norm(rhs.reshape(len(rhs), -1), axis=0), 1e-300)
+    bounds = SOLVE_RTOL * np.maximum(np.linalg.norm(rhs.reshape(len(rhs), -1), axis=0), 1e-300)
     bad = np.flatnonzero(~(norms <= bounds))  # NaN and inf fail too
     if bad.size:
         j = int(bad[0])
@@ -388,8 +338,8 @@ def _check_residuals(res: np.ndarray, rhs: np.ndarray, rtol: float, first_step=N
         )
 
 
-def solve_steady(A: sp.spmatrix, f: np.ndarray, rtol: float = SOLVE_RTOL) -> np.ndarray:
-    """Solve ``A u = f`` and verify the residual against ``rtol * ||f||``.
+def solve_steady(A: sp.spmatrix, f: np.ndarray) -> np.ndarray:
+    """Solve ``A u = f`` and verify the residual against ``SOLVE_RTOL * ||f||``.
 
     ``f`` is one load ``(N,)`` or a block ``(N, k)`` solved with one
     factorization; in a block, each column is checked on its own and column
@@ -405,7 +355,7 @@ def solve_steady(A: sp.spmatrix, f: np.ndarray, rtol: float = SOLVE_RTOL) -> np.
     # SuperLU's multi-column solve made the heat benchmark's offline build
     # about 14% slower, and it did not with one BLAS thread
     u = solve(f) if f.ndim == 1 else np.column_stack([solve(col) for col in f.T])
-    _check_residuals(f - A @ u, f, rtol, first_step=0 if f.ndim == 2 else None)
+    _check_residuals(f - A @ u, f, first_step=0 if f.ndim == 2 else None)
     return u
 
 
@@ -442,5 +392,5 @@ def solve_unsteady_bdf1(
             traj[k] = solver(rhs[k - 1])
         except SolverFailureError as exc:
             raise SolverFailureError(str(exc), residual=exc.residual, step=k)
-    _check_residuals(rhs.T - system @ traj[1:].T, rhs.T, SOLVE_RTOL, first_step=1)
+    _check_residuals(rhs.T - system @ traj[1:].T, rhs.T, first_step=1)
     return traj

@@ -27,7 +27,6 @@ from .errors import (
     DegenerateBasisError,
     DimensionMismatchError,
     EmptyTraceError,
-    InvalidGeometryError,
     ProjectionDistanceError,
 )
 from .mesh import InterfaceTrace
@@ -111,11 +110,6 @@ def build_transfer_matrix(
             return sp.csr_matrix(
                 (np.ones(n_s), (np.arange(n_s), match)), shape=(n_s, n_m)
             )
-
-    if master_trace.normal_axis is None:
-        raise InvalidGeometryError(
-            "non-conforming transfer requires a single-face master trace"
-        )
 
     axes = master_trace.inplane_axes
     grids = master_trace.inplane_grids

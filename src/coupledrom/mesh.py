@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyTraceError, InvalidGeometryError, MissingTagError
+from .errors import InvalidGeometryError, MissingTagError
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -33,7 +33,6 @@ class Mesh:
     order : polynomial degree (1 or 2)
     node_coords : (n_dofs, dim) DoF coordinates
     elements : (n_cells, (order+1)**dim) DoF indices per cell
-    boundary_tags : face id -> tag label
     """
 
     dim: int
@@ -43,7 +42,6 @@ class Mesh:
     order: int
     node_coords: np.ndarray = field(repr=False)
     elements: np.ndarray = field(repr=False)
-    boundary_tags: dict[str, str]
 
     @property
     def n_dofs(self) -> int:
@@ -82,20 +80,21 @@ class Mesh:
 
 @dataclass(frozen=True)
 class InterfaceTrace:
-    """Restriction of the DoF set to one tagged boundary surface.
+    """Restriction of the DoF set to one boundary face.
 
     ``dof_indices`` are strictly increasing global indices; ``coords[k]`` is
-    the coordinate of ``dof_indices[k]``.  For single-face tags the in-plane
-    grid structure is kept so that trace values can be interpolated.
+    the coordinate of ``dof_indices[k]``.  The face lies in the plane
+    ``x[normal_axis] == plane_value``, and its in-plane grid structure is kept
+    so that trace values can be interpolated.
     """
 
     dof_indices: np.ndarray
     coords: np.ndarray
     parent_dim: int
-    normal_axis: int | None = None
-    plane_value: float | None = None
-    inplane_axes: tuple[int, ...] = ()
-    inplane_grids: tuple[np.ndarray, ...] = ()
+    normal_axis: int
+    plane_value: float
+    inplane_axes: tuple[int, ...]
+    inplane_grids: tuple[np.ndarray, ...]
 
     def __len__(self) -> int:
         return self.dof_indices.shape[0]
@@ -106,7 +105,7 @@ class InterfaceTrace:
         return tuple(len(g) for g in self.inplane_grids[::-1])
 
 
-def build_box_mesh(origin, extent, subdivisions, order=1, tags=None) -> Mesh:
+def build_box_mesh(origin, extent, subdivisions, order=1) -> Mesh:
     """Build a structured quad/hex mesh on an axis-aligned box.
 
     Parameters
@@ -114,8 +113,6 @@ def build_box_mesh(origin, extent, subdivisions, order=1, tags=None) -> Mesh:
     origin, extent : length-d sequences (d = 2 or 3)
     subdivisions : per-axis cell counts (all >= 1)
     order : FE polynomial degree, 1 or 2
-    tags : optional map face id ("x-", "x+", ...) -> tag label; faces not
-        listed keep their face id as tag
     """
     origin = tuple(float(v) for v in origin)
     extent = tuple(float(v) for v in extent)
@@ -145,14 +142,6 @@ def build_box_mesh(origin, extent, subdivisions, order=1, tags=None) -> Mesh:
 
     elements = _build_connectivity(subdivisions, order, n_axis)
 
-    valid = set(face_ids(dim))
-    boundary_tags = {f: f for f in valid}
-    if tags:
-        for f, label in tags.items():
-            if f not in valid:
-                raise InvalidGeometryError(f"unknown face id {f!r} for dim {dim}")
-            boundary_tags[f] = str(label)
-
     return Mesh(
         dim=dim,
         origin=origin,
@@ -161,7 +150,6 @@ def build_box_mesh(origin, extent, subdivisions, order=1, tags=None) -> Mesh:
         order=order,
         node_coords=node_coords,
         elements=elements,
-        boundary_tags=boundary_tags,
     )
 
 
@@ -186,12 +174,7 @@ def _build_connectivity(subdivisions, order, n_axis):
     return np.ascontiguousarray(conn, dtype=np.int64)
 
 
-def _face_axis_side(face: str) -> tuple[int, int]:
-    return AXIS_NAMES.index(face[0]), (0 if face[1] == "-" else 1)
-
-
-def _face_dof_indices(mesh: Mesh, face: str) -> np.ndarray:
-    axis, side = _face_axis_side(face)
+def _face_dof_indices(mesh: Mesh, axis: int, side: int) -> np.ndarray:
     n_axis = mesh.nodes_per_axis
     fixed = 0 if side == 0 else n_axis[axis] - 1
     ranges = [np.arange(n) for n in n_axis]
@@ -204,37 +187,24 @@ def _face_dof_indices(mesh: Mesh, face: str) -> np.ndarray:
     return np.sort(flat)
 
 
-def extract_interface(mesh: Mesh, tag: str) -> InterfaceTrace:
-    """Collect the DoFs lying on the boundary faces carrying ``tag``.
+def extract_interface(mesh: Mesh, face: str) -> InterfaceTrace:
+    """Collect the DoFs lying on one boundary face (``"x-"``, ``"x+"``, ...).
 
-    The trace is canonically ordered by increasing global DoF index.  For a
-    tag naming a single face, the in-plane grid axes are recorded so the
-    trace can act as an interpolation source.
+    The trace is canonically ordered by increasing global DoF index, and the
+    in-plane grid axes are recorded so the trace can act as an interpolation
+    source.
     """
-    faces = [f for f, label in mesh.boundary_tags.items() if label == tag]
-    if not faces:
-        raise MissingTagError(f"tag {tag!r} not present on mesh")
-    dofs = np.unique(np.concatenate([_face_dof_indices(mesh, f) for f in faces]))
-    if dofs.size == 0:
-        raise EmptyTraceError(f"tag {tag!r} resolved to an empty trace")
-    coords = mesh.node_coords[dofs]
-
-    normal_axis = plane_value = None
-    inplane_axes: tuple[int, ...] = ()
-    inplane_grids: tuple[np.ndarray, ...] = ()
-    if len(faces) == 1:
-        axis, side = _face_axis_side(faces[0])
-        normal_axis = axis
-        plane_value = float(mesh.axis_coords(axis)[0 if side == 0 else -1])
-        inplane_axes = tuple(a for a in range(mesh.dim) if a != axis)
-        inplane_grids = tuple(mesh.axis_coords(a) for a in inplane_axes)
-
+    if face not in face_ids(mesh.dim):
+        raise MissingTagError(f"face {face!r} not present on a {mesh.dim}-D mesh")
+    axis, side = AXIS_NAMES.index(face[0]), (0 if face[1] == "-" else 1)
+    dofs = _face_dof_indices(mesh, axis, side)
+    inplane_axes = tuple(a for a in range(mesh.dim) if a != axis)
     return InterfaceTrace(
         dof_indices=dofs,
-        coords=coords,
+        coords=mesh.node_coords[dofs],
         parent_dim=mesh.dim,
-        normal_axis=normal_axis,
-        plane_value=plane_value,
+        normal_axis=axis,
+        plane_value=float(mesh.axis_coords(axis)[0 if side == 0 else -1]),
         inplane_axes=inplane_axes,
-        inplane_grids=inplane_grids,
+        inplane_grids=tuple(mesh.axis_coords(a) for a in inplane_axes),
     )

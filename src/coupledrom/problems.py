@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from types import CodeType
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import ConfigError
-from .fem import Coefficient
 from .mesh import Mesh, build_box_mesh, face_ids
 from .sampling import ParameterSpace
 
@@ -100,15 +99,13 @@ def reads_time(value) -> bool:
     return isinstance(value, CodeType) and "t" in _names(value)
 
 
-def spatial_coefficient(value) -> Coefficient:
+def spatial_coefficient(value) -> Callable[[np.ndarray], np.ndarray]:
+    """A spatial profile as a function of the points ``(..., dim)``; a tuple
+    of profiles (a velocity) stacks its components on a last axis."""
     if isinstance(value, (tuple, list)):
         comps = tuple(value)
-
-        def vec(pts, t, mu):
-            return np.stack([eval_spatial(c, pts) for c in comps], axis=-1)
-
-        return Coefficient.from_callable(vec, vector=True)
-    return Coefficient.from_callable(lambda pts, t, mu: eval_spatial(value, pts))
+        return lambda pts: np.stack([eval_spatial(c, pts) for c in comps], axis=-1)
+    return lambda pts: eval_spatial(value, pts)
 
 
 OPERATOR_KINDS = ("diffusion", "reaction", "advection")
@@ -146,8 +143,8 @@ class BoxMeshSpec:
     subdivisions: tuple[int, ...]
     order: int = 1
 
-    def build(self, tags: Mapping[str, str] | None = None) -> Mesh:
-        return build_box_mesh(self.origin, self.extent, self.subdivisions, self.order, tags)
+    def build(self) -> Mesh:
+        return build_box_mesh(self.origin, self.extent, self.subdivisions, self.order)
 
 
 EMPTY_SPACE = ParameterSpace(names=(), ranges=())
@@ -285,6 +282,19 @@ def _require(mapping: Mapping, key: str, where: str):
     return mapping[key]
 
 
+def config_value(convert, raw, where: str):
+    """``convert(raw)`` for one config value; a value of the wrong type or
+    shape raises ``ConfigError`` naming its field ``where``."""
+    try:
+        return convert(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid value {raw!r} ({exc})", field=where) from None
+
+
+def _ranges(raw) -> tuple[tuple[float, float], ...]:
+    return tuple((float(lo), float(hi)) for lo, hi in raw)
+
+
 def submodel_from_dict(data: Mapping, where: str) -> SubmodelSpec:
     mesh = _require(data, "mesh", where)
     terms = []
@@ -297,20 +307,29 @@ def submodel_from_dict(data: Mapping, where: str) -> SubmodelSpec:
     params = data.get("parameters", {"names": [], "ranges": []})
     return SubmodelSpec(
         mesh=BoxMeshSpec(
-            origin=tuple(_require(mesh, "origin", f"{where}.mesh")),
-            extent=tuple(_require(mesh, "extent", f"{where}.mesh")),
-            subdivisions=tuple(_require(mesh, "subdivisions", f"{where}.mesh")),
-            order=int(mesh.get("order", 1)),
+            origin=config_value(tuple, _require(mesh, "origin", f"{where}.mesh"),
+                                f"{where}.mesh.origin"),
+            extent=config_value(tuple, _require(mesh, "extent", f"{where}.mesh"),
+                                f"{where}.mesh.extent"),
+            subdivisions=config_value(
+                lambda v: tuple(int(n) for n in v),
+                _require(mesh, "subdivisions", f"{where}.mesh"),
+                f"{where}.mesh.subdivisions",
+            ),
+            order=config_value(int, mesh.get("order", 1), f"{where}.mesh.order"),
         ),
         operator=tuple(terms),
         forcing=tuple(
             ForcingTerm(theta=t.get("theta", 1.0), profile=t.get("profile", 0.0))
             for t in data.get("forcing", [])
         ),
-        dirichlet={str(k): float(v) for k, v in data.get("dirichlet", {}).items()},
+        dirichlet={
+            str(k): config_value(float, v, f"{where}.dirichlet.{k}")
+            for k, v in data.get("dirichlet", {}).items()
+        },
         parameters=ParameterSpace(
             names=tuple(params.get("names", [])),
-            ranges=tuple(tuple(r) for r in params.get("ranges", [])),
+            ranges=config_value(_ranges, params.get("ranges", []), f"{where}.parameters.ranges"),
         ),
         interface_tag=str(_require(data, "interface_tag", where)),
         unsteady=bool(data.get("unsteady", False)),
@@ -322,8 +341,8 @@ def problem_from_dict(data: Mapping) -> CoupledProblemSpec:
     time = None
     if "time" in data and data["time"] is not None:
         time = TimeSpec(
-            dt=float(_require(data["time"], "dt", "time")),
-            n_steps=int(_require(data["time"], "n_steps", "time")),
+            dt=config_value(float, _require(data["time"], "dt", "time"), "time.dt"),
+            n_steps=config_value(int, _require(data["time"], "n_steps", "time"), "time.n_steps"),
         )
     spec = CoupledProblemSpec(
         master=submodel_from_dict(_require(data, "master", "problem"), "master"),

@@ -55,14 +55,9 @@ class SampleSet:
         return iter(self.points)
 
 
-def lhs_sample(
-    space: ParameterSpace, n: int, seed: int, kind: str = "train", centered: bool = False
-) -> SampleSet:
-    """Latin hypercube sample: one point per equal-width stratum per dimension.
-
-    With ``centered=True`` points sit at stratum midpoints (jitter-free, for
-    reproducible CI fixtures); otherwise positions are jittered uniformly
-    inside each stratum.  Deterministic for a fixed seed.
+def lhs_sample(space: ParameterSpace, n: int, seed: int, kind: str = "train") -> SampleSet:
+    """Latin hypercube sample: one point per equal-width stratum per dimension,
+    jittered uniformly inside its stratum.  Deterministic for a fixed seed.
     """
     if n < 1:
         raise EmptySampleError(f"sample size must be >= 1, got {n}")
@@ -70,8 +65,7 @@ def lhs_sample(
     cols = []
     for lo, hi in space.ranges:
         perm = rng.permutation(n)
-        offset = 0.5 if centered else rng.uniform(size=n)
-        unit = (perm + offset) / n
+        unit = (perm + rng.uniform(size=n)) / n
         cols.append(lo + (hi - lo) * unit)
     points = np.stack(cols, axis=1) if cols else np.zeros((n, 0))
     return SampleSet(points=points, seed=seed, kind=kind)

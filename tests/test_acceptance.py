@@ -71,7 +71,7 @@ def test_criterion_1_fe_convergence():
             factor = float(dim) * np.pi**2
             errors.append(
                 _solve_dirichlet_poisson(
-                    mesh, lambda x, t, mu: factor * sin_nd(x), sin_nd
+                    mesh, lambda x: factor * sin_nd(x), sin_nd
                 )
             )
         rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -315,7 +315,7 @@ def test_criterion_9_bdf1_temporal_order():
     u0[boundary] = 0.0
     f_vec = cr.assemble_load(
         mesh,
-        lambda x, t, mu: np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1]),
+        lambda x: np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1]),
     )
     f_vec[boundary] = 0.0
 

@@ -133,10 +133,11 @@ class TestSigmaMin:
         A = sp.csr_matrix(np.ones((3, 3)))
         assert sigma_min(A) <= 1e-12
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(est, "_POWER_MAX_ITER", 1)
         A = sp.identity(4, format="csr")
         with pytest.raises(EstimatorConvergenceError):
-            sigma_min(A, max_iter=1)
+            sigma_min(A)
 
 
 class TestOperatorNorms:

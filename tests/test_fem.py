@@ -127,7 +127,7 @@ class TestStiffness:
 
     def test_nonpositive_diffusion_rejected(self):
         with pytest.raises(CoefficientDomainError):
-            assemble_stiffness(unit_square(2), diffusion=lambda x, t, mu: x[..., 0] - 0.5)
+            assemble_stiffness(unit_square(2), diffusion=lambda x: x[..., 0] - 0.5)
 
     def test_spd_after_elimination(self):
         mesh = unit_square(3)
@@ -140,13 +140,6 @@ class TestStiffness:
         A, _ = apply_dirichlet_lifting(K, np.zeros(mesh.n_dofs), {int(d): 0.0 for d in boundary})
         w = np.linalg.eigvalsh(A.toarray())
         assert w.min() > 0
-
-    def test_reaction_term_adds_weighted_mass(self):
-        mesh = unit_square(2)
-        K = assemble_stiffness(mesh, diffusion=1.0, reaction=2.5)
-        K0 = assemble_stiffness(mesh, diffusion=1.0)
-        M = assemble_mass(mesh)
-        assert np.max(np.abs((K - K0 - 2.5 * M).toarray())) <= 1e-14
 
 
 class TestAdvection:
@@ -216,7 +209,7 @@ class TestLoad:
         def f_xyz(x, y, z):
             return np.pi / 4 * y * x**2 * np.sin(np.pi * y / 2) * np.exp(z - 1)
 
-        vec = assemble_load(mesh, lambda x, t, mu: f_xyz(x[..., 0], x[..., 1], x[..., 2]))
+        vec = assemble_load(mesh, lambda x: f_xyz(x[..., 0], x[..., 1], x[..., 2]))
         oracle = brute_force_load_3d(mesh, f_xyz)
         assert np.linalg.norm(vec - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
@@ -252,7 +245,7 @@ class TestDirichletLifting:
     def test_lifting_commutes_with_row_elimination(self):
         mesh = unit_square(3)
         rng = np.random.default_rng(7)
-        A = assemble_stiffness(mesh, diffusion=1.0, reaction=1.0)
+        A = assemble_stiffness(mesh, 1.0) + 1.0 * assemble_mass(mesh)
         f = rng.standard_normal(mesh.n_dofs)
         constrained = {3: 0.7, 8: -0.2, 12: 1.1}
         A2, f2 = apply_dirichlet_lifting(A, f, constrained)
@@ -297,7 +290,7 @@ class TestSolveSteady:
             A = assemble_stiffness(mesh, diffusion=1.0)
             f = assemble_load(
                 mesh,
-                lambda x, t, mu: 2 * np.pi**2 * np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1]),
+                lambda x: 2 * np.pi**2 * np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1]),
             )
             boundary = np.unique(
                 np.concatenate(
@@ -366,7 +359,7 @@ class TestSolveUnsteadyBdf1:
         def rhs(t):
             f = assemble_load(
                 mesh,
-                lambda x, _t, mu: source
+                lambda x: source
                 * np.exp(-t)
                 * np.sin(np.pi * x[..., 0])
                 * np.sin(np.pi * x[..., 1]),
@@ -393,7 +386,7 @@ class TestGalerkinConsistency:
     def test_projection_commutes(self, seed):
         rng = np.random.default_rng(seed)
         mesh = unit_square(2)
-        A = assemble_stiffness(mesh, diffusion=1.0, reaction=0.5)
+        A = assemble_stiffness(mesh, 1.0) + 0.5 * assemble_mass(mesh)
         V, _ = np.linalg.qr(rng.standard_normal((mesh.n_dofs, 3)))
         x = rng.standard_normal(3)
         left = V.T @ (A @ (V @ x))
@@ -403,8 +396,8 @@ class TestGalerkinConsistency:
 
 def test_assembly_deterministic():
     mesh = build_box_mesh((0, 0, 0), (1, 1, 1), (3, 2, 2), order=2)
-    K1 = assemble_stiffness(mesh, diffusion=lambda x, t, mu: 1.0 + x[..., 0])
-    K2 = assemble_stiffness(mesh, diffusion=lambda x, t, mu: 1.0 + x[..., 0])
+    K1 = assemble_stiffness(mesh, diffusion=lambda x: 1.0 + x[..., 0])
+    K2 = assemble_stiffness(mesh, diffusion=lambda x: 1.0 + x[..., 0])
     assert (K1 != K2).nnz == 0
     assert np.array_equal(K1.data, K2.data)
 
@@ -421,7 +414,7 @@ class TestIterativeSolvePath:
 
         monkeypatch.setattr(fem, "DIRECT_SOLVE_LIMIT", 10)
         mesh = unit_square(4)  # 25 DoFs, above the patched limit
-        A = assemble_stiffness(mesh, diffusion=1.0, reaction=1.0)
+        A = assemble_stiffness(mesh, 1.0) + 1.0 * assemble_mass(mesh)
         f = assemble_load(mesh, 1.0)
         u = solve_steady(A, f)
         res = np.linalg.norm(f - A @ u)

@@ -7,8 +7,8 @@ from coupledrom.errors import InvalidGeometryError, MissingTagError
 from coupledrom.mesh import build_box_mesh, extract_interface
 
 
-def unit_cube(n, order=1, tags=None):
-    return build_box_mesh((0, 0, 0), (1, 1, 1), (n, n, n), order=order, tags=tags)
+def unit_cube(n, order=1):
+    return build_box_mesh((0, 0, 0), (1, 1, 1), (n, n, n), order=order)
 
 
 class TestBuildBoxMesh:
@@ -43,7 +43,6 @@ class TestBuildBoxMesh:
         mesh = unit_cube(3, order=2)
         assert mesh.elements.min() >= 0
         assert mesh.elements.max() < mesh.n_dofs
-        assert set(mesh.boundary_tags) == {"x-", "x+", "y-", "y+", "z-", "z+"}
 
     def test_node_uniqueness(self):
         mesh = build_box_mesh((0, 0), (2, 3), (5, 7), order=2)
@@ -83,15 +82,11 @@ class TestBuildBoxMesh:
         with pytest.raises(InvalidGeometryError):
             build_box_mesh(**kwargs)
 
-    def test_unknown_face_id_rejected(self):
-        with pytest.raises(InvalidGeometryError):
-            build_box_mesh((0, 0), (1, 1), (1, 1), tags={"z-": "bottom"})
-
 
 class TestExtractInterface:
     def test_single_element_cube_face(self):
-        mesh = unit_cube(1, tags={"x+": "gamma"})
-        trace = extract_interface(mesh, "gamma")
+        mesh = unit_cube(1)
+        trace = extract_interface(mesh, "x+")
         assert len(trace) == 4
         assert np.all(trace.coords[:, 0] == 1.0)
 
@@ -115,23 +110,11 @@ class TestExtractInterface:
         assert np.allclose(trace.coords, mesh.node_coords[trace.dof_indices])
         assert len(trace) == (3 * 2 + 1) * (4 * 2 + 1)
 
-    def test_retagging_invariance(self):
-        a = unit_cube(3, tags={"x+": "gamma", "y-": "wall"})
-        b = unit_cube(3, tags={"y-": "wall", "x+": "gamma"})
-        ta = extract_interface(a, "gamma")
-        tb = extract_interface(b, "gamma")
-        assert np.array_equal(ta.dof_indices, tb.dof_indices)
-
     def test_missing_tag(self):
-        mesh = unit_cube(2)
-        with pytest.raises(MissingTagError):
-            extract_interface(mesh, "gamma")
-
-    def test_multi_face_tag_union(self):
-        mesh = unit_cube(2, tags={"x-": "walls", "x+": "walls"})
-        trace = extract_interface(mesh, "walls")
-        assert len(trace) == 18
-        assert trace.normal_axis is None
+        square = build_box_mesh((0, 0), (1, 1), (1, 1))
+        for mesh, face in ((unit_cube(2), "gamma"), (square, "z-")):
+            with pytest.raises(MissingTagError):
+                extract_interface(mesh, face)
 
     def test_grid_structure_matches_lexicographic_order(self):
         mesh = build_box_mesh((0, 0, 0), (1, 1, 1), (2, 3, 4), order=1)

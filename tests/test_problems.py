@@ -65,7 +65,7 @@ class TestExpressions:
     def test_vector_coefficient(self):
         coeff = spatial_coefficient(("y", "0.0"))
         pts = np.array([[[0.0, 2.0]]])
-        out = coeff.evaluate(pts)
+        out = coeff(pts)
         assert out.shape == (1, 1, 2)
         assert out[0, 0, 0] == 2.0
 

@@ -23,10 +23,10 @@ def test_four_point_stratification():
     assert sorted(strata) == [0, 1, 2, 3]
 
 
-@given(n=st.integers(1, 40), seed=st.integers(0, 10_000), centered=st.booleans())
+@given(n=st.integers(1, 40), seed=st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
-def test_stratification_property(n, seed, centered):
-    s = lhs_sample(SPACE_2D, n, seed=seed, centered=centered)
+def test_stratification_property(n, seed):
+    s = lhs_sample(SPACE_2D, n, seed=seed)
     for d, (lo, hi) in enumerate(SPACE_2D.ranges):
         strata = np.floor((s.points[:, d] - lo) / (hi - lo) * n).astype(int)
         strata = np.clip(strata, 0, n - 1)
@@ -43,12 +43,6 @@ def test_disjoint_seeds_differ():
     a = lhs_sample(SPACE_2D, 10, seed=1)
     b = lhs_sample(SPACE_2D, 10, seed=2)
     assert not np.array_equal(a.points, b.points)
-
-
-def test_centered_points_at_midpoints():
-    space = ParameterSpace(names=("a",), ranges=((0.0, 1.0),))
-    s = lhs_sample(space, 4, seed=0, centered=True)
-    assert set(np.round(s.points[:, 0], 12)) == {0.125, 0.375, 0.625, 0.875}
 
 
 def test_empty_sample_rejected():

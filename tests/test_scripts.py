@@ -49,3 +49,8 @@ def test_make_configs_regenerates_every_committed_config(tmp_path):
     assert sorted(p.name for p in out.glob("*.json")) == committed
     for name in committed:
         assert (out / name).read_bytes() == (ROOT / "configs" / name).read_bytes(), name
+
+
+def test_transport_demo_script(tmp_path):
+    stdout = run_script("run_transport_demo.py", "--n-train", "2", "--n-test", "1", cwd=tmp_path)
+    assert "valid=True" in stdout

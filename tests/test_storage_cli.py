@@ -390,25 +390,33 @@ def _set(*path_and_value):
     return edit
 
 
+#: argv, config edit, environment, and the field path the message names
 BAD_CLI_INPUTS = {
-    "n_train-text": (["sweep"], _set("training", "n_train", "abc"), {}),
-    "tolerance-text": (["sweep"], _set("training", "tolerances", "master", "x"), {}),
+    "n_train-text": (["sweep"], _set("training", "n_train", "abc"), {}, "training.n_train"),
+    "tolerance-text": (
+        ["sweep"], _set("training", "tolerances", "master", "x"), {},
+        "training.tolerances.master",
+    ),
     "short-range": (
-        ["sweep"], _set("problem", "master", "parameters", "ranges", 0, [1.0]), {}
+        ["sweep"], _set("problem", "master", "parameters", "ranges", 0, [1.0]), {},
+        "master.parameters.ranges",
     ),
     "scalar-subdivisions": (
-        ["sweep"], _set("problem", "master", "mesh", "subdivisions", 8), {}
+        ["sweep"], _set("problem", "master", "mesh", "subdivisions", 8), {},
+        "master.mesh.subdivisions",
     ),
-    "null-n_test": (["sweep"], _set("testing", "n_test", None), {}),
-    "rom-threads-text": (["sweep"], None, {"ROM_THREADS": "two"}),
-    "nan-parameter": (["fom", "--mu1", "nan,1.0"], None, {}),
-    "inf-parameter": (["fom", "--mu1", "inf,1.0"], None, {}),
+    "null-n_test": (["sweep"], _set("testing", "n_test", None), {}, "testing.n_test"),
+    "rom-threads-text": (["sweep"], None, {"ROM_THREADS": "two"}, None),
+    "nan-parameter": (["fom", "--mu1", "nan,1.0"], None, {}, None),
+    "inf-parameter": (["fom", "--mu1", "inf,1.0"], None, {}, None),
 }
 
 
-@pytest.mark.parametrize("argv, edit, env", BAD_CLI_INPUTS.values(), ids=list(BAD_CLI_INPUTS))
+@pytest.mark.parametrize(
+    "argv, edit, env, field", BAD_CLI_INPUTS.values(), ids=list(BAD_CLI_INPUTS)
+)
 def test_bad_input_is_config_error_before_any_solve(
-    tmp_path, monkeypatch, capsys, argv, edit, env
+    tmp_path, monkeypatch, capsys, argv, edit, env, field
 ):
     config = json.loads(make_config(tmp_path).read_text())
     if edit is not None:
@@ -423,7 +431,29 @@ def test_bad_input_is_config_error_before_any_solve(
 
     monkeypatch.setattr(pipeline.FomSubmodel, "solve", no_solve)
     assert main([argv[0], "--config", str(path), *argv[1:]]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    if field is not None:
+        assert f"configuration error: {field}: " in err
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_set("problem", "time", {"dt": "soon", "n_steps": 50}), "time.dt"),
+        (_set("problem", "time", {"dt": 0.01, "n_steps": [50]}), "time.n_steps"),
+        (_set("problem", "master", "parameters", "ranges", 0, [1.0, 2.0, 3.0]),
+         "master.parameters.ranges"),
+        (_set("training", "seed", "eleven"), "training.seed"),
+    ],
+    ids=["time-dt-text", "time-n_steps-list", "long-range", "seed-text"],
+)
+def test_wrongly_typed_value_is_config_error_with_its_field(tmp_path, edit, field):
+    config = json.loads(make_config(tmp_path).read_text())
+    edit(config)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(config)
+    assert err.value.field == field
 
 
 def test_unwritable_output_directory_is_config_error(tmp_path):
