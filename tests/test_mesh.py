@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupledrom.errors import InvalidGeometryError, MissingTagError
-from coupledrom.mesh import build_box_mesh, extract_interface
+from coupledrom.mesh import build_box_mesh, extract_interface, face_ids
 
 
 def unit_cube(n, order=1):
@@ -82,6 +82,13 @@ class TestBuildBoxMesh:
         with pytest.raises(InvalidGeometryError):
             build_box_mesh(**kwargs)
 
+    def test_unknown_face_id_rejected(self):
+        # a 2-D box has no z faces; asking for one is refused, not an empty trace
+        square = build_box_mesh((0, 0), (1, 1), (1, 1))
+        assert "z-" not in face_ids(square.dim)
+        with pytest.raises(MissingTagError):
+            extract_interface(square, "z-")
+
 
 class TestExtractInterface:
     def test_single_element_cube_face(self):
@@ -111,10 +118,9 @@ class TestExtractInterface:
         assert len(trace) == (3 * 2 + 1) * (4 * 2 + 1)
 
     def test_missing_tag(self):
-        square = build_box_mesh((0, 0), (1, 1), (1, 1))
-        for mesh, face in ((unit_cube(2), "gamma"), (square, "z-")):
-            with pytest.raises(MissingTagError):
-                extract_interface(mesh, face)
+        mesh = unit_cube(2)
+        with pytest.raises(MissingTagError):
+            extract_interface(mesh, "gamma")
 
     def test_grid_structure_matches_lexicographic_order(self):
         mesh = build_box_mesh((0, 0, 0), (1, 1, 1), (2, 3, 4), order=1)
