@@ -18,7 +18,6 @@ from .estimator import (
     ErrorBoundReport,
     error_bound_steady,
     error_bound_unsteady,
-    gronwall_constant,
     residual_steady,
     residual_unsteady,
     sigma_min,

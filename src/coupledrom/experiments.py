@@ -26,7 +26,7 @@ from .pipeline import (
     online_solve,
     run_training,
 )
-from .problems import CoupledProblemSpec, config_value, problem_from_dict
+from .problems import CoupledProblemSpec, config_mapping, config_value, problem_from_dict
 from .sampling import lhs_sample
 from .storage import write_bundle
 
@@ -56,8 +56,8 @@ def _submodel_bound(
 ) -> tuple[np.ndarray, dict]:
     """One submodel's error bound at each state, by the rule of its kind,
     and the constants the rule used, each cached by role and operator
-    weights; the steady rule first reads the ``sigma_min`` the submodel kept
-    for its last weights.
+    weights (the marching constants also by ``dt``); the steady rule first
+    reads the ``sigma_min`` the submodel kept for its last weights.
 
     Both rules read the submodel's free system under its exact constrained
     values (on the slave, with the exact interface ``trace``).  A steady or
@@ -76,22 +76,18 @@ def _submodel_bound(
             f"sigma_min_{role}": sigma
         }
     A_ff = A_ff.tocsc()
-    constant, c3, method = cache.get(
-        (f"semigroup-{role}", weights),
+    constant, growth = cache.get(
+        (f"semigroup-{role}", weights, time.dt),
         lambda: est.semigroup_constant(
-            sub.free_mass, A_ff, time.horizon, known_dissipative=sub.known_dissipative(weights)
+            sub.free_mass, A_ff, time.dt, known_dissipative=sub.known_dissipative(weights)
         ),
     )
     e0 = float(np.linalg.norm(exact[0, free] - V[free] @ reduced[0]))
     bounds = est.error_bound_unsteady(
-        sub.free_mass, A_ff, F, V[free], reduced, time.dt, e0, constant
+        sub.free_mass, A_ff, F, V[free], reduced, time.dt, e0, constant, growth
     )
     index = 1 if role == "master" else 2
-    return bounds, {
-        f"{role}_semigroup_C{index}": constant,
-        f"{role}_c3": c3,
-        f"{role}_constant_method": method,
-    }
+    return bounds, {f"{role}_semigroup_C{index}": constant, f"{role}_growth": growth}
 
 
 def query_bounds(
@@ -123,12 +119,7 @@ def query_bounds(
     transfer_norm = artifacts.reducer.transfer_norm
     deim = artifacts.reducer.deim
     constants.update(slave_constants)
-    constants.update({
-        "transfer_norm_C": transfer_norm,
-        "deim_inverse_norm": deim.inverse_norm,
-        # every constant is proved except the Gronwall c3
-        "certified": "gronwall" not in constants.values(),
-    })
+    constants.update({"transfer_norm_C": transfer_norm, "deim_inverse_norm": deim.inverse_norm})
     actual = np.linalg.norm(np.atleast_2d(fom_result.slave - online.slave_solution), axis=1)
     return [
         est.ErrorBoundReport(
@@ -276,7 +267,6 @@ class ExperimentConfig:
     n_test: int
     test_seed: int
     output_dir: str
-    pairing: str = "paired"
 
     def grid(self) -> list[tuple[float, float, float]]:
         """All (master, slave, interface) tolerance triples."""
@@ -305,11 +295,9 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     if "problem" not in data:
         raise ConfigError("missing required key 'problem'", field="config")
     problem = problem_from_dict(data["problem"])
-    training = data.get("training", {})
-    testing = data.get("testing", {})
-    tols = training.get("tolerances", {})
-    if not isinstance(tols, Mapping):
-        raise ConfigError("must be a mapping with master/slave/interface", field="training.tolerances")
+    training = config_mapping(data.get("training", {}), "training")
+    testing = config_mapping(data.get("testing", {}), "testing")
+    tols = config_mapping(training.get("tolerances", {}), "training.tolerances")
     for key in ("master", "slave", "interface"):
         if key not in tols:
             raise ConfigError(f"missing tolerance {key!r}", field="training.tolerances")
@@ -319,10 +307,9 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     n_test = config_value(int, testing.get("n_test", 5), "testing.n_test")
     if n_test < 1:
         raise ConfigError("n_test must be >= 1", field="testing.n_test")
-    pairing = training.get("pairing", "paired")
-    if pairing not in ("paired", "tensor"):
-        raise ConfigError("pairing must be 'paired' or 'tensor'", field="training.pairing")
-    outputs = data.get("outputs", {})
+    if training.get("pairing", "paired") != "paired":  # the one training plan
+        raise ConfigError("pairing must be 'paired'", field="training.pairing")
+    outputs = config_mapping(data.get("outputs", {}), "outputs")
     if "directory" not in outputs:
         raise ConfigError("missing output directory", field="outputs.directory")
     return ExperimentConfig(
@@ -337,7 +324,6 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
         n_test=n_test,
         test_seed=config_value(int, testing.get("seed", 10_000), "testing.seed"),
         output_dir=str(outputs["directory"]),
-        pairing=pairing,
     )
 
 
@@ -358,9 +344,7 @@ def ensure_directory(path) -> Path:
 def run_offline(config: ExperimentConfig, threads: int = 1):
     """Train once, build one bundle per tolerance triple."""
     t0 = _time.perf_counter()
-    training = run_training(
-        config.problem, config.n_train, config.train_seed, config.pairing, threads=threads
-    )
+    training = run_training(config.problem, config.n_train, config.train_seed, threads=threads)
     out_root = ensure_directory(config.output_dir)
     results = []
     for triple in config.grid():
@@ -375,9 +359,7 @@ def run_offline(config: ExperimentConfig, threads: int = 1):
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     """Evaluate the test set for every tolerance triple; returns CSV rows."""
-    training = run_training(
-        config.problem, config.n_train, config.train_seed, config.pairing, threads=threads
-    )
+    training = run_training(config.problem, config.n_train, config.train_seed, threads=threads)
     fom = training.fom
     cache = SigmaCache()
 

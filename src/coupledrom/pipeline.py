@@ -355,7 +355,6 @@ class TrainingData:
     pod_master: PodFactorization
     pod_slave: PodFactorization
     pod_dirichlet: PodFactorization
-    pairing: str
     seed: int
     timings: dict
 
@@ -378,15 +377,12 @@ def run_training(
     spec_or_fom,
     n_train: int,
     seed: int,
-    pairing: str = "paired",
     threads: int = 1,
 ) -> TrainingData:
-    """Solve the coupled full-order model over the training plan and collect
-    the three snapshot families."""
+    """Solve the coupled full-order model at ``n_train`` paired samples
+    ``(mu1_i, mu2_i)`` and collect the three snapshot families."""
     if n_train < 2:
         raise ConfigError("insufficient training samples: n_train must be >= 2")
-    if pairing not in ("paired", "tensor"):
-        raise ConfigError(f"pairing must be 'paired' or 'tensor', got {pairing!r}")
     fom = spec_or_fom if isinstance(spec_or_fom, FomProblem) else build_fom(spec_or_fom)
     _require_zero_dirichlet(fom.spec)
     t0 = _time.perf_counter()
@@ -394,22 +390,15 @@ def run_training(
     m_space, s_space = fom.master.spec.parameters, fom.slave.spec.parameters
     master_samples = lhs_sample(m_space, n_train, seed, "train")
     slave_samples = lhs_sample(s_space, n_train, seed + _SLAVE_SEED_OFFSET, "train")
-    if pairing == "paired":
-        pairs = [(i, i) for i in range(n_train)]
-    else:
-        pairs = [(i, j) for i in range(n_train) for j in range(n_train)]
-
     nt = fom.spec.time.n_steps if fom.spec.is_unsteady else None
     cols_per = nt if nt else 1
-    n_cols = len(pairs) * cols_per
+    n_cols = n_train * cols_per
     S1 = np.empty((fom.master.n_dofs, n_cols))
     S2 = np.empty((fom.slave.n_dofs, n_cols))
     SD = np.empty((len(fom.slave.interface), n_cols))
 
     def solve_pair(k: int):
-        i, j = pairs[k]
-        res = fom_coupled_solve(fom, master_samples.points[i], slave_samples.points[j])
-        return k, res
+        return k, fom_coupled_solve(fom, master_samples.points[k], slave_samples.points[k])
 
     def commit(k: int, res: FomResult):
         base = k * cols_per
@@ -425,10 +414,10 @@ def run_training(
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for k, res in pool.map(solve_pair, range(len(pairs))):
+            for k, res in pool.map(solve_pair, range(n_train)):
                 commit(k, res)
     else:
-        for k in range(len(pairs)):
+        for k in range(n_train):
             commit(*solve_pair(k))
     t_solve = _time.perf_counter()
 
@@ -442,7 +431,7 @@ def run_training(
 
     log.info(
         "training: %d coupled solves (%d snapshot columns) in %.2fs, POD in %.2fs",
-        len(pairs),
+        n_train,
         n_cols,
         t_solve - t0,
         t_pod - t_solve,
@@ -457,7 +446,6 @@ def run_training(
         pod_master=pod1,
         pod_slave=pod2,
         pod_dirichlet=podD,
-        pairing=pairing,
         seed=seed,
         timings={"fom_solves_s": t_solve - t0, "pod_s": t_pod - t_solve},
     )
@@ -580,7 +568,6 @@ def build_artifacts(training: TrainingData, tolerances) -> RomArtifacts:
     provenance = {
         "n_train": len(training.master_samples),
         "seed": training.seed,
-        "pairing": training.pairing,
         "tolerances": {"master": eps1, "slave": eps2, "interface": eps_d},
         "master_samples": training.master_samples.points.tolist(),
         "slave_samples": training.slave_samples.points.tolist(),
@@ -609,11 +596,10 @@ def offline(
     n_train: int,
     tolerances,
     seed: int,
-    pairing: str = "paired",
     threads: int = 1,
 ) -> RomArtifacts:
     """Complete offline stage: training solves, bases, stored products."""
-    training = run_training(spec, n_train, seed, pairing, threads)
+    training = run_training(spec, n_train, seed, threads)
     return build_artifacts(training, tolerances)
 
 

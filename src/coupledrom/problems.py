@@ -197,10 +197,6 @@ class TimeSpec:
         if self.dt <= 0 or self.n_steps < 1:
             raise ConfigError("time grid needs dt > 0 and n_steps >= 1", field="time")
 
-    @property
-    def horizon(self) -> float:
-        return self.dt * self.n_steps
-
     def instants(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
 
@@ -277,7 +273,7 @@ def problem_to_dict(spec: CoupledProblemSpec) -> dict:
 
 
 def _require(mapping: Mapping, key: str, where: str):
-    if key not in mapping:
+    if key not in config_mapping(mapping, where):
         raise ConfigError(f"missing required key {key!r}", field=where)
     return mapping[key]
 
@@ -291,6 +287,13 @@ def config_value(convert, raw, where: str):
         raise ConfigError(f"invalid value {raw!r} ({exc})", field=where) from None
 
 
+def config_mapping(raw, where: str) -> Mapping:
+    """``raw``, a config section: anything else raises ``ConfigError``."""
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"must be a mapping, got {type(raw).__name__}", field=where)
+    return raw
+
+
 def _ranges(raw) -> tuple[tuple[float, float], ...]:
     return tuple((float(lo), float(hi)) for lo, hi in raw)
 
@@ -299,12 +302,14 @@ def submodel_from_dict(data: Mapping, where: str) -> SubmodelSpec:
     mesh = _require(data, "mesh", where)
     terms = []
     for i, t in enumerate(_require(data, "operator", where)):
+        kind = _require(t, "kind", f"{where}.operator[{i}]")
         coeff = t.get("coefficient", 1.0)
         if isinstance(coeff, list):
             coeff = tuple(coeff)
-        terms.append(AffineTerm(kind=_require(t, "kind", f"{where}.operator[{i}]"),
-                                theta=t.get("theta", 1.0), coefficient=coeff))
-    params = data.get("parameters", {"names": [], "ranges": []})
+        terms.append(AffineTerm(kind=kind, theta=t.get("theta", 1.0), coefficient=coeff))
+    params = config_mapping(data.get("parameters", {}), f"{where}.parameters")
+    forcing = [config_mapping(t, f"{where}.forcing[{i}]")
+               for i, t in enumerate(data.get("forcing", []))]
     return SubmodelSpec(
         mesh=BoxMeshSpec(
             origin=config_value(tuple, _require(mesh, "origin", f"{where}.mesh"),
@@ -320,12 +325,11 @@ def submodel_from_dict(data: Mapping, where: str) -> SubmodelSpec:
         ),
         operator=tuple(terms),
         forcing=tuple(
-            ForcingTerm(theta=t.get("theta", 1.0), profile=t.get("profile", 0.0))
-            for t in data.get("forcing", [])
+            ForcingTerm(theta=t.get("theta", 1.0), profile=t.get("profile", 0.0)) for t in forcing
         ),
         dirichlet={
             str(k): config_value(float, v, f"{where}.dirichlet.{k}")
-            for k, v in data.get("dirichlet", {}).items()
+            for k, v in config_mapping(data.get("dirichlet", {}), f"{where}.dirichlet").items()
         },
         parameters=ParameterSpace(
             names=tuple(params.get("names", [])),

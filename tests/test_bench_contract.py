@@ -8,12 +8,14 @@ only a benchmark run."""
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+CONFIGS = sorted((TRACING.parent / "configs").glob("*.json"))
 
 
 def load_tracing():
@@ -121,3 +123,11 @@ SELF_TEST_BINDINGS = [
 def test_benchmark_self_test_bindings_are_the_originals(module, attr, origin):
     binding = getattr(importlib.import_module(f"coupledrom.{module}"), attr)
     assert binding is getattr(importlib.import_module(f"coupledrom.{origin}"), attr)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_benchmark_config_loads(path):
+    """Every workload config of the benchmark passes the library's schema."""
+    from coupledrom.experiments import config_from_dict
+
+    config_from_dict(json.loads(path.read_text()))

@@ -1,3 +1,4 @@
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,6 +9,7 @@ import scipy.sparse as sp
 
 import coupledrom as cr
 import coupledrom.estimator as est
+from coupledrom.cli import main
 from coupledrom.errors import DimensionMismatchError, EstimatorConvergenceError
 from coupledrom.estimator import (
     MassBlock,
@@ -15,7 +17,6 @@ from coupledrom.estimator import (
     deim_projection_term,
     error_bound_steady,
     error_bound_unsteady,
-    gronwall_constant,
     operator_two_norm,
     residual_steady,
     residual_unsteady,
@@ -24,6 +25,7 @@ from coupledrom.estimator import (
 )
 from coupledrom.experiments import (
     SigmaCache,
+    _submodel_bound,
     config_from_dict,
     query_bounds,
     run_sweep,
@@ -153,36 +155,54 @@ class TestOperatorNorms:
         Md = np.diag(rng.uniform(0.5, 3.0, n))
         K = rng.standard_normal((n, n))
         Ad = K @ K.T + 0.5 * np.eye(n)
-        c, c3, method = semigroup_constant(sp.csr_matrix(Md), sp.csr_matrix(Ad), 1.0)
-        assert method == "dissipative"
+        c, growth = semigroup_constant(sp.csr_matrix(Md), sp.csr_matrix(Ad), 0.1)
+        assert growth == 1.0
         B = -np.linalg.inv(Md) @ Ad
         sup = max(np.linalg.norm(sla.expm(B * t), 2) for t in np.linspace(0, 1, 21))
         assert c >= sup * (1 - 1e-9)
-        assert c3 is None  # the dissipative branch does not need ||M^{-1} A||
 
-    def test_gronwall_c3_is_mass_scaled_operator_norm(self):
+    def test_growth_rate_above_dense_oracle_random_pair(self):
+        # SPD M and an indefinite sym(A): the proved gamma, read back from
+        # growth = 1 / (1 - dt gamma), is on the safe side of the dense
+        # -lambda_min(sym A, M), and growth bounds the propagator's M-norm
         rng = np.random.default_rng(6)
-        n = 8
-        Md = np.diag(rng.uniform(0.5, 3.0, n))
+        n = 30
         K = rng.standard_normal((n, n))
-        Ad = K @ K.T - 2.0 * np.eye(n)  # indefinite symmetric part
-        c, c3, method = semigroup_constant(sp.csr_matrix(Md), sp.csr_matrix(Ad), 1.0)
-        assert method == "gronwall"
-        assert c3 == pytest.approx(np.linalg.norm(np.linalg.inv(Md) @ Ad, 2), rel=1e-6)
-        assert c == gronwall_constant(c3, 1.0)
+        Md = K @ K.T / n + np.eye(n)
+        Ad = rng.standard_normal((n, n))
+        oracle = -sla.eigh((Ad + Ad.T) / 2, Md, eigvals_only=True)[0]
+        assert oracle > 0.0
+        dt = 0.5 / oracle
+        c, growth = semigroup_constant(sp.csr_matrix(Md), sp.csr_matrix(Ad), dt)
+        gamma = (1.0 - 1.0 / growth) / dt
+        assert oracle <= gamma <= oracle * (1 + 1e-6)
+        assert c >= dense_condition_root(sp.csr_matrix(Md))
+        L = np.linalg.cholesky(Md)
+        P = np.linalg.solve(Md + dt * Ad, Md)
+        assert np.linalg.norm(L.T @ P @ np.linalg.inv(L.T), 2) <= growth
 
-    def test_gronwall_constant_zero_dynamics(self):
-        assert gronwall_constant(0.0, 5.0) == 1.0
 
+class TestBdf1ScalarSanity:
+    # u' = u, that is M = 1 and A = -1, so gamma = 1: a reduced model with
+    # the zero trajectory and a unit initial error has the BDF1 error
+    # (1 - dt)^{-k}, which the rule meets with equality up to its margins
+    M, A = sp.csr_matrix([[1.0]]), sp.csr_matrix([[-1.0]])
 
-class TestGronwallScalarSanity:
-    def test_bound_dominates_decay_on_unit_interval(self):
-        # u' = -u: a reduced model with a perturbed initial state has error
-        # |delta| e^{-t}; the surrogate constant with c3 = 1 must dominate
-        delta = 0.3
-        for t in np.linspace(0.0, 1.0, 41):
-            bound = gronwall_constant(1.0, t) * delta
-            assert bound >= delta * np.exp(-t)
+    @pytest.mark.parametrize("dt, n_steps", [(0.5, 2), (0.9, 1)])
+    def test_bound_dominates_error_every_step(self, dt, n_steps):
+        constant, growth = semigroup_constant(self.M, self.A, dt)
+        zeros = np.zeros((1, n_steps + 1))
+        bounds = error_bound_unsteady(
+            self.M, self.A, zeros, np.eye(1), zeros.T, dt, 1.0, constant, growth
+        )
+        error = cr.solve_unsteady_bdf1(self.M, self.A, zeros, np.ones(1), dt)[:, 0]
+        assert error == pytest.approx((1.0 - dt) ** -np.arange(n_steps + 1), rel=1e-12)
+        assert np.all(bounds >= error)
+        assert np.all(bounds <= error * (1 + 1e-8))
+
+    def test_dt_gamma_at_one_claims_no_bound(self):
+        with pytest.raises(EstimatorConvergenceError, match="dt gamma"):
+            semigroup_constant(self.M, self.A, 1.0)
 
 
 class TestErrorBoundSteady:
@@ -197,7 +217,6 @@ class TestErrorBoundSteady:
         total = report.master_term + report.deim_term + report.slave_term
         assert report.total == pytest.approx(total, rel=1e-12)
         assert report.total >= 0.0
-        assert report.constants["certified"] is True
 
     def test_full_rank_bound_and_error_tiny(self):
         spec = steady_pair_2d(master_subdivisions=(3, 3), slave_subdivisions=(3, 3))
@@ -237,6 +256,7 @@ class TestErrorBoundUnsteady:
             dt=0.1,
             initial_error=0.25,
             constant=2.0,
+            growth=1.0,
         )
         assert len(bounds) == 5
         for b in bounds:
@@ -254,10 +274,18 @@ class TestErrorBoundUnsteady:
         )
         fom_march = np.cumsum(dt * f)
         assert np.array_equal(fom_march, [0.0, 0.5, 1.5, 3.0])
-        bounds = error_bound_unsteady(**kwargs, initial_error=0.0, constant=1.0)
+        bounds = error_bound_unsteady(**kwargs, initial_error=0.0, constant=1.0, growth=1.0)
         assert np.array_equal(bounds, fom_march)
-        bounds = error_bound_unsteady(**kwargs, initial_error=0.25, constant=2.0)
+        bounds = error_bound_unsteady(**kwargs, initial_error=0.25, constant=2.0, growth=1.0)
         assert np.array_equal(bounds, 2.0 * (0.25 + fom_march))
+        # A = -1 at dt 0.5 has gamma = 1 and growth 2: the error of the march
+        # from e_0 = 0.25 is e^k = 2 (e^{k-1} + dt f^k), which the rule meets
+        # with equality, every number exact in binary
+        kwargs["A"] = sp.csr_matrix([[-1.0]])
+        error = cr.solve_unsteady_bdf1(kwargs["M"], kwargs["A"], f[None, :], np.array([0.25]), dt)
+        bounds = error_bound_unsteady(**kwargs, initial_error=0.25, constant=1.0, growth=2.0)
+        assert np.array_equal(bounds, error[:, 0])
+        assert np.array_equal(bounds, [0.25, 1.5, 5.0, 13.0])
 
     def test_full_rank_bound_tiny(self):
         spec = heat_laplace_pair(
@@ -390,33 +418,29 @@ class TestDissipativeDetection:
         skew = rng.standard_normal((n, n))
         skew = skew - skew.T  # contributes nothing to the symmetric part
         M = sp.identity(n, format="csr")
-        c, _, method = semigroup_constant(M, sp.csr_matrix(spd + skew), 1.0)
-        assert method == "dissipative"
+        c, growth = semigroup_constant(M, sp.csr_matrix(spd + skew), 0.1)
+        assert growth == 1.0
         assert c == pytest.approx(1.0, rel=1e-6)
 
-    def test_unstable_operator_falls_back_to_gronwall(self):
+    def test_unstable_operator_gets_proved_growth_rate(self):
+        # lambda_min = -2 gives gamma = 2, so growth 2 at dt 0.25
         A = sp.csr_matrix(np.diag([1.0, -2.0, 3.0]))
         M = sp.identity(3, format="csr")
-        c, c3, method = semigroup_constant(M, A, 1.0)
-        assert method == "gronwall"
-        assert c == pytest.approx(1.0 + c3 * np.exp(c3), rel=1e-9)
+        c, growth = semigroup_constant(M, A, 0.25)
+        assert 1.0 <= c <= 1.0 + 1e-8
+        assert 2.0 <= growth <= 2.0 * (1 + 1e-8)
 
 
 # ---------------------------------------------------------------------------
 # constants that depend on the full-order model alone
 
 
-def reference_semigroup_constant(M, A, horizon, **_):
-    """Per-query composition of the semigroup constant, computing everything
-    afresh: one mass factorization, c3, the eigenvalue test on A(mu), then
-    ``sqrt(cond(M))`` of a new mass block."""
+def reference_semigroup_constant(M, A, dt, **_):
+    """Per-query composition of the marching constants, computing everything
+    afresh: a new mass block, with its own factorization and spectrum, and
+    the eigenvalue test on A(mu) whatever the caller knows."""
     M = (M.matrix if isinstance(M, MassBlock) else M).tocsc()
-    A = A.tocsr()
-    m_solve = factorized_solver(M)
-    c3 = operator_two_norm(lambda x: m_solve(A @ x), lambda x: A.T @ m_solve(x), A.shape[0])
-    if abs(M - M.T).max() <= 1e-10 * abs(M).max() and _is_dissipative(A):
-        return MassBlock(M).condition_root, c3, "dissipative"
-    return gronwall_constant(c3, horizon), c3, "gronwall"
+    return semigroup_constant(MassBlock(M), A.tocsr(), dt)
 
 
 def reference_residual_unsteady(M, A_N, F, V, trajectory, dt):
@@ -438,7 +462,7 @@ def bounds_at(spec, artifacts, mu1s, fom=None):
     return out
 
 
-def reaction_heat_pair(beta_range=(-30.0, 1.0)):
+def reaction_heat_pair(beta_range=(-30.0, 1.0), time=TimeSpec(0.01, 5)):
     """2-D heat master ``u' - div grad u + beta u = f`` whose reaction weight
     may be negative, feeding a steady Laplace slave."""
     master = SubmodelSpec(
@@ -459,7 +483,7 @@ def reaction_heat_pair(beta_range=(-30.0, 1.0)):
         operator=(AffineTerm(kind="diffusion", theta=1.0, coefficient=1.0),),
         interface_tag="x-",
     )
-    return CoupledProblemSpec(master=master, slave=slave, time=TimeSpec(0.01, 5))
+    return CoupledProblemSpec(master=master, slave=slave, time=time)
 
 
 @pytest.fixture(scope="module")
@@ -483,9 +507,7 @@ class TestConstantsPerFom:
         for (totals, constants), (ref_totals, ref_constants) in zip(cached, fresh):
             assert np.array_equal(totals, ref_totals)
             assert constants["master_semigroup_C1"] == ref_constants["master_semigroup_C1"]
-            assert constants["master_constant_method"] == "dissipative"
-            assert constants["master_c3"] is None
-            assert ref_constants["master_c3"] > 0.0
+            assert constants["master_growth"] == ref_constants["master_growth"] == 1.0
 
     def test_mass_work_runs_once_per_fom(self, heat_artifacts, monkeypatch):
         spec, art = heat_artifacts
@@ -593,9 +615,9 @@ class TestConstantsPerFom:
         free = sub.free_dofs
         A_ff = sub.assemble_operator(sub.mu_mapping([beta]))[np.ix_(free, free)]
         M_ff = sub.mass[np.ix_(free, free)]
-        expected = reference_semigroup_constant(M_ff, A_ff, spec.time.dt * spec.time.n_steps)
+        expected = reference_semigroup_constant(M_ff, A_ff, spec.time.dt)
         # K - 0.5 M stays definite on this mesh, K - 30 M does not
-        assert expected[2] == ("gronwall" if beta < -1.0 else "dissipative")
+        assert (expected[1] > 1.0) == (beta < -1.0)
         assert sub.dissipative_terms == [True, True]
 
         tested = []
@@ -607,12 +629,65 @@ class TestConstantsPerFom:
         monkeypatch.setattr(est, "_is_dissipative", recording)
         [(_, constants)] = bounds_at(spec, art, [[beta]], fom)
         assert constants["master_semigroup_C1"] == expected[0]
-        assert constants["master_constant_method"] == expected[2]
-        assert constants["master_c3"] == (expected[1] if expected[2] == "gronwall" else None)
-        # the Gronwall c3 is an estimate; every other constant is proved
-        assert constants["certified"] is (expected[2] == "dissipative")
+        assert constants["master_growth"] == expected[1]
         # the per-term verdicts are cached; only a negative weight tests A(mu)
         assert len(tested) == (1 if beta < 0 else 0)
+
+
+class TestNonDissipativeMarching:
+    # K - 30 M on the reaction master: lambda_min(sym A, M) is near
+    # (pi/2)^2 - 30, so gamma is about 27.5 and dt gamma < 1 needs dt < 0.036
+    BETA = [-30.0]
+
+    def test_growth_rate_above_dense_oracle(self):
+        sub = cr.build_fom(reaction_heat_pair()).master
+        free = sub.free_dofs
+        A = sub.assemble_operator(sub.mu_mapping(self.BETA))[np.ix_(free, free)]
+        sym = (A + A.T).toarray() / 2
+        oracle = -sla.eigh(sym, free_mass(sub).toarray(), eigvals_only=True)[0]
+        dt = 0.02
+        _, growth = semigroup_constant(free_mass(sub), A, dt)
+        gamma = (1.0 - 1.0 / growth) / dt
+        assert oracle <= gamma <= oracle * (1 + 1e-6)
+
+    @pytest.mark.parametrize("dt", [0.02, 0.03])
+    @pytest.mark.parametrize("tolerance", [1e-1, 1e-3])
+    def test_master_bound_every_step_on_a_truncated_basis(self, dt, tolerance):
+        spec = reaction_heat_pair(time=TimeSpec(dt, 5))
+        training = cr.run_training(spec, 6, seed=3)
+        art = cr.build_artifacts(training, (tolerance, 1e-6, 1e-6))
+        assert art.basis_sizes["master"] <= 3
+        fom, sub = training.fom, training.fom.master
+        res = cr.fom_coupled_solve(fom, self.BETA, [])
+        online = cr.online_unsteady(art, self.BETA, [])
+        V, free = art.master.basis.V, sub.free_dofs
+        bounds, constants = _submodel_bound(
+            SigmaCache(), "master", sub, V, online.master_reduced, res.master,
+            sub.mu_mapping(self.BETA), None, spec.time,
+        )
+        assert constants["master_growth"] > 2.0
+        error = np.linalg.norm(res.master[:, free] - online.master_reduced @ V[free].T, axis=1)
+        assert np.all(bounds >= error)
+        assert error[-1] > 0.0
+        reports = query_bounds(fom, art, self.BETA, [], online, res)
+        assert all(r.valid for r in reports)
+
+    def test_cli_exits_3_when_dt_gamma_reaches_one(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "problem": problem_to_dict(reaction_heat_pair(time=TimeSpec(0.05, 5))),
+            "training": {"n_train": 4, "seed": 3,
+                         "tolerances": {"master": 1e-2, "slave": 1e-4, "interface": 1e-4}},
+            "outputs": {"directory": str(tmp_path / "out")},
+        }))
+        assert main(["offline", "--config", str(config)]) == 0
+        [bundle] = (tmp_path / "out").glob("bundle_*")
+        capsys.readouterr()
+        argv = ["online", "--bundle", str(bundle), "--mu1", "-30", "--compare-fom"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert "EstimatorConvergenceError" in err and "dt gamma" in err
+        assert "bound" not in out
 
 
 # ---------------------------------------------------------------------------
@@ -736,11 +811,12 @@ class TestOneByOneBlocks:
 
     def test_semigroup_constant(self):
         M = sp.csr_matrix([[2.0]])
-        c, c3, method = semigroup_constant(M, sp.csr_matrix([[3.0]]), 1.0)
-        assert method == "dissipative" and c3 is None and 1.0 <= c <= 1.0 + 1e-8
-        c, c3, method = semigroup_constant(M, sp.csr_matrix([[-1.0]]), 1.0)
-        assert method == "gronwall" and c3 == pytest.approx(0.5)
-        assert c == pytest.approx(gronwall_constant(c3, 1.0))
+        c, growth = semigroup_constant(M, sp.csr_matrix([[3.0]]), 1.0)
+        assert growth == 1.0 and 1.0 <= c <= 1.0 + 1e-8
+        # lambda(-1, 2) = -0.5: gamma = 0.5, so growth 2 at dt 1
+        c, growth = semigroup_constant(M, sp.csr_matrix([[-1.0]]), 1.0)
+        assert 1.0 <= c <= 1.0 + 1e-8
+        assert 2.0 <= growth <= 2.0 * (1 + 1e-8)
 
     def test_sigma_min_proved(self):
         assert 2.0 * (1 - 1e-8) <= sigma_min(sp.csr_matrix([[2.0]])) < 2.0

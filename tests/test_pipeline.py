@@ -361,11 +361,6 @@ class TestOffline:
             serial.snapshots_dirichlet.matrix, threaded.snapshots_dirichlet.matrix
         )
 
-    def test_tensor_pairing_sample_count(self):
-        spec = steady_pair_2d()
-        training = cr.run_training(spec, 3, seed=1, pairing="tensor")
-        assert training.snapshots_master.matrix.shape[1] == 9
-
 
 class TestOnlineSteady:
     def test_training_point_accuracy(self, steady_training):
@@ -424,7 +419,6 @@ class TestOnlineUnsteady:
         art = cr.build_artifacts(unsteady_training, (1e-7, 1e-7, 1e-7))
         mu1 = unsteady_training.master_samples.points[1]
         base = unsteady_training.fom.spec.time
-        T = base.horizon
 
         def final_state(refine):
             spec_r = art.spec.with_time(base.dt / refine, base.n_steps * refine)

@@ -111,7 +111,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             problem_from_dict(data)
 
-    def test_time_horizon(self):
+    def test_time_instants(self):
         ts = TimeSpec(dt=0.25, n_steps=8)
-        assert ts.horizon == 2.0
         assert np.array_equal(ts.instants(), 0.25 * np.arange(9))

@@ -406,6 +406,7 @@ BAD_CLI_INPUTS = {
         "master.mesh.subdivisions",
     ),
     "null-n_test": (["sweep"], _set("testing", "n_test", None), {}, "testing.n_test"),
+    "list-training": (["sweep"], _set("training", [1]), {}, "training"),
     "rom-threads-text": (["sweep"], None, {"ROM_THREADS": "two"}, None),
     "nan-parameter": (["fom", "--mu1", "nan,1.0"], None, {}, None),
     "inf-parameter": (["fom", "--mu1", "inf,1.0"], None, {}, None),
@@ -454,6 +455,41 @@ def test_wrongly_typed_value_is_config_error_with_its_field(tmp_path, edit, fiel
     with pytest.raises(ConfigError) as err:
         config_from_dict(config)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        (("training",), "training"),
+        (("testing",), "testing"),
+        (("outputs",), "outputs"),
+        (("problem", "time"), "time"),
+        (("problem", "master"), "master"),
+        (("problem", "master", "parameters"), "master.parameters"),
+        (("problem", "master", "mesh"), "master.mesh"),
+        (("problem", "master", "dirichlet"), "master.dirichlet"),
+        (("problem", "master", "operator", 0), "master.operator[0]"),
+        (("problem", "master", "forcing", 0), "master.forcing[0]"),
+        (("problem", "slave", "mesh"), "slave.mesh"),
+    ],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_section_that_is_not_a_mapping_is_config_error_with_its_field(tmp_path, path, field):
+    config = json.loads(make_config(tmp_path, unsteady=True).read_text())
+    _set(*path, [1])(config)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(config)
+    assert err.value.field == field
+
+
+def test_pairing_other_than_paired_is_config_error(tmp_path):
+    config = json.loads(make_config(tmp_path).read_text())
+    config["training"]["pairing"] = "paired"
+    assert config_from_dict(config).n_train == 6
+    config["training"]["pairing"] = "tensor"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(config)
+    assert err.value.field == "training.pairing"
 
 
 def test_unwritable_output_directory_is_config_error(tmp_path):
