@@ -423,18 +423,22 @@ def run_training(
 
     gamma2 = fom.slave.interface.dof_indices
     S2[gamma2, :] = 0.0  # homogenized slave snapshots
-    snap1, snap2, snapD = SnapshotSet(S1), SnapshotSet(S2), SnapshotSet(SD)
+    snap1, snap2, snapD = (SnapshotSet(S, block=nt) for S in (S1, S2, SD))
     pod1 = PodFactorization(snap1)
     pod2 = PodFactorization(snap2)
     podD = PodFactorization(snapD)
     t_pod = _time.perf_counter()
 
     log.info(
-        "training: %d coupled solves (%d snapshot columns) in %.2fs, POD in %.2fs",
+        "training: %d coupled solves (%d snapshot columns) in %.2fs, POD in %.2fs "
+        "(stacked widths: master %d->%d, slave %d->%d, interface %d->%d cols)",
         n_train,
         n_cols,
         t_solve - t0,
         t_pod - t_solve,
+        n_cols, pod1.stacked_cols,
+        n_cols, pod2.stacked_cols,
+        n_cols, podD.stacked_cols,
     )
     return TrainingData(
         fom=fom,

@@ -3,11 +3,26 @@
 Truncation follows the relative-energy rule: the basis size ``n`` is the
 smallest integer with ``sum_{i>n} s_i^2 <= tol^2 * sum_i s_i^2``.  The
 factorization is the thin SVD, which resolves singular values down to
-``eps * s_1``; the tail energies are summed from the smallest value up, so
-they do not cancel against the total.  Column signs are fixed so that the
-first entry of each basis vector above rounding noise, ``|u| > sqrt(eps) *
-max |u|``, is positive; entries at rows that vanish in every snapshot are
-noise and do not decide the sign.
+``eps * max(N, n_cols) * s_1``; the tail energies are summed from the smallest
+value up, so they do not cancel against the total.  Column signs are fixed so
+that the first entry of each basis vector above rounding noise, ``|u| >
+sqrt(eps) * max |u|``, is positive; entries at rows that vanish in every
+snapshot are noise and do not decide the sign.
+
+A snapshot set of several trajectories, ``block`` columns each, is factorized
+in two levels (the hierarchical approximate POD of Himpe, Leibner and Rave,
+*SIAM J. Sci. Comput.* 40, 2018): one thin SVD ``X_i = U_i S_i W_i^T`` per
+block, cut at the block's numerical rank, then one thin SVD of the stacked
+factors ``Y = [U_1 S_1, U_2 S_2, ...]``.  The proof that this is the POD of
+``X``: with ``E`` the dropped part of the blocks, ``X X^T = Y Y^T + E E^T``,
+so ``Y`` has the left singular vectors and values of ``X`` up to ``E``.  Every
+value a block drops is at most ``eps * max(N, n_cols) * s_1(X_i) <= eps *
+max(N, n_cols) * s_1(X)``, below the resolution of the one SVD of ``X``
+itself, which cannot tell such a value from zero.  The energy rule holds
+against ``X``: the right factors ``W_i`` of the kept and dropped parts are
+orthogonal, so for the projector ``P`` on the kept modes ``||(I - P) X||^2 =
+||(I - P) Y||^2 + ||(I - P) E||^2 <= tol^2 ||Y||^2 + ||E||^2``, and ``||X||^2
+= ||Y||^2 + ||E||^2``.
 """
 
 from __future__ import annotations
@@ -24,17 +39,19 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SnapshotSet:
-    """Column-stacked solution vectors."""
+    """Column-stacked solution vectors, ``block`` consecutive columns per
+    trajectory (``None``: one column per sample)."""
 
     matrix: np.ndarray = field(repr=False)  # (N, n_snapshots)
+    block: int | None = None
 
 
 @dataclass(frozen=True)
 class ReducedBasis:
-    """Orthonormal basis with the full singular value list kept for audits."""
+    """Orthonormal basis with the singular value list kept for audits."""
 
     V: np.ndarray = field(repr=False)  # (N, n)
-    singular_values: np.ndarray = field(repr=False)  # full, non-increasing
+    singular_values: np.ndarray = field(repr=False)  # of the stacked factors, non-increasing
     tolerance: float
 
     @property
@@ -43,7 +60,16 @@ class ReducedBasis:
 
 
 class PodFactorization:
-    """Full left-singular factorization of one snapshot matrix.
+    """Left-singular factorization of one snapshot matrix, down to its
+    numerical rank.
+
+    A blocked snapshot set is factorized in two levels, one thin SVD per block
+    and one of the stacked factors ``U_i S_i``.  Every value a block drops is
+    at most ``eps * max(N, n_cols) * s_1(block) <= eps * max(N, n_cols) *
+    s_1(X)``, below the resolution of the one SVD of ``X``, so both give the
+    same subspaces and basis sizes up to that resolution (module docstring).
+    A plain array or a set of one block takes the one SVD.  ``stacked_cols``
+    is the width of the matrix the last SVD factored.
 
     Computed once; ``truncate`` slices it for any tolerance, which makes
     tolerance sweeps cheap.
@@ -56,8 +82,13 @@ class PodFactorization:
             raise DimensionMismatchError("snapshot matrix must be 2-D and nonempty")
         if not np.any(X):
             raise DegenerateSnapshotsError("snapshot matrix is identically zero")
+        resolution = max(X.shape) * np.finfo(float).eps
+        block = snapshots.block if isinstance(snapshots, SnapshotSet) else None
+        if block is not None and block < X.shape[1]:
+            X = _stacked_factors(X, block, resolution)
+        self.stacked_cols = X.shape[1]
         U, sigma, _ = np.linalg.svd(X, full_matrices=False)
-        rank = int(np.sum(sigma > sigma[0] * max(X.shape) * np.finfo(float).eps))
+        rank = int(np.sum(sigma > sigma[0] * resolution))
         self.U = _fix_signs(U[:, :rank])
         self.singular_values = sigma
 
@@ -86,6 +117,22 @@ class PodFactorization:
             singular_values=self.singular_values.copy(),
             tolerance=tolerance,
         )
+
+
+def _stacked_factors(X: np.ndarray, block: int, resolution: float) -> np.ndarray:
+    """``[U_1 S_1, U_2 S_2, ...]`` from one batched thin SVD of the column
+    blocks of ``X``, each cut below ``resolution`` times its largest singular
+    value; an all-zero block keeps no column."""
+    n_rows, n_cols = X.shape
+    if block < 1 or n_cols % block:
+        raise DimensionMismatchError(
+            f"snapshot block of {block} columns does not divide the {n_cols} columns"
+        )
+    blocks = X.reshape(n_rows, n_cols // block, block).transpose(1, 0, 2)
+    U, s, _ = np.linalg.svd(blocks, full_matrices=False)
+    U *= s[:, None, :]
+    keep = s > s[:, :1] * resolution
+    return U.transpose(1, 0, 2)[:, keep]
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coupledrom as cr
-from coupledrom.errors import DegenerateSnapshotsError
-from coupledrom.library import steady_pair_2d
-from coupledrom.pod import PodFactorization, _fix_signs, pod
+from coupledrom.errors import DegenerateSnapshotsError, DimensionMismatchError
+from coupledrom.library import heat_laplace_pair, steady_pair_2d
+from coupledrom.pod import PodFactorization, SnapshotSet, _fix_signs, pod
 
 
 def align_signs(A, B):
@@ -142,3 +142,111 @@ class TestPod:
         for tol in (1e-1, 1e-3, 1e-6):
             assert np.array_equal(fact.truncate(tol).V, pod(X, tol).V)
 
+
+TOLERANCES = [10.0**-k for k in range(1, 11)]
+
+
+def one_svd(X):
+    """The single thin SVD of the whole matrix, as ``PodFactorization`` takes
+    it for a matrix of one block."""
+    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps))
+    return _fix_signs(U[:, :rank]), s
+
+
+def subspace_distance(A, B):
+    """Sine of the largest principal angle between two orthonormal bases."""
+    return np.linalg.norm(B - A @ (A.T @ B), 2)
+
+
+def assert_two_level_matches_one_svd(snapshots, kept_tolerance):
+    X = snapshots.matrix
+    full = PodFactorization(X)
+    two = PodFactorization(snapshots)
+    assert two.stacked_cols <= X.shape[1]
+    assert two.U.shape[1] == full.U.shape[1]  # same numerical rank
+    for tol in TOLERANCES:
+        n = two.size_for(tol)
+        assert n == full.size_for(tol), tol
+        V = two.U[:, :n]
+        # the energy rule holds against the snapshots, not only the factors
+        residual = np.sum((X - V @ (V.T @ X)) ** 2)
+        assert residual <= tol**2 * np.sum(X**2) * (1 + 1e-12), tol
+    n = full.size_for(kept_tolerance)
+    assert subspace_distance(full.U[:, :n], two.U[:, :n]) <= 1e-10
+
+
+@pytest.fixture(scope="module", params=["heat-unsteady", "heat-fine"])
+def heat_training_set(request):
+    """The training sets of the heat_laplace config and of its refinement to
+    10^3 / 5^3, 20 trajectories of 50 steps each."""
+    fine = request.param == "heat-fine"
+    spec = heat_laplace_pair(
+        master_subdivisions=(10, 10, 10) if fine else (8, 8, 8),
+        slave_subdivisions=(5, 5, 5) if fine else (4, 4, 4),
+    )
+    return cr.run_training(spec, n_train=20, seed=11)
+
+
+class TestTwoLevel:
+    @pytest.mark.parametrize("family", ["master", "slave", "dirichlet"])
+    def test_heat_training_sets_match_one_svd(self, heat_training_set, family):
+        snapshots = getattr(heat_training_set, f"snapshots_{family}")
+        assert snapshots.block == 50
+        assert_two_level_matches_one_svd(snapshots, kept_tolerance=1e-5)
+        assert getattr(heat_training_set, f"pod_{family}").stacked_cols < 1000
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_rows=st.integers(20, 60),
+        n_blocks=st.integers(2, 6),
+        block=st.integers(3, 12),
+        rank=st.integers(1, 9),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_blocked_low_rank_matches_one_svd(self, seed, n_rows, n_blocks, block, rank):
+        rng = np.random.default_rng(seed)
+        n_cols = n_blocks * block
+        rank = min(rank, n_cols)
+        # singular values 10^(-1.3 i): no partial tail lies within a factor
+        # 1.5 of any tol^2 = 10^(-2k), so the sizes are decided with margin
+        s = 10.0 ** (-1.3 * np.arange(rank))
+        Q, _ = np.linalg.qr(rng.standard_normal((n_rows, rank)))
+        W, _ = np.linalg.qr(rng.standard_normal((n_cols, rank)))
+        X = (Q * s) @ W.T
+        assert_two_level_matches_one_svd(SnapshotSet(X, block=block), kept_tolerance=1e-5)
+
+    def test_block_must_divide_the_columns(self):
+        X = np.random.default_rng(1).standard_normal((10, 12))
+        with pytest.raises(DimensionMismatchError, match=r"\b5\b.*\b12\b"):
+            PodFactorization(SnapshotSet(X, block=5))
+
+    def test_zero_block_adds_no_columns(self):
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 18))
+        X[:, 6:12] = 0.0  # a trajectory that never leaves zero
+        two = PodFactorization(SnapshotSet(X, block=6))
+        assert two.stacked_cols == 8  # rank 4 from each nonzero block
+        assert np.all(np.isfinite(two.U)) and np.all(np.isfinite(two.singular_values))
+        full = PodFactorization(X)
+        assert [two.size_for(t) for t in TOLERANCES] == [full.size_for(t) for t in TOLERANCES]
+        assert subspace_distance(full.U, two.U) <= 1e-10
+
+    @pytest.mark.parametrize("block", [None, 12, 13])
+    def test_one_block_is_the_one_svd(self, block):
+        X = np.random.default_rng(3).standard_normal((25, 12)) * np.logspace(0, -9, 12)
+        U, s = one_svd(X)
+        for snapshots in (SnapshotSet(X, block=block), X):
+            fact = PodFactorization(snapshots)
+            assert fact.stacked_cols == 12
+            assert np.array_equal(fact.U, U)
+            assert np.array_equal(fact.singular_values, s)
+
+    def test_steady_training_is_one_svd(self):
+        training = cr.run_training(steady_pair_2d(), 4, seed=3)
+        for family in ("master", "slave", "dirichlet"):
+            snapshots = getattr(training, f"snapshots_{family}")
+            assert snapshots.block is None
+            U, s = one_svd(snapshots.matrix)
+            assert np.array_equal(getattr(training, f"pod_{family}").U, U)
+            assert np.array_equal(getattr(training, f"pod_{family}").singular_values, s)
