@@ -12,7 +12,7 @@ most ``rho = 1 / (1 - dt gamma)``, and ``sqrt(cond(M))`` carries the M-norm
 to the two-norm.  What depends on ``M`` alone a ``MassBlock`` computes
 once, on first use, so that a caller can keep it across queries.
 
-``sqrt(cond(M))``, ``gamma`` and ``sigma_min`` are proved, not estimated:
+``sqrt(cond(M))``, ``gamma``, dissipativity and ``sigma_min`` are proved:
 an eigenvalue estimate is moved a small margin to its safe side and one
 factorization with positive pivots, whose rounding error is bounded
 rigorously (S. M. Rump, "Verification of positive definiteness", BIT 46,
@@ -41,9 +41,6 @@ _POWER_MAX_ITER = 5000
 _POWER_SEED = 0
 _POWER_RTOL = 1e-9
 _TWO_NORM_RTOL = 1e-8
-#: relative margin below zero at which ``_is_dissipative`` still accepts the
-#: smallest eigenvalue of a symmetric part
-_DISSIPATIVE_RTOL = 1e-10
 #: relative distance of the first certified shift from an eigenvalue
 #: estimate; each factorization that fails multiplies it by _CERT_GROWTH
 _CERT_MARGIN = 1e-10
@@ -402,18 +399,18 @@ def semigroup_constant(M, A, dt: float, known_dissipative: bool = False) -> tupl
 
 
 def _is_dissipative(A) -> bool:
-    """True when the symmetric part of ``A`` is positive semidefinite."""
+    """True when the symmetric part of ``A`` is zero or is proved positive
+    semidefinite by ``_certified_eigenvalue`` near its Lanczos ``lambda_min``;
+    False, as for a singular one, sends ``A`` to the proved growth rate."""
     sym = ((A + A.T) * 0.5).tocsc()
-    scale = abs(sym).max()
-    if scale == 0.0:
+    if abs(sym).max() == 0.0:
         return True
     try:
         lam = _lanczos_eigenvalue(sym, which="SA", maxiter=5000)
-        return lam >= -_DISSIPATIVE_RTOL * scale
     except (spla.ArpackNoConvergence, RuntimeError):
-        # indefinite-shift factorization or no convergence: the safe answer
-        # sends A to the proved growth rate of ``semigroup_constant``
         return False
+    lower = _certified_eigenvalue(sym, lam, "min")
+    return lower is not None and lower >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ queries, tolerance sweeps, and the experiment configuration schema."""
 from __future__ import annotations
 
 import itertools
+import logging
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -30,6 +30,8 @@ from .problems import CoupledProblemSpec, config_mapping, config_value, problem_
 from .sampling import lhs_sample
 from .storage import write_bundle
 
+log = logging.getLogger(__name__)
+
 
 # ---------------------------------------------------------------------------
 # certified bounds for coupled queries
@@ -41,7 +43,7 @@ class SigmaCache:
     queries of one caller: ``run_sweep`` keeps one across its tolerance
     triples, where the master weights of the test set repeat.  A steady rule
     reads the submodel's kept ``sigma_min`` (``FomSubmodel.free_sigma_min``)
-    before this cache."""
+    before this cache.  It has no lock: one cache lives in one thread."""
 
     values: dict = field(default_factory=dict)
 
@@ -168,29 +170,26 @@ class QueryResult:
     warnings: list = field(default_factory=list)
 
 
-def evaluate_test_set(
-    artifacts: RomArtifacts,
-    fom: FomProblem,
-    n_test: int,
-    seed: int,
-    with_bounds: bool = False,
-    sigma_cache: SigmaCache | None = None,
-) -> list[QueryResult]:
-    """Online queries against the reference path over an LHS test sample."""
-    cache = sigma_cache or SigmaCache()
+def _references(fom: FomProblem, n_test: int, seed: int) -> list[tuple]:
+    """``(mu1, mu2, fom_result)`` at each LHS test point, the master's drawn
+    from ``seed`` and the slave's from ``seed + 1``."""
     mu1s = lhs_sample(fom.master.spec.parameters, n_test, seed, "test")
     mu2s = lhs_sample(fom.slave.spec.parameters, n_test, seed + 1, "test")
+    return [(a, b, fom_coupled_solve(fom, a, b)) for a, b in zip(mu1s.points, mu2s.points)]
+
+
+def _score(
+    artifacts: RomArtifacts, fom: FomProblem, references, with_bounds: bool, cache: SigmaCache
+) -> list[QueryResult]:
+    """Online queries of ``artifacts`` against the ``_references`` results."""
     rows = []
-    for mu1, mu2 in zip(mu1s.points, mu2s.points):
-        fres = fom_coupled_solve(fom, mu1, mu2)
+    for mu1, mu2, fres in references:
         online = online_solve(artifacts, mu1, mu2)
-        rel = relative_error(fres.slave, online.slave_solution)
-        abs_err = float(np.linalg.norm(fres.slave - online.slave_solution))
         row = QueryResult(
             mu1=np.atleast_1d(mu1).tolist(),
             mu2=np.atleast_1d(mu2).tolist(),
-            abs_error=abs_err,
-            rel_error=rel,
+            abs_error=float(np.linalg.norm(fres.slave - online.slave_solution)),
+            rel_error=relative_error(fres.slave, online.slave_solution),
             online_s=online.diagnostics["online_s"],
             fom_s=fres.timings["total_s"],
             warnings=online.diagnostics["warnings"],
@@ -208,6 +207,13 @@ def evaluate_test_set(
             ) if np.any(nonzero) else None
         rows.append(row)
     return rows
+
+
+def evaluate_test_set(
+    artifacts: RomArtifacts, fom: FomProblem, n_test: int, seed: int, with_bounds: bool = False
+) -> list[QueryResult]:
+    """Online queries against the reference path over an LHS test sample."""
+    return _score(artifacts, fom, _references(fom, n_test, seed), with_bounds, SigmaCache())
 
 
 def summarize(rows: Sequence[QueryResult]) -> dict:
@@ -236,9 +242,7 @@ def measure_speedup(
     (expansion excluded from the reduced timing)."""
     fom_times, online_times, expand_times = [], [], []
     for _ in range(repeats):
-        t0 = _time.perf_counter()
-        fom_coupled_solve(fom, mu1, mu2)
-        fom_times.append(_time.perf_counter() - t0)
+        fom_times.append(fom_coupled_solve(fom, mu1, mu2).timings["total_s"])
         res = online_solve(artifacts, mu1, mu2)
         online_times.append(res.diagnostics["online_s"])
         expand_times.append(res.diagnostics["expand_s"])
@@ -358,19 +362,19 @@ def run_offline(config: ExperimentConfig, threads: int = 1):
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[dict]:
-    """Evaluate the test set for every tolerance triple; returns CSV rows."""
+    """Evaluate the test set for every tolerance triple; returns CSV rows.
+    ``threads`` parallelizes the training solves.  The test set is solved
+    once; every triple is scored against it in this thread, with one cache."""
+    t0 = _time.perf_counter()
     training = run_training(config.problem, config.n_train, config.train_seed, threads=threads)
     fom = training.fom
+    references = _references(fom, config.n_test, config.test_seed)
     cache = SigmaCache()
-
-    def one(triple):
+    rows = []
+    for triple in config.grid():
         artifacts = build_artifacts(training, triple)
-        rows = evaluate_test_set(
-            artifacts, fom, config.n_test, config.test_seed, with_bounds=True,
-            sigma_cache=cache,
-        )
-        summary = summarize(rows)
-        return {
+        summary = summarize(_score(artifacts, fom, references, True, cache))
+        rows.append({
             "eps_master": triple[0],
             "eps_interface": triple[2],
             "eps_slave": triple[1],
@@ -380,10 +384,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[dict]:
             "bound_valid_fraction": summary.get("bound_valid_fraction"),
             "median_effectivity": summary.get("median_effectivity"),
             "basis_sizes": artifacts.basis_sizes,
-        }
-
-    grid = config.grid()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, grid))
-    return [one(t) for t in grid]
+        })
+    log.info("sweep: %d training and %d reference solves, %d tolerance triples in %.2fs",
+             config.n_train, len(references), len(rows), _time.perf_counter() - t0)
+    return rows

@@ -9,6 +9,8 @@ import scipy.sparse as sp
 
 import coupledrom as cr
 import coupledrom.estimator as est
+import coupledrom.experiments as experiments
+import coupledrom.pipeline as pipeline
 from coupledrom.cli import main
 from coupledrom.errors import DimensionMismatchError, EstimatorConvergenceError
 from coupledrom.estimator import (
@@ -30,6 +32,7 @@ from coupledrom.experiments import (
     query_bounds,
     run_sweep,
     steady_query_bound,
+    summarize,
     unsteady_query_bounds,
 )
 from coupledrom.fem import factorized_solver
@@ -430,9 +433,33 @@ class TestDissipativeDetection:
         assert 1.0 <= c <= 1.0 + 1e-8
         assert 2.0 <= growth <= 2.0 * (1 + 1e-8)
 
+    def test_slightly_negative_eigenvalue_is_not_dissipative(self):
+        # lambda_min = -1e-11 lies within any relative margin of zero, but
+        # only a proof of lambda_min >= 0 gives growth 1
+        A = sp.diags([-1e-11, 1.0, 2.0]).tocsr()
+        assert not _is_dissipative(A)
+        _, growth = semigroup_constant(sp.identity(3, format="csr"), A, 0.1)
+        assert growth > 1.0
+
 
 # ---------------------------------------------------------------------------
 # constants that depend on the full-order model alone
+
+
+def sweep_config(problem, tmp_path):
+    """A sweep over ``problem``: 2 tolerances per family, 6 training and 3
+    test points."""
+    tols = [1e-2, 1e-4]
+    return config_from_dict({
+        "problem": problem_to_dict(problem),
+        "training": {
+            "n_train": 6,
+            "seed": 7,
+            "tolerances": {"master": tols, "slave": tols, "interface": tols},
+        },
+        "testing": {"n_test": 3, "seed": 77},
+        "outputs": {"directory": str(tmp_path / "out")},
+    })
 
 
 def reference_semigroup_constant(M, A, dt, **_):
@@ -531,8 +558,9 @@ class TestConstantsPerFom:
         bounds_at(spec, art, [[0.7]], fom)
         # one factorization and the two certificates of the mass; one Lanczos
         # run per spectrum end and one for the eigenvalue test of the one
-        # operator term; one certificate of the slave's sigma_min
-        once = {"two_norm": 0, "factorize": 1, "dissipative": 1, "eigsh": 3, "certificate": 3}
+        # operator term, with its certificate; one certificate of the
+        # slave's sigma_min
+        once = {"two_norm": 0, "factorize": 1, "dissipative": 1, "eigsh": 3, "certificate": 4}
         assert calls == once
         bounds_at(spec, art, self.ALPHAS, fom)
         # the slave keeps its sigma_min: later queries, each with its own
@@ -605,6 +633,46 @@ class TestConstantsPerFom:
         for row in serial + threaded:
             del row["online_s"]  # a wall-clock time
         assert threaded == serial
+
+    @pytest.mark.parametrize("problem", [
+        steady_pair_2d(master_subdivisions=(6, 6), slave_subdivisions=(3, 3)),
+        heat_laplace_pair(master_subdivisions=(3, 3, 3), slave_subdivisions=(2, 2, 2), n_steps=4),
+    ], ids=["steady-grid", "heat"])
+    def test_sweep_rows_equal_per_triple_evaluation(self, problem, tmp_path):
+        config = sweep_config(problem, tmp_path)
+        rows = run_sweep(config)
+        training = cr.run_training(problem, config.n_train, config.train_seed)
+        assert len(rows) == len(config.grid()) == 8
+        for row, triple in zip(rows, config.grid()):
+            art = cr.build_artifacts(training, triple)
+            summary = summarize(cr.evaluate_test_set(
+                art, training.fom, config.n_test, config.test_seed, with_bounds=True
+            ))
+            del row["online_s"]  # a wall-clock time
+            assert row == {
+                "eps_master": triple[0],
+                "eps_interface": triple[2],
+                "eps_slave": triple[1],
+                "mean_error": summary["mean_rel_error"],
+                "mean_bound": summary["mean_rel_bound"],
+                "bound_valid_fraction": summary["bound_valid_fraction"],
+                "median_effectivity": summary["median_effectivity"],
+                "basis_sizes": art.basis_sizes,
+            }
+            assert row["bound_valid_fraction"] == 1.0
+
+    def test_sweep_solves_each_test_point_once(self, tmp_path, monkeypatch):
+        config = sweep_config(steady_pair_2d((4, 4), (2, 2)), tmp_path)
+        solved = []
+
+        def counted(fom, mu1, mu2):
+            solved.append((tuple(mu1), tuple(mu2)))
+            return cr.fom_coupled_solve(fom, mu1, mu2)
+
+        monkeypatch.setattr(experiments, "fom_coupled_solve", counted)
+        monkeypatch.setattr(pipeline, "fom_coupled_solve", counted)
+        run_sweep(config, threads=2)
+        assert len(solved) == len(set(solved)) == config.n_train + config.n_test
 
     @pytest.mark.parametrize("beta", [0.5, -0.5, -30.0])
     def test_negative_weight_runs_the_per_query_test(self, beta, monkeypatch):
