@@ -65,7 +65,7 @@ from .pipeline import (
     online_unsteady,
     run_training,
 )
-from .pod import PodFactorization, ReducedBasis, SnapshotSet, pod
+from .pod import PodFactorization, SnapshotSet, pod
 from .problems import (
     AffineTerm,
     BoxMeshSpec,

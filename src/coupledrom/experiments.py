@@ -111,11 +111,11 @@ def query_bounds(
     master, slave = fom.master, fom.slave
     g_exact = fom_result.dirichlet
     master_bounds, constants = _submodel_bound(
-        cache, "master", master, artifacts.master.basis.V, online.master_reduced,
+        cache, "master", master, artifacts.master.basis, online.master_reduced,
         fom_result.master, master.mu_mapping(mu1), None, time,
     )
     slave_bounds, slave_constants = _submodel_bound(
-        cache, "slave", slave, artifacts.slave.basis.V, online.slave_reduced,
+        cache, "slave", slave, artifacts.slave.basis, online.slave_reduced,
         fom_result.slave, slave.mu_mapping(mu2), g_exact, time,
     )
     transfer_norm = artifacts.reducer.transfer_norm

@@ -30,7 +30,6 @@ from .errors import (
     ProjectionDistanceError,
 )
 from .mesh import InterfaceTrace
-from .pod import ReducedBasis
 
 log = logging.getLogger(__name__)
 
@@ -93,24 +92,17 @@ def build_transfer_matrix(
 ) -> sp.csr_matrix:
     """Sparse operator carrying master trace values to slave trace points.
 
-    Conforming traces yield an exact permutation.  Otherwise each slave point
-    receives the piecewise-(bi)linear interpolation of the master trace grid;
-    points outside the master face are snapped to its nearest point, and any
-    point farther than ``max_distance`` from the face raises an error.
+    Each slave point receives the piecewise-(bi)linear interpolation of the
+    master trace grid; points outside the master face are snapped to its
+    nearest point, and any point farther than ``max_distance`` from the face
+    raises an error.  A slave point on a master grid point gets weight exactly
+    1 there and no other entry, so conforming traces yield an exact
+    permutation.
     """
     if len(master_trace) == 0 or len(slave_trace) == 0:
         raise EmptyTraceError("cannot transfer between empty traces")
     n_m, n_s = len(master_trace), len(slave_trace)
     scale = max(_trace_scale(master_trace), _trace_scale(slave_trace))
-
-    if n_m == n_s:
-        match = nearest_dof_map(slave_trace.coords, master_trace)
-        dist = np.linalg.norm(slave_trace.coords - master_trace.coords[match], axis=1)
-        if np.all(dist <= CONFORMING_RTOL * scale) and len(set(match)) == n_m:
-            return sp.csr_matrix(
-                (np.ones(n_s), (np.arange(n_s), match)), shape=(n_s, n_m)
-            )
-
     axes = master_trace.inplane_axes
     grids = master_trace.inplane_grids
     pts = slave_trace.coords
@@ -293,32 +285,27 @@ class InterfaceReducer:
         return out
 
 
-def _basis_matrix(basis) -> np.ndarray:
-    return basis.V if isinstance(basis, ReducedBasis) else np.asarray(basis)
-
-
 def assemble_reducer(
     deim: DeimBasis,
     transfer: sp.spmatrix,
     master_trace: InterfaceTrace,
     slave_trace: InterfaceTrace,
-    master_basis,
-    slave_basis,
+    master_basis: np.ndarray,
+    slave_basis: np.ndarray,
     slave_operators: Mapping[str, sp.spmatrix] | None = None,
 ) -> InterfaceReducer:
     """Assemble the stored online products for a given interpolation basis.
 
     ``transfer`` is the full-order transfer ``B`` (slave trace x master
     trace) that made the interface snapshots; the reduced trace reads its
-    rows ``B_I`` at the magic points, ``Phi Phi_I^{-1} B_I V1[master trace]``.
+    rows ``B_I`` at the magic points, ``Phi Phi_I^{-1} B_I V1[master trace]``
+    with ``V1`` the master basis.
     """
-    V1 = _basis_matrix(master_basis)
-    V2 = _basis_matrix(slave_basis)
     B_I = sp.csr_matrix(transfer)[deim.indices]  # (m, len master trace)
 
     # the magic-point values of the master basis, then the interpolation
     # solve, both folded into dense offline products
-    extracted = B_I @ V1[master_trace.dof_indices]  # (m, n1)
+    extracted = B_I @ master_basis[master_trace.dof_indices]  # (m, n1)
     full_transfer = deim.Phi @ sla.lu_solve(deim.lu, extracted)
     # Phi has orthonormal columns: ||Phi Phi_I^{-1} B_I||_2 = ||Phi_I^{-1} B_I||_2
     transfer_norm = float(np.linalg.norm(sla.lu_solve(deim.lu, B_I.toarray()), 2))
@@ -328,7 +315,7 @@ def assemble_reducer(
         gamma = slave_trace.dof_indices
         for key, A in slave_operators.items():
             cols = A.tocsc()[:, gamma]  # (N2, n_trace)
-            reduced_cols = V2.T @ cols  # (n2, n_trace)
+            reduced_cols = slave_basis.T @ cols  # (n2, n_trace)
             lift_products[key] = np.asarray(reduced_cols @ full_transfer)
 
     return InterfaceReducer(

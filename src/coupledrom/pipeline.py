@@ -31,7 +31,7 @@ from .interface import (
     make_deim_basis,
 )
 from .mesh import InterfaceTrace, Mesh, extract_interface
-from .pod import PodFactorization, ReducedBasis, SnapshotSet
+from .pod import PodFactorization, SnapshotSet
 from .problems import (
     CoupledProblemSpec,
     SubmodelSpec,
@@ -461,7 +461,7 @@ def run_training(
 
 @dataclass
 class ReducedSubmodel(AffineSubmodel):
-    basis: ReducedBasis
+    basis: np.ndarray  # (N, n), zero at the constrained DoFs
     op_terms: list[tuple[object, np.ndarray]]
     mass: np.ndarray | None
     load_terms: list[tuple[object, np.ndarray]]
@@ -470,7 +470,7 @@ class ReducedSubmodel(AffineSubmodel):
 
     @property
     def n(self) -> int:
-        return self.basis.n
+        return self.basis.shape[1]
 
 
 @dataclass
@@ -498,13 +498,13 @@ def _zero_rows(V: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return V
 
 
-def _project_submodel(sub: FomSubmodel, V: np.ndarray, basis: ReducedBasis) -> ReducedSubmodel:
+def _project_submodel(sub: FomSubmodel, V: np.ndarray) -> ReducedSubmodel:
     op_terms = [(theta, np.asarray(V.T @ (A @ V))) for theta, A in sub.op_terms]
     mass = np.asarray(V.T @ (sub.mass @ V)) if sub.mass is not None else None
     load_terms = [(theta, np.asarray(V.T @ vec)) for theta, vec in sub.load_terms]
     u0_reduced = np.asarray(V.T @ sub.u0)
     return ReducedSubmodel(
-        basis=basis,
+        basis=V,
         op_terms=op_terms,
         mass=mass,
         load_terms=load_terms,
@@ -516,17 +516,13 @@ def _project_submodel(sub: FomSubmodel, V: np.ndarray, basis: ReducedBasis) -> R
 def _assemble_artifacts(
     fom: FomProblem,
     V1: np.ndarray,
-    sv1: np.ndarray,
     V2: np.ndarray,
-    sv2: np.ndarray,
     deim_basis,
     tolerances,
     provenance,
 ) -> RomArtifacts:
     V1 = _zero_rows(V1, fom.master.constrained_dofs)
     V2 = _zero_rows(V2, fom.slave.constrained_dofs)
-    basis1 = ReducedBasis(V=V1, singular_values=sv1, tolerance=tolerances[0])
-    basis2 = ReducedBasis(V=V2, singular_values=sv2, tolerance=tolerances[1])
 
     slave_ops = {f"A{q}": A for q, (_, A) in enumerate(fom.slave.op_terms)}
     if fom.slave.spec.unsteady:
@@ -540,12 +536,10 @@ def _assemble_artifacts(
         V2,
         slave_operators=slave_ops,
     )
-    master_red = _project_submodel(fom.master, V1, basis1)
-    slave_red = _project_submodel(fom.slave, V2, basis2)
     return RomArtifacts(
         spec=fom.spec,
-        master=master_red,
-        slave=slave_red,
+        master=_project_submodel(fom.master, V1),
+        slave=_project_submodel(fom.slave, V2),
         reducer=reducer,
         tolerances=tuple(tolerances),
         provenance=provenance,
@@ -557,22 +551,21 @@ def build_artifacts(training: TrainingData, tolerances) -> RomArtifacts:
     interface) tolerances and assemble all stored online products."""
     eps1, eps2, eps_d = tolerances
     t0 = _time.perf_counter()
-    b1 = training.pod_master.truncate(eps1)
-    b2 = training.pod_slave.truncate(eps2)
-    bd = training.pod_dirichlet.truncate(eps_d)
+    V1 = training.pod_master.truncate(eps1)
+    V2 = training.pod_slave.truncate(eps2)
+    Phi = training.pod_dirichlet.truncate(eps_d)
     fom = training.fom
-    if bd.n > len(fom.master.interface):
+    if Phi.shape[1] > len(fom.master.interface):
         from .errors import OversamplingError
 
         raise OversamplingError(
-            f"{bd.n} interpolation indices exceed master trace size "
+            f"{Phi.shape[1]} interpolation indices exceed master trace size "
             f"{len(fom.master.interface)}"
         )
-    deim_basis = make_deim_basis(bd.V)
+    deim_basis = make_deim_basis(Phi)
     provenance = {
         "n_train": len(training.master_samples),
         "seed": training.seed,
-        "tolerances": {"master": eps1, "slave": eps2, "interface": eps_d},
         "master_samples": training.master_samples.points.tolist(),
         "slave_samples": training.slave_samples.points.tolist(),
         "mesh_hashes": {
@@ -582,10 +575,7 @@ def build_artifacts(training: TrainingData, tolerances) -> RomArtifacts:
         "conforming": bool(fom.conforming),
         "timings": dict(training.timings),
     }
-    artifacts = _assemble_artifacts(
-        fom, b1.V, b1.singular_values, b2.V, b2.singular_values,
-        deim_basis, (eps1, eps2, eps_d), provenance,
-    )
+    artifacts = _assemble_artifacts(fom, V1, V2, deim_basis, (eps1, eps2, eps_d), provenance)
     artifacts.provenance["timings"]["reduce_s"] = _time.perf_counter() - t0
     log.info(
         "artifacts: basis sizes %s at tolerances %s",
@@ -623,16 +613,7 @@ def full_rank_artifacts(spec: CoupledProblemSpec) -> RomArtifacts:
     V2 = _unit_columns(fom.slave.n_dofs, fom.slave.free_dofs)
     n_trace = len(fom.slave.interface)
     deim_basis = make_deim_basis(np.eye(n_trace), indices=np.arange(n_trace))
-    return _assemble_artifacts(
-        fom,
-        V1,
-        np.ones(V1.shape[1]),
-        V2,
-        np.ones(V2.shape[1]),
-        deim_basis,
-        (0.0, 0.0, 0.0),
-        {"full_rank": True},
-    )
+    return _assemble_artifacts(fom, V1, V2, deim_basis, (0.0, 0.0, 0.0), {"full_rank": True})
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +737,7 @@ def _online(
         t1 = _time.perf_counter()
         # states as columns, then back to one row per state
         trace = reducer.full_transfer @ u1.T
-        slave_solution = slave.basis.V @ u2.T
+        slave_solution = slave.basis @ u2.T
         slave_solution[reducer.slave_trace.dof_indices] = trace
         trace, slave_solution = trace.T, slave_solution.T
         t_expand = _time.perf_counter() - t1

@@ -46,19 +46,6 @@ class SnapshotSet:
     block: int | None = None
 
 
-@dataclass(frozen=True)
-class ReducedBasis:
-    """Orthonormal basis with the singular value list kept for audits."""
-
-    V: np.ndarray = field(repr=False)  # (N, n)
-    singular_values: np.ndarray = field(repr=False)  # of the stacked factors, non-increasing
-    tolerance: float
-
-    @property
-    def n(self) -> int:
-        return self.V.shape[1]
-
-
 class PodFactorization:
     """Left-singular factorization of one snapshot matrix, down to its
     numerical rank.
@@ -110,13 +97,9 @@ class PodFactorization:
             )
         return min(n, rank)
 
-    def truncate(self, tolerance: float) -> ReducedBasis:
-        n = self.size_for(tolerance)
-        return ReducedBasis(
-            V=self.U[:, :n].copy(),
-            singular_values=self.singular_values.copy(),
-            tolerance=tolerance,
-        )
+    def truncate(self, tolerance: float) -> np.ndarray:
+        """The ``(N, n)`` orthonormal basis of the energy rule's ``n`` modes."""
+        return self.U[:, : self.size_for(tolerance)].copy()
 
 
 def _stacked_factors(X: np.ndarray, block: int, resolution: float) -> np.ndarray:
@@ -141,6 +124,7 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U * np.where(U[first, np.arange(U.shape[1])] < 0, -1.0, 1.0)
 
 
-def pod(snapshots: SnapshotSet | np.ndarray, tolerance: float) -> ReducedBasis:
-    """Build the orthonormal basis retaining all but ``tolerance**2`` energy."""
+def pod(snapshots: SnapshotSet | np.ndarray, tolerance: float) -> np.ndarray:
+    """The ``(N, n)`` orthonormal basis retaining all but ``tolerance**2`` of
+    the snapshot energy; its singular values are ``PodFactorization``'s."""
     return PodFactorization(snapshots).truncate(tolerance)

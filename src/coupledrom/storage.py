@@ -5,7 +5,7 @@ and a column-major float64 little-endian payload; round trips are
 bit-identical.  A bundle directory holds every stored product plus a
 deterministic manifest with its own format version, which loading checks;
 wall-clock timings live in a separate file that the bundle hash deliberately
-skips.
+skips, and so do subdirectories.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigError
 from .interface import InterfaceReducer, make_deim_basis
 from .mesh import extract_interface
-from .pod import ReducedBasis
 from .problems import problem_from_dict, problem_to_dict
 
 MAGIC = b"ROMB"
@@ -28,8 +27,10 @@ MAGIC = b"ROMB"
 VERSION = 1
 #: manifest version; 2 dropped the reducer's unused point transfer and
 #: master trace positions, 3 its nearest master DoFs of the magic points
-#: (the reduced trace reads the full-order transfer's rows instead)
-BUNDLE_VERSION = 3
+#: (the reduced trace reads the full-order transfer's rows instead), 4 the
+#: POD singular values and the provenance's copy of the tolerances, which
+#: nothing loaded read
+BUNDLE_VERSION = 4
 _HEADER = struct.Struct("<4sIQQ")
 
 #: files excluded from the bundle hash (non-reproducible content)
@@ -82,14 +83,14 @@ def load_json(path) -> dict:
 
 
 def hash_bundle(path) -> str:
-    """SHA-256 over every file (sorted by name), skipping timing logs."""
-    path = Path(path)
+    """SHA-256 over the bundle's own top-level files (sorted by name),
+    skipping timing logs; subdirectories, such as the ``online`` outputs the
+    CLI writes into a bundle, are not part of it."""
     digest = hashlib.sha256()
-    for item in sorted(p for p in path.rglob("*") if p.is_file()):
-        rel = item.relative_to(path).as_posix()
+    for item in sorted(p for p in Path(path).iterdir() if p.is_file()):
         if item.name in UNHASHED_FILES:
             continue
-        digest.update(rel.encode())
+        digest.update(item.name.encode())
         digest.update(item.read_bytes())
     return digest.hexdigest()
 
@@ -128,11 +129,9 @@ def write_bundle(path, artifacts, timings: dict | None = None) -> str:
 def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> str:
 
     files: dict[str, np.ndarray] = {
-        "master_basis": artifacts.master.basis.V,
-        "master_sv": _vec(artifacts.master.basis.singular_values),
+        "master_basis": artifacts.master.basis,
         "master_u0": _vec(artifacts.master.u0_reduced),
-        "slave_basis": artifacts.slave.basis.V,
-        "slave_sv": _vec(artifacts.slave.basis.singular_values),
+        "slave_basis": artifacts.slave.basis,
         "slave_u0": _vec(artifacts.slave.u0_reduced),
         "phi": artifacts.reducer.deim.Phi,
         "full_transfer": artifacts.reducer.full_transfer,
@@ -230,12 +229,6 @@ def load_bundle(path):
 
     def load_submodel(side: str) -> ReducedSubmodel:
         meta = manifest[side]
-        V = mat(f"{side}_basis")
-        basis = ReducedBasis(
-            V=V,
-            singular_values=vec(f"{side}_sv"),
-            tolerance=manifest["tolerances"][side if side == "master" else "slave"],
-        )
         op_terms = [
             (theta, mat(f"{side}_op_{q}")) for q, theta in enumerate(meta["op_thetas"])
         ]
@@ -245,7 +238,7 @@ def load_bundle(path):
         ]
         mass = mat(f"{side}_mass") if (path / f"{side}_mass.rombin").exists() else None
         return ReducedSubmodel(
-            basis=basis,
+            basis=mat(f"{side}_basis"),
             op_terms=op_terms,
             mass=mass,
             load_terms=load_terms,

@@ -94,21 +94,23 @@ def test_criterion_2_pod_optimality():
         # random 200x40 set: dense-SVD oracle match for vectors and values
         X = rng.standard_normal((200, 40))
         tol = 10.0 ** -float(rng.integers(1, 7))
-        basis = cr.pod(X, tol)
+        fact = cr.PodFactorization(X)
+        basis = fact.truncate(tol)
         U, s, _ = np.linalg.svd(X, full_matrices=False)
-        ok &= bool(np.allclose(basis.singular_values[: len(s)], s, atol=1e-10))
-        for j in range(basis.n):
-            flip = np.sign(U[:, j] @ basis.V[:, j]) or 1.0
-            worst_gap = max(worst_gap, np.max(np.abs(basis.V[:, j] - flip * U[:, j])))
+        ok &= bool(np.allclose(fact.singular_values[: len(s)], s, atol=1e-10))
+        for j in range(basis.shape[1]):
+            flip = np.sign(U[:, j] @ basis[:, j]) or 1.0
+            worst_gap = max(worst_gap, np.max(np.abs(basis[:, j] - flip * U[:, j])))
         ok &= worst_gap <= 1e-10
         # decaying-spectrum variant: the energy rule truncates and n is minimal
         Xd = rng.standard_normal((200, 40)) * np.logspace(0, -8, 40)
-        bd = cr.pod(Xd, tol)
-        s2 = bd.singular_values**2
+        fact_d = cr.PodFactorization(Xd)
+        n = fact_d.truncate(tol).shape[1]
+        s2 = fact_d.singular_values**2
         total = s2.sum()
-        ok &= bool(s2[bd.n :].sum() <= tol**2 * total * (1 + 1e-12))
-        if bd.n > 1:
-            ok &= bool(s2[bd.n - 1 :].sum() > tol**2 * total)  # minimality
+        ok &= bool(s2[n:].sum() <= tol**2 * total * (1 + 1e-12))
+        if n > 1:
+            ok &= bool(s2[n - 1 :].sum() > tol**2 * total)  # minimality
     check(
         2,
         ok,
@@ -336,7 +338,7 @@ def test_criterion_9_bdf1_temporal_order():
 
     # reduced marcher: POD basis from a fine trajectory, same BDF1 driver
     snapshots = march_full(128)[1:].T
-    V = cr.pod(snapshots, 1e-12).V
+    V = cr.pod(snapshots, 1e-12)
     M_r = sp.csr_matrix(V.T @ (M_bc @ V))
     K_r = sp.csr_matrix(V.T @ (K_bc @ V))
     u0_r = V.T @ u0

@@ -357,7 +357,7 @@ class TestQueryBounds:
             )
             f_hom[slave.constrained_dofs] = 0.0
             alone = error_bound_steady(
-                A_bc, f_hom, art.slave.basis.V, online.slave_reduced[k], sigma
+                A_bc, f_hom, art.slave.basis, online.slave_reduced[k], sigma
             )
             assert alone.shape == (1,)
             # the residual cancels about four digits of the load, so the
@@ -384,7 +384,7 @@ class TestQueryBounds:
         res = cr.fom_coupled_solve(fom, mu1, [])
         online = online_solve(art, mu1, [])
         for role in sides:
-            sub, V = getattr(fom, role), getattr(art, role).basis.V
+            sub, V = getattr(fom, role), getattr(art, role).basis
             mu = sub.mu_mapping(mu1 if role == "master" else [])
             trace = res.dirichlet if role == "slave" else None
             states = getattr(online, f"{role}_reduced").T
@@ -728,7 +728,7 @@ class TestNonDissipativeMarching:
         fom, sub = training.fom, training.fom.master
         res = cr.fom_coupled_solve(fom, self.BETA, [])
         online = cr.online_unsteady(art, self.BETA, [])
-        V, free = art.master.basis.V, sub.free_dofs
+        V, free = art.master.basis, sub.free_dofs
         bounds, constants = _submodel_bound(
             SigmaCache(), "master", sub, V, online.master_reduced, res.master,
             sub.mu_mapping(self.BETA), None, spec.time,

@@ -48,14 +48,34 @@ class TestTransferLinear:
         assert np.allclose(out, 2.5, atol=1e-14)
 
     def test_conforming_is_bit_identical_permutation(self):
-        _, tm = cube_trace(4)
-        _, ts = cube_trace(4)
+        def adjacent(dim, n, order, axis):
+            shift = np.eye(dim, dtype=int)[axis]
+            master = build_box_mesh((0,) * dim, (1,) * dim, (n,) * dim, order=order)
+            slave = build_box_mesh(tuple(shift), (1,) * dim, (n,) * dim, order=order)
+            face = "xyz"[axis]
+            return extract_interface(master, face + "+"), extract_interface(slave, face + "-")
+
+        pairs = {
+            "same Q1 face": (cube_trace(4)[1], cube_trace(4)[1]),
+            "same Q2 face": (cube_trace(3, order=2)[1], cube_trace(3, order=2)[1]),
+            "adjacent 3-D Q1 x": adjacent(3, 4, 1, 0),
+            "adjacent 3-D Q2 y": adjacent(3, 2, 2, 1),
+            "adjacent 2-D Q1 x": adjacent(2, 16, 1, 0),
+            "adjacent 2-D Q2 y": adjacent(2, 5, 2, 1),
+        }
         rng = np.random.default_rng(0)
-        vals = rng.standard_normal(len(tm))
-        P = build_transfer_matrix(tm, ts)
-        assert P.nnz == len(tm)
-        assert np.all(P.data == 1.0)
-        assert np.array_equal(P @ vals, vals)
+        for name, (tm, ts) in pairs.items():
+            # the master point at each slave point's exact in-plane position
+            axes = list(tm.inplane_axes)
+            same = tm.coords[None, :, axes] == ts.coords[:, None, axes]
+            match = np.argmax(same.all(axis=2), axis=1)
+            vals = rng.standard_normal(len(tm))
+            P = build_transfer_matrix(tm, ts)
+            assert P.nnz == len(tm), name
+            assert np.all(P.data == 1.0), name
+            assert np.array_equal(P.indptr, np.arange(len(ts) + 1)), name
+            assert np.array_equal(P.indices, match), name
+            assert np.array_equal(P @ vals, vals[match]), name
 
     def test_affine_field_reproduced_exactly(self):
         _, tm = cube_trace(5)
@@ -167,7 +187,7 @@ class TestNearestDofMap:
 def reducer_from_snapshots(S_D, eps, tm, ts, V1, V2=None, slave_operators=None):
     """Interpolation basis over the trace snapshots ``S_D`` and the stored
     products, through the full-order transfer from ``tm`` to ``ts``."""
-    deim = make_deim_basis(pod(S_D, eps).V)
+    deim = make_deim_basis(pod(S_D, eps))
     P = build_transfer_matrix(tm, ts)
     return assemble_reducer(deim, P, tm, ts, V1, V2, slave_operators)
 
@@ -257,8 +277,7 @@ class TestInterfaceReducer:
         train = np.stack(
             [P @ field(a, b) for a, b in rng.uniform(0.5, 5.0, size=(40, 2))], axis=1
         )
-        basis = pod(train, eps)
-        deim = make_deim_basis(basis.V)
+        deim = make_deim_basis(pod(train, eps))
         rel_errors = []
         for a, b in rng.uniform(0.5, 5.0, size=(10, 2)):
             w = P @ field(a, b)

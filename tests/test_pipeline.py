@@ -19,7 +19,6 @@ from coupledrom.errors import (
 from coupledrom.library import heat_laplace_pair, steady_pair_2d, transport_wall_pair
 from coupledrom.experiments import query_bounds, unsteady_query_bounds
 from coupledrom.pipeline import ReducedSubmodel, _reduced_march, affine_sum
-from coupledrom.pod import ReducedBasis
 from coupledrom.problems import (
     AffineTerm,
     BoxMeshSpec,
@@ -344,8 +343,8 @@ class TestOffline:
         spec = steady_pair_2d()
         a = cr.build_artifacts(cr.run_training(spec, 6, seed=3), (1e-4, 1e-4, 1e-4))
         b = cr.build_artifacts(cr.run_training(spec, 6, seed=3), (1e-4, 1e-4, 1e-4))
-        assert np.array_equal(a.master.basis.V, b.master.basis.V)
-        assert np.array_equal(a.slave.basis.V, b.slave.basis.V)
+        assert np.array_equal(a.master.basis, b.master.basis)
+        assert np.array_equal(a.slave.basis, b.slave.basis)
         assert np.array_equal(a.reducer.full_transfer, b.reducer.full_transfer)
         for key in a.reducer.lift_products:
             assert np.array_equal(a.reducer.lift_products[key], b.reducer.lift_products[key])
@@ -555,7 +554,7 @@ def test_weights_compiled_once_per_submodel_and_rejected_every_time(monkeypatch)
     monkeypatch.setattr(pipeline, "compile_expression", counting)
     source = "0.25 * kappa_once + t ** 3"
     sub = ReducedSubmodel(
-        basis=ReducedBasis(np.eye(2), np.ones(2), 0.0),
+        basis=np.eye(2),
         op_terms=[(source, np.eye(2))],
         mass=np.eye(2),
         load_terms=[(source, np.ones(2))],
@@ -592,7 +591,7 @@ class TestTimeIndependentLoadWeights:
         rng = np.random.default_rng(11)
         theta = self.WEIGHTS[name]
         sub = ReducedSubmodel(
-            basis=ReducedBasis(np.eye(5), np.ones(5), 0.0),
+            basis=np.eye(5),
             op_terms=[(1.0, np.eye(5))],
             mass=np.eye(5),
             load_terms=[(0.3, rng.standard_normal(5)), (theta, rng.standard_normal(5))],
@@ -737,13 +736,11 @@ class TestToleranceMonotonicity:
 
 
 def without_full_order_arrays(art):
-    """The artifacts with every full-order array emptied: ``basis.V`` is
+    """The artifacts with every full-order array emptied: ``basis`` is
     ``(0, n)``, ``reducer.full_transfer`` ``(0, n1)``, ``deim.Phi`` ``(0, m)``,
     and the reducer holds no interface trace."""
     reducer = art.reducer
-    empty = lambda sub: dataclasses.replace(
-        sub, basis=dataclasses.replace(sub.basis, V=np.empty((0, sub.n)))
-    )
+    empty = lambda sub: dataclasses.replace(sub, basis=np.empty((0, sub.n)))
     return dataclasses.replace(
         art,
         master=empty(art.master),

@@ -23,8 +23,8 @@ class TestPod:
         s = np.array([3.0, 0.0, 4.0])
         X = np.tile(s[:, None], (1, 5))
         basis = pod(X, 1e-8)
-        assert basis.n == 1
-        assert np.allclose(np.abs(basis.V[:, 0]), s / 5.0)
+        assert basis.shape == (3, 1)
+        assert np.allclose(np.abs(basis[:, 0]), s / 5.0)
 
     def test_size_capped_at_rank_with_a_warning(self, caplog):
         rng = np.random.default_rng(0)
@@ -41,27 +41,29 @@ class TestPod:
         assert "numerical rank 2" in record.message
 
     def test_identity_snapshots(self):
-        basis = pod(np.eye(3), 1e-6)
-        assert basis.n == 3
-        assert np.allclose(basis.singular_values[:3], 1.0)
+        fact = PodFactorization(np.eye(3))
+        assert fact.truncate(1e-6).shape == (3, 3)
+        assert np.allclose(fact.singular_values[:3], 1.0)
 
     def test_matches_dense_svd_oracle(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((50, 20))
-        basis = pod(X, 1e-12)
+        fact = PodFactorization(X)
+        basis = fact.truncate(1e-12)
         U, s, _ = np.linalg.svd(X, full_matrices=False)
-        assert np.allclose(basis.singular_values[: len(s)], s, atol=1e-10)
-        Ua = align_signs(basis.V, U[:, : basis.n])
-        assert np.max(np.abs(basis.V - Ua)) <= 1e-10
+        assert np.allclose(fact.singular_values[: len(s)], s, atol=1e-10)
+        Ua = align_signs(basis, U[:, : basis.shape[1]])
+        assert np.max(np.abs(basis - Ua)) <= 1e-10
 
     def test_tall_matrix_matches_dense_svd_oracle(self):
         rng = np.random.default_rng(12)
         X = rng.standard_normal((200, 40))
-        basis = pod(X, 1e-12)
+        fact = PodFactorization(X)
+        basis = fact.truncate(1e-12)
         U, s, _ = np.linalg.svd(X, full_matrices=False)
-        assert np.allclose(basis.singular_values[: len(s)], s, atol=1e-10)
-        Ua = align_signs(basis.V, U[:, : basis.n])
-        assert np.max(np.abs(basis.V - Ua)) <= 1e-10
+        assert np.allclose(fact.singular_values[: len(s)], s, atol=1e-10)
+        Ua = align_signs(basis, U[:, : basis.shape[1]])
+        assert np.max(np.abs(basis - Ua)) <= 1e-10
 
     @given(seed=st.integers(0, 500), tol_exp=st.integers(1, 8))
     @settings(max_examples=25, deadline=None)
@@ -72,23 +74,24 @@ class TestPod:
         U, _ = np.linalg.qr(rng.standard_normal((60, 15)))
         s = np.logspace(0, -10, 15)
         X = U * s @ rng.standard_normal((15, 15))
-        basis = pod(X, tol)
-        s2 = basis.singular_values**2
+        fact = PodFactorization(X)
+        basis = fact.truncate(tol)
+        s2 = fact.singular_values**2
         total = s2.sum()
-        n = basis.n
+        n = basis.shape[1]
         assert s2[n:].sum() <= tol**2 * total * (1 + 1e-12)
         if n > 1:
             assert s2[n - 1 :].sum() > tol**2 * total  # n is minimal
-        G = basis.V.T @ basis.V
+        G = basis.T @ basis
         assert np.max(np.abs(G - np.eye(n))) <= 1e-10
 
     def test_projection_error_bound(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((80, 12)) * np.logspace(0, -6, 12)
         tol = 1e-3
-        basis = pod(X, tol)
-        V = basis.V
-        tail = (basis.singular_values[basis.n :] ** 2).sum()
+        fact = PodFactorization(X)
+        V = fact.truncate(tol)
+        tail = (fact.singular_values[V.shape[1] :] ** 2).sum()
         total_err = 0.0
         for j in range(X.shape[1]):
             s = X[:, j]
@@ -96,17 +99,17 @@ class TestPod:
             assert err <= tail * (1 + 1e-8) + 1e-14
             total_err += err
         assert total_err <= tail * (1 + 1e-8) + 1e-14
-        assert total_err <= tol**2 * (basis.singular_values**2).sum() + 1e-14
+        assert total_err <= tol**2 * (fact.singular_values**2).sum() + 1e-14
 
     def test_reproducible_and_sign_fixed(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((30, 8))
         a = pod(X.copy(), 1e-6)
         b = pod(X.copy(), 1e-6)
-        assert np.array_equal(a.V, b.V)
-        for j in range(a.n):
-            nz = np.nonzero(a.V[:, j])[0]
-            assert a.V[nz[0], j] > 0
+        assert np.array_equal(a, b)
+        for j in range(a.shape[1]):
+            nz = np.nonzero(a[:, j])[0]
+            assert a[nz[0], j] > 0
 
     def test_rounding_noise_does_not_decide_signs(self):
         # leading rows of rounding noise with either sign, as the SVD leaves
@@ -126,7 +129,7 @@ class TestPod:
         # the master and slave bases of this pair carry SVD noise at their
         # constrained rows, which the stored bases then zero
         art = cr.build_artifacts(cr.run_training(steady_pair_2d(), 4, seed=3), (1e-6,) * 3)
-        for V in (art.master.basis.V, art.slave.basis.V, art.reducer.deim.Phi):
+        for V in (art.master.basis, art.slave.basis, art.reducer.deim.Phi):
             for j in range(V.shape[1]):
                 nz = np.nonzero(V[:, j])[0]
                 assert V[nz[0], j] > 0
@@ -140,7 +143,7 @@ class TestPod:
         X = rng.standard_normal((40, 10)) * np.logspace(0, -8, 10)
         fact = PodFactorization(X)
         for tol in (1e-1, 1e-3, 1e-6):
-            assert np.array_equal(fact.truncate(tol).V, pod(X, tol).V)
+            assert np.array_equal(fact.truncate(tol), pod(X, tol))
 
 
 TOLERANCES = [10.0**-k for k in range(1, 11)]

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,8 +95,8 @@ class TestBundle:
     def test_write_load_round_trip(self, tmp_path, artifacts):
         write_bundle(tmp_path / "b", artifacts, timings={"offline_s": 1.0})
         loaded = load_bundle(tmp_path / "b")
-        assert np.array_equal(loaded.master.basis.V, artifacts.master.basis.V)
-        assert np.array_equal(loaded.slave.basis.V, artifacts.slave.basis.V)
+        assert np.array_equal(loaded.master.basis, artifacts.master.basis)
+        assert np.array_equal(loaded.slave.basis, artifacts.slave.basis)
         assert np.array_equal(loaded.reducer.full_transfer, artifacts.reducer.full_transfer)
         assert np.array_equal(loaded.reducer.deim.indices, artifacts.reducer.deim.indices)
         assert loaded.tolerances == artifacts.tolerances
@@ -134,7 +135,7 @@ class TestBundle:
     def test_stores_no_point_transfer_or_master_positions(self, tmp_path, artifacts):
         write_bundle(tmp_path / "b", artifacts)
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
-        assert manifest["version"] == 3
+        assert manifest["version"] == 4
         assert not {"master_positions", "master_indices", "max_magic_distance"} & set(
             manifest["reducer"]
         )
@@ -144,11 +145,36 @@ class TestBundle:
         write_bundle(tmp_path / "b", artifacts)
         path = tmp_path / "b" / "manifest.json"
         manifest = json.loads(path.read_text())
-        for version in (1, 2, None):
+        for version in (1, 2, 3, None):
             manifest["version"] = version
             path.write_text(json.dumps(manifest))
             with pytest.raises(ConfigError, match="bundle version"):
                 load_bundle(tmp_path / "b")
+
+    def test_every_stored_matrix_is_loaded(self, tmp_path, artifacts, monkeypatch):
+        import coupledrom.storage as storage
+
+        unsteady = cr.offline(
+            heat_laplace_pair(
+                master_subdivisions=(3, 3, 3), slave_subdivisions=(2, 2, 2), n_steps=4
+            ),
+            n_train=3, tolerances=(1e-4, 1e-4, 1e-4), seed=2,
+        )
+        read = set()
+        original = storage.read_matrix
+
+        def recording(path):
+            read.add(Path(path).name)
+            return original(path)
+
+        monkeypatch.setattr(storage, "read_matrix", recording)
+        for name, art in (("steady", artifacts), ("unsteady", unsteady)):
+            write_bundle(tmp_path / name, art)
+            stored = {p.name for p in (tmp_path / name).glob("*.rombin")}
+            assert not {f for f in stored if f.endswith("_sv.rombin")}
+            read.clear()
+            load_bundle(tmp_path / name)
+            assert read == stored
 
     def test_missing_manifest_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
@@ -213,6 +239,15 @@ class TestCli:
         payload = json.loads(out[out.index("{"):])
         solution = read_matrix(bundle / "online" / payload["solution_file"])
         assert solution.shape[0] > 0
+
+    def test_online_outputs_leave_the_bundle_hash(self, tmp_path, capsys):
+        config = make_config(tmp_path)
+        main(["offline", "--config", str(config)])
+        bundle = sorted((tmp_path / "out").glob("bundle_*"))[0]
+        digest = hash_bundle(bundle)
+        assert main(["online", "--bundle", str(bundle), "--mu1", "1.0,2.0"]) == 0
+        assert list((bundle / "online").iterdir())
+        assert hash_bundle(bundle) == digest
 
     def test_out_of_range_query_warns_but_succeeds(self, tmp_path, capsys):
         config = make_config(tmp_path)
@@ -357,6 +392,31 @@ def test_compare_fom_reports_the_largest_bound_and_its_terms(tmp_path, capsys, u
     assert set(terms) == {"master", "interface", "slave"}
     assert payload["bound"] == terms["master"] + terms["interface"] + terms["slave"]
     assert payload["bound_valid"] is True
+
+
+def test_compare_fom_makes_one_full_order_solve(tmp_path, capsys, monkeypatch):
+    import coupledrom.cli as cli
+    import coupledrom.experiments as experiments
+
+    config = make_config(tmp_path)
+    assert main(["offline", "--config", str(config)]) == 0
+    bundle = sorted((tmp_path / "out").glob("bundle_*"))[0]
+    calls = []
+    original = pipeline.fom_coupled_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    for module in (pipeline, experiments, cli):
+        monkeypatch.setattr(module, "fom_coupled_solve", counting)
+    capsys.readouterr()
+    assert main(["online", "--bundle", str(bundle), "--mu1", "1.5,2.0", "--compare-fom"]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{"):])
+    assert payload["fom_s"] > 0.0
+    assert payload["speedup"] == payload["fom_s"] / payload["online_s"]
 
 
 def test_config_validation_field_paths():
