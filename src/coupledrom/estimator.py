@@ -10,7 +10,8 @@ marching submodel takes the marching rule, an energy recursion in the
 M-norm: with ``sym(A) >= -gamma M``, one BDF1 step grows the M-norm by at
 most ``rho = 1 / (1 - dt gamma)``, and ``sqrt(cond(M))`` carries the M-norm
 to the two-norm.  What depends on ``M`` alone a ``MassBlock`` computes
-once, on first use, so that a caller can keep it across queries.
+once, on first use; a submodel's ``StabilityConstants`` keeps it, with every
+constant it has proved, across queries.
 
 ``sqrt(cond(M))``, ``gamma``, dissipativity and ``sigma_min`` are proved:
 an eigenvalue estimate is moved a small margin to its safe side and one
@@ -156,9 +157,8 @@ def sigma_min(A) -> float:
     """A proved lower bound on the smallest singular value.
 
     Inverse power iteration on ``A^T A`` estimates it, through one LU of
-    ``A`` ordered by ``fem.LU_ORDERING``; a tiny diagonal shift is retried
-    once if the factorization hits an exactly singular pivot.
-    ``_certified_sigma`` then proves the estimate, or returns 0.0, the
+    ``A`` ordered by ``fem.LU_ORDERING``, and ``_certified_sigma`` proves the
+    estimate.  An exactly singular factor, or no proof, gives 0.0, the
     trivial lower bound.
     """
     A = A.tocsc() if sp.issparse(A) else sp.csc_matrix(np.asarray(A))
@@ -166,13 +166,8 @@ def sigma_min(A) -> float:
         raise DimensionMismatchError("sigma_min requires a square matrix")
     try:
         lu = spla.splu(A, **LU_ORDERING)
-    except RuntimeError:
-        shift = 1e-14 * abs(A).max()
-        try:
-            lu = spla.splu((A + shift * sp.identity(A.shape[0], format="csc")).tocsc(),
-                           **LU_ORDERING)
-        except RuntimeError as exc:
-            raise EstimatorConvergenceError(f"factorization failed twice: {exc}")
+    except RuntimeError:  # an exactly zero pivot
+        return 0.0
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
@@ -413,6 +408,43 @@ def _is_dissipative(A) -> bool:
     return lower is not None and lower >= 0.0
 
 
+class StabilityConstants:
+    """The proved stability constants of one full-order submodel, from the
+    free block of each operator term and, when it marches, its free mass
+    block.  One memo keyed by the operator weights (the marching rule's also
+    by ``dt``) serves every query against the submodel, as do the
+    ``MassBlock`` and each term's dissipativity.  Threads that race on a key
+    may each prove it, and each returns the value of its own key."""
+
+    def __init__(self, terms, mass=None):
+        self.terms = terms
+        self.mass = None if mass is None else MassBlock(mass)
+        self._proved: dict = {}
+
+    @cached_property
+    def dissipative_terms(self) -> list[bool]:
+        return [_is_dissipative(A) for A in self.terms]
+
+    def proved(self, key, prove: Callable[[], object]):
+        """The memo's value at ``key``, from ``prove()`` on first use."""
+        if key not in self._proved:
+            self._proved[key] = prove()
+        return self._proved[key]
+
+    def sigma_min(self, weights: tuple, A) -> float:
+        """``sigma_min`` of the operator ``A`` of ``weights``."""
+        return self.proved(("sigma_min", weights), lambda: sigma_min(A))
+
+    def marching(self, weights: tuple, A, dt: float) -> tuple[float, float]:
+        """``semigroup_constant`` of the operator ``A`` of ``weights``: with no
+        negative weight, dissipative terms sum to a dissipative ``A``."""
+        def prove():
+            known = all(w >= 0.0 for w in weights) and all(self.dissipative_terms)
+            return semigroup_constant(self.mass, A, dt, known_dissipative=known)
+
+        return self.proved(("marching", weights, dt), prove)
+
+
 # ---------------------------------------------------------------------------
 # bound reports
 
@@ -456,9 +488,10 @@ def error_bound_steady(
 
     ``A`` is the operator on the free DoFs and ``F`` its load with the
     exact constrained values lifted; ``sigma`` bounds ``sigma_min(A)`` from
-    below.
+    below, and the trivial ``sigma = 0`` gives the trivial bound ``inf``.
     """
-    return np.atleast_1d(np.linalg.norm(residual_steady(A, F, V, states), axis=0) / sigma)
+    norms = np.atleast_1d(np.linalg.norm(residual_steady(A, F, V, states), axis=0))
+    return norms / sigma if sigma > 0.0 else np.full_like(norms, np.inf)
 
 
 def error_bound_unsteady(

@@ -39,11 +39,10 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class SigmaCache:
-    """Stability constants keyed by role and operator weights, shared by the
-    queries of one caller: ``run_sweep`` keeps one across its tolerance
-    triples, where the master weights of the test set repeat.  A steady rule
-    reads the submodel's kept ``sigma_min`` (``FomSubmodel.free_sigma_min``)
-    before this cache.  It has no lock: one cache lives in one thread."""
+    """Unused: each full-order submodel keeps its proved constants
+    (``FomSubmodel.constants``).  ``perfbench/run.py`` still passes one to
+    ``steady_query_bound`` and ``unsteady_query_bounds``, and
+    ``perfbench/tracing.py`` wraps ``get``."""
 
     values: dict = field(default_factory=dict)
 
@@ -54,39 +53,30 @@ class SigmaCache:
 
 
 def _submodel_bound(
-    cache: SigmaCache, role: str, sub: FomSubmodel, V, reduced, exact, mu, trace, time
+    role: str, sub: FomSubmodel, V, reduced, exact, mu, trace, time
 ) -> tuple[np.ndarray, dict]:
     """One submodel's error bound at each state, by the rule of its kind,
-    and the constants the rule used, each cached by role and operator
-    weights (the marching constants also by ``dt``); the steady rule first
-    reads the ``sigma_min`` the submodel kept for its last weights.
+    and the constants the rule used, which the submodel proves once per
+    operator weights (the marching constants once per weights and ``dt``).
 
     Both rules read the submodel's free system under its exact constrained
     values (on the slave, with the exact interface ``trace``).  A steady or
     instantaneous submodel takes the steady rule; a marching one takes the
     marching rule, with the initial error ``e_0`` taken on the free DoFs.
-    Its mass block and per-term dissipativity carry over between queries.
     """
     weights = tuple(sub.theta_weights(mu))
     A_ff, F = sub.free_system(mu, trace, time)
     free = sub.free_dofs
     if not sub.spec.unsteady:
-        sigma = sub.free_sigma_min(
-            weights, lambda: cache.get((role, weights), lambda: est.sigma_min(A_ff))
-        )
+        sigma = sub.constants.sigma_min(weights, A_ff)
         return est.error_bound_steady(A_ff, F, V[free], reduced.T, sigma), {
             f"sigma_min_{role}": sigma
         }
     A_ff = A_ff.tocsc()
-    constant, growth = cache.get(
-        (f"semigroup-{role}", weights, time.dt),
-        lambda: est.semigroup_constant(
-            sub.free_mass, A_ff, time.dt, known_dissipative=sub.known_dissipative(weights)
-        ),
-    )
+    constant, growth = sub.constants.marching(weights, A_ff, time.dt)
     e0 = float(np.linalg.norm(exact[0, free] - V[free] @ reduced[0]))
     bounds = est.error_bound_unsteady(
-        sub.free_mass, A_ff, F, V[free], reduced, time.dt, e0, constant, growth
+        sub.constants.mass, A_ff, F, V[free], reduced, time.dt, e0, constant, growth
     )
     index = 1 if role == "master" else 2
     return bounds, {f"{role}_semigroup_C{index}": constant, f"{role}_growth": growth}
@@ -99,23 +89,21 @@ def query_bounds(
     mu2,
     online: OnlineResult,
     fom_result,
-    sigma_cache: SigmaCache | None = None,
 ) -> list[est.ErrorBoundReport]:
     """Three-term bound of one coupled query at each of its states (the one
     state of a steady query), evaluated with the exact interface data from
     the reference solve.  Each submodel bounds its own error by the rule of
     its kind; the master's bound reaches the slave through the transfer
     norm."""
-    cache = sigma_cache or SigmaCache()
     time = artifacts.spec.time if artifacts.spec.is_unsteady else None
     master, slave = fom.master, fom.slave
     g_exact = fom_result.dirichlet
     master_bounds, constants = _submodel_bound(
-        cache, "master", master, artifacts.master.basis, online.master_reduced,
+        "master", master, artifacts.master.basis, online.master_reduced,
         fom_result.master, master.mu_mapping(mu1), None, time,
     )
     slave_bounds, slave_constants = _submodel_bound(
-        cache, "slave", slave, artifacts.slave.basis, online.slave_reduced,
+        "slave", slave, artifacts.slave.basis, online.slave_reduced,
         fom_result.slave, slave.mu_mapping(mu2), g_exact, time,
     )
     transfer_norm = artifacts.reducer.transfer_norm
@@ -136,13 +124,13 @@ def query_bounds(
 
 
 def steady_query_bound(fom, artifacts, mu1, mu2, online, fom_result, sigma_cache=None):
-    """The one report of ``query_bounds`` for a steady query."""
-    return query_bounds(fom, artifacts, mu1, mu2, online, fom_result, sigma_cache)[0]
+    """The one report of ``query_bounds`` for a steady query (``sigma_cache`` is unused)."""
+    return query_bounds(fom, artifacts, mu1, mu2, online, fom_result)[0]
 
 
 def unsteady_query_bounds(fom, artifacts, mu1, mu2, online, fom_result, sigma_cache=None):
-    """The per-step reports of ``query_bounds`` for an unsteady query."""
-    return query_bounds(fom, artifacts, mu1, mu2, online, fom_result, sigma_cache)
+    """The reports of ``query_bounds`` for an unsteady query (``sigma_cache`` is unused)."""
+    return query_bounds(fom, artifacts, mu1, mu2, online, fom_result)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +167,7 @@ def _references(fom: FomProblem, n_test: int, seed: int) -> list[tuple]:
 
 
 def _score(
-    artifacts: RomArtifacts, fom: FomProblem, references, with_bounds: bool, cache: SigmaCache
+    artifacts: RomArtifacts, fom: FomProblem, references, with_bounds: bool
 ) -> list[QueryResult]:
     """Online queries of ``artifacts`` against the ``_references`` results."""
     rows = []
@@ -195,7 +183,7 @@ def _score(
             warnings=online.diagnostics["warnings"],
         )
         if with_bounds:
-            reports = query_bounds(fom, artifacts, mu1, mu2, online, fres, cache)
+            reports = query_bounds(fom, artifacts, mu1, mu2, online, fres)
             per_step_bounds = np.array([r.total for r in reports])
             per_step_errors = np.array([r.actual_error for r in reports])
             row.bound = float(np.linalg.norm(per_step_bounds))
@@ -213,7 +201,7 @@ def evaluate_test_set(
     artifacts: RomArtifacts, fom: FomProblem, n_test: int, seed: int, with_bounds: bool = False
 ) -> list[QueryResult]:
     """Online queries against the reference path over an LHS test sample."""
-    return _score(artifacts, fom, _references(fom, n_test, seed), with_bounds, SigmaCache())
+    return _score(artifacts, fom, _references(fom, n_test, seed), with_bounds)
 
 
 def summarize(rows: Sequence[QueryResult]) -> dict:
@@ -364,16 +352,15 @@ def run_offline(config: ExperimentConfig, threads: int = 1):
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     """Evaluate the test set for every tolerance triple; returns CSV rows.
     ``threads`` parallelizes the training solves.  The test set is solved
-    once; every triple is scored against it in this thread, with one cache."""
+    once; every triple is scored against it in this thread."""
     t0 = _time.perf_counter()
     training = run_training(config.problem, config.n_train, config.train_seed, threads=threads)
     fom = training.fom
     references = _references(fom, config.n_test, config.test_seed)
-    cache = SigmaCache()
     rows = []
     for triple in config.grid():
         artifacts = build_artifacts(training, triple)
-        summary = summarize(_score(artifacts, fom, references, True, cache))
+        summary = summarize(_score(artifacts, fom, references, True))
         rows.append({
             "eps_master": triple[0],
             "eps_interface": triple[2],

@@ -15,7 +15,7 @@ import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 import scipy.linalg as sla
@@ -108,10 +108,8 @@ class FomSubmodel(AffineSubmodel):
     """Assembled full-order operators for one submodel.
 
     What the solves and certification need of the operators and not of the
-    parameters (the free and constrained blocks of each term, the free mass
-    block, its factorization and ``sqrt(cond)``, and the dissipativity of
-    each operator term) is computed on first use and kept; so is the
-    certified ``sigma_min`` of the free operator for the last weights seen.
+    parameters (the free and constrained blocks of each term, and the
+    ``constants`` proved on them) is computed on first use and kept.
     """
 
     spec: SubmodelSpec
@@ -127,8 +125,6 @@ class FomSubmodel(AffineSubmodel):
     constrained_dofs: np.ndarray
     #: sorted complement of ``constrained_dofs``
     free_dofs: np.ndarray
-    #: ``(weights, sigma)`` of the last ``free_sigma_min`` call
-    _sigma_min: tuple = field(default=(None, 0.0), init=False, repr=False, compare=False)
 
     @property
     def n_dofs(self) -> int:
@@ -163,15 +159,11 @@ class FomSubmodel(AffineSubmodel):
         return self._split(self.mass)
 
     @cached_property
-    def free_mass(self) -> est.MassBlock:
-        """The mass matrix on ``free_dofs``."""
-        return est.MassBlock(self._mass_blocks[0])
-
-    @cached_property
-    def dissipative_terms(self) -> list[bool]:
-        """Per operator term: its free block has a positive semidefinite
-        symmetric part."""
-        return [est._is_dissipative(A_ff) for A_ff, _ in self.free_blocks]
+    def constants(self) -> est.StabilityConstants:
+        """The stability constants proved on the free blocks, kept for every
+        query against this submodel."""
+        mass = None if self.mass is None else self._mass_blocks[0]
+        return est.StabilityConstants([ff for ff, _ in self.free_blocks], mass)
 
     def free_system(self, mu: Mapping, trace=None, time: TimeSpec | None = None):
         """``(A_ff, F)``: the operator on the free DoFs, and the load of each
@@ -208,25 +200,6 @@ class FomSubmodel(AffineSubmodel):
         u[..., self.free_dofs] = free
         u[..., self.constrained_dofs] = self.constrained_values(trace)
         return u
-
-    def free_sigma_min(self, weights: tuple, compute: Callable[[], float]) -> float:
-        """The certified ``sigma_min`` of the free operator under ``weights``,
-        from ``compute`` unless these are the weights of the last call.  A
-        submodel whose weights do not depend on the parameters certifies once.
-        The entry is one tuple, read and replaced whole: threads that race on
-        it compute twice, and each returns the value of its own weights."""
-        kept_weights, sigma = self._sigma_min
-        if kept_weights != weights:
-            sigma = compute()
-            self._sigma_min = (weights, sigma)
-        return sigma
-
-    def known_dissipative(self, weights) -> bool:
-        """True when ``sum_q weights[q] * term_q`` is dissipative on the free
-        block by its terms alone: no weight is negative and every term is
-        dissipative, and a non-negative sum of positive semidefinite matrices
-        is positive semidefinite.  False leaves the question open."""
-        return all(w >= 0.0 for w in weights) and all(self.dissipative_terms)
 
     def mu_mapping(self, mu) -> dict[str, float]:
         return self.spec.parameters.as_mapping(mu)

@@ -2,10 +2,10 @@
 
 Matrix files carry a 4-byte magic ``ROMB``, a version, the row/column counts
 and a column-major float64 little-endian payload; round trips are
-bit-identical.  A bundle directory holds every stored product plus a
-deterministic manifest with its own format version, which loading checks;
-wall-clock timings live in a separate file that the bundle hash deliberately
-skips, and so do subdirectories.
+bit-identical.  A bundle is its deterministic manifest and the matrix files
+it lists with their sha256, which loading checks, as it checks the format
+version; the bundle hash covers exactly these files, so the wall-clock
+timings file and subdirectories stay outside it.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ VERSION = 1
 #: nothing loaded read
 BUNDLE_VERSION = 4
 _HEADER = struct.Struct("<4sIQQ")
-
-#: files excluded from the bundle hash (non-reproducible content)
-UNHASHED_FILES = {"timings.json"}
-
 
 def write_matrix(path, array: np.ndarray) -> None:
     array = np.atleast_2d(np.asarray(array, dtype="<f8"))
@@ -83,15 +79,14 @@ def load_json(path) -> dict:
 
 
 def hash_bundle(path) -> str:
-    """SHA-256 over the bundle's own top-level files (sorted by name),
-    skipping timing logs; subdirectories, such as the ``online`` outputs the
-    CLI writes into a bundle, are not part of it."""
+    """SHA-256 over ``manifest.json`` and the files it lists, each name then
+    its bytes, sorted by name."""
+    path = Path(path)
+    names = ["manifest.json", *load_json(path / "manifest.json")["files"]]
     digest = hashlib.sha256()
-    for item in sorted(p for p in Path(path).iterdir() if p.is_file()):
-        if item.name in UNHASHED_FILES:
-            continue
-        digest.update(item.name.encode())
-        digest.update(item.read_bytes())
+    for name in sorted(names):
+        digest.update(name.encode())
+        digest.update((path / name).read_bytes())
     return digest.hexdigest()
 
 
@@ -107,7 +102,8 @@ def write_bundle(path, artifacts, timings: dict | None = None) -> str:
     """Persist artifacts into a directory; returns the bundle hash.
 
     The manifest is written last so a complete manifest marks a complete
-    bundle; on any failure the files written by this call are removed.
+    bundle; then matrix files it does not list are removed, and on any
+    failure the files written by this call are.
     """
     from .pipeline import RomArtifacts  # local import to avoid a cycle
 
@@ -156,7 +152,7 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
         target = path / f"{name}.rombin"
         write_matrix(target, array)
         written.append(target)
-        shas[f"{name}.rombin"] = hashlib.sha256(target.read_bytes()).hexdigest()
+        shas[target.name] = hashlib.sha256(target.read_bytes()).hexdigest()
 
     provenance = dict(artifacts.provenance)
     clock = dict(provenance.pop("timings", {}))  # wall clock never enters the hash
@@ -200,6 +196,9 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
     written.append(tmp)
     tmp.replace(path / "manifest.json")
     written.append(path / "manifest.json")
+    for item in path.glob("*.rombin"):
+        if item.name not in shas:
+            item.unlink()
     return hash_bundle(path)
 
 
@@ -219,6 +218,10 @@ def load_bundle(path):
             f"{path}: bundle version {manifest.get('version')} is not {BUNDLE_VERSION}; "
             "rebuild it with offline"
         )
+    for name, sha in manifest["files"].items():
+        file = path / name
+        if not file.is_file() or hashlib.sha256(file.read_bytes()).hexdigest() != sha:
+            raise ConfigError(f"{file}: missing, or not the file the manifest hashed")
     spec = problem_from_dict(manifest["problem"])
 
     def mat(name):

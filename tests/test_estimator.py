@@ -132,11 +132,13 @@ class TestSigmaMin:
         expected = np.linalg.svd(A, compute_uv=False)[-1]
         assert sigma_min(sp.csr_matrix(A)) == pytest.approx(expected, rel=1e-6)
 
-    def test_singular_matrix_hits_shift_safeguard(self):
-        # an exactly singular factor triggers the shifted retry, which
-        # reports a smallest singular value at the shift scale
+    def test_singular_matrix_gives_trivial_bound(self):
+        # an exactly singular factor proves nothing above the trivial 0.0,
+        # and the steady rule then bounds by inf
         A = sp.csr_matrix(np.ones((3, 3)))
-        assert sigma_min(A) <= 1e-12
+        assert sigma_min(A) == 0.0
+        bound = error_bound_steady(A, np.zeros(3), np.eye(3), np.zeros(3), sigma_min(A))
+        assert np.array_equal(bound, [np.inf])
 
     def test_nonconvergence_raises(self, monkeypatch):
         monkeypatch.setattr(est, "_POWER_MAX_ITER", 1)
@@ -554,7 +556,7 @@ class TestConstantsPerFom:
         monkeypatch.setattr(est, "_negative_radius", counted("certificate", est._negative_radius))
         fom = cr.build_fom(spec)
         assert set(calls.values()) == {0}
-        assert "free_mass" not in vars(fom.master)
+        assert "constants" not in vars(fom.master)
         bounds_at(spec, art, [[0.7]], fom)
         # one factorization and the two certificates of the mass; one Lanczos
         # run per spectrum end and one for the eigenvalue test of the one
@@ -580,7 +582,7 @@ class TestConstantsPerFom:
         def reports(fom, mu1):
             res = cr.fom_coupled_solve(fom, mu1, [])
             online = cr.online_steady(art, mu1, [])
-            return query_bounds(fom, art, mu1, [], online, res, SigmaCache())
+            return query_bounds(fom, art, mu1, [], online, res)
 
         mu1s = ([1.0, 2.0], [1.0, 2.0], [3.0, 0.5], [3.0, 0.5], [4.5, 4.5])
         fresh = [reports(cr.build_fom(spec), mu1) for mu1 in mu1s]
@@ -593,15 +595,56 @@ class TestConstantsPerFom:
         n_master, n_slave = len(fom.master.free_dofs), len(fom.slave.free_dofs)
         assert certified == [n_master, n_slave, n_master, n_master]
 
+    def test_one_sigma_cache_across_models_keeps_each_models_constants(self):
+        # the cache a caller passes is unused: a second, finer model with the
+        # same weights reports its own sigma_min, not the first model's
+        cache, mu1 = SigmaCache(), [2.0, 1.0]
+        reports = []
+        for master, slave in (((4, 4), (2, 2)), ((12, 12), (6, 6))):
+            spec = steady_pair_2d(master, slave)
+            art = cr.build_artifacts(cr.run_training(spec, 4, seed=1), (1e-3, 1e-3, 1e-3))
+            res = cr.fom_coupled_solve(cr.build_fom(spec), mu1, [])
+            online = cr.online_steady(art, mu1, [])
+            fresh = steady_query_bound(cr.build_fom(spec), art, mu1, [], online, res)
+            shared = steady_query_bound(cr.build_fom(spec), art, mu1, [], online, res, cache)
+            assert shared.constants == fresh.constants
+            reports.append(shared)
+        coarse, fine = (r.constants["sigma_min_master"] for r in reports)
+        assert fine < 0.5 * coarse
+
+    def test_mu_free_marching_constant_proved_once_per_fom(self, monkeypatch):
+        spec = transport_wall_pair((4, 2, 2), (2, 2, 2), n_steps=3)
+        art = cr.full_rank_artifacts(spec)
+        fom = cr.build_fom(spec)
+        tested = []
+
+        def recording(A):
+            tested.append(A)
+            return _is_dissipative(A)
+
+        monkeypatch.setattr(est, "_is_dissipative", recording)
+        for zeta in ([0.2], [0.5], [0.9]):
+            assert fom.master.theta_weights(fom.master.mu_mapping(zeta)) == [1.0, 1.0]
+            res = cr.fom_coupled_solve(fom, zeta, [])
+            online = cr.online_unsteady(art, zeta, [])
+            assert all(r.valid for r in query_bounds(fom, art, zeta, [], online, res))
+        terms = fom.master.constants.terms + fom.slave.constants.terms
+        summed = [A for A in tested if all(A is not T for T in terms)]
+        # the advection term is not proved dissipative, so the summed master
+        # operator is tested, once for all three queries
+        assert fom.master.constants.dissipative_terms == [True, False]
+        assert len(summed) == 1
+
     def test_kept_sigma_min_under_racing_threads(self):
-        sub = cr.build_fom(steady_pair_2d((2, 2), (2, 2))).master
+        constants = cr.build_fom(steady_pair_2d((2, 2), (2, 2))).master.constants
         computed = []
 
         def worker(seed):
             rng = np.random.default_rng(seed)
             for w in rng.integers(0, 3, size=2000):
                 weights = (float(w), 1.0)
-                got = sub.free_sigma_min(weights, lambda: computed.append(1) or sum(weights))
+                key = ("sigma_min", weights)
+                got = constants.proved(key, lambda: computed.append(1) or sum(weights))
                 if got != sum(weights):
                     return False
             return True
@@ -614,7 +657,8 @@ class TestConstantsPerFom:
                 assert all(f.result(timeout=60) for f in futures)
         finally:
             sys.setswitchinterval(interval)
-        assert 0 < len(computed) < 8000  # a repeat of the last weights is kept
+        # each of the 3 weights is proved once, or once by each racing thread
+        assert 3 <= len(computed) <= 12
 
     def test_sweep_rows_do_not_depend_on_threads(self, tmp_path):
         problem = steady_pair_2d(master_subdivisions=(6, 6), slave_subdivisions=(3, 3))
@@ -686,7 +730,7 @@ class TestConstantsPerFom:
         expected = reference_semigroup_constant(M_ff, A_ff, spec.time.dt)
         # K - 0.5 M stays definite on this mesh, K - 30 M does not
         assert (expected[1] > 1.0) == (beta < -1.0)
-        assert sub.dissipative_terms == [True, True]
+        assert sub.constants.dissipative_terms == [True, True]
 
         tested = []
 
@@ -730,7 +774,7 @@ class TestNonDissipativeMarching:
         online = cr.online_unsteady(art, self.BETA, [])
         V, free = art.master.basis, sub.free_dofs
         bounds, constants = _submodel_bound(
-            SigmaCache(), "master", sub, V, online.master_reduced, res.master,
+            "master", sub, V, online.master_reduced, res.master,
             sub.mu_mapping(self.BETA), None, spec.time,
         )
         assert constants["master_growth"] > 2.0

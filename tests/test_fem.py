@@ -430,7 +430,7 @@ def march_system(spec, mu):
     """The free block of ``M/dt + A(mu)`` of a spec's master."""
     sub = cr.build_fom(spec).master
     A_ff, _ = sub.free_system(sub.mu_mapping(mu))
-    return (sub.free_mass.matrix / spec.time.dt + A_ff).tocsc()
+    return (sub.constants.mass.matrix / spec.time.dt + A_ff).tocsc()
 
 
 class TestLuOrdering:

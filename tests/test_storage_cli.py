@@ -176,6 +176,24 @@ class TestBundle:
             load_bundle(tmp_path / name)
             assert read == stored
 
+    def test_rewrite_removes_matrix_files_the_manifest_does_not_list(self, tmp_path, artifacts):
+        fresh = write_bundle(tmp_path / "fresh", artifacts)
+        write_bundle(tmp_path / "b", artifacts)
+        stale = tmp_path / "b" / "master_sv.rombin"  # as format 3 stored it
+        write_matrix(stale, np.ones((3, 1)))
+        assert write_bundle(tmp_path / "b", artifacts) == fresh
+        assert not stale.exists()
+        assert hash_bundle(tmp_path / "b") == fresh
+
+    def test_changed_payload_byte_is_config_error(self, tmp_path, artifacts):
+        write_bundle(tmp_path / "b", artifacts)
+        target = tmp_path / "b" / "slave_basis.rombin"
+        data = bytearray(target.read_bytes())
+        data[-1] ^= 1
+        target.write_bytes(bytes(data))
+        with pytest.raises(ConfigError, match="slave_basis.rombin"):
+            load_bundle(tmp_path / "b")
+
     def test_missing_manifest_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(ConfigError):
