@@ -73,7 +73,7 @@ def residual_unsteady(
     derivative uses the same backward difference as the solver.  ``F`` holds
     one load column per state of ``trajectory``.  Row ``k-1`` of the output
     is the residual at ``t_k``.  ``M`` is a matrix or a ``MassBlock``, whose
-    factorization is then reused.
+    solve is then reused.
     """
     traj = np.asarray(trajectory, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -100,21 +100,31 @@ def residual_unsteady(
 class MassBlock:
     """A mass matrix with the quantities that depend on it alone.
 
-    The factorization ``solve``, the proved ends of the spectrum and
+    The sparse LU ``factorized``, the proved ends of the spectrum and
     ``condition_root = sqrt(cond(M))`` are each computed on first use and
     then kept, so that every query against one full-order model shares them.
+    ``solve`` applies ``M^{-1}`` to the residuals: the owner's faster solve
+    when it gives one, else the LU's.  The Lanczos runs behind the proved
+    constants always take the LU, so the constants do not depend on which
+    solve serves the residuals.
     """
 
-    def __init__(self, M):
+    def __init__(self, M, solve: Callable[[np.ndarray], np.ndarray] | None = None):
         self.matrix = M.tocsc() if sp.issparse(M) else sp.csc_matrix(np.asarray(M))
+        if solve is not None:
+            self.solve = solve
 
     @classmethod
     def of(cls, M) -> MassBlock:
         return M if isinstance(M, cls) else cls(M)
 
     @cached_property
-    def solve(self) -> Callable[[np.ndarray], np.ndarray]:
+    def factorized(self) -> Callable[[np.ndarray], np.ndarray]:
         return factorized_solver(self.matrix)
+
+    @cached_property
+    def solve(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self.factorized
 
     @cached_property
     def symmetric(self) -> bool:
@@ -124,10 +134,10 @@ class MassBlock:
     def spectrum(self) -> tuple[float, float]:
         """A proved ``(lower, upper)`` around the eigenvalues of a symmetric
         positive definite ``M``.  Lanczos estimates both ends, the smaller
-        one by shift-invert through the kept factorization, and
+        one by shift-invert through the kept LU, and
         ``_certified_eigenvalue`` proves each."""
         M = self.matrix
-        op_inv = spla.LinearOperator(M.shape, matvec=self.solve, dtype=float)
+        op_inv = spla.LinearOperator(M.shape, matvec=self.factorized, dtype=float)
         try:
             lam_min = _lanczos_eigenvalue(M, sigma=0.0, OPinv=op_inv)
             lam_max = _lanczos_eigenvalue(M, which="LA")
@@ -374,7 +384,7 @@ def semigroup_constant(M, A, dt: float, known_dissipative: bool = False) -> tupl
     A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(np.asarray(A))
     if known_dissipative or _is_dissipative(A):
         return mass.condition_root, 1.0
-    op_inv = spla.LinearOperator(A.shape, matvec=mass.solve, dtype=float)
+    op_inv = spla.LinearOperator(A.shape, matvec=mass.factorized, dtype=float)
     try:
         estimate = _lanczos_eigenvalue(((A + A.T) * 0.5).tocsc(), M=mass.matrix, Minv=op_inv,
                                        which="SA", maxiter=_POWER_MAX_ITER)
@@ -411,14 +421,15 @@ def _is_dissipative(A) -> bool:
 class StabilityConstants:
     """The proved stability constants of one full-order submodel, from the
     free block of each operator term and, when it marches, its free mass
-    block.  One memo keyed by the operator weights (the marching rule's also
-    by ``dt``) serves every query against the submodel, as do the
-    ``MassBlock`` and each term's dissipativity.  Threads that race on a key
-    may each prove it, and each returns the value of its own key."""
+    block (a matrix or a ``MassBlock``).  One memo keyed by the operator
+    weights (the marching rule's also by ``dt``) serves every query against
+    the submodel, as do the ``MassBlock`` and each term's dissipativity.
+    Threads that race on a key may each prove it, and each returns the value
+    of its own key."""
 
     def __init__(self, terms, mass=None):
         self.terms = terms
-        self.mass = None if mass is None else MassBlock(mass)
+        self.mass = None if mass is None else MassBlock.of(mass)
         self._proved: dict = {}
 
     @cached_property

@@ -65,7 +65,7 @@ def _submodel_bound(
     marching rule, with the initial error ``e_0`` taken on the free DoFs.
     """
     weights = tuple(sub.theta_weights(mu))
-    A_ff, F = sub.free_system(mu, trace, time)
+    A_ff, F = sub.free_system(mu, trace, time, weights)
     free = sub.free_dofs
     if not sub.spec.unsteady:
         sigma = sub.constants.sigma_min(weights, A_ff)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -24,8 +25,6 @@ from .errors import (
 )
 from .mesh import Mesh
 
-#: above this size steady solves switch from sparse LU to Jacobi-preconditioned CG
-DIRECT_SOLVE_LIMIT = 200_000
 SOLVE_RTOL = 1e-10
 #: SuperLU ordering of every factorization in the library: each operator has
 #: symmetric structure, for which minimum degree on ``A^T + A``, with the
@@ -290,31 +289,121 @@ def apply_dirichlet_lifting(
 
 def factorized_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     """Return a reusable solver for ``A``, of one right-hand side or a block
-    of columns: up to ``DIRECT_SOLVE_LIMIT`` unknowns the ``solve`` of a
-    SuperLU factorization ordered by ``LU_ORDERING``, above that CG (column
-    by column)."""
-    n = A.shape[0]
-    if n <= DIRECT_SOLVE_LIMIT:
-        try:
-            lu = spla.splu(A.tocsc(), **LU_ORDERING)
-        except RuntimeError as exc:  # exactly singular factor
-            raise SolverFailureError(f"sparse LU failed: {exc}", residual=np.inf)
-        return lu.solve
-    diag = A.diagonal()
-    if np.any(diag == 0.0):
-        raise SolverFailureError("zero diagonal entry, Jacobi CG unavailable")
-    precond = spla.LinearOperator(A.shape, matvec=lambda x: x / diag)
+    of columns: the ``solve`` of a SuperLU factorization ordered by
+    ``LU_ORDERING``."""
+    try:
+        lu = spla.splu(A.tocsc(), **LU_ORDERING)
+    except RuntimeError as exc:  # exactly singular factor
+        raise SolverFailureError(f"sparse LU failed: {exc}", residual=np.inf)
+    return lu.solve
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        if b.ndim == 2:
-            return np.column_stack([solve(col) for col in b.T])
-        x, info = spla.cg(A, b, rtol=SOLVE_RTOL, atol=0.0, M=precond, maxiter=20 * n)
-        if info != 0:
-            res = float(np.linalg.norm(b - A @ x))
-            raise SolverFailureError(f"CG did not converge (info={info})", residual=res)
+
+def axis_matrices(mesh: Mesh, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D unit stiffness and mass ``(K_a, M_a)`` on every node of one
+    axis, assembled with the quadrature of ``cell_quadrature``."""
+    order, n_cells = mesh.order, mesh.subdivisions[axis]
+    h = mesh.cell_sizes[axis]
+    g, w = gauss_1d(order + 1)
+    vals, ders = lagrange_1d(order, g)
+    local_k = (ders * w) @ ders.T / h
+    local_m = (vals * w) @ vals.T * h
+    n = order * n_cells + 1
+    K, M = np.zeros((n, n)), np.zeros((n, n))
+    for c in range(n_cells):
+        span = slice(order * c, order * c + order + 1)
+        K[span, span] += local_k
+        M[span, span] += local_m
+    return K, M
+
+
+class FastDiagonalization:
+    """``(a_m M + a_k K)^{-1}`` on a tensor-product set of DoFs of a box mesh,
+    for its unit-coefficient mass ``M`` and stiffness ``K`` restricted to
+    them.
+
+    On such a set both are Kronecker forms of the 1-D matrices of each axis
+    restricted to its nodes in the set: ``M`` the product of the ``M_a``, and
+    ``K`` the sum over axes of that product with ``K_a`` in the place of
+    ``M_a``.  With ``V_a^T M_a V_a = I`` and ``V_a^T K_a V_a = diag(l_a)``
+    from ``eigh(K_a, M_a)``, ``V`` the product of the ``V_a`` gives
+    ``V^T M V = I`` and ``V^T K V = diag(L)``, ``L`` the sum over axes of
+    the ``l_a``; so ``(a_m M + a_k K)^{-1} = V diag(1 / (a_m + a_k L)) V^T``
+    (R. E. Lynch, J. R. Rice and D. H. Thomas, Numer. Math. 6, 1964).  A
+    solve contracts each axis with ``V_a^T``, divides, and contracts back.
+    """
+
+    def __init__(self, axis_pairs: list[tuple[np.ndarray, np.ndarray]]):
+        """``axis_pairs``: ``(K_a, M_a)`` of each axis, slowest axis first
+        (z, y, x), as the lexicographic DoF order reads them."""
+        self.axis_pairs = axis_pairs
+        self.shape = tuple(len(K) for K, _ in axis_pairs)
+        self.n = int(np.prod(self.shape))
+        spectra = [sla.eigh(K, M) for K, M in axis_pairs]
+        self._vectors = [V for _, V in spectra]
+        self._transposed = [np.ascontiguousarray(V.T) for _, V in spectra]
+        # the sum over axes of each axis's eigenvalues, broadcast to the grid
+        self.eigenvalues = sum(
+            np.reshape(lam, [-1 if b == a else 1 for b in range(len(self.shape))])
+            for a, (lam, _) in enumerate(spectra)
+        )
+
+    @classmethod
+    def of(cls, mesh: Mesh, dofs: np.ndarray) -> FastDiagonalization | None:
+        """The diagonalization on the sorted ``dofs`` of ``mesh``, or None
+        when they are not the tensor product of one node set per axis."""
+        grid = mesh.nodes_per_axis[::-1]
+        nodes = [np.unique(i) for i in np.unravel_index(dofs, grid)]
+        if len(dofs) == 0 or np.prod([len(i) for i in nodes]) != len(dofs):
+            return None
+        pairs = []
+        for a, keep in zip(range(mesh.dim - 1, -1, -1), nodes):
+            K, M = axis_matrices(mesh, a)
+            pairs.append((K[np.ix_(keep, keep)], M[np.ix_(keep, keep)]))
+        return cls(pairs)
+
+    def kronecker(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """``(M, K)`` assembled from their Kronecker forms, one axis at a
+        time: with the axes so far ``(M', K')``, the next axis makes
+        ``M' x M_a`` and ``K' x M_a + M' x K_a``."""
+        rows = cols = np.zeros(1, dtype=np.int64)
+        mass, stiffness = np.ones(1), np.zeros(1)
+        for (K, M), n in zip(self.axis_pairs, self.shape):
+            r, c = np.nonzero((K != 0.0) | (M != 0.0))
+            rows = (rows[:, None] * n + r).ravel()
+            cols = (cols[:, None] * n + c).ravel()
+            stiffness = (stiffness[:, None] * M[r, c] + mass[:, None] * K[r, c]).ravel()
+            mass = (mass[:, None] * M[r, c]).ravel()
+        return tuple(
+            sp.csr_matrix((values, (rows, cols)), shape=(self.n, self.n))
+            for values in (mass, stiffness)
+        )
+
+    def _contract(self, x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+        """Each axis of ``x`` ``(k, *shape)`` multiplied by its matrix, as
+        reshapes and matrix products."""
+        after = self.n
+        for W in mats:
+            after //= len(W)
+            if after == 1:
+                x = x.reshape(-1, len(W)) @ W.T
+            else:
+                x = np.matmul(W, x.reshape(-1, len(W), after))
         return x
 
-    return solve
+    def solver(self, a_m: float, a_k: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The solve with ``a_m M + a_k K`` of one right-hand side or a block
+        of columns; ``SolverFailureError`` when a diagonal entry is zero."""
+        diagonal = a_m + a_k * self.eigenvalues
+        if not np.all(diagonal != 0.0):
+            raise SolverFailureError("fast diagonalization: singular system", residual=np.inf)
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            b = np.asarray(b, dtype=float)
+            x = self._contract(b.T.reshape((-1,) + self.shape), self._transposed)
+            x = self._contract(x.reshape((-1,) + self.shape) / diagonal, self._vectors)
+            return x.reshape(b.T.shape).T
+
+        return solve
 
 
 def _check_residuals(res: np.ndarray, rhs: np.ndarray, first_step=None) -> None:
@@ -338,37 +427,51 @@ def _check_residuals(res: np.ndarray, rhs: np.ndarray, first_step=None) -> None:
         )
 
 
-def solve_steady(A: sp.spmatrix, f: np.ndarray) -> np.ndarray:
+def solve_steady(
+    A: sp.spmatrix, f: np.ndarray, solve: Callable[[np.ndarray], np.ndarray] | None = None
+) -> np.ndarray:
     """Solve ``A u = f`` and verify the residual against ``SOLVE_RTOL * ||f||``.
 
-    ``f`` is one load ``(N,)`` or a block ``(N, k)`` solved with one
-    factorization; in a block, each column is checked on its own and column
-    ``j`` is reported as step ``j``.
+    ``f`` is one load ``(N,)`` or a block ``(N, k)``; in a block, each
+    column is checked on its own and column ``j`` is reported as step ``j``.
+    ``solve`` is a solve with ``A`` of one load or a block, when the caller
+    has a faster one than the default, one ``factorized_solver`` of ``A``.
     """
     f = np.asarray(f, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != len(f):
         raise DimensionMismatchError(
             f"system shape {A.shape} incompatible with load of length {len(f)}"
         )
-    solve = factorized_solver(A)
-    # a block is solved column by column: with threaded OpenBLAS on 2 CPUs,
-    # SuperLU's multi-column solve made the heat benchmark's offline build
-    # about 14% slower, and it did not with one BLAS thread
-    u = solve(f) if f.ndim == 1 else np.column_stack([solve(col) for col in f.T])
+    if solve is None:
+        lu_solve = factorized_solver(A)
+        # a block is solved column by column: with threaded OpenBLAS on 2
+        # CPUs, SuperLU's multi-column solve made the heat benchmark's
+        # offline build about 14% slower, and it did not with one BLAS thread
+        def solve(b):
+            return lu_solve(b) if b.ndim == 1 else np.column_stack([lu_solve(c) for c in b.T])
+
+    u = solve(f)
     _check_residuals(f - A @ u, f, first_step=0 if f.ndim == 2 else None)
     return u
 
 
 def solve_unsteady_bdf1(
-    M: sp.spmatrix, A: sp.spmatrix, F: np.ndarray, u0: np.ndarray, dt: float
+    M: sp.spmatrix,
+    A: sp.spmatrix,
+    F: np.ndarray,
+    u0: np.ndarray,
+    dt: float,
+    solve: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """March ``M u' + A u = f`` with implicit Euler from ``u0``.
 
     ``F`` holds one load column per state ``(N, n_steps + 1)``; column 0
-    belongs to ``u0`` and is not used.  ``M/dt + A`` is factorized once.
-    After the march every step's residual is checked with one sparse product;
-    the first step above ``SOLVE_RTOL`` raises ``SolverFailureError`` with
-    ``.step`` set.  Returns the trajectory of ``n_steps + 1`` states.
+    belongs to ``u0`` and is not used.  Each step solves with ``M/dt + A``:
+    by ``solve`` when the caller has a faster one, else by one
+    ``factorized_solver`` of it.  After the march every step's residual is
+    checked with one sparse product; the first step above ``SOLVE_RTOL``
+    raises ``SolverFailureError`` with ``.step`` set.  Returns the
+    trajectory of ``n_steps + 1`` states.
     """
     F = np.asarray(F, dtype=float)
     u0 = np.asarray(u0, dtype=float)
@@ -381,7 +484,7 @@ def solve_unsteady_bdf1(
     n_steps = F.shape[1] - 1
     m_dt = (M / dt).tocsr()
     system = (m_dt + A).tocsr()
-    solver = factorized_solver(system)
+    solver = solve or factorized_solver(system)
 
     traj = np.empty((n_steps + 1, n))
     traj[0] = u0

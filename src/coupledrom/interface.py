@@ -307,8 +307,11 @@ def assemble_reducer(
     # solve, both folded into dense offline products
     extracted = B_I @ master_basis[master_trace.dof_indices]  # (m, n1)
     full_transfer = deim.Phi @ sla.lu_solve(deim.lu, extracted)
-    # Phi has orthonormal columns: ||Phi Phi_I^{-1} B_I||_2 = ||Phi_I^{-1} B_I||_2
-    transfer_norm = float(np.linalg.norm(sla.lu_solve(deim.lu, B_I.toarray()), 2))
+    # Phi has orthonormal columns: ||Phi Phi_I^{-1} B_I||_2 = ||Phi_I^{-1} B_I||_2,
+    # raised by the margin 4 m eps s_max of make_deim_basis, so that it stays
+    # an upper bound under the rounding of the SVD
+    s = np.linalg.svd(sla.lu_solve(deim.lu, B_I.toarray()), compute_uv=False)
+    transfer_norm = float(s[0] + 4 * len(s) * np.finfo(float).eps * s[0])
 
     lift_products = {}
     if slave_operators:

@@ -103,13 +103,20 @@ class AffineSubmodel:
 # full-order side
 
 
+#: the largest entry of ``|block - c unit|``, relative to the largest of
+#: ``|block|``, at which a free block counts as ``c`` times a Kronecker form;
+#: every separable library block meets it with a margin above 100
+_KRONECKER_RTOL = 1e-13
+
+
 @dataclass
 class FomSubmodel(AffineSubmodel):
     """Assembled full-order operators for one submodel.
 
     What the solves and certification need of the operators and not of the
-    parameters (the free and constrained blocks of each term, and the
-    ``constants`` proved on them) is computed on first use and kept.
+    parameters (the free and constrained blocks of each term, their fast
+    diagonalization, and the ``constants`` proved on them) is computed on
+    first use and kept.
     """
 
     spec: SubmodelSpec
@@ -159,19 +166,64 @@ class FomSubmodel(AffineSubmodel):
         return self._split(self.mass)
 
     @cached_property
+    def diagonalized(self) -> tuple[fem.FastDiagonalization, np.ndarray] | None:
+        """``(fd, coefficients)`` when every free block is separable: the fast
+        diagonalization of the free DoFs, and the ``(mass, stiffness)``
+        weights of each operator term's free block in it, then those of the
+        free mass block (zero on a steady submodel).  None, and every solve
+        takes a sparse LU, when a term is advection, the free DoFs are not a
+        tensor product, or a free block differs from its weight times the
+        Kronecker form, as under a coefficient that varies in space."""
+        if any(term.kind == "advection" for term in self.spec.operator):
+            return None
+        fd = fem.FastDiagonalization.of(self.mesh, self.free_dofs)
+        if fd is None:
+            return None
+        M, K = fd.kronecker()
+        blocks = [(term.kind == "diffusion", ff)
+                  for term, (ff, _) in zip(self.spec.operator, self.free_blocks)]
+        if self.mass is not None:
+            blocks.append((False, self._mass_blocks[0]))
+        coefficients = np.zeros((len(self.op_terms) + 1, 2))
+        for row, (stiffness, block) in zip(coefficients, blocks):
+            unit = K if stiffness else M
+            c = block.diagonal().sum() / unit.diagonal().sum()
+            if not abs(block - c * unit).max() <= _KRONECKER_RTOL * abs(block).max():
+                return None
+            row[int(stiffness)] = c
+        return fd, coefficients
+
+    def free_solver(self, weights, mass_weight: float = 0.0):
+        """The fast-diagonalized solve with ``A_ff(weights) + mass_weight
+        M_ff``, or None when the submodel is not separable."""
+        if self.diagonalized is None:
+            return None
+        fd, coefficients = self.diagonalized
+        a_m, a_k = np.append(weights, mass_weight) @ coefficients
+        return fd.solver(a_m, a_k)
+
+    @cached_property
     def constants(self) -> est.StabilityConstants:
         """The stability constants proved on the free blocks, kept for every
-        query against this submodel."""
-        mass = None if self.mass is None else self._mass_blocks[0]
+        query against this submodel; the mass block solves by the fast
+        diagonalization when there is one."""
+        mass = None
+        if self.mass is not None:
+            unit_mass = self.free_solver(np.zeros(len(self.op_terms)), 1.0)
+            mass = est.MassBlock(self._mass_blocks[0], unit_mass)
         return est.StabilityConstants([ff for ff, _ in self.free_blocks], mass)
 
-    def free_system(self, mu: Mapping, trace=None, time: TimeSpec | None = None):
+    def free_system(
+        self, mu: Mapping, trace=None, time: TimeSpec | None = None, weights=None
+    ):
         """``(A_ff, F)``: the operator on the free DoFs, and the load of each
         state on them less the lifting of the constrained values ``L`` (on
         the slave, with the interface ``trace``): ``f - A_fc L``, and for a
         marching submodel ``- M_fc dL/dt`` too.  ``F`` is one load when
-        ``time`` is None, else one column per state."""
-        weights = self.theta_weights(mu)
+        ``time`` is None, else one column per state.  ``weights`` are the
+        operator weights of ``mu``, when the caller has them."""
+        if weights is None:
+            weights = self.theta_weights(mu)
         A_ff = affine_sum(weights, [ff for ff, _ in self.free_blocks])
         F = self.loads_per_state(mu, time)[self.free_dofs]
         values = self.constrained_values(trace)
@@ -187,15 +239,18 @@ class FomSubmodel(AffineSubmodel):
     def solve(self, mu: Mapping, trace=None, time: TimeSpec | None = None) -> np.ndarray:
         """Full-order states under the constrained values: one ``(n,)`` when
         ``time`` is None, else one row per state.  Every kind solves its free
-        system: a marching submodel marches it from ``u0``, a steady or
-        instantaneous one solves every state with one factorization."""
-        A_ff, F = self.free_system(mu, trace, time)
+        system, by the fast diagonalization when it is separable: a marching
+        submodel marches it from ``u0``, a steady or instantaneous one
+        solves every state at once."""
+        weights = self.theta_weights(mu)
+        A_ff, F = self.free_system(mu, trace, time, weights)
         if self.spec.unsteady:
             free = fem.solve_unsteady_bdf1(
-                self._mass_blocks[0], A_ff, F, self.u0[self.free_dofs], time.dt
+                self._mass_blocks[0], A_ff, F, self.u0[self.free_dofs], time.dt,
+                self.free_solver(weights, 1.0 / time.dt),
             )
         else:
-            free = fem.solve_steady(A_ff, F).T
+            free = fem.solve_steady(A_ff, F, self.free_solver(weights)).T
         u = np.empty(F.shape[1:] + (self.n_dofs,))
         u[..., self.free_dofs] = free
         u[..., self.constrained_dofs] = self.constrained_values(trace)
@@ -239,6 +294,13 @@ def build_submodel(spec: SubmodelSpec, role: str) -> FomSubmodel:
                 field="slave.dirichlet",
             )
         constrained = np.concatenate([d_dofs, interface.dof_indices])
+    free = np.setdiff1d(np.arange(mesh.n_dofs), constrained)
+    if free.size == 0:
+        raise ConfigError(
+            f"every {role} DoF is constrained: the mesh needs more subdivisions "
+            "across its constrained faces",
+            field=f"{role}.mesh",
+        )
     u0 = np.asarray(eval_spatial(spec.initial, mesh.node_coords), dtype=float).copy()
     return FomSubmodel(
         spec=spec,
@@ -251,7 +313,7 @@ def build_submodel(spec: SubmodelSpec, role: str) -> FomSubmodel:
         dirichlet_values=d_values,
         u0=u0,
         constrained_dofs=constrained,
-        free_dofs=np.setdiff1d(np.arange(mesh.n_dofs), constrained),
+        free_dofs=free,
     )
 
 

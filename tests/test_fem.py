@@ -14,6 +14,7 @@ from coupledrom.errors import (
 )
 from coupledrom.fem import (
     SOLVE_RTOL,
+    FastDiagonalization,
     apply_dirichlet_lifting,
     assemble_advection,
     assemble_load,
@@ -408,22 +409,36 @@ def test_quadrature_weights_sum_to_cell_volume():
     assert q.weights.sum() == pytest.approx((2.0 / 4) * (3.0 / 5), rel=1e-14)
 
 
-class TestIterativeSolvePath:
-    def test_cg_path_used_above_direct_limit(self, monkeypatch):
-        import coupledrom.fem as fem
+class TestFastDiagonalization:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_kronecker_forms_and_solve_match_assembly(self, order):
+        # anisotropic cells, two constrained faces on different axes
+        mesh = build_box_mesh((0, 0, 0), (1.0, 0.5, 2.0), (3, 2, 4), order=order)
+        fixed = np.union1d(
+            extract_interface(mesh, "x-").dof_indices, extract_interface(mesh, "z+").dof_indices
+        )
+        free = np.setdiff1d(np.arange(mesh.n_dofs), fixed)
+        fd = FastDiagonalization.of(mesh, free)
+        M, K = fd.kronecker()
+        M_ref = assemble_mass(mesh)[free][:, free]
+        K_ref = assemble_stiffness(mesh, 1.0)[free][:, free]
+        assert abs(M - M_ref).max() <= 1e-15 * abs(M_ref).max()
+        assert abs(K - K_ref).max() <= 1e-15 * abs(K_ref).max()
+        B = np.random.default_rng(2).standard_normal((len(free), 3))
+        solve = fd.solver(2.0, 0.3)
+        oracle = np.linalg.solve((2.0 * M_ref + 0.3 * K_ref).toarray(), B)
+        assert np.max(np.abs(solve(B) - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+        assert np.max(np.abs(solve(B[:, 1]) - oracle[:, 1])) <= 1e-13 * np.max(np.abs(oracle))
 
-        monkeypatch.setattr(fem, "DIRECT_SOLVE_LIMIT", 10)
-        mesh = unit_square(4)  # 25 DoFs, above the patched limit
-        A = assemble_stiffness(mesh, 1.0) + 1.0 * assemble_mass(mesh)
-        f = assemble_load(mesh, 1.0)
-        u = solve_steady(A, f)
-        res = np.linalg.norm(f - A @ u)
-        assert res <= 1e-10 * np.linalg.norm(f)
-        # a block of loads is solved column by column on this path
-        U = solve_steady(A, np.column_stack([f, 2.0 * f]))
-        assert np.linalg.norm(U[:, 1] - 2.0 * u) <= 1e-9 * np.linalg.norm(u)
-        # so is a block passed to the solver itself
-        assert np.array_equal(fem.factorized_solver(A)(np.column_stack([f, 2.0 * f])), U)
+    def test_dof_set_that_is_not_a_tensor_product_has_none(self):
+        mesh = unit_square(3)
+        assert FastDiagonalization.of(mesh, np.arange(1, mesh.n_dofs)) is None
+        assert FastDiagonalization.of(mesh, np.arange(0)) is None
+
+    def test_zero_system_raises(self):
+        mesh = unit_square(2)
+        with pytest.raises(SolverFailureError):
+            FastDiagonalization.of(mesh, np.arange(mesh.n_dofs)).solver(0.0, 0.0)
 
 
 def march_system(spec, mu):

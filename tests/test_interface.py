@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -320,6 +321,17 @@ class TestInterfaceReducer:
         deim = reducer.deim
         dense = deim.Phi @ np.linalg.solve(deim.Phi[deim.indices], P[deim.indices].toarray())
         assert reducer.transfer_norm == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("slave", SLAVE_SUBDIVISIONS.values(), ids=SLAVE_SUBDIVISIONS)
+    def test_transfer_norm_carries_the_svd_margin(self, slave):
+        # the margin 4 m eps s_max of make_deim_basis keeps it above the
+        # plain two-norm of the same product
+        reducer, tm, ts, P, *_ = make_reducer_setup(n_slave=slave)
+        deim = reducer.deim
+        plain = np.linalg.norm(sla.lu_solve(deim.lu, P[deim.indices].toarray()), 2)
+        margin = 4 * deim.m * np.finfo(float).eps * plain
+        assert plain < reducer.transfer_norm
+        assert reducer.transfer_norm == pytest.approx(plain + margin, rel=1e-15)
 
     def test_order_covariance_under_permutation(self):
         reducer, tm, ts, P, V1, V2, K2 = make_reducer_setup()

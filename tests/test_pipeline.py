@@ -16,7 +16,12 @@ from coupledrom.errors import (
     SingularRomError,
     SolverFailureError,
 )
-from coupledrom.library import heat_laplace_pair, steady_pair_2d, transport_wall_pair
+from coupledrom.library import (
+    heat_laplace_pair,
+    steady_pair_2d,
+    steady_reaction_diffusion_pair,
+    transport_wall_pair,
+)
 from coupledrom.experiments import query_bounds, unsteady_query_bounds
 from coupledrom.pipeline import ReducedSubmodel, _reduced_march, affine_sum
 from coupledrom.problems import (
@@ -164,7 +169,9 @@ class TestFomCoupledSolve:
         fom = small_heat_fom()
         res = cr.fom_coupled_solve(fom, [0.8], [])
         traj1, traj2 = reference_coupled_solve(fom, [0.8], [])
-        assert np.array_equal(res.master, traj1)
+        # the separable master marches by fast diagonalization, not by the
+        # reference's LU
+        assert np.max(np.abs(res.master - traj1)) <= 1e-13 * np.max(np.abs(traj1))
         # the series lifts all states as one block: summation order may differ
         assert np.max(np.abs(res.slave - traj2)) <= 1e-12 * np.max(np.abs(traj2))
 
@@ -227,14 +234,15 @@ class TestFomCoupledSolve:
                 A2, np.zeros(fom.slave.n_dofs), zip(fom.slave.interface.dof_indices, g)
             )
         )
-        assert np.array_equal(res.master, u1)
+        # both submodels are separable: fast diagonalization against LU
+        assert np.max(np.abs(res.master - u1)) <= 1e-13 * np.max(np.abs(u1))
         assert np.allclose(res.slave, u2, atol=1e-12)
 
     @pytest.mark.parametrize("unsteady", [False, True], ids=["steady-pair", "heat-series"])
     def test_free_system_solve_matches_lifting_composition(self, unsteady):
         # the slave of the steady pair and the instantaneous heat slave, one
-        # state and a series of states: the free block solves bit for bit
-        # like the identity-padded system
+        # state and a series of states: the free block, separable and so
+        # diagonalized, solves like the identity-padded system under LU
         if unsteady:
             fom, mu1 = small_heat_fom(), [0.8]
         else:
@@ -248,29 +256,33 @@ class TestFomCoupledSolve:
             zip(slave.constrained_dofs, slave.constrained_values(res.dirichlet).T),
         )
         composed = cr.solve_steady(A_bc, F_bc).T
-        assert np.array_equal(slave.solve({}, res.dirichlet, time), composed)
-        assert np.array_equal(res.slave, composed)
+        assert np.array_equal(slave.solve({}, res.dirichlet, time), res.slave)
+        assert np.max(np.abs(res.slave - composed)) <= 1e-13 * np.max(np.abs(composed))
 
 
 def corrupt_solves(monkeypatch, n_dofs, call):
-    """Scale by 1.001 the solution of the ``call``-th solve (1-based) with a
-    factorization on ``n_dofs`` unknowns."""
-    real = fem.factorized_solver
+    """Scale by 1.001 the ``call``-th solved right-hand side (1-based; each
+    column of a block counts) of the fast-diagonalized solves on ``n_dofs``
+    unknowns, which a separable submodel's march and series use."""
+    real = fem.FastDiagonalization.solver
 
-    def factory(A):
-        solve = real(A)
-        if A.shape[0] != n_dofs:
+    def factory(self, a_m, a_k):
+        solve = real(self, a_m, a_k)
+        if self.n != n_dofs:
             return solve
-        calls = []
+        solved = [0]
 
         def corrupted(b):
-            calls.append(1)
-            x = solve(b)
-            return 1.001 * x if len(calls) == call else x
+            x = solve(b).copy()
+            first = solved[0]
+            solved[0] += 1 if b.ndim == 1 else b.shape[1]
+            if first < call <= solved[0]:
+                x.reshape(len(x), -1)[:, call - first - 1] *= 1.001
+            return x
 
         return corrupted
 
-    monkeypatch.setattr(fem, "factorized_solver", factory)
+    monkeypatch.setattr(fem.FastDiagonalization, "solver", factory)
 
 
 class TestResidualChecks:
@@ -279,13 +291,95 @@ class TestResidualChecks:
     @pytest.mark.parametrize("side, call, step", [("master", 3, 3), ("slave", 6, 5)])
     def test_corrupted_step_raises_with_its_step(self, monkeypatch, side, call, step):
         fom = small_heat_fom()
-        # the march and the series each factorize their submodel's free block
+        # the march and the series each diagonalize their submodel's free block
         n = len(getattr(fom, side).free_dofs)
         corrupt_solves(monkeypatch, n, call)
         with pytest.raises(SolverFailureError) as info:
             cr.fom_coupled_solve(fom, [0.8], [])
         assert info.value.step == step
         assert info.value.residual > 0.0
+
+
+def midpoint(space):
+    return [(lo + hi) / 2 for lo, hi in space.ranges]
+
+
+def solved_and_lu(fom, role):
+    """One submodel's free states from ``fom_coupled_solve`` at the middle
+    of both parameter ranges, and the same free system solved by sparse LU."""
+    spec = fom.spec
+    mu1, mu2 = midpoint(spec.master.parameters), midpoint(spec.slave.parameters)
+    res = cr.fom_coupled_solve(fom, mu1, mu2)
+    sub = getattr(fom, role)
+    mu = sub.mu_mapping(mu1 if role == "master" else mu2)
+    time = spec.time if spec.is_unsteady else None
+    A_ff, F = sub.free_system(mu, None if role == "master" else res.dirichlet, time)
+    free = sub.free_dofs
+    if sub.spec.unsteady:
+        M_ff = sub.mass[free][:, free]
+        lu = fem.solve_unsteady_bdf1(M_ff, A_ff, F, sub.u0[free], time.dt)
+    else:
+        lu = fem.solve_steady(A_ff, F).T
+    return sub, getattr(res, role)[..., free], lu
+
+
+def varying_diffusion_heat():
+    spec = heat_laplace_pair((4, 4, 4), (2, 2, 2), n_steps=8)
+    term = AffineTerm(kind="diffusion", theta="alpha", coefficient="1 + x*y")
+    return dataclasses.replace(spec, master=dataclasses.replace(spec.master, operator=(term,)))
+
+
+SEPARABLE = {
+    "heat-master": (heat_laplace_pair((4, 4, 4), (2, 2, 2), n_steps=8), "master"),
+    "3d-q1-master": (steady_reaction_diffusion_pair((4, 4, 4), (2, 2, 2)), "master"),
+    "3d-q2-master": (steady_reaction_diffusion_pair((3, 3, 3), (2, 2, 2), 2, 2), "master"),
+    "2d-master": (steady_pair_2d(), "master"),
+    "2d-slave": (steady_pair_2d(), "slave"),
+    "transport-wall-slave": (transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8), "slave"),
+    "non-nested-5-slave": (heat_laplace_pair((8, 8, 8), (5, 5, 5), n_steps=8), "slave"),
+}
+NON_SEPARABLE = {
+    "transport-master-advection": (transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8), "master"),
+    "varying-diffusion-master": (varying_diffusion_heat(), "master"),
+}
+
+
+class TestFastDiagonalization:
+    @pytest.mark.parametrize("spec, role", SEPARABLE.values(), ids=SEPARABLE)
+    def test_separable_submodel_agrees_with_lu(self, spec, role):
+        sub, fast, lu = solved_and_lu(cr.build_fom(spec), role)
+        assert sub.diagonalized is not None
+        assert np.max(np.abs(fast - lu)) <= 1e-13 * np.max(np.abs(lu))
+
+    @pytest.mark.parametrize("spec, role", NON_SEPARABLE.values(), ids=NON_SEPARABLE)
+    def test_non_separable_submodel_solves_by_lu(self, spec, role):
+        sub, solved, lu = solved_and_lu(cr.build_fom(spec), role)
+        assert sub.diagonalized is None
+        assert np.array_equal(solved, lu)
+
+    def test_broken_kronecker_identity_falls_back_to_lu(self):
+        fom = small_heat_fom()
+        A = fom.master.op_terms[0][1]
+        i = fom.master.free_dofs[len(fom.master.free_dofs) // 2]
+        A[i, i] *= 1.0 + 1e-9  # an existing entry of a free row and column
+        sub, solved, lu = solved_and_lu(fom, "master")
+        assert sub.diagonalized is None
+        assert np.array_equal(solved, lu)
+
+    def test_mass_block_solve_agrees_with_its_lu(self):
+        mass = small_heat_fom().master.constants.mass
+        B = np.random.default_rng(4).standard_normal((mass.matrix.shape[0], 3))
+        lu = mass.factorized(B)
+        assert mass.solve is not mass.factorized
+        assert np.max(np.abs(mass.solve(B) - lu)) <= 1e-13 * np.max(np.abs(lu))
+
+
+def test_submodel_without_free_dofs_rejected():
+    # the wall's one cell across y puts every node on its Dirichlet face or
+    # on the interface
+    with pytest.raises(ConfigError) as info:
+        cr.build_fom(transport_wall_pair((4, 2, 2), (2, 1, 1)))
+    assert info.value.field == "slave.mesh"
 
 
 @pytest.mark.parametrize(
