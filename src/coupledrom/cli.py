@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -60,16 +59,6 @@ def _load_config(path: str):
         raise ConfigError(f"invalid config value: {exc}")
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    raw = os.environ.get("ROM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"ROM_THREADS must be an integer, got {raw!r}")
-
-
 def _states_as_columns(solution: np.ndarray) -> np.ndarray:
     """One column per state: a steady field is the one-state case."""
     return solution[:, None] if solution.ndim == 1 else solution.T
@@ -81,7 +70,7 @@ def cmd_offline(args) -> int:
         from dataclasses import replace
 
         config = replace(config, train_seed=args.seed)
-    _, results = run_offline(config, threads=_threads(args))
+    _, results = run_offline(config)
     for triple, bundle_dir, digest, artifacts in results:
         print(
             f"bundle {bundle_dir}  tolerances master={triple[0]:g} "
@@ -144,7 +133,7 @@ def cmd_online(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    rows = run_sweep(config, threads=_threads(args))
+    rows = run_sweep(config)
     out_dir = ensure_directory(config.output_dir)
     header = [
         "eps_master", "eps_interface", "eps_slave", "mean_error", "mean_bound", "online_s",
@@ -185,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_off = sub.add_parser("offline", help="train and persist reduced bundles")
     p_off.add_argument("--config", required=True)
     p_off.add_argument("--seed", type=int, default=None)
-    p_off.add_argument("--threads", type=int, default=None)
     p_off.set_defaults(func=cmd_offline)
 
     p_on = sub.add_parser("online", help="query a trained bundle")
@@ -198,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="tolerance-grid error tables")
     p_sw.add_argument("--config", required=True)
-    p_sw.add_argument("--threads", type=int, default=None)
     p_sw.set_defaults(func=cmd_sweep)
 
     p_f = sub.add_parser("fom", help="full-order baseline solve")

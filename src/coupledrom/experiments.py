@@ -94,7 +94,10 @@ def query_bounds(
     state of a steady query), evaluated with the exact interface data from
     the reference solve.  Each submodel bounds its own error by the rule of
     its kind; the master's bound reaches the slave through the transfer
-    norm."""
+    norm.  The online result must be expanded: the bound is checked
+    against its slave field."""
+    if online.slave_solution is None:
+        raise ConfigError("the bound needs an expanded online query (expand=True)")
     time = artifacts.spec.time if artifacts.spec.is_unsteady else None
     master, slave = fom.master, fom.slave
     g_exact = fom_result.dirichlet
@@ -333,10 +336,10 @@ def ensure_directory(path) -> Path:
     return path
 
 
-def run_offline(config: ExperimentConfig, threads: int = 1):
+def run_offline(config: ExperimentConfig):
     """Train once, build one bundle per tolerance triple."""
     t0 = _time.perf_counter()
-    training = run_training(config.problem, config.n_train, config.train_seed, threads=threads)
+    training = run_training(config.problem, config.n_train, config.train_seed)
     out_root = ensure_directory(config.output_dir)
     results = []
     for triple in config.grid():
@@ -349,12 +352,11 @@ def run_offline(config: ExperimentConfig, threads: int = 1):
     return training, results
 
 
-def run_sweep(config: ExperimentConfig, threads: int = 1) -> list[dict]:
+def run_sweep(config: ExperimentConfig) -> list[dict]:
     """Evaluate the test set for every tolerance triple; returns CSV rows.
-    ``threads`` parallelizes the training solves.  The test set is solved
-    once; every triple is scored against it in this thread."""
+    The test set is solved once, and every triple is scored against it."""
     t0 = _time.perf_counter()
-    training = run_training(config.problem, config.n_train, config.train_seed, threads=threads)
+    training = run_training(config.problem, config.n_train, config.train_seed)
     fom = training.fom
     references = _references(fom, config.n_test, config.test_seed)
     rows = []

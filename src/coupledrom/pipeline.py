@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -116,7 +115,10 @@ class FomSubmodel(AffineSubmodel):
     What the solves and certification need of the operators and not of the
     parameters (the free and constrained blocks of each term, their fast
     diagonalization, and the ``constants`` proved on them) is computed on
-    first use and kept.
+    first use and kept.  A submodel that is not separable keeps the sparse
+    LU of its last free system, so solves at unchanged operator weights and
+    step, such as those of a master whose weights do not depend on the
+    parameters, factorize once.
     """
 
     spec: SubmodelSpec
@@ -132,6 +134,8 @@ class FomSubmodel(AffineSubmodel):
     constrained_dofs: np.ndarray
     #: sorted complement of ``constrained_dofs``
     free_dofs: np.ndarray
+    #: ``((weights, dt), solve)`` of the last sparse LU of ``free_solver``
+    _kept_lu: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_dofs(self) -> int:
@@ -193,23 +197,38 @@ class FomSubmodel(AffineSubmodel):
             row[int(stiffness)] = c
         return fd, coefficients
 
-    def free_solver(self, weights, mass_weight: float = 0.0):
-        """The fast-diagonalized solve with ``A_ff(weights) + mass_weight
-        M_ff``, or None when the submodel is not separable."""
-        if self.diagonalized is None:
-            return None
-        fd, coefficients = self.diagonalized
-        a_m, a_k = np.append(weights, mass_weight) @ coefficients
-        return fd.solver(a_m, a_k)
+    def free_solver(self, weights, dt: float | None = None):
+        """The solve with the free operator ``A_ff(weights)``, or with the
+        march's ``M_ff/dt + A_ff`` when ``dt`` is given, of one load or a
+        block of loads: the fast diagonalization when the submodel is
+        separable, else one sparse LU kept for the last ``(weights, dt)``."""
+        if self.diagonalized is not None:
+            fd, coefficients = self.diagonalized
+            a_m, a_k = np.append(weights, 0.0 if dt is None else 1.0 / dt) @ coefficients
+            return fd.solver(a_m, a_k)
+        key = (tuple(weights), dt)
+        kept = self._kept_lu  # read once: another thread may replace it
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        self._kept_lu = None  # free the old factors before the new ones fill in
+        A_ff = affine_sum(weights, [ff for ff, _ in self.free_blocks])
+        if dt is not None:  # as fem.solve_unsteady_bdf1 forms it, so the factors agree
+            A_ff = ((self._mass_blocks[0] / dt).tocsr() + A_ff).tocsr()
+        solve = fem.lu_solver(A_ff)
+        self._kept_lu = (key, solve)
+        return solve
 
     @cached_property
     def constants(self) -> est.StabilityConstants:
         """The stability constants proved on the free blocks, kept for every
         query against this submodel; the mass block solves by the fast
-        diagonalization when there is one."""
+        diagonalization when there is one, else by its own LU."""
         mass = None
         if self.mass is not None:
-            unit_mass = self.free_solver(np.zeros(len(self.op_terms)), 1.0)
+            unit_mass = None
+            if self.diagonalized is not None:
+                fd, coefficients = self.diagonalized
+                unit_mass = fd.solver(*coefficients[-1])
             mass = est.MassBlock(self._mass_blocks[0], unit_mass)
         return est.StabilityConstants([ff for ff, _ in self.free_blocks], mass)
 
@@ -239,15 +258,14 @@ class FomSubmodel(AffineSubmodel):
     def solve(self, mu: Mapping, trace=None, time: TimeSpec | None = None) -> np.ndarray:
         """Full-order states under the constrained values: one ``(n,)`` when
         ``time`` is None, else one row per state.  Every kind solves its free
-        system, by the fast diagonalization when it is separable: a marching
-        submodel marches it from ``u0``, a steady or instantaneous one
-        solves every state at once."""
+        system by ``free_solver``: a marching submodel marches it from
+        ``u0``, a steady or instantaneous one solves every state at once."""
         weights = self.theta_weights(mu)
         A_ff, F = self.free_system(mu, trace, time, weights)
         if self.spec.unsteady:
             free = fem.solve_unsteady_bdf1(
                 self._mass_blocks[0], A_ff, F, self.u0[self.free_dofs], time.dt,
-                self.free_solver(weights, 1.0 / time.dt),
+                self.free_solver(weights, time.dt),
             )
         else:
             free = fem.solve_steady(A_ff, F, self.free_solver(weights)).T
@@ -408,12 +426,7 @@ def _require_zero_dirichlet(spec: CoupledProblemSpec) -> None:
                 )
 
 
-def run_training(
-    spec_or_fom,
-    n_train: int,
-    seed: int,
-    threads: int = 1,
-) -> TrainingData:
+def run_training(spec_or_fom, n_train: int, seed: int) -> TrainingData:
     """Solve the coupled full-order model at ``n_train`` paired samples
     ``(mu1_i, mu2_i)`` and collect the three snapshot families."""
     if n_train < 2:
@@ -432,10 +445,8 @@ def run_training(
     S2 = np.empty((fom.slave.n_dofs, n_cols))
     SD = np.empty((len(fom.slave.interface), n_cols))
 
-    def solve_pair(k: int):
-        return k, fom_coupled_solve(fom, master_samples.points[k], slave_samples.points[k])
-
-    def commit(k: int, res: FomResult):
+    for k in range(n_train):
+        res = fom_coupled_solve(fom, master_samples.points[k], slave_samples.points[k])
         base = k * cols_per
         if nt:
             # columns are the states at t_1 .. t_nt; t_0 is data, not response
@@ -446,14 +457,6 @@ def run_training(
             S1[:, base] = res.master
             S2[:, base] = res.slave
             SD[:, base] = res.dirichlet
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for k, res in pool.map(solve_pair, range(n_train)):
-                commit(k, res)
-    else:
-        for k in range(n_train):
-            commit(*solve_pair(k))
     t_solve = _time.perf_counter()
 
     gamma2 = fom.slave.interface.dof_indices
@@ -620,15 +623,9 @@ def build_artifacts(training: TrainingData, tolerances) -> RomArtifacts:
     return artifacts
 
 
-def offline(
-    spec: CoupledProblemSpec,
-    n_train: int,
-    tolerances,
-    seed: int,
-    threads: int = 1,
-) -> RomArtifacts:
+def offline(spec: CoupledProblemSpec, n_train: int, tolerances, seed: int) -> RomArtifacts:
     """Complete offline stage: training solves, bases, stored products."""
-    training = run_training(spec, n_train, seed, threads)
+    training = run_training(spec, n_train, seed)
     return build_artifacts(training, tolerances)
 
 

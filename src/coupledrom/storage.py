@@ -102,8 +102,9 @@ def write_bundle(path, artifacts, timings: dict | None = None) -> str:
     """Persist artifacts into a directory; returns the bundle hash.
 
     The manifest is written last so a complete manifest marks a complete
-    bundle; then matrix files it does not list are removed, and on any
-    failure the files written by this call are.
+    bundle; then matrix files it does not list, and a timings file this
+    call did not write, are removed, and on any failure the files written
+    by this call are.
     """
     from .pipeline import RomArtifacts  # local import to avoid a cycle
 
@@ -199,6 +200,8 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
     for item in path.glob("*.rombin"):
         if item.name not in shas:
             item.unlink()
+    if not clock:  # an earlier write's timings describe another build
+        (path / "timings.json").unlink(missing_ok=True)
     return hash_bundle(path)
 
 
@@ -239,7 +242,7 @@ def load_bundle(path):
             (theta, vec(f"{side}_load_{k}"))
             for k, theta in enumerate(meta["load_thetas"])
         ]
-        mass = mat(f"{side}_mass") if (path / f"{side}_mass.rombin").exists() else None
+        mass = mat(f"{side}_mass") if f"{side}_mass.rombin" in manifest["files"] else None
         return ReducedSubmodel(
             basis=mat(f"{side}_basis"),
             op_terms=op_terms,

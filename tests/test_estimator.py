@@ -12,7 +12,7 @@ import coupledrom.estimator as est
 import coupledrom.experiments as experiments
 import coupledrom.pipeline as pipeline
 from coupledrom.cli import main
-from coupledrom.errors import DimensionMismatchError, EstimatorConvergenceError
+from coupledrom.errors import ConfigError, DimensionMismatchError, EstimatorConvergenceError
 from coupledrom.estimator import (
     MassBlock,
     _is_dissipative,
@@ -407,6 +407,19 @@ class TestQueryBounds:
                 rtol=1e-15, atol=0.0,
             )
 
+    @pytest.mark.parametrize("unsteady", [False, True], ids=["steady", "unsteady"])
+    def test_unexpanded_query_is_config_error(self, unsteady):
+        spec = (
+            heat_laplace_pair((3, 3, 3), (2, 2, 2), n_steps=4)
+            if unsteady else steady_pair_2d((4, 4), (2, 2))
+        )
+        mu1 = [0.7] if unsteady else [1.5, 2.0]
+        art, fom = cr.full_rank_artifacts(spec), cr.build_fom(spec)
+        res = cr.fom_coupled_solve(fom, mu1, [])
+        online = cr.online_solve(art, mu1, [], expand=False)
+        with pytest.raises(ConfigError, match="expanded"):
+            query_bounds(fom, art, mu1, [], online, res)
+
     def test_validity_allows_rounding_of_the_norms(self):
         report = est.ErrorBoundReport(0.5, 0.0, 0.5, actual_error=1.0)
         assert report.valid
@@ -655,24 +668,6 @@ class TestConstantsPerFom:
         # each of the 3 weights is proved once, or once by each racing thread
         assert 3 <= len(computed) <= 12
 
-    def test_sweep_rows_do_not_depend_on_threads(self, tmp_path):
-        problem = steady_pair_2d(master_subdivisions=(6, 6), slave_subdivisions=(3, 3))
-        tols = [1e-2, 1e-4]
-        config = config_from_dict({
-            "problem": problem_to_dict(problem),
-            "training": {
-                "n_train": 6,
-                "seed": 7,
-                "tolerances": {"master": tols, "slave": tols, "interface": tols},
-            },
-            "testing": {"n_test": 3, "seed": 77},
-            "outputs": {"directory": str(tmp_path / "out")},
-        })
-        serial, threaded = run_sweep(config, threads=1), run_sweep(config, threads=2)
-        for row in serial + threaded:
-            del row["online_s"]  # a wall-clock time
-        assert threaded == serial
-
     @pytest.mark.parametrize("problem", [
         steady_pair_2d(master_subdivisions=(6, 6), slave_subdivisions=(3, 3)),
         heat_laplace_pair(master_subdivisions=(3, 3, 3), slave_subdivisions=(2, 2, 2), n_steps=4),
@@ -710,7 +705,7 @@ class TestConstantsPerFom:
 
         monkeypatch.setattr(experiments, "fom_coupled_solve", counted)
         monkeypatch.setattr(pipeline, "fom_coupled_solve", counted)
-        run_sweep(config, threads=2)
+        run_sweep(config)
         assert len(solved) == len(set(solved)) == config.n_train + config.n_test
 
     @pytest.mark.parametrize("beta", [0.5, -0.5, -30.0])

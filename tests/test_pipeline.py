@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -338,9 +340,19 @@ SEPARABLE = {
     "transport-wall-slave": (transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8), "slave"),
     "non-nested-5-slave": (heat_laplace_pair((8, 8, 8), (5, 5, 5), n_steps=8), "slave"),
 }
+
+
+def varying_diffusion_steady():
+    spec = steady_pair_2d((4, 4), (2, 2))
+    term = AffineTerm(kind="diffusion", theta="alpha", coefficient="1 + x*y")
+    operator = (term,) + spec.master.operator[1:]
+    return dataclasses.replace(spec, master=dataclasses.replace(spec.master, operator=operator))
+
+
 NON_SEPARABLE = {
     "transport-master-advection": (transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8), "master"),
     "varying-diffusion-master": (varying_diffusion_heat(), "master"),
+    "varying-diffusion-steady-master": (varying_diffusion_steady(), "master"),
 }
 
 
@@ -372,6 +384,103 @@ class TestFastDiagonalization:
         lu = mass.factorized(B)
         assert mass.solve is not mass.factorized
         assert np.max(np.abs(mass.solve(B) - lu)) <= 1e-13 * np.max(np.abs(lu))
+
+
+def count_factorizations(monkeypatch) -> list:
+    """One entry, the matrix, per ``fem.factorized_solver`` call."""
+    real, matrices = fem.factorized_solver, []
+
+    def counted(A):
+        matrices.append(A)
+        return real(A)
+
+    monkeypatch.setattr(fem, "factorized_solver", counted)
+    return matrices
+
+
+class TestKeptFactorization:
+    """A submodel that is not separable keeps the LU of its last free system."""
+
+    def test_transport_states_equal_a_fresh_lu_march(self):
+        spec = transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8)
+        fom = cr.build_fom(spec)
+        sub, free = fom.master, fom.master.free_dofs
+        for zeta in ([0.2], [0.5], [0.9]):
+            res = cr.fom_coupled_solve(fom, zeta, [])
+            A_ff, F = sub.free_system(sub.mu_mapping(zeta), None, spec.time)
+            fresh = fem.solve_unsteady_bdf1(
+                sub.mass[free][:, free], A_ff, F, sub.u0[free], spec.time.dt
+            )
+            assert np.array_equal(res.master[:, free], fresh)
+
+    def test_training_on_mu_free_weights_factorizes_once(self, monkeypatch):
+        # the transport master's weights do not depend on mu, and its slave
+        # is separable
+        matrices = count_factorizations(monkeypatch)
+        cr.run_training(transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=4), 4, seed=1)
+        assert len(matrices) == 1
+
+    def test_new_weights_or_step_refactorize(self, monkeypatch):
+        matrices = count_factorizations(monkeypatch)
+        sub = cr.build_fom(varying_diffusion_heat()).master
+        weights = sub.theta_weights(sub.mu_mapping([0.7]))
+        solve = sub.free_solver(weights, 0.1)
+        assert sub.free_solver(list(weights), 0.1) is solve
+        assert len(matrices) == 1
+        sub.free_solver([2.0 * w for w in weights], 0.1)
+        sub.free_solver([2.0 * w for w in weights], 0.05)
+        sub.free_solver([2.0 * w for w in weights])
+        sub.free_solver(weights, 0.1)  # only the last system is kept
+        assert len(matrices) == 5
+        # each is the matrix fem forms: M/dt + A, or A alone
+        A_ff = affine_sum(weights, [ff for ff, _ in sub.free_blocks])
+        system = (sub.mass[sub.free_dofs][:, sub.free_dofs] / 0.1).tocsr() + A_ff
+        assert (abs(matrices[0] - system)).max() == 0.0
+        assert (abs(matrices[3] - 2.0 * A_ff)).max() == 0.0
+
+    def test_corrupted_kept_solve_raises_at_its_step(self, monkeypatch):
+        spec = transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8)
+        real, calls = fem.factorized_solver, [0]
+
+        def corrupting(A):
+            solve = real(A)
+
+            def corrupted(b):
+                calls[0] += 1
+                x = solve(b)
+                # step 3 of the second march, which reuses the kept solve
+                return x * 1.001 if calls[0] == spec.time.n_steps + 3 else x
+
+            return corrupted
+
+        monkeypatch.setattr(fem, "factorized_solver", corrupting)
+        fom = cr.build_fom(spec)
+        cr.fom_coupled_solve(fom, [0.5], [])
+        with pytest.raises(SolverFailureError) as info:
+            cr.fom_coupled_solve(fom, [0.6], [])
+        assert info.value.step == 3
+        assert info.value.residual > 0.0
+
+    def test_racing_callers_get_the_solve_of_their_weights(self):
+        sub = cr.build_fom(varying_diffusion_steady()).master
+        systems = {w: affine_sum([w, 1.0], [ff for ff, _ in sub.free_blocks]) for w in (1.0, 3.0)}
+        b = np.ones(len(sub.free_dofs))
+
+        def worker(seed):
+            for w in np.random.default_rng(seed).choice(list(systems), size=300):
+                x = sub.free_solver([float(w), 1.0])(b)
+                if not np.linalg.norm(systems[w] @ x - b) <= 1e-10 * np.linalg.norm(b):
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(worker, seed) for seed in range(4)]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_submodel_without_free_dofs_rejected():
@@ -442,17 +551,6 @@ class TestOffline:
         assert np.array_equal(a.reducer.full_transfer, b.reducer.full_transfer)
         for key in a.reducer.lift_products:
             assert np.array_equal(a.reducer.lift_products[key], b.reducer.lift_products[key])
-
-    def test_threaded_training_matches_serial(self):
-        spec = steady_pair_2d()
-        serial = cr.run_training(spec, 8, seed=2, threads=1)
-        threaded = cr.run_training(spec, 8, seed=2, threads=4)
-        assert np.array_equal(
-            serial.snapshots_master.matrix, threaded.snapshots_master.matrix
-        )
-        assert np.array_equal(
-            serial.snapshots_dirichlet.matrix, threaded.snapshots_dirichlet.matrix
-        )
 
 
 class TestOnlineSteady:

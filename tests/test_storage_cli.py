@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import coupledrom as cr
 from coupledrom import pipeline
-from coupledrom.cli import build_parser, main
+from coupledrom.cli import main
 from coupledrom.errors import ConfigError
 from coupledrom.experiments import config_from_dict
 from coupledrom.library import heat_laplace_pair, steady_pair_2d
@@ -184,6 +184,31 @@ class TestBundle:
         assert write_bundle(tmp_path / "b", artifacts) == fresh
         assert not stale.exists()
         assert hash_bundle(tmp_path / "b") == fresh
+
+    @pytest.mark.parametrize("planted", ["junk", "valid-matrix"])
+    def test_unlisted_mass_file_is_not_read(self, tmp_path, artifacts, planted):
+        # a steady bundle lists no mass; a stray file in its place is neither
+        # parsed nor trusted without a hash
+        write_bundle(tmp_path / "b", artifacts)
+        for side in ("master", "slave"):
+            stray = tmp_path / "b" / f"{side}_mass.rombin"
+            if planted == "junk":
+                stray.write_bytes(b"junk")
+            else:
+                write_matrix(stray, np.eye(artifacts.master.n))
+        loaded = load_bundle(tmp_path / "b")
+        assert loaded.master.mass is None and loaded.slave.mass is None
+        a = cr.online_steady(artifacts, [1.0, 1.0], [])
+        b = cr.online_steady(loaded, [1.0, 1.0], [])
+        assert np.array_equal(a.slave_solution, b.slave_solution)
+
+    def test_rewrite_without_timings_removes_the_stale_timings(self, tmp_path, artifacts):
+        spec = steady_pair_2d(master_subdivisions=(4, 4), slave_subdivisions=(2, 2))
+        write_bundle(tmp_path / "b", artifacts, timings={"offline_s": 1.0})
+        assert (tmp_path / "b" / "timings.json").exists()
+        write_bundle(tmp_path / "b", cr.full_rank_artifacts(spec))
+        assert not (tmp_path / "b" / "timings.json").exists()
+        assert load_bundle(tmp_path / "b").provenance == {"full_rank": True}
 
     def test_changed_payload_byte_is_config_error(self, tmp_path, artifacts):
         write_bundle(tmp_path / "b", artifacts)
@@ -468,42 +493,39 @@ def _set(*path_and_value):
     return edit
 
 
-#: argv, config edit, environment, and the field path the message names
+#: argv, config edit, and the field path the message names
 BAD_CLI_INPUTS = {
-    "n_train-text": (["sweep"], _set("training", "n_train", "abc"), {}, "training.n_train"),
+    "n_train-text": (["sweep"], _set("training", "n_train", "abc"), "training.n_train"),
     "tolerance-text": (
-        ["sweep"], _set("training", "tolerances", "master", "x"), {},
+        ["sweep"], _set("training", "tolerances", "master", "x"),
         "training.tolerances.master",
     ),
     "short-range": (
-        ["sweep"], _set("problem", "master", "parameters", "ranges", 0, [1.0]), {},
+        ["sweep"], _set("problem", "master", "parameters", "ranges", 0, [1.0]),
         "master.parameters.ranges",
     ),
     "scalar-subdivisions": (
-        ["sweep"], _set("problem", "master", "mesh", "subdivisions", 8), {},
+        ["sweep"], _set("problem", "master", "mesh", "subdivisions", 8),
         "master.mesh.subdivisions",
     ),
-    "null-n_test": (["sweep"], _set("testing", "n_test", None), {}, "testing.n_test"),
-    "list-training": (["sweep"], _set("training", [1]), {}, "training"),
-    "rom-threads-text": (["sweep"], None, {"ROM_THREADS": "two"}, None),
-    "nan-parameter": (["fom", "--mu1", "nan,1.0"], None, {}, None),
-    "inf-parameter": (["fom", "--mu1", "inf,1.0"], None, {}, None),
+    "null-n_test": (["sweep"], _set("testing", "n_test", None), "testing.n_test"),
+    "list-training": (["sweep"], _set("training", [1]), "training"),
+    "nan-parameter": (["fom", "--mu1", "nan,1.0"], None, None),
+    "inf-parameter": (["fom", "--mu1", "inf,1.0"], None, None),
 }
 
 
 @pytest.mark.parametrize(
-    "argv, edit, env, field", BAD_CLI_INPUTS.values(), ids=list(BAD_CLI_INPUTS)
+    "argv, edit, field", BAD_CLI_INPUTS.values(), ids=list(BAD_CLI_INPUTS)
 )
 def test_bad_input_is_config_error_before_any_solve(
-    tmp_path, monkeypatch, capsys, argv, edit, env, field
+    tmp_path, monkeypatch, capsys, argv, edit, field
 ):
     config = json.loads(make_config(tmp_path).read_text())
     if edit is not None:
         edit(config)
     path = tmp_path / "bad_input.json"
     path.write_text(json.dumps(config))
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a full-order solve ran before validation")
@@ -589,25 +611,14 @@ def test_offline_tolerance_grid_emits_bundle_per_triple(tmp_path, capsys):
         assert (b / "manifest.json").exists()
 
 
-def test_rom_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("ROM_THREADS", "2")
-    config = make_config(tmp_path)
-    assert main(["offline", "--config", str(config)]) == 0
-    assert sorted((tmp_path / "out").glob("bundle_*"))
-
-
-@pytest.mark.parametrize("verb, required", [("online", "--bundle"), ("fom", "--config")])
+@pytest.mark.parametrize("verb, required", [
+    ("online", "--bundle"), ("fom", "--config"), ("offline", "--config"), ("sweep", "--config"),
+])
 def test_threads_flag_rejected_where_unused(verb, required, capsys):
     with pytest.raises(SystemExit) as info:
         main([verb, required, "x", "--threads", "2"])
     assert info.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
-
-
-def test_threads_flag_kept_on_parallel_verbs():
-    parser = build_parser()
-    for verb in ("offline", "sweep"):
-        assert parser.parse_args([verb, "--config", "x", "--threads", "2"]).threads == 2
 
 
 def test_partial_write_cleanup_on_failure(tmp_path, artifacts, monkeypatch):
