@@ -23,7 +23,7 @@ from .errors import (
     InconsistentConstraintError,
     SolverFailureError,
 )
-from .mesh import Mesh
+from .mesh import Mesh, grid_indices
 
 SOLVE_RTOL = 1e-10
 #: SuperLU ordering of every factorization in the library: each operator has
@@ -99,12 +99,8 @@ def cell_quadrature(mesh: Mesh, n_qp: int | None = None) -> CellQuadrature:
     vals, ders = lagrange_1d(order, g)
 
     # tensor products with x fastest, matching mesh connectivity
-    loc = [np.arange(order + 1)] * dim
-    lgrids = np.meshgrid(*loc[::-1], indexing="ij")
-    local = np.stack([a.ravel() for a in lgrids[::-1]], axis=1)  # (n_loc, dim)
-    qr = [np.arange(n_qp)] * dim
-    qgrids = np.meshgrid(*qr[::-1], indexing="ij")
-    qidx = np.stack([a.ravel() for a in qgrids[::-1]], axis=1)  # (n_qp_t, dim)
+    local = grid_indices((order + 1,) * dim)  # (n_loc, dim)
+    qidx = grid_indices((n_qp,) * dim)  # (n_qp_t, dim)
 
     sizes = np.asarray(mesh.cell_sizes)
     det_j = float(np.prod(sizes))
@@ -126,10 +122,7 @@ def cell_quadrature(mesh: Mesh, n_qp: int | None = None) -> CellQuadrature:
 
     # physical quadrature points: cell origin + reference point * cell size
     ref_pts = np.stack([g[qidx[:, a]] for a in range(dim)], axis=1) * sizes
-    cell_ranges = [np.arange(n) for n in mesh.subdivisions]
-    cgrids = np.meshgrid(*cell_ranges[::-1], indexing="ij")
-    cells = np.stack([a.ravel() for a in cgrids[::-1]], axis=1)
-    origins = np.asarray(mesh.origin) + cells * sizes
+    origins = np.asarray(mesh.origin) + grid_indices(mesh.subdivisions) * sizes
     points = origins[:, None, :] + ref_pts[None, :, :]
 
     return CellQuadrature(phi=phi, grad=grad, weights=weights, points=points)
@@ -315,15 +308,14 @@ def lu_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
 def axis_matrices(mesh: Mesh, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """The 1-D unit stiffness and mass ``(K_a, M_a)`` on every node of one
     axis, assembled with the quadrature of ``cell_quadrature``."""
-    order, n_cells = mesh.order, mesh.subdivisions[axis]
-    h = mesh.cell_sizes[axis]
+    order, h = mesh.order, mesh.cell_sizes[axis]
     g, w = gauss_1d(order + 1)
     vals, ders = lagrange_1d(order, g)
     local_k = (ders * w) @ ders.T / h
     local_m = (vals * w) @ vals.T * h
-    n = order * n_cells + 1
+    n = mesh.nodes_per_axis[axis]
     K, M = np.zeros((n, n)), np.zeros((n, n))
-    for c in range(n_cells):
+    for c in range(mesh.subdivisions[axis]):
         span = slice(order * c, order * c + order + 1)
         K[span, span] += local_k
         M[span, span] += local_m
@@ -333,7 +325,8 @@ def axis_matrices(mesh: Mesh, axis: int) -> tuple[np.ndarray, np.ndarray]:
 class FastDiagonalization:
     """``(a_m M + a_k K)^{-1}`` on a tensor-product set of DoFs of a box mesh,
     for its unit-coefficient mass ``M`` and stiffness ``K`` restricted to
-    them.
+    them.  Its axes run slowest first (z, y, x), the order in which
+    ``mesh.grid_indices`` and ``mesh.flat_index`` number the DoFs.
 
     On such a set both are Kronecker forms of the 1-D matrices of each axis
     restricted to its nodes in the set: ``M`` the product of the ``M_a``, and

@@ -29,7 +29,7 @@ from .errors import (
     EmptyTraceError,
     ProjectionDistanceError,
 )
-from .mesh import InterfaceTrace
+from .mesh import InterfaceTrace, flat_index, grid_indices
 
 log = logging.getLogger(__name__)
 
@@ -109,7 +109,7 @@ def build_transfer_matrix(
 
     off_plane = np.abs(pts[:, master_trace.normal_axis] - master_trace.plane_value)
     locs = [_locate_1d(g, pts[:, a]) for g, a in zip(grids, axes)]
-    outside = np.stack([loc[2] for loc in locs], axis=1)
+    j, t, outside = (np.stack(v, axis=1) for v in zip(*locs))  # each (n_s, k)
     total_dist = np.sqrt(off_plane**2 + np.sum(outside**2, axis=1))
     snapped = int(np.sum(total_dist > CONFORMING_RTOL * scale))
     if snapped:
@@ -127,33 +127,12 @@ def build_transfer_matrix(
             f"face (limit {max_distance:.3e})"
         )
 
-    # tensor the per-axis weights; trace-local column index is
-    # idx_high * n_low + idx_low with "low" the faster-varying axis
-    if len(axes) == 1:
-        j, t, _ = locs[0]
-        cols = np.stack([j, j + 1], axis=1)
-        wts = np.stack([1.0 - t, t], axis=1)
-    else:
-        (j0, t0, _), (j1, t1, _) = locs
-        n_low = len(grids[0])
-        cols = np.stack(
-            [
-                j1 * n_low + j0,
-                j1 * n_low + j0 + 1,
-                (j1 + 1) * n_low + j0,
-                (j1 + 1) * n_low + j0 + 1,
-            ],
-            axis=1,
-        )
-        wts = np.stack(
-            [
-                (1 - t0) * (1 - t1),
-                t0 * (1 - t1),
-                (1 - t0) * t1,
-                t0 * t1,
-            ],
-            axis=1,
-        )
+    # tensor the per-axis weights over the cell's corners, x fastest; each
+    # weight is the product of its axes' (1 - t, t) factors in axis order
+    corners = grid_indices((2,) * len(axes))  # (2**k, k)
+    cols = flat_index(j[:, None] + corners, [len(g) for g in grids])
+    factors = np.stack([1.0 - t, t], axis=2)  # (n_s, k, 2)
+    wts = factors[:, np.arange(len(axes)), corners].prod(axis=2)
     rows = np.repeat(np.arange(n_s), cols.shape[1])
     mat = sp.csr_matrix(
         (wts.ravel(), (rows, cols.ravel())), shape=(n_s, n_m)

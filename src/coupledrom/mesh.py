@@ -2,8 +2,10 @@
 
 DoFs are numbered lexicographically with the x index running fastest, then y,
 then z, which makes node order, element connectivity and boundary traces
-reproducible across runs.  Elements are Q1 or Q2 tensor-product Lagrange
-quads/hexes.
+reproducible across runs.  ``grid_indices`` and ``flat_index`` are the one
+owner of this numbering: every grid of the library (nodes, cells, local
+nodes, quadrature points and trace corners) is enumerated and flattened by
+them.  Elements are Q1 or Q2 tensor-product Lagrange quads/hexes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,24 @@ import numpy as np
 from .errors import InvalidGeometryError, MissingTagError
 
 AXIS_NAMES = ("x", "y", "z")
+
+def grid_indices(sizes) -> np.ndarray:
+    """Every multi-index of a grid of ``sizes``, shape ``(prod(sizes), dim)``,
+    in lexicographic order with axis 0 (x) fastest."""
+    grids = np.meshgrid(*(np.arange(n) for n in sizes[::-1]), indexing="ij")
+    return np.stack([g.ravel() for g in grids[::-1]], axis=-1)
+
+
+def flat_index(multi: np.ndarray, sizes) -> np.ndarray:
+    """Lexicographic position of the multi-indices ``multi`` ``(..., dim)`` in
+    a grid of ``sizes``, x fastest: the inverse of ``grid_indices``."""
+    axes = tuple(multi[..., a] for a in range(len(sizes)))
+    return np.ravel_multi_index(axes[::-1], tuple(sizes)[::-1])
+
+
+def _axis_coords(origin: float, extent: float, n_nodes: int) -> np.ndarray:
+    return origin + extent * (np.arange(n_nodes) / (n_nodes - 1))
+
 
 #: canonical face identifiers per dimension, e.g. "x-" is the face at minimum x
 def face_ids(dim: int) -> tuple[str, ...]:
@@ -65,8 +85,7 @@ class Mesh:
 
     def axis_coords(self, axis: int) -> np.ndarray:
         """1D DoF coordinates along one axis."""
-        n = self.order * self.subdivisions[axis]
-        return self.origin[axis] + self.extent[axis] * (np.arange(n + 1) / n)
+        return _axis_coords(self.origin[axis], self.extent[axis], self.nodes_per_axis[axis])
 
     def content_hash(self) -> str:
         """SHA-256 over node coordinates and connectivity."""
@@ -90,7 +109,6 @@ class InterfaceTrace:
 
     dof_indices: np.ndarray
     coords: np.ndarray
-    parent_dim: int
     normal_axis: int
     plane_value: float
     inplane_axes: tuple[int, ...]
@@ -130,17 +148,15 @@ def build_box_mesh(origin, extent, subdivisions, order=1) -> Mesh:
     if any(e <= 0.0 for e in extent):
         raise InvalidGeometryError(f"extent components must be > 0, got {extent}")
 
-    n_axis = [order * n + 1 for n in subdivisions]
-    axes = [
-        origin[a] + extent[a] * (np.arange(n_axis[a]) / (n_axis[a] - 1))
-        for a in range(dim)
-    ]
-
-    # node coordinates, x fastest
-    grids = np.meshgrid(*axes[::-1], indexing="ij")
-    node_coords = np.stack([g.ravel() for g in grids[::-1]], axis=1)
-
-    elements = _build_connectivity(subdivisions, order, n_axis)
+    n_axis = tuple(order * n + 1 for n in subdivisions)
+    node_idx = grid_indices(n_axis)
+    node_coords = np.stack(
+        [_axis_coords(origin[a], extent[a], n_axis[a])[node_idx[:, a]] for a in range(dim)],
+        axis=1,
+    )
+    # each cell's first node plus its local node offsets
+    cell_nodes = order * grid_indices(subdivisions)[:, None] + grid_indices((order + 1,) * dim)
+    elements = flat_index(cell_nodes, n_axis)
 
     return Mesh(
         dim=dim,
@@ -153,38 +169,11 @@ def build_box_mesh(origin, extent, subdivisions, order=1) -> Mesh:
     )
 
 
-def _build_connectivity(subdivisions, order, n_axis):
-    dim = len(subdivisions)
-    # cell multi-indices, x fastest
-    cell_ranges = [np.arange(n) for n in subdivisions]
-    cgrids = np.meshgrid(*cell_ranges[::-1], indexing="ij")
-    cells = np.stack([g.ravel() for g in cgrids[::-1]], axis=1)  # (n_cells, dim)
-
-    # local node offsets along each axis, x fastest
-    loc_ranges = [np.arange(order + 1)] * dim
-    lgrids = np.meshgrid(*loc_ranges[::-1], indexing="ij")
-    local = np.stack([g.ravel() for g in lgrids[::-1]], axis=1)  # (n_loc, dim)
-
-    start = order * cells  # (n_cells, dim)
-    # global index = ix + Nx*(iy + Ny*iz)
-    idx = start[:, None, :] + local[None, :, :]
-    conn = idx[..., dim - 1]
-    for a in range(dim - 2, -1, -1):
-        conn = conn * n_axis[a] + idx[..., a]
-    return np.ascontiguousarray(conn, dtype=np.int64)
-
-
 def _face_dof_indices(mesh: Mesh, axis: int, side: int) -> np.ndarray:
     n_axis = mesh.nodes_per_axis
-    fixed = 0 if side == 0 else n_axis[axis] - 1
-    ranges = [np.arange(n) for n in n_axis]
-    ranges[axis] = np.array([fixed])
-    grids = np.meshgrid(*ranges[::-1], indexing="ij")
-    idx = np.stack([g.ravel() for g in grids[::-1]], axis=1)
-    flat = idx[:, mesh.dim - 1]
-    for a in range(mesh.dim - 2, -1, -1):
-        flat = flat * n_axis[a] + idx[:, a]
-    return np.sort(flat)
+    face = grid_indices(n_axis[:axis] + (1,) + n_axis[axis + 1 :])
+    face[:, axis] = 0 if side == 0 else n_axis[axis] - 1
+    return flat_index(face, n_axis)
 
 
 def extract_interface(mesh: Mesh, face: str) -> InterfaceTrace:
@@ -202,7 +191,6 @@ def extract_interface(mesh: Mesh, face: str) -> InterfaceTrace:
     return InterfaceTrace(
         dof_indices=dofs,
         coords=mesh.node_coords[dofs],
-        parent_dim=mesh.dim,
         normal_axis=axis,
         plane_value=float(mesh.axis_coords(axis)[0 if side == 0 else -1]),
         inplane_axes=inplane_axes,

@@ -43,23 +43,27 @@ def write_matrix(path, array: np.ndarray) -> None:
         fh.write(payload)
 
 
-def read_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ConfigError(f"{path}: truncated matrix header")
-        magic, version, rows, cols = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise ConfigError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise ConfigError(f"{path}: unsupported version {version}")
-        payload = fh.read()
-    expected = 8 * rows * cols
-    if len(payload) != expected:
-        raise ConfigError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    return np.frombuffer(payload, dtype="<f8").reshape((rows, cols), order="F").copy()
+def read_matrix(path, sha256: str | None = None) -> np.ndarray:
+    """The matrix stored at ``path``; with ``sha256``, its bytes must hash to
+    it, and the matrix is parsed from the bytes that were hashed."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})")
+    if sha256 is not None and hashlib.sha256(data).hexdigest() != sha256:
+        raise ConfigError(f"{path}: not the file the manifest hashed")
+    if len(data) < _HEADER.size:
+        raise ConfigError(f"{path}: truncated matrix header")
+    magic, version, rows, cols = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise ConfigError(f"{path}: bad magic {magic!r}")
+    if version != VERSION:
+        raise ConfigError(f"{path}: unsupported version {version}")
+    size, expected = len(data) - _HEADER.size, 8 * rows * cols
+    if size != expected:
+        raise ConfigError(f"{path}: payload is {size} bytes, expected {expected}")
+    payload = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
+    return payload.reshape((rows, cols), order="F").copy()
 
 
 def fmt_float(value: float) -> str:
@@ -78,11 +82,21 @@ def load_json(path) -> dict:
         return json.load(fh)
 
 
+def _listed_files(path: Path, manifest: dict) -> dict[str, str]:
+    """The manifest's ``files``, name to sha256; every name must be a plain
+    ``*.rombin`` name in the bundle directory."""
+    files = manifest["files"]
+    for name in files:
+        if Path(name).name != name or not name.endswith(".rombin"):
+            raise ConfigError(f"{path}: manifest lists {name!r}, not a bundle matrix file")
+    return files
+
+
 def hash_bundle(path) -> str:
     """SHA-256 over ``manifest.json`` and the files it lists, each name then
     its bytes, sorted by name."""
     path = Path(path)
-    names = ["manifest.json", *load_json(path / "manifest.json")["files"]]
+    names = ["manifest.json", *_listed_files(path, load_json(path / "manifest.json"))]
     digest = hashlib.sha256()
     for name in sorted(names):
         digest.update(name.encode())
@@ -221,14 +235,15 @@ def load_bundle(path):
             f"{path}: bundle version {manifest.get('version')} is not {BUNDLE_VERSION}; "
             "rebuild it with offline"
         )
-    for name, sha in manifest["files"].items():
-        file = path / name
-        if not file.is_file() or hashlib.sha256(file.read_bytes()).hexdigest() != sha:
-            raise ConfigError(f"{file}: missing, or not the file the manifest hashed")
+    files = _listed_files(path, manifest)
+    matrices = {name: read_matrix(path / name, sha) for name, sha in files.items()}
     spec = problem_from_dict(manifest["problem"])
 
     def mat(name):
-        return read_matrix(path / f"{name}.rombin")
+        file = f"{name}.rombin"
+        if file not in matrices:
+            raise ConfigError(f"{path / file}: not listed in the manifest's files")
+        return matrices[file]
 
     def vec(name):
         return mat(name).ravel()
@@ -242,7 +257,7 @@ def load_bundle(path):
             (theta, vec(f"{side}_load_{k}"))
             for k, theta in enumerate(meta["load_thetas"])
         ]
-        mass = mat(f"{side}_mass") if f"{side}_mass.rombin" in manifest["files"] else None
+        mass = mat(f"{side}_mass") if f"{side}_mass.rombin" in matrices else None
         return ReducedSubmodel(
             basis=mat(f"{side}_basis"),
             op_terms=op_terms,

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -96,6 +97,40 @@ class TestTransferLinear:
         vals = 1.0 + 2.0 * tm.coords[:, 1]
         out = build_transfer_matrix(tm, ts) @ vals
         assert np.max(np.abs(out - (1.0 + 2.0 * ts.coords[:, 1]))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "master, slave, faces",
+        [
+            # non-nested 2-D line traces; the slave's top point lies above the master face
+            (((0, 0), (1, 1), (7, 7), 2), ((1, 0), (1, 1.2), (5, 5), 1), ("x+", "x-")),
+            # non-nested 3-D face traces, partly off the master face
+            (((0, 0, 0), (1, 1, 1), (5, 5, 5), 1), ((1, -0.1, 0), (1, 1, 1.1), (3, 4, 3), 1),
+             ("x+", "x-")),
+        ],
+    )
+    def test_non_nested_weights_match_brute_force(self, master, slave, faces):
+        tm = extract_interface(build_box_mesh(*master), faces[0])
+        ts = extract_interface(build_box_mesh(*slave), faces[1])
+        axes = list(tm.inplane_axes)
+        expected = np.zeros((len(ts), len(tm)))
+        snapped = 0
+        for row, point in enumerate(ts.coords[:, axes]):
+            cells, factors = [], []
+            for g, x in zip(tm.inplane_grids, point):
+                j = max([i for i in range(len(g) - 1) if g[i] <= x], default=0)
+                t = min(max((x - g[j]) / (g[j + 1] - g[j]), 0.0), 1.0)
+                cells.append(j)
+                factors.append((1.0 - t, t))
+                snapped += not g[0] <= x <= g[-1]
+            for corner in itertools.product((0, 1), repeat=len(axes)):
+                weight = 1.0
+                for f, c in zip(factors, corner):
+                    weight *= f[c]
+                at = [g[j + c] for g, j, c in zip(tm.inplane_grids, cells, corner)]
+                col = np.flatnonzero((tm.coords[:, axes] == at).all(axis=1))
+                expected[row, col] += weight
+        assert snapped
+        assert np.array_equal(build_transfer_matrix(tm, ts).toarray(), expected)
 
     def test_out_of_hull_points_snap(self):
         big = build_box_mesh((0, 0, 0), (1, 2, 2), (2, 4, 4))

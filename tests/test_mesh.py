@@ -1,14 +1,51 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupledrom.errors import InvalidGeometryError, MissingTagError
-from coupledrom.mesh import build_box_mesh, extract_interface, face_ids
+from coupledrom.mesh import (
+    build_box_mesh,
+    extract_interface,
+    face_ids,
+    flat_index,
+    grid_indices,
+)
 
 
 def unit_cube(n, order=1):
     return build_box_mesh((0, 0, 0), (1, 1, 1), (n, n, n), order=order)
+
+
+def x_fastest(sizes):
+    """Every multi-index of a grid of ``sizes``, x fastest, by enumeration."""
+    return np.array([p[::-1] for p in itertools.product(*(range(n) for n in sizes[::-1]))])
+
+
+@pytest.mark.parametrize("sizes", [(4, 3), (2, 3, 4), (3, 1, 2), (1, 5)])
+def test_lexicographic_numbering_matches_numpy_on_reversed_shapes(sizes):
+    idx = grid_indices(sizes)
+    unravelled = np.unravel_index(np.arange(np.prod(sizes)), sizes[::-1])[::-1]
+    assert np.array_equal(idx, np.stack(unravelled, axis=1))
+    assert np.array_equal(idx, x_fastest(sizes))
+    ravelled = np.ravel_multi_index(tuple(idx.T[::-1]), sizes[::-1])
+    assert np.array_equal(flat_index(idx, sizes), ravelled)
+    assert np.array_equal(flat_index(idx, sizes), np.arange(len(idx)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("order", [1, 2])
+def test_element_nodes_are_cell_corner_plus_local_offsets(dim, order):
+    origin, extent, subs = (0.5, -1.0, 2.0)[:dim], (1.7, 0.9, 2.3)[:dim], (3, 2, 4)[:dim]
+    mesh = build_box_mesh(origin, extent, subs, order=order)
+    spacing = np.asarray(mesh.cell_sizes) / order
+    offsets = x_fastest((order + 1,) * dim)
+    for c, cell in enumerate(x_fastest(subs)):
+        corner = np.asarray(origin) + cell * np.asarray(mesh.cell_sizes)
+        expected = corner + offsets * spacing
+        assert np.allclose(mesh.node_coords[mesh.elements[c]], expected, rtol=0, atol=1e-13)
 
 
 class TestBuildBoxMesh:

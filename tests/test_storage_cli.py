@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -163,9 +165,9 @@ class TestBundle:
         read = set()
         original = storage.read_matrix
 
-        def recording(path):
+        def recording(path, *args):
             read.add(Path(path).name)
-            return original(path)
+            return original(path, *args)
 
         monkeypatch.setattr(storage, "read_matrix", recording)
         for name, art in (("steady", artifacts), ("unsteady", unsteady)):
@@ -209,6 +211,33 @@ class TestBundle:
         write_bundle(tmp_path / "b", cr.full_rank_artifacts(spec))
         assert not (tmp_path / "b" / "timings.json").exists()
         assert load_bundle(tmp_path / "b").provenance == {"full_rank": True}
+
+    def test_matrix_missing_from_files_is_refused(self, tmp_path, artifacts):
+        # a structural matrix the manifest does not list is not read unhashed
+        write_bundle(tmp_path / "b", artifacts)
+        path = tmp_path / "b" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        name = next(n for n in sorted(manifest["files"]) if n.startswith("lift_"))
+        del manifest["files"][name]
+        path.write_text(json.dumps(manifest))
+        target = tmp_path / "b" / name
+        write_matrix(target, 2 * read_matrix(target))
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            load_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("name", ["../outside.txt", "../outside.rombin", "timings.json"])
+    def test_listed_name_outside_the_matrix_files_is_refused(self, tmp_path, artifacts, name):
+        write_bundle(tmp_path / "b", artifacts, timings={"offline_s": 1.0})
+        target = tmp_path / "b" / name
+        if not target.exists():
+            write_matrix(target, np.ones((2, 2)))
+        path = tmp_path / "b" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["files"][name] = hashlib.sha256(target.read_bytes()).hexdigest()
+        path.write_text(json.dumps(manifest))
+        for call in (load_bundle, hash_bundle):
+            with pytest.raises(ConfigError, match=re.escape(repr(name))):
+                call(tmp_path / "b")
 
     def test_changed_payload_byte_is_config_error(self, tmp_path, artifacts):
         write_bundle(tmp_path / "b", artifacts)
