@@ -423,9 +423,7 @@ class StabilityConstants:
     free block of each operator term and, when it marches, its free mass
     block (a matrix or a ``MassBlock``).  One memo keyed by the operator
     weights (the marching rule's also by ``dt``) serves every query against
-    the submodel, as do the ``MassBlock`` and each term's dissipativity.
-    Threads that race on a key may each prove it, and each returns the value
-    of its own key."""
+    the submodel, as do the ``MassBlock`` and each term's dissipativity."""
 
     def __init__(self, terms, mass=None):
         self.terms = terms

@@ -342,7 +342,6 @@ class FastDiagonalization:
     def __init__(self, axis_pairs: list[tuple[np.ndarray, np.ndarray]]):
         """``axis_pairs``: ``(K_a, M_a)`` of each axis, slowest axis first
         (z, y, x), as the lexicographic DoF order reads them."""
-        self.axis_pairs = axis_pairs
         self.shape = tuple(len(K) for K, _ in axis_pairs)
         self.n = int(np.prod(self.shape))
         spectra = [sla.eigh(K, M) for K, M in axis_pairs]
@@ -367,23 +366,6 @@ class FastDiagonalization:
             K, M = axis_matrices(mesh, a)
             pairs.append((K[np.ix_(keep, keep)], M[np.ix_(keep, keep)]))
         return cls(pairs)
-
-    def kronecker(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """``(M, K)`` assembled from their Kronecker forms, one axis at a
-        time: with the axes so far ``(M', K')``, the next axis makes
-        ``M' x M_a`` and ``K' x M_a + M' x K_a``."""
-        rows = cols = np.zeros(1, dtype=np.int64)
-        mass, stiffness = np.ones(1), np.zeros(1)
-        for (K, M), n in zip(self.axis_pairs, self.shape):
-            r, c = np.nonzero((K != 0.0) | (M != 0.0))
-            rows = (rows[:, None] * n + r).ravel()
-            cols = (cols[:, None] * n + c).ravel()
-            stiffness = (stiffness[:, None] * M[r, c] + mass[:, None] * K[r, c]).ravel()
-            mass = (mass[:, None] * M[r, c]).ravel()
-        return tuple(
-            sp.csr_matrix((values, (rows, cols)), shape=(self.n, self.n))
-            for values in (mass, stiffness)
-        )
 
     def _contract(self, x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
         """Each axis of ``x`` ``(k, *shape)`` multiplied by its matrix, as

@@ -117,11 +117,6 @@ class InterfaceTrace:
     def __len__(self) -> int:
         return self.dof_indices.shape[0]
 
-    @property
-    def grid_shape(self) -> tuple[int, ...]:
-        # slowest axis first, matching the lexicographic trace ordering
-        return tuple(len(g) for g in self.inplane_grids[::-1])
-
 
 def build_box_mesh(origin, extent, subdivisions, order=1) -> Mesh:
     """Build a structured quad/hex mesh on an axis-aligned box.

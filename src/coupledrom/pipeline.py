@@ -102,12 +102,6 @@ class AffineSubmodel:
 # full-order side
 
 
-#: the largest entry of ``|block - c unit|``, relative to the largest of
-#: ``|block|``, at which a free block counts as ``c`` times a Kronecker form;
-#: every separable library block meets it with a margin above 100
-_KRONECKER_RTOL = 1e-13
-
-
 @dataclass
 class FomSubmodel(AffineSubmodel):
     """Assembled full-order operators for one submodel.
@@ -170,31 +164,30 @@ class FomSubmodel(AffineSubmodel):
         return self._split(self.mass)
 
     @cached_property
+    def _fast_diagonalization(self) -> fem.FastDiagonalization | None:
+        """The fast diagonalization of the free DoFs, or None when they are
+        not a tensor product."""
+        return fem.FastDiagonalization.of(self.mesh, self.free_dofs)
+
+    @cached_property
     def diagonalized(self) -> tuple[fem.FastDiagonalization, np.ndarray] | None:
-        """``(fd, coefficients)`` when every free block is separable: the fast
-        diagonalization of the free DoFs, and the ``(mass, stiffness)``
-        weights of each operator term's free block in it, then those of the
-        free mass block (zero on a steady submodel).  None, and every solve
-        takes a sparse LU, when a term is advection, the free DoFs are not a
-        tensor product, or a free block differs from its weight times the
-        Kronecker form, as under a coefficient that varies in space."""
-        if any(term.kind == "advection" for term in self.spec.operator):
+        """``(fd, coefficients)`` when the submodel is separable: every
+        operator term is diffusion or reaction with a number for its
+        coefficient, and the free DoFs are a tensor product.  Each free block
+        is then its coefficient times the unit stiffness or mass on the free
+        DoFs, so ``coefficients`` holds the ``(mass, stiffness)`` weights of
+        each term, then those of the free mass block, ``(1, 0)``.  None, and
+        every operator solve takes a sparse LU, otherwise."""
+        fd = self._fast_diagonalization
+        if fd is None or not all(
+            term.kind != "advection" and isinstance(term.coefficient, (int, float))
+            for term in self.spec.operator
+        ):
             return None
-        fd = fem.FastDiagonalization.of(self.mesh, self.free_dofs)
-        if fd is None:
-            return None
-        M, K = fd.kronecker()
-        blocks = [(term.kind == "diffusion", ff)
-                  for term, (ff, _) in zip(self.spec.operator, self.free_blocks)]
-        if self.mass is not None:
-            blocks.append((False, self._mass_blocks[0]))
         coefficients = np.zeros((len(self.op_terms) + 1, 2))
-        for row, (stiffness, block) in zip(coefficients, blocks):
-            unit = K if stiffness else M
-            c = block.diagonal().sum() / unit.diagonal().sum()
-            if not abs(block - c * unit).max() <= _KRONECKER_RTOL * abs(block).max():
-                return None
-            row[int(stiffness)] = c
+        for row, term in zip(coefficients, self.spec.operator):
+            row[int(term.kind == "diffusion")] = term.coefficient
+        coefficients[-1, 0] = 1.0
         return fd, coefficients
 
     def free_solver(self, weights, dt: float | None = None):
@@ -207,7 +200,7 @@ class FomSubmodel(AffineSubmodel):
             a_m, a_k = np.append(weights, 0.0 if dt is None else 1.0 / dt) @ coefficients
             return fd.solver(a_m, a_k)
         key = (tuple(weights), dt)
-        kept = self._kept_lu  # read once: another thread may replace it
+        kept = self._kept_lu
         if kept is not None and kept[0] == key:
             return kept[1]
         self._kept_lu = None  # free the old factors before the new ones fill in
@@ -222,13 +215,12 @@ class FomSubmodel(AffineSubmodel):
     def constants(self) -> est.StabilityConstants:
         """The stability constants proved on the free blocks, kept for every
         query against this submodel; the mass block solves by the fast
-        diagonalization when there is one, else by its own LU."""
+        diagonalization of the free DoFs when they are a tensor product,
+        whatever the operator terms are, else by its own LU."""
         mass = None
         if self.mass is not None:
-            unit_mass = None
-            if self.diagonalized is not None:
-                fd, coefficients = self.diagonalized
-                unit_mass = fd.solver(*coefficients[-1])
+            fd = self._fast_diagonalization
+            unit_mass = None if fd is None else fd.solver(1.0, 0.0)
             mass = est.MassBlock(self._mass_blocks[0], unit_mass)
         return est.StabilityConstants([ff for ff, _ in self.free_blocks], mass)
 

@@ -33,14 +33,14 @@ VERSION = 1
 BUNDLE_VERSION = 4
 _HEADER = struct.Struct("<4sIQQ")
 
-def write_matrix(path, array: np.ndarray) -> None:
+def write_matrix(path, array: np.ndarray) -> bytes:
+    """Store ``array`` at ``path``; returns the bytes written."""
     array = np.atleast_2d(np.asarray(array, dtype="<f8"))
     if array.ndim != 2:
         raise ConfigError("matrix files store 2-D arrays")
-    payload = np.asfortranarray(array).tobytes(order="F")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, array.shape[0], array.shape[1]))
-        fh.write(payload)
+    data = _HEADER.pack(MAGIC, VERSION, *array.shape) + array.tobytes(order="F")
+    Path(path).write_bytes(data)
+    return data
 
 
 def read_matrix(path, sha256: str | None = None) -> np.ndarray:
@@ -71,10 +71,11 @@ def fmt_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def dump_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def dump_json(path, payload: dict) -> bytes:
+    """Store ``payload`` at ``path`` as indented JSON; returns the bytes written."""
+    data = (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
+    Path(path).write_bytes(data)
+    return data
 
 
 def load_json(path) -> dict:
@@ -92,16 +93,21 @@ def _listed_files(path: Path, manifest: dict) -> dict[str, str]:
     return files
 
 
+def _digest(contents: dict[str, bytes]) -> str:
+    """SHA-256 over each name of ``contents`` then its bytes, sorted by name."""
+    digest = hashlib.sha256()
+    for name in sorted(contents):
+        digest.update(name.encode())
+        digest.update(contents[name])
+    return digest.hexdigest()
+
+
 def hash_bundle(path) -> str:
     """SHA-256 over ``manifest.json`` and the files it lists, each name then
     its bytes, sorted by name."""
     path = Path(path)
     names = ["manifest.json", *_listed_files(path, load_json(path / "manifest.json"))]
-    digest = hashlib.sha256()
-    for name in sorted(names):
-        digest.update(name.encode())
-        digest.update((path / name).read_bytes())
-    return digest.hexdigest()
+    return _digest({name: (path / name).read_bytes() for name in names})
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +168,12 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
     for key, product in artifacts.reducer.lift_products.items():
         files[f"lift_{key}"] = product
 
-    shas = {}
+    contents = {}  # the bytes of each file the bundle hash covers
     for name, array in files.items():
         target = path / f"{name}.rombin"
-        write_matrix(target, array)
+        contents[target.name] = write_matrix(target, array)
         written.append(target)
-        shas[target.name] = hashlib.sha256(target.read_bytes()).hexdigest()
+    shas = {name: hashlib.sha256(data).hexdigest() for name, data in contents.items()}
 
     provenance = dict(artifacts.provenance)
     clock = dict(provenance.pop("timings", {}))  # wall clock never enters the hash
@@ -207,7 +213,7 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
         "files": shas,
     }
     tmp = path / "manifest.json.tmp"
-    dump_json(tmp, manifest)
+    contents["manifest.json"] = dump_json(tmp, manifest)
     written.append(tmp)
     tmp.replace(path / "manifest.json")
     written.append(path / "manifest.json")
@@ -216,7 +222,7 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
             item.unlink()
     if not clock:  # an earlier write's timings describe another build
         (path / "timings.json").unlink(missing_ok=True)
-    return hash_bundle(path)
+    return _digest(contents)
 
 
 def load_bundle(path):

@@ -164,8 +164,10 @@ class TestExtractInterface:
         trace = extract_interface(mesh, "x+")
         # global order on the x+ face runs y fastest, then z
         ny, nz = 4, 5
-        assert trace.grid_shape == (nz, ny)
-        ys = trace.coords[:, 1].reshape(trace.grid_shape)
-        zs = trace.coords[:, 2].reshape(trace.grid_shape)
+        # slowest axis first, matching the lexicographic trace ordering
+        shape = tuple(len(g) for g in trace.inplane_grids[::-1])
+        assert shape == (nz, ny)
+        ys = trace.coords[:, 1].reshape(shape)
+        zs = trace.coords[:, 2].reshape(shape)
         assert np.allclose(ys, ys[0][None, :])
         assert np.allclose(zs, zs[:, 0][:, None])

@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
+import json
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from coupledrom.library import (
     steady_reaction_diffusion_pair,
     transport_wall_pair,
 )
-from coupledrom.experiments import query_bounds, unsteady_query_bounds
+from coupledrom.experiments import config_from_dict, query_bounds, unsteady_query_bounds
 from coupledrom.pipeline import ReducedSubmodel, _reduced_march, affine_sum
 from coupledrom.problems import (
     AffineTerm,
@@ -369,21 +371,59 @@ class TestFastDiagonalization:
         assert sub.diagonalized is None
         assert np.array_equal(solved, lu)
 
-    def test_broken_kronecker_identity_falls_back_to_lu(self):
+    def test_free_block_off_its_kronecker_form_fails_the_residual_check(self):
+        # separability is read from the spec, so a block that is not its
+        # coefficient times the unit form is solved wrongly, and caught; a
+        # 1e-9 change of this entry leaves step 1's residual at 5.6e-11 of
+        # its load, inside SOLVE_RTOL, so the change here is 1e-7
         fom = small_heat_fom()
         A = fom.master.op_terms[0][1]
         i = fom.master.free_dofs[len(fom.master.free_dofs) // 2]
-        A[i, i] *= 1.0 + 1e-9  # an existing entry of a free row and column
-        sub, solved, lu = solved_and_lu(fom, "master")
-        assert sub.diagonalized is None
-        assert np.array_equal(solved, lu)
+        A[i, i] *= 1.0 + 1e-7  # an existing entry of a free row and column
+        assert fom.master.diagonalized is not None
+        with pytest.raises(SolverFailureError) as info:
+            cr.fom_coupled_solve(fom, [0.8], [])
+        assert info.value.step == 1
 
     def test_mass_block_solve_agrees_with_its_lu(self):
-        mass = small_heat_fom().master.constants.mass
-        B = np.random.default_rng(4).standard_normal((mass.matrix.shape[0], 3))
-        lu = mass.factorized(B)
-        assert mass.solve is not mass.factorized
-        assert np.max(np.abs(mass.solve(B) - lu)) <= 1e-13 * np.max(np.abs(lu))
+        assert_mass_solve_is_diagonalized(small_heat_fom().master)
+
+    def test_advecting_submodel_diagonalizes_its_mass_block(self):
+        sub = cr.build_fom(transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8)).master
+        assert sub.diagonalized is None
+        assert_mass_solve_is_diagonalized(sub)
+
+
+def assert_mass_solve_is_diagonalized(sub):
+    """The submodel's mass block solves by other than its LU, and agrees with it."""
+    mass = sub.constants.mass
+    B = np.random.default_rng(4).standard_normal((mass.matrix.shape[0], 3))
+    lu = mass.factorized(B)
+    assert mass.solve is not mass.factorized
+    assert np.max(np.abs(mass.solve(B) - lu)) <= 1e-13 * np.max(np.abs(lu))
+
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted(
+    [*(REPO / "configs").glob("*.json"), *(REPO / "perfbench" / "configs").glob("*.json")]
+)
+#: the one shipped operator that stays on LU: the transport master advects
+LU_OPERATORS = {("transport-unsteady", "master")}
+
+
+@pytest.mark.parametrize(
+    "path", SHIPPED_CONFIGS, ids=[str(p.relative_to(REPO)) for p in SHIPPED_CONFIGS]
+)
+def test_shipped_configs_take_fast_diagonalization(path):
+    """Every operator of a shipped config but the transport master's solves
+    by fast diagonalization, and so does every mass block, so that an edit
+    that moves a benchmarked block to LU fails here."""
+    fom = cr.build_fom(config_from_dict(json.loads(path.read_text())).problem)
+    for role in ("master", "slave"):
+        sub = getattr(fom, role)
+        assert (sub.diagonalized is None) == ((path.stem, role) in LU_OPERATORS), role
+        if sub.mass is not None:
+            assert sub.constants.mass.solve is not sub.constants.mass.factorized, role
 
 
 def count_factorizations(monkeypatch) -> list:

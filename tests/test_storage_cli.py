@@ -187,6 +187,20 @@ class TestBundle:
         assert not stale.exists()
         assert hash_bundle(tmp_path / "b") == fresh
 
+    def test_write_hashes_the_bytes_it_wrote(self, tmp_path, artifacts, monkeypatch):
+        # no matrix file is read back, for its sha256 or for the bundle hash
+        real, read = Path.read_bytes, []
+
+        def recording(path):
+            read.append(path.name)
+            return real(path)
+
+        monkeypatch.setattr(Path, "read_bytes", recording)
+        digest = write_bundle(tmp_path / "b", artifacts)
+        assert not [name for name in read if name.endswith(".rombin")]
+        monkeypatch.undo()
+        assert digest == hash_bundle(tmp_path / "b")
+
     @pytest.mark.parametrize("planted", ["junk", "valid-matrix"])
     def test_unlisted_mass_file_is_not_read(self, tmp_path, artifacts, planted):
         # a steady bundle lists no mass; a stray file in its place is neither
