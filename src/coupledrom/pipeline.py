@@ -36,6 +36,7 @@ from .problems import (
     SubmodelSpec,
     TimeSpec,
     compile_expression,
+    constant_profile,
     eval_spatial,
     eval_theta,
     reads_time,
@@ -172,23 +173,21 @@ class FomSubmodel(AffineSubmodel):
     @cached_property
     def diagonalized(self) -> tuple[fem.FastDiagonalization, np.ndarray] | None:
         """``(fd, coefficients)`` when the submodel is separable: every
-        operator term is diffusion or reaction with a number for its
-        coefficient, and the free DoFs are a tensor product.  Each free block
-        is then its coefficient times the unit stiffness or mass on the free
-        DoFs, so ``coefficients`` holds the ``(mass, stiffness)`` weights of
-        each term, then those of the free mass block, ``(1, 0)``.  None, and
-        every operator solve takes a sparse LU, otherwise."""
-        fd = self._fast_diagonalization
-        if fd is None or not all(
-            term.kind != "advection" and isinstance(term.coefficient, (int, float))
-            for term in self.spec.operator
-        ):
+        operator term is diffusion or reaction whose coefficient is constant
+        in space (a number, or an expression that reads none of x, y, z),
+        and the free DoFs are a tensor product.  Each free block is then its
+        coefficient times the unit stiffness or mass on the free DoFs, so
+        row ``q`` of ``coefficients`` holds the ``(mass, stiffness)`` weights
+        of term ``q``.  None, and every operator solve takes a sparse LU,
+        otherwise."""
+        # an advection term's coefficient, a velocity tuple, has no value
+        values = [constant_profile(term.coefficient) for term in self.spec.operator]
+        if None in values or self._fast_diagonalization is None:
             return None
-        coefficients = np.zeros((len(self.op_terms) + 1, 2))
-        for row, term in zip(coefficients, self.spec.operator):
-            row[int(term.kind == "diffusion")] = term.coefficient
-        coefficients[-1, 0] = 1.0
-        return fd, coefficients
+        coefficients = np.zeros((len(values), 2))
+        for row, term, value in zip(coefficients, self.spec.operator, values):
+            row[int(term.kind == "diffusion")] = value
+        return self._fast_diagonalization, coefficients
 
     def free_solver(self, weights, dt: float | None = None):
         """The solve with the free operator ``A_ff(weights)``, or with the
@@ -197,7 +196,9 @@ class FomSubmodel(AffineSubmodel):
         separable, else one sparse LU kept for the last ``(weights, dt)``."""
         if self.diagonalized is not None:
             fd, coefficients = self.diagonalized
-            a_m, a_k = np.append(weights, 0.0 if dt is None else 1.0 / dt) @ coefficients
+            a_m, a_k = np.asarray(weights, dtype=float) @ coefficients
+            if dt is not None:
+                a_m += 1.0 / dt
             return fd.solver(a_m, a_k)
         key = (tuple(weights), dt)
         kept = self._kept_lu

@@ -82,6 +82,19 @@ def eval_spatial(value, points: np.ndarray):
     return np.broadcast_to(np.asarray(out, dtype=float), points.shape[:-1])
 
 
+def constant_profile(value) -> float | None:
+    """A spatial profile's value when it is a number or an expression that
+    reads none of x, y, z; None when it varies in space or is a tuple."""
+    if isinstance(value, (int, float)):
+        return float(value)
+    if not isinstance(value, str):
+        return None
+    code = compile_expression(value, _SPATIAL_NAMES, "spatial profile")
+    if _names(code) & _SPATIAL_NAMES:
+        return None
+    return float(eval(code, {"__builtins__": {}, **_FUNCTIONS}))
+
+
 def eval_theta(value, mu: Mapping[str, float], t: float | None = None) -> float:
     """Evaluate a parameter/time weight: a number, an expression, or an
     expression already compiled by ``compile_expression``."""

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,6 +22,7 @@ from coupledrom.fem import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
+    axis_matrices,
     cell_quadrature,
     factorized_solver,
     l2_error,
@@ -421,6 +424,19 @@ class TestFastDiagonalization:
         fd = FastDiagonalization.of(mesh, free)
         M_ref = assemble_mass(mesh)[free][:, free]
         K_ref = assemble_stiffness(mesh, 1.0)[free][:, free]
+        # the Kronecker forms of the 1-D matrices on the kept nodes, slowest axis first
+        nodes = [np.unique(i) for i in np.unravel_index(free, mesh.nodes_per_axis[::-1])]
+        pairs = []
+        for a, keep in zip(range(mesh.dim - 1, -1, -1), nodes):
+            K_a, M_a = axis_matrices(mesh, a)
+            pairs.append((K_a[np.ix_(keep, keep)], M_a[np.ix_(keep, keep)]))
+        M = functools.reduce(sp.kron, [M_a for _, M_a in pairs])
+        K = sum(
+            functools.reduce(sp.kron, [Kb if b == a else Mb for b, (Kb, Mb) in enumerate(pairs)])
+            for a in range(len(pairs))
+        )  # the stiffness: K_a in the place of M_a, summed over axes
+        assert abs(M - M_ref).max() <= 1e-15 * abs(M_ref).max()
+        assert abs(K - K_ref).max() <= 1e-15 * abs(K_ref).max()
         B = np.random.default_rng(2).standard_normal((len(free), 3))
         # the mass and the stiffness Kronecker forms alone, then a sum
         for a_m, a_k in [(1.0, 0.0), (0.0, 1.0), (2.0, 0.3)]:

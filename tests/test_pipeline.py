@@ -327,9 +327,9 @@ def solved_and_lu(fom, role):
     return sub, getattr(res, role)[..., free], lu
 
 
-def varying_diffusion_heat():
+def heat_with_diffusion(coefficient):
     spec = heat_laplace_pair((4, 4, 4), (2, 2, 2), n_steps=8)
-    term = AffineTerm(kind="diffusion", theta="alpha", coefficient="1 + x*y")
+    term = AffineTerm(kind="diffusion", theta="alpha", coefficient=coefficient)
     return dataclasses.replace(spec, master=dataclasses.replace(spec.master, operator=(term,)))
 
 
@@ -341,6 +341,8 @@ SEPARABLE = {
     "2d-slave": (steady_pair_2d(), "slave"),
     "transport-wall-slave": (transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8), "slave"),
     "non-nested-5-slave": (heat_laplace_pair((8, 8, 8), (5, 5, 5), n_steps=8), "slave"),
+    # an expression that reads none of x, y, z is a constant
+    "constant-expression-master": (heat_with_diffusion("0.5 + sqrt(2.25)"), "master"),
 }
 
 
@@ -353,7 +355,7 @@ def varying_diffusion_steady():
 
 NON_SEPARABLE = {
     "transport-master-advection": (transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8), "master"),
-    "varying-diffusion-master": (varying_diffusion_heat(), "master"),
+    "varying-diffusion-master": (heat_with_diffusion("1 + x*y"), "master"),
     "varying-diffusion-steady-master": (varying_diffusion_steady(), "master"),
 }
 
@@ -462,7 +464,7 @@ class TestKeptFactorization:
 
     def test_new_weights_or_step_refactorize(self, monkeypatch):
         matrices = count_factorizations(monkeypatch)
-        sub = cr.build_fom(varying_diffusion_heat()).master
+        sub = cr.build_fom(heat_with_diffusion("1 + x*y")).master
         weights = sub.theta_weights(sub.mu_mapping([0.7]))
         solve = sub.free_solver(weights, 0.1)
         assert sub.free_solver(list(weights), 0.1) is solve

@@ -7,6 +7,7 @@ from coupledrom.problems import (
     AffineTerm,
     TimeSpec,
     compile_expression,
+    constant_profile,
     eval_spatial,
     eval_theta,
     problem_from_dict,
@@ -29,6 +30,14 @@ class TestExpressions:
     def test_spatial_z_defaults_to_zero_in_2d(self):
         pts = np.array([[1.0, 2.0]])
         assert eval_spatial("z + x", pts)[0] == 1.0
+
+    def test_constant_profile(self):
+        # the value eval_spatial gives at every point, when it reads no coordinate
+        pts = np.zeros((1, 3))
+        for value in (2, 0.04, "0.5 + sqrt(2.25)", "pi * minimum(1, 2)"):
+            assert constant_profile(value) == eval_spatial(value, pts)[0]
+        for value in ("1 + x*y", "z", "maximum(*[k * y for k in (1.0,)])", ("y", "0.0")):
+            assert constant_profile(value) is None
 
     def test_theta_expression(self):
         assert eval_theta("alpha * 2", {"alpha": 3.0}) == 6.0
