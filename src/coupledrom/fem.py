@@ -436,6 +436,13 @@ def solve_steady(
     return u
 
 
+def bdf1_system(M: sp.spmatrix, A: sp.spmatrix, dt: float) -> tuple:
+    """``(M/dt, M/dt + A)``: the mass term of an implicit Euler step's load
+    and the matrix that every step solves with."""
+    m_dt = (M / dt).tocsr()
+    return m_dt, (m_dt + A).tocsr()
+
+
 def solve_unsteady_bdf1(
     M: sp.spmatrix,
     A: sp.spmatrix,
@@ -463,8 +470,7 @@ def solve_unsteady_bdf1(
             f"an initial state ({n},), got dt={dt}, {F.shape} and {u0.shape}"
         )
     n_steps = F.shape[1] - 1
-    m_dt = (M / dt).tocsr()
-    system = (m_dt + A).tocsr()
+    m_dt, system = bdf1_system(M, A, dt)
     solver = solve or factorized_solver(system)
 
     traj = np.empty((n_steps + 1, n))

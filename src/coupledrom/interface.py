@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -186,7 +186,6 @@ class DeimBasis:
     Phi: np.ndarray = field(repr=False)
     indices: np.ndarray  # selection order positions into the trace
     lu: tuple = field(repr=False)
-    cond: float
     #: upper bound of ``||Phi_I^{-1}||_2``, the amplification of the
     #: projection error in the interpolation error
     inverse_norm: float
@@ -219,11 +218,10 @@ def make_deim_basis(Phi: np.ndarray, indices: np.ndarray | None = None) -> DeimB
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise DegenerateBasisError(f"magic-row submatrix not factorizable: {exc}")
     s = np.linalg.svd(sub, compute_uv=False)
-    cond = float(s[0] / s[-1])
     s_low = s[-1] - 4 * len(s) * np.finfo(float).eps * s[0]
     inverse_norm = float(1.0 / s_low) if s_low > 0 else np.inf
-    log.info("interpolation basis: m=%d, cond(selected rows)=%.3e", Phi.shape[1], cond)
-    return DeimBasis(Phi=Phi, indices=indices, lu=lu, cond=cond, inverse_norm=inverse_norm)
+    log.info("interpolation basis: m=%d, cond(selected rows)=%.3e", Phi.shape[1], s[0] / s[-1])
+    return DeimBasis(Phi=Phi, indices=indices, lu=lu, inverse_norm=inverse_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +233,15 @@ class InterfaceReducer:
     """Offline-assembled reduced transfer of interface Dirichlet data.
 
     ``full_transfer @ u_n1`` yields the Dirichlet values on the whole slave
-    trace from the reduced master solution; ``lift_products[key] @ u_n1`` the
-    reduced lifting contribution of the slave operator term ``key``.
+    trace from the reduced master solution; ``lift_products[q] @ u_n1`` the
+    reduced lifting contribution of the slave operator term ``q``.  A
+    marching slave's mass product follows its operator terms' products.
     """
 
     deim: DeimBasis
     slave_trace: InterfaceTrace = field(repr=False)
     full_transfer: np.ndarray = field(repr=False)  # (len slave trace, n1)
-    lift_products: dict = field(repr=False)  # key -> (n2, n1)
+    lift_products: tuple = field(repr=False)  # each (n2, n1)
     #: ``||Phi Phi_I^{-1} B_I||_2``, the reduced transfer's two-norm on
     #: master trace values
     transfer_norm: float
@@ -251,16 +250,15 @@ class InterfaceReducer:
     def m(self) -> int:
         return self.deim.m
 
-    def reduced_lifting(self, u_n1: np.ndarray, weights: Mapping | None = None) -> np.ndarray:
-        keys = list(self.lift_products)
-        if not keys:
-            raise DimensionMismatchError("reducer carries no lifting products")
-        if weights is None:
-            weights = {k: 1.0 for k in keys}
-        out = None
-        for key, w in weights.items():
-            term = w * (self.lift_products[key] @ u_n1)
-            out = term if out is None else out + term
+    def reduced_lifting(self, u_n1: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+        """``sum_q weights[q] * (lift_products[q] @ u_n1)``, one weight per
+        slave operator term, accumulated in term order."""
+        n = len(self.lift_products)
+        if not 0 < len(weights) <= n:
+            raise DimensionMismatchError(f"{len(weights)} weights for {n} lifting products")
+        out = weights[0] * (self.lift_products[0] @ u_n1)
+        for w, product in zip(weights[1:], self.lift_products[1:]):
+            out = out + w * (product @ u_n1)
         return out
 
 
@@ -271,9 +269,11 @@ def assemble_reducer(
     slave_trace: InterfaceTrace,
     master_basis: np.ndarray,
     slave_basis: np.ndarray,
-    slave_operators: Mapping[str, sp.spmatrix] | None = None,
+    slave_operators: Sequence[sp.spmatrix] = (),
 ) -> InterfaceReducer:
-    """Assemble the stored online products for a given interpolation basis.
+    """Assemble the stored online products for a given interpolation basis:
+    one lifting product per matrix of ``slave_operators``, in their order
+    (the slave's operator terms, then the mass of a marching slave).
 
     ``transfer`` is the full-order transfer ``B`` (slave trace x master
     trace) that made the interface snapshots; the reduced trace reads its
@@ -292,13 +292,12 @@ def assemble_reducer(
     s = np.linalg.svd(sla.lu_solve(deim.lu, B_I.toarray()), compute_uv=False)
     transfer_norm = float(s[0] + 4 * len(s) * np.finfo(float).eps * s[0])
 
-    lift_products = {}
-    if slave_operators:
-        gamma = slave_trace.dof_indices
-        for key, A in slave_operators.items():
-            cols = A.tocsc()[:, gamma]  # (N2, n_trace)
-            reduced_cols = slave_basis.T @ cols  # (n2, n_trace)
-            lift_products[key] = np.asarray(reduced_cols @ full_transfer)
+    gamma = slave_trace.dof_indices
+    # each (n2, n1): the reduced slave columns at the trace, then the transfer
+    lift_products = tuple(
+        np.asarray((slave_basis.T @ A.tocsc()[:, gamma]) @ full_transfer)
+        for A in slave_operators
+    )
 
     return InterfaceReducer(
         deim=deim,

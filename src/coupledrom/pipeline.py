@@ -60,8 +60,9 @@ def affine_sum(weights, terms):
 
 class AffineSubmodel:
     """Parameter-affine operator and load sums, shared by the full-order and
-    the reduced submodels: ``op_terms`` and ``load_terms`` are ``(theta,
-    array)`` pairs and ``n`` is the number of unknowns."""
+    the reduced submodels: ``op_terms`` and ``load_terms`` hold the arrays of
+    the terms of ``spec.operator`` and ``spec.forcing``, in spec order, whose
+    weights the spec declares, and ``n`` is the number of unknowns."""
 
     @cached_property
     def _theta_code(self) -> dict:
@@ -78,10 +79,10 @@ class AffineSubmodel:
         return self._theta_code[key]
 
     def theta_weights(self, mu: Mapping, t: float | None = None) -> list[float]:
-        return [eval_theta(self._compiled(theta, mu), mu, t) for theta, _ in self.op_terms]
+        return [eval_theta(self._compiled(term.theta, mu), mu, t) for term in self.spec.operator]
 
     def assemble_operator(self, mu: Mapping, t: float | None = None):
-        return affine_sum(self.theta_weights(mu, t), [A for _, A in self.op_terms])
+        return affine_sum(self.theta_weights(mu, t), self.op_terms)
 
     def loads_per_state(self, mu: Mapping, time: TimeSpec | None = None) -> np.ndarray:
         """The steady load ``(n,)`` when ``time`` is None, else one load
@@ -89,8 +90,8 @@ class AffineSubmodel:
         each weight is evaluated once per state, or once when it does not
         read ``t``, and each term is added into every state at once."""
         out = np.zeros((self.n, 1 if time is None else time.n_steps + 1))
-        for theta, vec in self.load_terms:
-            code = self._compiled(theta, mu)
+        for term, vec in zip(self.spec.forcing, self.load_terms):
+            code = self._compiled(term.theta, mu)
             if reads_time(code):
                 states = [None] if time is None else time.instants()
                 out += vec[:, None] * np.array([eval_theta(code, mu, t) for t in states])
@@ -119,9 +120,9 @@ class FomSubmodel(AffineSubmodel):
     spec: SubmodelSpec
     mesh: Mesh
     interface: InterfaceTrace
-    op_terms: list[tuple[object, sp.csr_matrix]]
+    op_terms: list[sp.csr_matrix]
     mass: sp.csr_matrix | None
-    load_terms: list[tuple[object, np.ndarray]]
+    load_terms: list[np.ndarray]
     dirichlet_dofs: np.ndarray
     dirichlet_values: np.ndarray
     u0: np.ndarray
@@ -158,7 +159,7 @@ class FomSubmodel(AffineSubmodel):
     @cached_property
     def free_blocks(self) -> list[tuple[sp.csr_matrix, sp.csr_matrix]]:
         """Per operator term, its free-free and free-constrained blocks."""
-        return [self._split(A) for _, A in self.op_terms]
+        return [self._split(A) for A in self.op_terms]
 
     @cached_property
     def _mass_blocks(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -206,8 +207,8 @@ class FomSubmodel(AffineSubmodel):
             return kept[1]
         self._kept_lu = None  # free the old factors before the new ones fill in
         A_ff = affine_sum(weights, [ff for ff, _ in self.free_blocks])
-        if dt is not None:  # as fem.solve_unsteady_bdf1 forms it, so the factors agree
-            A_ff = ((self._mass_blocks[0] / dt).tocsr() + A_ff).tocsr()
+        if dt is not None:
+            A_ff = fem.bdf1_system(self._mass_blocks[0], A_ff, dt)[1]
         solve = fem.lu_solver(A_ff)
         self._kept_lu = (key, solve)
         return solve
@@ -284,12 +285,9 @@ def build_submodel(spec: SubmodelSpec, role: str) -> FomSubmodel:
             A = fem.assemble_mass(mesh, coeff, quadrature=quad)
         else:
             A = fem.assemble_advection(mesh, coeff, quadrature=quad)
-        terms.append((term.theta, A))
+        terms.append(A)
     mass = fem.assemble_mass(mesh, quadrature=quad) if spec.unsteady else None
-    loads = [
-        (t.theta, fem.assemble_load(mesh, spatial_coefficient(t.profile)))
-        for t in spec.forcing
-    ]
+    loads = [fem.assemble_load(mesh, spatial_coefficient(t.profile)) for t in spec.forcing]
     interface = extract_interface(mesh, spec.interface_tag)
 
     pairs = []
@@ -390,14 +388,11 @@ def fom_coupled_solve(fom: FomProblem, mu1, mu2) -> FomResult:
 
 @dataclass
 class TrainingData:
-    """Snapshots and their factorizations; independent of any tolerance."""
+    """The snapshots' factorizations; independent of any tolerance."""
 
     fom: FomProblem
     master_samples: SampleSet
     slave_samples: SampleSet
-    snapshots_master: SnapshotSet
-    snapshots_slave: SnapshotSet  # interface rows zeroed (homogenized part)
-    snapshots_dirichlet: SnapshotSet
     pod_master: PodFactorization
     pod_slave: PodFactorization
     pod_dirichlet: PodFactorization
@@ -454,10 +449,7 @@ def run_training(spec_or_fom, n_train: int, seed: int) -> TrainingData:
 
     gamma2 = fom.slave.interface.dof_indices
     S2[gamma2, :] = 0.0  # homogenized slave snapshots
-    snap1, snap2, snapD = (SnapshotSet(S, block=nt) for S in (S1, S2, SD))
-    pod1 = PodFactorization(snap1)
-    pod2 = PodFactorization(snap2)
-    podD = PodFactorization(snapD)
+    pod1, pod2, podD = (PodFactorization(SnapshotSet(S, block=nt)) for S in (S1, S2, SD))
     t_pod = _time.perf_counter()
 
     log.info(
@@ -475,9 +467,6 @@ def run_training(spec_or_fom, n_train: int, seed: int) -> TrainingData:
         fom=fom,
         master_samples=master_samples,
         slave_samples=slave_samples,
-        snapshots_master=snap1,
-        snapshots_slave=snap2,
-        snapshots_dirichlet=snapD,
         pod_master=pod1,
         pod_slave=pod2,
         pod_dirichlet=podD,
@@ -492,12 +481,12 @@ def run_training(spec_or_fom, n_train: int, seed: int) -> TrainingData:
 
 @dataclass
 class ReducedSubmodel(AffineSubmodel):
+    spec: SubmodelSpec
     basis: np.ndarray  # (N, n), zero at the constrained DoFs
-    op_terms: list[tuple[object, np.ndarray]]
+    op_terms: list[np.ndarray]
     mass: np.ndarray | None
-    load_terms: list[tuple[object, np.ndarray]]
+    load_terms: list[np.ndarray]
     u0_reduced: np.ndarray
-    unsteady: bool
 
     @property
     def n(self) -> int:
@@ -530,17 +519,13 @@ def _zero_rows(V: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _project_submodel(sub: FomSubmodel, V: np.ndarray) -> ReducedSubmodel:
-    op_terms = [(theta, np.asarray(V.T @ (A @ V))) for theta, A in sub.op_terms]
-    mass = np.asarray(V.T @ (sub.mass @ V)) if sub.mass is not None else None
-    load_terms = [(theta, np.asarray(V.T @ vec)) for theta, vec in sub.load_terms]
-    u0_reduced = np.asarray(V.T @ sub.u0)
     return ReducedSubmodel(
+        spec=sub.spec,
         basis=V,
-        op_terms=op_terms,
-        mass=mass,
-        load_terms=load_terms,
-        u0_reduced=u0_reduced,
-        unsteady=sub.spec.unsteady,
+        op_terms=[np.asarray(V.T @ (A @ V)) for A in sub.op_terms],
+        mass=np.asarray(V.T @ (sub.mass @ V)) if sub.mass is not None else None,
+        load_terms=[np.asarray(V.T @ vec) for vec in sub.load_terms],
+        u0_reduced=np.asarray(V.T @ sub.u0),
     )
 
 
@@ -555,17 +540,15 @@ def _assemble_artifacts(
     V1 = _zero_rows(V1, fom.master.constrained_dofs)
     V2 = _zero_rows(V2, fom.slave.constrained_dofs)
 
-    slave_ops = {f"A{q}": A for q, (_, A) in enumerate(fom.slave.op_terms)}
-    if fom.slave.spec.unsteady:
-        slave_ops["M"] = fom.slave.mass
+    slave = fom.slave
     reducer = assemble_reducer(
         deim_basis,
         fom.transfer,
         fom.master.interface,
-        fom.slave.interface,
+        slave.interface,
         V1,
         V2,
-        slave_operators=slave_ops,
+        slave_operators=slave.op_terms + ([slave.mass] if slave.spec.unsteady else []),
     )
     return RomArtifacts(
         spec=fom.spec,
@@ -723,11 +706,11 @@ def _reduced_states(
     A marching submodel marches from ``u0_reduced``; a steady or
     instantaneous one solves every state with one factorization."""
     weights = sub.theta_weights(mu)
-    A = affine_sum(weights, [term for _, term in sub.op_terms])
+    A = affine_sum(weights, sub.op_terms)
     F = sub.loads_per_state(mu, time)
     if lifting is not None:
         F = F - lifting(weights)
-    if sub.unsteady:
+    if sub.spec.unsteady:
         # (M/dt + A) u^{k+1} = f^{k+1} + (M/dt) u^k
         M_dt = sub.mass / time.dt
         return _reduced_march(M_dt + A, M_dt, F, sub.u0_reduced)
@@ -746,12 +729,12 @@ def _online(
     u1 = _reduced_states(artifacts.master, mu1m, time)
 
     def lifting(weights):
-        # the stiffness terms on the master states and, for a marching slave,
-        # the mass term on their discrete time derivative (zero at t_0)
-        out = reducer.reduced_lifting(u1.T, {f"A{q}": w for q, w in enumerate(weights)})
-        if slave.unsteady:
+        # the operator terms on the master states and, for a marching slave,
+        # the mass (its product is the last) on their time derivative, 0 at t_0
+        out = reducer.reduced_lifting(u1.T, weights)
+        if slave.spec.unsteady:
             du = np.diff(u1, axis=0, prepend=u1[:1])
-            out = out + reducer.reduced_lifting(du.T, {"M": 1.0 / time.dt})
+            out = out + (1.0 / time.dt) * (reducer.lift_products[-1] @ du.T)
         return out
 
     u2 = _reduced_states(slave, mu2m, time, lifting)

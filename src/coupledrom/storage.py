@@ -14,13 +14,14 @@ import hashlib
 import json
 import struct
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigError
 from .interface import InterfaceReducer, make_deim_basis
 from .mesh import extract_interface
-from .problems import problem_from_dict, problem_to_dict
+from .problems import SubmodelSpec, config_mapping, config_value, problem_from_dict, problem_to_dict
 
 MAGIC = b"ROMB"
 #: matrix file header version
@@ -28,9 +29,10 @@ VERSION = 1
 #: manifest version; 2 dropped the reducer's unused point transfer and
 #: master trace positions, 3 its nearest master DoFs of the magic points
 #: (the reduced trace reads the full-order transfer's rows instead), 4 the
-#: POD singular values and the provenance's copy of the tolerances, which
-#: nothing loaded read
-BUNDLE_VERSION = 4
+#: POD singular values and the provenance's copy of the tolerances, 5 the
+#: copies of the spec's weights and kinds, the basis sizes and the
+#: interpolation conditioning, all of which nothing loaded read
+BUNDLE_VERSION = 5
 _HEADER = struct.Struct("<4sIQQ")
 
 def write_matrix(path, array: np.ndarray) -> bytes:
@@ -83,10 +85,30 @@ def load_json(path) -> dict:
         return json.load(fh)
 
 
-def _listed_files(path: Path, manifest: dict) -> dict[str, str]:
+def _entry(mapping: Mapping, key: str, where: str, convert=None):
+    """The section ``mapping[key]``, a mapping, or with ``convert`` the
+    converted value; a missing key, another section or a value that does
+    not convert raises ``ConfigError`` naming it."""
+    if key not in mapping:
+        raise ConfigError(f"missing required key {key!r}", field=where)
+    if convert is None:
+        return config_mapping(mapping[key], f"{where}.{key}")
+    return config_value(convert, mapping[key], f"{where}.{key}")
+
+
+def _read_manifest(path: Path) -> Mapping:
+    if not (path / "manifest.json").exists():
+        raise ConfigError(f"{path} is not a bundle (missing manifest.json)")
+    try:
+        return config_mapping(load_json(path / "manifest.json"), f"{path / 'manifest.json'}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path / 'manifest.json'}: not valid JSON ({exc})")
+
+
+def _listed_files(path: Path, manifest: Mapping) -> Mapping[str, str]:
     """The manifest's ``files``, name to sha256; every name must be a plain
     ``*.rombin`` name in the bundle directory."""
-    files = manifest["files"]
+    files = _entry(manifest, "files", f"{path / 'manifest.json'}: manifest")
     for name in files:
         if Path(name).name != name or not name.endswith(".rombin"):
             raise ConfigError(f"{path}: manifest lists {name!r}, not a bundle matrix file")
@@ -106,7 +128,7 @@ def hash_bundle(path) -> str:
     """SHA-256 over ``manifest.json`` and the files it lists, each name then
     its bytes, sorted by name."""
     path = Path(path)
-    names = ["manifest.json", *_listed_files(path, load_json(path / "manifest.json"))]
+    names = ["manifest.json", *_listed_files(path, _read_manifest(path))]
     return _digest({name: (path / name).read_bytes() for name in names})
 
 
@@ -143,30 +165,27 @@ def write_bundle(path, artifacts, timings: dict | None = None) -> str:
         raise
 
 
-def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> str:
+def _lift_names(slave: SubmodelSpec) -> list[str]:
+    """The names of the lifting products, in their order: one per slave
+    operator term, then the mass's of a marching slave."""
+    return [f"lift_op_{q}" for q in range(len(slave.operator))] + ["lift_mass"] * slave.unsteady
 
+
+def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> str:
+    reducer = artifacts.reducer
     files: dict[str, np.ndarray] = {
-        "master_basis": artifacts.master.basis,
-        "master_u0": _vec(artifacts.master.u0_reduced),
-        "slave_basis": artifacts.slave.basis,
-        "slave_u0": _vec(artifacts.slave.u0_reduced),
-        "phi": artifacts.reducer.deim.Phi,
-        "full_transfer": artifacts.reducer.full_transfer,
+        "phi": reducer.deim.Phi,
+        "full_transfer": reducer.full_transfer,
     }
-    for q, (_, A) in enumerate(artifacts.master.op_terms):
-        files[f"master_op_{q}"] = A
-    for k, (_, vec) in enumerate(artifacts.master.load_terms):
-        files[f"master_load_{k}"] = _vec(vec)
-    if artifacts.master.mass is not None:
-        files["master_mass"] = artifacts.master.mass
-    for q, (_, A) in enumerate(artifacts.slave.op_terms):
-        files[f"slave_op_{q}"] = A
-    for k, (_, vec) in enumerate(artifacts.slave.load_terms):
-        files[f"slave_load_{k}"] = _vec(vec)
-    if artifacts.slave.mass is not None:
-        files["slave_mass"] = artifacts.slave.mass
-    for key, product in artifacts.reducer.lift_products.items():
-        files[f"lift_{key}"] = product
+    for side in ("master", "slave"):
+        sub = getattr(artifacts, side)
+        files[f"{side}_basis"] = sub.basis
+        files[f"{side}_u0"] = _vec(sub.u0_reduced)
+        files.update({f"{side}_op_{q}": A for q, A in enumerate(sub.op_terms)})
+        files.update({f"{side}_load_{k}": _vec(f) for k, f in enumerate(sub.load_terms)})
+        if sub.spec.unsteady:
+            files[f"{side}_mass"] = sub.mass
+    files.update(zip(_lift_names(artifacts.spec.slave), reducer.lift_products, strict=True))
 
     contents = {}  # the bytes of each file the bundle hash covers
     for name, array in files.items():
@@ -192,22 +211,9 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
             "slave": artifacts.tolerances[1],
             "interface": artifacts.tolerances[2],
         },
-        "basis_sizes": artifacts.basis_sizes,
-        "master": {
-            "op_thetas": [theta for theta, _ in artifacts.master.op_terms],
-            "load_thetas": [theta for theta, _ in artifacts.master.load_terms],
-            "unsteady": artifacts.master.unsteady,
-        },
-        "slave": {
-            "op_thetas": [theta for theta, _ in artifacts.slave.op_terms],
-            "load_thetas": [theta for theta, _ in artifacts.slave.load_terms],
-            "unsteady": artifacts.slave.unsteady,
-            "lift_keys": sorted(artifacts.reducer.lift_products),
-        },
         "reducer": {
-            "indices": artifacts.reducer.deim.indices.tolist(),
-            "transfer_norm": artifacts.reducer.transfer_norm,
-            "cond": artifacts.reducer.deim.cond,
+            "indices": reducer.deim.indices.tolist(),
+            "transfer_norm": reducer.transfer_norm,
         },
         "provenance": provenance,
         "files": shas,
@@ -226,14 +232,14 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
 
 
 def load_bundle(path):
-    """Reconstruct artifacts from a bundle directory."""
+    """Reconstruct artifacts from a bundle directory.  The problem spec sets
+    every term count and kind, so which matrices are read, each once; a
+    listed matrix that the spec does not need is refused, as is a needed
+    one that is not listed."""
     from .pipeline import ReducedSubmodel, RomArtifacts
 
     path = Path(path)
-    manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"{path} is not a bundle (missing manifest.json)")
-    manifest = load_json(manifest_path)
+    manifest = _read_manifest(path)
     if manifest.get("format") != "coupledrom-bundle":
         raise ConfigError(f"{path}: unrecognized bundle format")
     if manifest.get("version") != BUNDLE_VERSION:
@@ -241,60 +247,64 @@ def load_bundle(path):
             f"{path}: bundle version {manifest.get('version')} is not {BUNDLE_VERSION}; "
             "rebuild it with offline"
         )
+    where = f"{path / 'manifest.json'}: manifest"
     files = _listed_files(path, manifest)
-    matrices = {name: read_matrix(path / name, sha) for name, sha in files.items()}
-    spec = problem_from_dict(manifest["problem"])
+    spec = problem_from_dict(_entry(manifest, "problem", where))
+    tolerances = _entry(manifest, "tolerances", where)
+    tolerances = tuple(
+        _entry(tolerances, key, f"{where}.tolerances", float)
+        for key in ("master", "slave", "interface")
+    )
+    rd = _entry(manifest, "reducer", where)
+    indices = _entry(rd, "indices", f"{where}.reducer", lambda v: np.asarray(v, dtype=np.int64))
+    transfer_norm = _entry(rd, "transfer_norm", f"{where}.reducer", float)
+    provenance = _entry(manifest, "provenance", where)
+    unread = set(files)
 
     def mat(name):
         file = f"{name}.rombin"
-        if file not in matrices:
+        if file not in files:
             raise ConfigError(f"{path / file}: not listed in the manifest's files")
-        return matrices[file]
+        unread.discard(file)
+        return read_matrix(path / file, files[file])
 
     def vec(name):
         return mat(name).ravel()
 
     def load_submodel(side: str) -> ReducedSubmodel:
-        meta = manifest[side]
-        op_terms = [
-            (theta, mat(f"{side}_op_{q}")) for q, theta in enumerate(meta["op_thetas"])
-        ]
-        load_terms = [
-            (theta, vec(f"{side}_load_{k}"))
-            for k, theta in enumerate(meta["load_thetas"])
-        ]
-        mass = mat(f"{side}_mass") if f"{side}_mass.rombin" in matrices else None
+        sub = getattr(spec, side)
         return ReducedSubmodel(
+            spec=sub,
             basis=mat(f"{side}_basis"),
-            op_terms=op_terms,
-            mass=mass,
-            load_terms=load_terms,
+            op_terms=[mat(f"{side}_op_{q}") for q in range(len(sub.operator))],
+            mass=mat(f"{side}_mass") if sub.unsteady else None,
+            load_terms=[vec(f"{side}_load_{k}") for k in range(len(sub.forcing))],
             u0_reduced=vec(f"{side}_u0"),
-            unsteady=bool(meta["unsteady"]),
         )
 
     master = load_submodel("master")
     slave = load_submodel("slave")
-
-    slave_trace = extract_interface(spec.slave.mesh.build(), spec.slave.interface_tag)
-
-    rd = manifest["reducer"]
-    deim = make_deim_basis(mat("phi"), indices=np.asarray(rd["indices"], dtype=np.int64))
+    lift_products = tuple(mat(name) for name in _lift_names(spec.slave))
+    phi, full_transfer = mat("phi"), mat("full_transfer")
+    if unread:
+        raise ConfigError(
+            f"{path / min(unread)}: listed in the manifest's files, but the problem "
+            "does not need it"
+        )
     reducer = InterfaceReducer(
-        deim=deim,
-        slave_trace=slave_trace,
-        full_transfer=mat("full_transfer"),
-        lift_products={key: mat(f"lift_{key}") for key in manifest["slave"]["lift_keys"]},
-        transfer_norm=float(rd["transfer_norm"]),
+        deim=make_deim_basis(phi, indices=indices),
+        slave_trace=extract_interface(spec.slave.mesh.build(), spec.slave.interface_tag),
+        full_transfer=full_transfer,
+        lift_products=lift_products,
+        transfer_norm=transfer_norm,
     )
-    tol = manifest["tolerances"]
     return RomArtifacts(
         spec=spec,
         master=master,
         slave=slave,
         reducer=reducer,
-        tolerances=(tol["master"], tol["slave"], tol["interface"]),
-        provenance=manifest.get("provenance", {}),
+        tolerances=tolerances,
+        provenance=provenance,
     )
 
 

@@ -220,7 +220,7 @@ class TestNearestDofMap:
         assert got.tolist() == [0]
 
 
-def reducer_from_snapshots(S_D, eps, tm, ts, V1, V2=None, slave_operators=None):
+def reducer_from_snapshots(S_D, eps, tm, ts, V1, V2=None, slave_operators=()):
     """Interpolation basis over the trace snapshots ``S_D`` and the stored
     products, through the full-order transfer from ``tm`` to ``ts``."""
     deim = make_deim_basis(pod(S_D, eps))
@@ -248,7 +248,7 @@ def make_reducer_setup(n_master=4, n_slave=2, n_snap=12, eps=1e-10, order=1):
     K2 = assemble_stiffness(slave_mesh, diffusion=1.0)
     V2 = np.linalg.qr(np.random.default_rng(5).standard_normal((slave_mesh.n_dofs, 6)))[0]
     V2[ts.dof_indices] = 0.0
-    reducer = reducer_from_snapshots(S_D, eps, tm, ts, q1, V2, slave_operators={"A": K2})
+    reducer = reducer_from_snapshots(S_D, eps, tm, ts, q1, V2, slave_operators=[K2])
     return reducer, tm, ts, P, q1, V2, K2
 
 
@@ -325,7 +325,7 @@ class TestInterfaceReducer:
         reducer, *_ = make_reducer_setup()
         u_n1 = np.zeros(reducer.full_transfer.shape[1])
         assert not np.any(reducer.full_transfer @ u_n1)
-        assert not np.any(reducer.reduced_lifting(u_n1))
+        assert not np.any(reducer.reduced_lifting(u_n1, [1.0]))
 
     @pytest.mark.parametrize("slave", SLAVE_SUBDIVISIONS.values(), ids=SLAVE_SUBDIVISIONS)
     def test_matches_unreduced_path(self, slave):
@@ -333,7 +333,7 @@ class TestInterfaceReducer:
         rng = np.random.default_rng(23)
         u_n1 = rng.standard_normal(V1.shape[1])
         trace = reducer.full_transfer @ u_n1
-        lift = reducer.reduced_lifting(u_n1)
+        lift = reducer.reduced_lifting(u_n1, [1.0])
         # unreduced oracle: expand master, extract trace, transfer, then
         # interpolate again from the magic values
         u_full = V1 @ u_n1
@@ -373,10 +373,10 @@ class TestInterfaceReducer:
         rng = np.random.default_rng(31)
         perm = rng.permutation(reducer.m)
         permuted = make_deim_basis(reducer.deim.Phi, indices=reducer.deim.indices[perm])
-        other = assemble_reducer(permuted, P, tm, ts, V1, V2, {"A": K2})
+        other = assemble_reducer(permuted, P, tm, ts, V1, V2, [K2])
         u_n1 = rng.standard_normal(V1.shape[1])
         t0, t1 = reducer.full_transfer @ u_n1, other.full_transfer @ u_n1
-        l0, l1 = reducer.reduced_lifting(u_n1), other.reduced_lifting(u_n1)
+        l0, l1 = reducer.reduced_lifting(u_n1, [1.0]), other.reduced_lifting(u_n1, [1.0])
         assert np.allclose(t0, t1, atol=1e-11 * max(1.0, np.abs(t0).max()))
         assert np.allclose(l0, l1, atol=1e-11 * max(1.0, np.abs(l0).max()))
 

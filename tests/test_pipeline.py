@@ -87,8 +87,8 @@ def load_at(sub, mu, t=None):
     """One state's load ``sum_q theta_q(mu, t) f_q``, accumulated term by
     term into zeros."""
     out = np.zeros(sub.n)
-    for theta, vec in sub.load_terms:
-        out += eval_theta(theta, mu, t) * vec
+    for term, vec in zip(sub.spec.forcing, sub.load_terms):
+        out += eval_theta(term.theta, mu, t) * vec
     return out
 
 
@@ -379,7 +379,7 @@ class TestFastDiagonalization:
         # 1e-9 change of this entry leaves step 1's residual at 5.6e-11 of
         # its load, inside SOLVE_RTOL, so the change here is 1e-7
         fom = small_heat_fom()
-        A = fom.master.op_terms[0][1]
+        A = fom.master.op_terms[0]
         i = fom.master.free_dofs[len(fom.master.free_dofs) // 2]
         A[i, i] *= 1.0 + 1e-7  # an existing entry of a free row and column
         assert fom.master.diagonalized is not None
@@ -591,8 +591,9 @@ class TestOffline:
         assert np.array_equal(a.master.basis, b.master.basis)
         assert np.array_equal(a.slave.basis, b.slave.basis)
         assert np.array_equal(a.reducer.full_transfer, b.reducer.full_transfer)
-        for key in a.reducer.lift_products:
-            assert np.array_equal(a.reducer.lift_products[key], b.reducer.lift_products[key])
+        assert len(a.reducer.lift_products) == len(b.reducer.lift_products)
+        for product, again in zip(a.reducer.lift_products, b.reducer.lift_products):
+            assert np.array_equal(product, again)
 
 
 class TestOnlineSteady:
@@ -699,10 +700,10 @@ def reference_online_unsteady(art, mu1, mu2):
         m1.u0_reduced,
     )
     w2 = s2.theta_weights(mu2m)
-    if s2.unsteady:
+    if s2.spec.unsteady:
         lift = art.reducer.lift_products
-        LA = affine_sum(w2, [lift[f"A{q}"] for q in range(len(w2))])
-        LM_dt = lift["M"] / dt
+        LA = affine_sum(w2, lift[: len(w2)])
+        LM_dt = lift[len(w2)] / dt
         M2_dt = s2.mass / dt
         u2 = march(
             M2_dt + s2.assemble_operator(mu2m),
@@ -713,9 +714,7 @@ def reference_online_unsteady(art, mu1, mu2):
             s2.u0_reduced,
         )
     else:
-        lifting = art.reducer.reduced_lifting(
-            u1.T, {f"A{q}": w for q, w in enumerate(w2)}
-        )
+        lifting = art.reducer.reduced_lifting(u1.T, w2)
         loads = np.column_stack([load_at(s2, mu2m, k * dt) for k in range(n + 1)])
         u2 = np.linalg.solve(s2.assemble_operator(mu2m), loads - lifting).T
     return u1, u2
@@ -740,7 +739,7 @@ class TestOnlineMatchesPerStepMarch:
         mu1m = art.spec.master.parameters.as_mapping(mu1)
         u1 = np.linalg.solve(m1.assemble_operator(mu1m), m1.loads_per_state(mu1m))
         weights = s2.theta_weights({})
-        lifting = art.reducer.reduced_lifting(u1, {f"A{q}": w for q, w in enumerate(weights)})
+        lifting = art.reducer.reduced_lifting(u1, weights)
         u2 = np.linalg.solve(s2.assemble_operator({}), s2.loads_per_state({}) - lifting)
         assert np.array_equal(online.master_reduced, u1)
         assert np.array_equal(online.slave_reduced, u2)
@@ -775,6 +774,18 @@ class TestOnlineMatchesPerStepMarch:
         assert np.all(np.abs(totals - ref_totals) <= 2e-11 * ref_totals)
 
 
+def submodel_spec(op_thetas, load_thetas):
+    """A marching submodel spec whose operator and load terms carry the
+    given weights."""
+    return SubmodelSpec(
+        mesh=BoxMeshSpec((0.0,), (1.0,), (1,)),
+        operator=tuple(AffineTerm(kind="reaction", theta=theta) for theta in op_thetas),
+        interface_tag="x-",
+        forcing=tuple(ForcingTerm(theta=theta) for theta in load_thetas),
+        unsteady=True,
+    )
+
+
 def test_weights_compiled_once_per_submodel_and_rejected_every_time(monkeypatch):
     import coupledrom.pipeline as pipeline
 
@@ -788,12 +799,12 @@ def test_weights_compiled_once_per_submodel_and_rejected_every_time(monkeypatch)
     monkeypatch.setattr(pipeline, "compile_expression", counting)
     source = "0.25 * kappa_once + t ** 3"
     sub = ReducedSubmodel(
+        spec=submodel_spec([source], [source]),
         basis=np.eye(2),
-        op_terms=[(source, np.eye(2))],
+        op_terms=[np.eye(2)],
         mass=np.eye(2),
-        load_terms=[(source, np.ones(2))],
+        load_terms=[np.ones(2)],
         u0_reduced=np.zeros(2),
-        unsteady=True,
     )
     mu = {"kappa_once": 2.0}
     loads = sub.loads_per_state(mu, TimeSpec(0.001, 999))
@@ -825,12 +836,12 @@ class TestTimeIndependentLoadWeights:
         rng = np.random.default_rng(11)
         theta = self.WEIGHTS[name]
         sub = ReducedSubmodel(
+            spec=submodel_spec([1.0], [0.3, theta]),
             basis=np.eye(5),
-            op_terms=[(1.0, np.eye(5))],
+            op_terms=[np.eye(5)],
             mass=np.eye(5),
-            load_terms=[(0.3, rng.standard_normal(5)), (theta, rng.standard_normal(5))],
+            load_terms=[rng.standard_normal(5), rng.standard_normal(5)],
             u0_reduced=np.zeros(5),
-            unsteady=True,
         )
         mu, time = {"kappa": 0.7}, TimeSpec(0.013, 40)
         loads = sub.loads_per_state(mu, time)
@@ -894,8 +905,7 @@ def test_heat_query_evaluates_each_weight_once(monkeypatch):
     assert len(calls) == 3
     # the slave states of the composition that evaluates its weights twice
     s2 = art.slave
-    weights = {f"A{q}": w for q, w in enumerate(s2.theta_weights({}))}
-    lifting = art.reducer.reduced_lifting(online.master_reduced.T, weights)
+    lifting = art.reducer.reduced_lifting(online.master_reduced.T, s2.theta_weights({}))
     loads = s2.loads_per_state({}, spec.time)
     expected = np.linalg.solve(s2.assemble_operator({}), loads - lifting).T
     assert np.array_equal(online.slave_reduced, expected)
@@ -1006,7 +1016,7 @@ def with_zero_system(sub):
     """The reduced submodel with every operator term and its mass zeroed."""
     return dataclasses.replace(
         sub,
-        op_terms=[(theta, np.zeros_like(A)) for theta, A in sub.op_terms],
+        op_terms=[np.zeros_like(A) for A in sub.op_terms],
         mass=None if sub.mass is None else np.zeros_like(sub.mass),
     )
 
@@ -1044,7 +1054,7 @@ class TestSingularReducedSystems:
         art = cr.full_rank_artifacts(
             steady_pair_2d(master_subdivisions=(4, 4), slave_subdivisions=(2, 2))
         )
-        tiny = [(theta, 1e-310 * A) for theta, A in art.master.op_terms]
+        tiny = [1e-310 * A for A in art.master.op_terms]
         art = dataclasses.replace(art, master=dataclasses.replace(art.master, op_terms=tiny))
         with pytest.raises(SingularRomError):
             cr.online_steady(art, [1.0, 1.0], [])
@@ -1059,7 +1069,7 @@ class TestSingularReducedSystems:
         art = cr.full_rank_artifacts(spec)
         m1 = art.master
         tiny = dataclasses.replace(
-            m1, op_terms=[(theta, 1e-310 * A) for theta, A in m1.op_terms], mass=1e-310 * m1.mass
+            m1, op_terms=[1e-310 * A for A in m1.op_terms], mass=1e-310 * m1.mass
         )
         art = dataclasses.replace(art, master=tiny)
         with pytest.raises(SingularRomError):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coupledrom as cr
+from coupledrom import pipeline
 from coupledrom.errors import DegenerateSnapshotsError, DimensionMismatchError
 from coupledrom.library import heat_laplace_pair, steady_pair_2d
 from coupledrom.pod import PodFactorization, SnapshotSet, _fix_signs, pod
@@ -179,25 +180,40 @@ def assert_two_level_matches_one_svd(snapshots, kept_tolerance):
     assert subspace_distance(full.U[:, :n], two.U[:, :n]) <= 1e-10
 
 
+def training_and_snapshots(spec, n_train, seed):
+    """``run_training``'s result, and the snapshot set of each family as it
+    factorizes them."""
+    factorized = []
+
+    def recording(snapshots):
+        factorized.append(snapshots)
+        return PodFactorization(snapshots)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "PodFactorization", recording)
+        training = cr.run_training(spec, n_train, seed)
+    return training, dict(zip(["master", "slave", "dirichlet"], factorized, strict=True))
+
+
 @pytest.fixture(scope="module", params=["heat-unsteady", "heat-fine"])
 def heat_training_set(request):
-    """The training sets of the heat_laplace config and of its refinement to
-    10^3 / 5^3, 20 trajectories of 50 steps each."""
+    """The training of the heat_laplace config and of its refinement to
+    10^3 / 5^3, 20 trajectories of 50 steps each, with its snapshot sets."""
     fine = request.param == "heat-fine"
     spec = heat_laplace_pair(
         master_subdivisions=(10, 10, 10) if fine else (8, 8, 8),
         slave_subdivisions=(5, 5, 5) if fine else (4, 4, 4),
     )
-    return cr.run_training(spec, n_train=20, seed=11)
+    return training_and_snapshots(spec, n_train=20, seed=11)
 
 
 class TestTwoLevel:
     @pytest.mark.parametrize("family", ["master", "slave", "dirichlet"])
     def test_heat_training_sets_match_one_svd(self, heat_training_set, family):
-        snapshots = getattr(heat_training_set, f"snapshots_{family}")
-        assert snapshots.block == 50
-        assert_two_level_matches_one_svd(snapshots, kept_tolerance=1e-5)
-        assert getattr(heat_training_set, f"pod_{family}").stacked_cols < 1000
+        training, snapshots = heat_training_set
+        assert snapshots[family].block == 50
+        assert_two_level_matches_one_svd(snapshots[family], kept_tolerance=1e-5)
+        assert getattr(training, f"pod_{family}").stacked_cols < 1000
 
     @given(
         seed=st.integers(0, 10_000),
@@ -246,9 +262,8 @@ class TestTwoLevel:
             assert np.array_equal(fact.singular_values, s)
 
     def test_steady_training_is_one_svd(self):
-        training = cr.run_training(steady_pair_2d(), 4, seed=3)
-        for family in ("master", "slave", "dirichlet"):
-            snapshots = getattr(training, f"snapshots_{family}")
+        training, factorized = training_and_snapshots(steady_pair_2d(), 4, seed=3)
+        for family, snapshots in factorized.items():
             assert snapshots.block is None
             U, s = one_svd(snapshots.matrix)
             assert np.array_equal(getattr(training, f"pod_{family}").U, U)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -14,8 +15,8 @@ import coupledrom as cr
 from coupledrom import pipeline
 from coupledrom.cli import main
 from coupledrom.errors import ConfigError
-from coupledrom.experiments import config_from_dict
-from coupledrom.library import heat_laplace_pair, steady_pair_2d
+from coupledrom.experiments import config_from_dict, run_offline
+from coupledrom.library import heat_laplace_pair, steady_pair_2d, transport_wall_pair
 from coupledrom.problems import problem_from_dict, problem_to_dict
 from coupledrom.storage import (
     fmt_float,
@@ -93,6 +94,30 @@ def artifacts():
     return cr.build_artifacts(training, (1e-4, 1e-4, 1e-4))
 
 
+@pytest.fixture(scope="module")
+def transport_artifacts():
+    """A pair whose slave marches, so its bundle holds the slave's mass lift."""
+    spec = transport_wall_pair(
+        channel_subdivisions=(6, 4, 4), wall_subdivisions=(3, 2, 2), n_steps=15
+    )
+    return cr.offline(spec, n_train=4, tolerances=(1e-4, 1e-4, 1e-4), seed=3)
+
+
+ONLINE_FIELDS = ("master_reduced", "slave_reduced", "trace", "slave_solution")
+
+
+def assert_same_answers(a, b):
+    for name in ONLINE_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def edit_manifest(bundle, edit):
+    path = bundle / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
 class TestBundle:
     def test_write_load_round_trip(self, tmp_path, artifacts):
         write_bundle(tmp_path / "b", artifacts, timings={"offline_s": 1.0})
@@ -128,16 +153,37 @@ class TestBundle:
         loaded = load_bundle(tmp_path / "b")
         assert np.array_equal(loaded.reducer.full_transfer, art.reducer.full_transfer)
         assert loaded.reducer.transfer_norm == art.reducer.transfer_norm
-        for key, product in art.reducer.lift_products.items():
-            assert np.array_equal(loaded.reducer.lift_products[key], product)
+        assert len(loaded.reducer.lift_products) == len(art.reducer.lift_products)
+        for again, product in zip(loaded.reducer.lift_products, art.reducer.lift_products):
+            assert np.array_equal(again, product)
         a = cr.online_unsteady(art, [0.8], [])
         b = cr.online_unsteady(loaded, [0.8], [])
         assert np.array_equal(a.slave_solution, b.slave_solution)
 
+    def test_transport_round_trip_answers_bit_identically(self, tmp_path, transport_artifacts):
+        art = transport_artifacts
+        write_bundle(tmp_path / "b", art)
+        loaded = load_bundle(tmp_path / "b")
+        assert len(loaded.reducer.lift_products) == len(art.spec.slave.operator) + 1
+        for again, product in zip(loaded.reducer.lift_products, art.reducer.lift_products):
+            assert np.array_equal(again, product)
+        for zeta in (0.1, 0.55, 1.0):
+            assert_same_answers(cr.online_unsteady(art, [zeta], []),
+                                cr.online_unsteady(loaded, [zeta], []))
+
+    def test_manifest_holds_only_what_loading_reads(self, tmp_path, transport_artifacts):
+        # the spec in "problem" owns the term counts, weights and kinds
+        write_bundle(tmp_path / "b", transport_artifacts)
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert set(manifest) == {
+            "format", "version", "problem", "tolerances", "reducer", "provenance", "files",
+        }
+        assert set(manifest["reducer"]) == {"indices", "transfer_norm"}
+
     def test_stores_no_point_transfer_or_master_positions(self, tmp_path, artifacts):
         write_bundle(tmp_path / "b", artifacts)
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
-        assert manifest["version"] == 4
+        assert manifest["version"] == 5
         assert not {"master_positions", "master_indices", "max_magic_distance"} & set(
             manifest["reducer"]
         )
@@ -147,10 +193,10 @@ class TestBundle:
         write_bundle(tmp_path / "b", artifacts)
         path = tmp_path / "b" / "manifest.json"
         manifest = json.loads(path.read_text())
-        for version in (1, 2, 3, None):
+        for version in (1, 2, 3, 4, None):
             manifest["version"] = version
             path.write_text(json.dumps(manifest))
-            with pytest.raises(ConfigError, match="bundle version"):
+            with pytest.raises(ConfigError, match="bundle version.*rebuild it with offline"):
                 load_bundle(tmp_path / "b")
 
     def test_every_stored_matrix_is_loaded(self, tmp_path, artifacts, monkeypatch):
@@ -162,11 +208,11 @@ class TestBundle:
             ),
             n_train=3, tolerances=(1e-4, 1e-4, 1e-4), seed=2,
         )
-        read = set()
+        read = []
         original = storage.read_matrix
 
         def recording(path, *args):
-            read.add(Path(path).name)
+            read.append(Path(path).name)
             return original(path, *args)
 
         monkeypatch.setattr(storage, "read_matrix", recording)
@@ -176,7 +222,7 @@ class TestBundle:
             assert not {f for f in stored if f.endswith("_sv.rombin")}
             read.clear()
             load_bundle(tmp_path / name)
-            assert read == stored
+            assert sorted(read) == sorted(stored)  # each file once
 
     def test_rewrite_removes_matrix_files_the_manifest_does_not_list(self, tmp_path, artifacts):
         fresh = write_bundle(tmp_path / "fresh", artifacts)
@@ -239,6 +285,27 @@ class TestBundle:
         with pytest.raises(ConfigError, match=re.escape(name)):
             load_bundle(tmp_path / "b")
 
+    @pytest.mark.parametrize("name", ["master_mass", "lift_mass", "slave_op_1", "lift_op_1"])
+    def test_listed_matrix_the_problem_does_not_need_is_refused(self, tmp_path, artifacts, name):
+        # the steady pair marches on neither side and its slave has one
+        # operator term
+        write_bundle(tmp_path / "b", artifacts)
+        target = tmp_path / "b" / f"{name}.rombin"
+        data = write_matrix(target, np.eye(artifacts.slave.n))
+        edit_manifest(
+            tmp_path / "b",
+            lambda m: m["files"].update({target.name: hashlib.sha256(data).hexdigest()}),
+        )
+        with pytest.raises(ConfigError, match=re.escape(target.name)):
+            load_bundle(tmp_path / "b")
+
+    def test_marching_slave_without_its_mass_lift_is_refused(self, tmp_path, transport_artifacts):
+        write_bundle(tmp_path / "b", transport_artifacts)
+        edit_manifest(tmp_path / "b", lambda m: m["files"].pop("lift_mass.rombin"))
+        (tmp_path / "b" / "lift_mass.rombin").unlink()
+        with pytest.raises(ConfigError, match=re.escape("lift_mass.rombin")):
+            load_bundle(tmp_path / "b")
+
     @pytest.mark.parametrize("name", ["../outside.txt", "../outside.rombin", "timings.json"])
     def test_listed_name_outside_the_matrix_files_is_refused(self, tmp_path, artifacts, name):
         write_bundle(tmp_path / "b", artifacts, timings={"offline_s": 1.0})
@@ -266,6 +333,73 @@ class TestBundle:
         (tmp_path / "empty").mkdir()
         with pytest.raises(ConfigError):
             load_bundle(tmp_path / "empty")
+
+
+#: manifest edits, and the key that the error must name
+MALFORMED_MANIFESTS = {
+    "no-reducer": (lambda m: m.pop("reducer"), "'reducer'"),
+    "no-files": (lambda m: m.pop("files"), "'files'"),
+    "no-problem": (lambda m: m.pop("problem"), "'problem'"),
+    "no-tolerances": (lambda m: m.pop("tolerances"), "'tolerances'"),
+    "no-provenance": (lambda m: m.pop("provenance"), "'provenance'"),
+    "files-list": (lambda m: m.update(files=sorted(m["files"])), "manifest.files"),
+    "reducer-list": (lambda m: m.update(reducer=[1]), "manifest.reducer"),
+    "no-transfer-norm": (lambda m: m["reducer"].pop("transfer_norm"), "'transfer_norm'"),
+    "null-indices": (lambda m: m["reducer"].update(indices=None), "reducer.indices"),
+    "text-tolerance": (lambda m: m["tolerances"].update(slave="tight"), "tolerances.slave"),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, key", MALFORMED_MANIFESTS.values(), ids=list(MALFORMED_MANIFESTS)
+)
+def test_malformed_manifest_is_config_error_naming_the_key(
+    tmp_path, artifacts, capsys, edit, key
+):
+    bundle = tmp_path / "b"
+    write_bundle(bundle, artifacts)
+    edit_manifest(bundle, edit)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_bundle(bundle)
+    assert main(["online", "--bundle", str(bundle), "--mu1", "1.0,1.0"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_manifest_that_is_not_a_mapping_is_config_error(tmp_path, artifacts):
+    write_bundle(tmp_path / "b", artifacts)
+    for text in ("[1, 2]", "{not json"):
+        (tmp_path / "b" / "manifest.json").write_text(text)
+        for call in (load_bundle, hash_bundle):
+            with pytest.raises(ConfigError, match="manifest.json"):
+                call(tmp_path / "b")
+
+
+#: the benchmark's bundle round trip, on its heat configs and the non-nested one
+ROOT = Path(__file__).resolve().parents[1]
+ROUND_TRIP_CONFIGS = [
+    ROOT / "perfbench" / "configs" / "heat-unsteady.json",
+    ROOT / "perfbench" / "configs" / "heat-fine.json",
+    ROOT / "configs" / "heat_laplace_nonnested.json",
+]
+
+
+@pytest.mark.parametrize("config_path", ROUND_TRIP_CONFIGS, ids=lambda p: p.stem)
+def test_tightest_bundle_answers_like_the_artifacts_in_memory(tmp_path, config_path):
+    config = config_from_dict(json.loads(config_path.read_text()))
+    config = dataclasses.replace(config, output_dir=str(tmp_path))
+    _, results = run_offline(config)
+    tight = tuple(min(t[i] for t in config.grid()) for i in range(3))
+    bundle_dir, art = next((d, a) for triple, d, _, a in results if triple == tight)
+    loaded = load_bundle(bundle_dir)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        mu1, mu2 = (
+            [rng.uniform(lo, hi) for lo, hi in sub.parameters.ranges]
+            for sub in (config.problem.master, config.problem.slave)
+        )
+        assert_same_answers(
+            pipeline.online_solve(art, mu1, mu2), pipeline.online_solve(loaded, mu1, mu2)
+        )
 
 
 def make_config(tmp_path, grid=False, unsteady=False, n_train=6, n_test=3):
