@@ -98,7 +98,7 @@ def query_bounds(
     against its slave field."""
     if online.slave_solution is None:
         raise ConfigError("the bound needs an expanded online query (expand=True)")
-    time = artifacts.spec.time if artifacts.spec.is_unsteady else None
+    time = artifacts.spec.time
     master, slave = fom.master, fom.slave
     g_exact = fom_result.dirichlet
     master_bounds, constants = _submodel_bound(

@@ -35,11 +35,9 @@ from .problems import (
     CoupledProblemSpec,
     SubmodelSpec,
     TimeSpec,
-    compile_expression,
     constant_profile,
     eval_spatial,
     eval_theta,
-    reads_time,
     spatial_coefficient,
 )
 from .sampling import SampleSet, lhs_sample
@@ -62,27 +60,13 @@ class AffineSubmodel:
     """Parameter-affine operator and load sums, shared by the full-order and
     the reduced submodels: ``op_terms`` and ``load_terms`` hold the arrays of
     the terms of ``spec.operator`` and ``spec.forcing``, in spec order, whose
-    weights the spec declares, and ``n`` is the number of unknowns."""
+    weights the spec compiles, and ``n`` is the number of unknowns."""
 
-    @cached_property
-    def _theta_code(self) -> dict:
-        return {}
+    def theta_weights(self, mu: Mapping) -> list[float]:
+        return [eval_theta(w, mu) for w in self.spec.compiled.operator_weights]
 
-    def _compiled(self, theta, mu: Mapping):
-        """``theta``, an expression compiled once per submodel and set of
-        parameter names; one with an unknown name raises on every call."""
-        if not isinstance(theta, str):
-            return theta
-        key = (theta, frozenset(mu))
-        if key not in self._theta_code:
-            self._theta_code[key] = compile_expression(theta, set(mu) | {"t"}, "theta")
-        return self._theta_code[key]
-
-    def theta_weights(self, mu: Mapping, t: float | None = None) -> list[float]:
-        return [eval_theta(self._compiled(term.theta, mu), mu, t) for term in self.spec.operator]
-
-    def assemble_operator(self, mu: Mapping, t: float | None = None):
-        return affine_sum(self.theta_weights(mu, t), self.op_terms)
+    def assemble_operator(self, mu: Mapping):
+        return affine_sum(self.theta_weights(mu), self.op_terms)
 
     def loads_per_state(self, mu: Mapping, time: TimeSpec | None = None) -> np.ndarray:
         """The steady load ``(n,)`` when ``time`` is None, else one load
@@ -90,9 +74,8 @@ class AffineSubmodel:
         each weight is evaluated once per state, or once when it does not
         read ``t``, and each term is added into every state at once."""
         out = np.zeros((self.n, 1 if time is None else time.n_steps + 1))
-        for term, vec in zip(self.spec.forcing, self.load_terms):
-            code = self._compiled(term.theta, mu)
-            if reads_time(code):
+        for (code, timed), vec in zip(self.spec.compiled.forcing_weights, self.load_terms):
+            if timed:
                 states = [None] if time is None else time.instants()
                 out += vec[:, None] * np.array([eval_theta(code, mu, t) for t in states])
             else:
@@ -182,7 +165,7 @@ class FomSubmodel(AffineSubmodel):
         of term ``q``.  None, and every operator solve takes a sparse LU,
         otherwise."""
         # an advection term's coefficient, a velocity tuple, has no value
-        values = [constant_profile(term.coefficient) for term in self.spec.operator]
+        values = [constant_profile(c) for c in self.spec.compiled.coefficients]
         if None in values or self._fast_diagonalization is None:
             return None
         coefficients = np.zeros((len(values), 2))
@@ -273,12 +256,11 @@ class FomSubmodel(AffineSubmodel):
 
 
 def build_submodel(spec: SubmodelSpec, role: str) -> FomSubmodel:
-    spec.validate(role)
     mesh = spec.mesh.build()
     quad = fem.cell_quadrature(mesh)
     terms = []
-    for term in spec.operator:
-        coeff = spatial_coefficient(term.coefficient)
+    for term, value in zip(spec.operator, spec.compiled.coefficients):
+        coeff = spatial_coefficient(value)
         if term.kind == "diffusion":
             A = fem.assemble_stiffness(mesh, coeff, quadrature=quad)
         elif term.kind == "reaction":
@@ -287,7 +269,7 @@ def build_submodel(spec: SubmodelSpec, role: str) -> FomSubmodel:
             A = fem.assemble_advection(mesh, coeff, quadrature=quad)
         terms.append(A)
     mass = fem.assemble_mass(mesh, quadrature=quad) if spec.unsteady else None
-    loads = [fem.assemble_load(mesh, spatial_coefficient(t.profile)) for t in spec.forcing]
+    loads = [fem.assemble_load(mesh, spatial_coefficient(p)) for p in spec.compiled.profiles]
     interface = extract_interface(mesh, spec.interface_tag)
 
     pairs = []
@@ -310,7 +292,7 @@ def build_submodel(spec: SubmodelSpec, role: str) -> FomSubmodel:
             "across its constrained faces",
             field=f"{role}.mesh",
         )
-    u0 = np.asarray(eval_spatial(spec.initial, mesh.node_coords), dtype=float).copy()
+    u0 = np.asarray(eval_spatial(spec.compiled.initial, mesh.node_coords), dtype=float).copy()
     return FomSubmodel(
         spec=spec,
         mesh=mesh,
@@ -367,12 +349,11 @@ def fom_coupled_solve(fom: FomProblem, mu1, mu2) -> FomResult:
     master, slave = fom.master, fom.slave
     mu1m = master.mu_mapping(mu1)
     mu2m = slave.mu_mapping(mu2)
-    ts = fom.spec.time if fom.spec.is_unsteady else None
     t0 = _time.perf_counter()
-    u1 = master.solve(mu1m, time=ts)
+    u1 = master.solve(mu1m, time=fom.spec.time)
     t1 = _time.perf_counter()
     g = (fom.transfer @ u1[..., master.interface.dof_indices].T).T
-    u2 = slave.solve(mu2m, g, ts)
+    u2 = slave.solve(mu2m, g, fom.spec.time)
     t2 = _time.perf_counter()
     return FomResult(
         master=u1,
@@ -426,7 +407,7 @@ def run_training(spec_or_fom, n_train: int, seed: int) -> TrainingData:
     m_space, s_space = fom.master.spec.parameters, fom.slave.spec.parameters
     master_samples = lhs_sample(m_space, n_train, seed, "train")
     slave_samples = lhs_sample(s_space, n_train, seed + _SLAVE_SEED_OFFSET, "train")
-    nt = fom.spec.time.n_steps if fom.spec.is_unsteady else None
+    nt = None if fom.spec.time is None else fom.spec.time.n_steps
     cols_per = nt if nt else 1
     n_cols = n_train * cols_per
     S1 = np.empty((fom.master.n_dofs, n_cols))
@@ -775,7 +756,7 @@ def online_unsteady(artifacts: RomArtifacts, mu1, mu2, expand: bool = True) -> O
     """Reduced BDF1 marching of the coupled pair: the master marches; the
     slave marches too or, when declared steady, responds instantaneously to
     every master state."""
-    if artifacts.spec.time is None:
+    if not artifacts.spec.is_unsteady:
         raise ConfigError("online_unsteady requires a time grid", field="time")
     return _online(artifacts, mu1, mu2, artifacts.spec.time, expand)
 

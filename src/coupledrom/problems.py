@@ -1,19 +1,21 @@
 """Declarative coupled-problem descriptions.
 
 A coupled problem is two submodels (master and slave) on axis-aligned boxes
-plus an interface pairing and an optional time grid.  Operators and forcing
-are declared as affine expansions ``sum_q theta_q(mu, t) * term_q`` where each
-term's spatial profile depends on position only; this is what lets all
+plus an interface pairing and an optional time grid.  Operators and loads
+are affine expansions ``sum_q theta_q(mu) A_q`` and ``sum_k theta_k(mu, t) f_k``
+whose terms' spatial profiles depend on position only; this is what lets all
 full-order matrices be assembled once and every online operation stay in
-reduced dimensions.  Spatial profiles and parameter weights are plain
-expression strings evaluated with numpy semantics.
+reduced dimensions.  Profiles and weights are numbers or expression strings
+with numpy semantics, which each spec compiles once (``SubmodelSpec.compiled``).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from types import CodeType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -65,11 +67,27 @@ def compile_expression(source: str, allowed: set[str], where: str = "expression"
     return code
 
 
+def _compile_value(value, allowed: set[str], where: str, components: int = 0):
+    """A number as a float, an expression string compiled against ``allowed``,
+    or with ``components`` a velocity of that many as a tuple; anything else
+    raises ``ConfigError`` naming its field ``where``."""
+    if components:
+        if not isinstance(value, (tuple, list)) or len(value) != components:
+            raise ConfigError(
+                f"needs {components} velocity components, got {value!r}", field=where
+            )
+        return tuple(_compile_value(c, allowed, f"{where}[{j}]") for j, c in enumerate(value))
+    if isinstance(value, str):
+        return compile_expression(value, allowed, where)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise ConfigError(f"must be a number or an expression string, got {value!r}", field=where)
+
+
 def eval_spatial(value, points: np.ndarray):
-    """Evaluate a spatial profile (number or expression in x, y, z)."""
-    if not isinstance(value, str):
+    """Evaluate a compiled spatial profile (a float, or code in x, y, z)."""
+    if not isinstance(value, CodeType):
         return np.broadcast_to(float(value), points.shape[:-1])
-    code = compile_expression(value, _SPATIAL_NAMES, "spatial profile")
     # the names are globals, so that a comprehension's own code reads them too
     env = {
         "__builtins__": {},
@@ -78,46 +96,33 @@ def eval_spatial(value, points: np.ndarray):
         "z": points[..., 2] if points.shape[-1] > 2 else 0.0,
         **_FUNCTIONS,
     }
-    out = eval(code, env)
+    out = eval(value, env)
     return np.broadcast_to(np.asarray(out, dtype=float), points.shape[:-1])
 
 
 def constant_profile(value) -> float | None:
-    """A spatial profile's value when it is a number or an expression that
-    reads none of x, y, z; None when it varies in space or is a tuple."""
-    if isinstance(value, (int, float)):
-        return float(value)
-    if not isinstance(value, str):
+    """A compiled spatial profile's value when it is a float or code that
+    reads none of x, y, z; None when it varies in space or is a velocity."""
+    if isinstance(value, float):
+        return value
+    if not isinstance(value, CodeType) or _names(value) & _SPATIAL_NAMES:
         return None
-    code = compile_expression(value, _SPATIAL_NAMES, "spatial profile")
-    if _names(code) & _SPATIAL_NAMES:
-        return None
-    return float(eval(code, {"__builtins__": {}, **_FUNCTIONS}))
+    return float(eval(value, {"__builtins__": {}, **_FUNCTIONS}))
 
 
 def eval_theta(value, mu: Mapping[str, float], t: float | None = None) -> float:
-    """Evaluate a parameter/time weight: a number, an expression, or an
-    expression already compiled by ``compile_expression``."""
-    if isinstance(value, str):
-        value = compile_expression(value, set(mu) | {"t"}, "theta")
-    elif not isinstance(value, CodeType):
+    """Evaluate a compiled weight: a float, or code from ``compile_expression``."""
+    if not isinstance(value, CodeType):
         return float(value)
     env = {"__builtins__": {}, **mu, "t": 0.0 if t is None else float(t), **_FUNCTIONS}
     return float(eval(value, env))
 
 
-def reads_time(value) -> bool:
-    """Whether a weight compiled by ``compile_expression`` reads ``t``; a
-    number never does."""
-    return isinstance(value, CodeType) and "t" in _names(value)
-
-
 def spatial_coefficient(value) -> Callable[[np.ndarray], np.ndarray]:
-    """A spatial profile as a function of the points ``(..., dim)``; a tuple
-    of profiles (a velocity) stacks its components on a last axis."""
-    if isinstance(value, (tuple, list)):
-        comps = tuple(value)
-        return lambda pts: np.stack([eval_spatial(c, pts) for c in comps], axis=-1)
+    """A compiled spatial profile as a function of the points ``(..., dim)``;
+    a velocity, a tuple of profiles, stacks its components on a last axis."""
+    if isinstance(value, tuple):
+        return lambda pts: np.stack([eval_spatial(c, pts) for c in value], axis=-1)
     return lambda pts: eval_spatial(value, pts)
 
 
@@ -126,19 +131,17 @@ OPERATOR_KINDS = ("diffusion", "reaction", "advection")
 
 @dataclass(frozen=True)
 class AffineTerm:
-    """One operator term: ``theta(mu, t) * assemble(kind, coefficient)``."""
+    """One operator term: ``theta(mu) * assemble(kind, coefficient)``."""
 
     kind: str
     theta: str | float = 1.0
-    coefficient: object = 1.0  # number, expression, or tuple of expressions
+    coefficient: object = 1.0  # number or expression; for advection, a velocity tuple
 
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
             raise ConfigError(
                 f"operator kind must be one of {OPERATOR_KINDS}, got {self.kind!r}"
             )
-        if self.kind == "advection" and not isinstance(self.coefficient, (tuple, list)):
-            raise ConfigError("advection terms need a velocity component tuple")
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,16 @@ class BoxMeshSpec:
 EMPTY_SPACE = ParameterSpace(names=(), ranges=())
 
 
+class CompiledSubmodel(NamedTuple):
+    """A spec's numbers as floats and expression strings as code, in spec order."""
+
+    operator_weights: tuple  # theta_q(mu)
+    forcing_weights: tuple[tuple[object, bool], ...]  # (theta_k(mu, t), whether it reads t)
+    coefficients: tuple  # in x, y, z; a velocity is a tuple of components
+    profiles: tuple  # in x, y, z
+    initial: float | CodeType  # in x, y, z
+
+
 @dataclass(frozen=True)
 class SubmodelSpec:
     """One side of the coupled problem."""
@@ -176,18 +189,46 @@ class SubmodelSpec:
     unsteady: bool = False
     initial: str | float = 0.0
 
+    @cached_property
+    def compiled(self) -> CompiledSubmodel:
+        """Every expression the spec declares, compiled once per spec object:
+        by ``validate``, whose errors name the fields under its role."""
+        return self._compile("submodel")
+
+    def __getstate__(self) -> dict:
+        # code does not pickle: an unpickled or copied spec compiles again
+        return {k: v for k, v in self.__dict__.items() if k != "compiled"}
+
+    def _compile(self, role: str) -> CompiledSubmodel:
+        names, dim = set(self.parameters.names), len(self.mesh.extent)
+        op = f"{role}.operator"
+
+        def each(group: str, attr: str, allowed: set[str]) -> tuple:
+            return tuple(
+                _compile_value(getattr(term, attr), allowed, f"{role}.{group}[{i}].{attr}")
+                for i, term in enumerate(getattr(self, group))
+            )
+
+        return CompiledSubmodel(
+            operator_weights=each("operator", "theta", names),
+            forcing_weights=tuple(
+                (w, isinstance(w, CodeType) and "t" in _names(w))
+                for w in each("forcing", "theta", names | {"t"})
+            ),
+            coefficients=tuple(
+                _compile_value(term.coefficient, _SPATIAL_NAMES, f"{op}[{i}].coefficient",
+                               dim if term.kind == "advection" else 0)
+                for i, term in enumerate(self.operator)
+            ),
+            profiles=each("forcing", "profile", _SPATIAL_NAMES),
+            initial=_compile_value(self.initial, _SPATIAL_NAMES, f"{role}.initial"),
+        )
+
     def validate(self, role: str) -> None:
         if not self.operator:
             raise ConfigError("operator expansion is empty", field=f"{role}.operator")
-        names = set(self.parameters.names)
-        for i, term in enumerate(self.operator):
-            if isinstance(term.theta, str):
-                compile_expression(term.theta, names | {"t"}, f"{role}.operator[{i}].theta")
-        for i, term in enumerate(self.forcing):
-            if isinstance(term.theta, str):
-                compile_expression(term.theta, names | {"t"}, f"{role}.forcing[{i}].theta")
-            if isinstance(term.profile, str):
-                compile_expression(term.profile, _SPATIAL_NAMES, f"{role}.forcing[{i}].profile")
+        if "compiled" not in self.__dict__:  # the cached property's slot
+            self.__dict__["compiled"] = self._compile(role)
         valid_faces = set(face_ids(len(self.mesh.extent)))
         for face in self.dirichlet:
             if face not in valid_faces:
@@ -236,7 +277,8 @@ class CoupledProblemSpec:
 
     @property
     def is_unsteady(self) -> bool:
-        return self.master.unsteady or self.slave.unsteady
+        """Whether the problem has a time grid: one state per instant."""
+        return self.time is not None
 
     def with_time(self, dt: float, n_steps: int) -> "CoupledProblemSpec":
         return replace(self, time=TimeSpec(dt=dt, n_steps=n_steps))

@@ -26,7 +26,12 @@ from coupledrom.library import (
     steady_reaction_diffusion_pair,
     transport_wall_pair,
 )
-from coupledrom.experiments import config_from_dict, query_bounds, unsteady_query_bounds
+from coupledrom.experiments import (
+    config_from_dict,
+    query_bounds,
+    run_offline,
+    unsteady_query_bounds,
+)
 from coupledrom.pipeline import ReducedSubmodel, _reduced_march, affine_sum
 from coupledrom.problems import (
     AffineTerm,
@@ -35,11 +40,10 @@ from coupledrom.problems import (
     ForcingTerm,
     SubmodelSpec,
     TimeSpec,
-    compile_expression,
     eval_theta,
-    reads_time,
 )
 from coupledrom.sampling import ParameterSpace, lhs_sample
+from coupledrom.storage import load_bundle
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +91,8 @@ def load_at(sub, mu, t=None):
     """One state's load ``sum_q theta_q(mu, t) f_q``, accumulated term by
     term into zeros."""
     out = np.zeros(sub.n)
-    for term, vec in zip(sub.spec.forcing, sub.load_terms):
-        out += eval_theta(term.theta, mu, t) * vec
+    for (theta, _), vec in zip(sub.spec.compiled.forcing_weights, sub.load_terms):
+        out += eval_theta(theta, mu, t) * vec
     return out
 
 
@@ -774,51 +778,61 @@ class TestOnlineMatchesPerStepMarch:
         assert np.all(np.abs(totals - ref_totals) <= 2e-11 * ref_totals)
 
 
-def submodel_spec(op_thetas, load_thetas):
+def submodel_spec(op_thetas, load_thetas, names=("kappa",)):
     """A marching submodel spec whose operator and load terms carry the
-    given weights."""
+    given weights, under the parameters ``names``."""
     return SubmodelSpec(
         mesh=BoxMeshSpec((0.0,), (1.0,), (1,)),
         operator=tuple(AffineTerm(kind="reaction", theta=theta) for theta in op_thetas),
         interface_tag="x-",
         forcing=tuple(ForcingTerm(theta=theta) for theta in load_thetas),
+        parameters=ParameterSpace(names=names, ranges=((0.0, 1.0),) * len(names)),
         unsteady=True,
     )
 
 
-def test_weights_compiled_once_per_submodel_and_rejected_every_time(monkeypatch):
-    import coupledrom.pipeline as pipeline
+def test_weights_compiled_once_per_submodel_and_rejected_every_time(monkeypatch, tmp_path):
+    """Each spec object compiles each of its expressions once: the spec of
+    ``config_from_dict`` when it is validated, the spec ``load_bundle``
+    reads once more, and nothing else on the way: not ``run_offline`` on the
+    first spec, not an online or certified query on either."""
+    import coupledrom.problems as problems
 
     calls = []
-    real = pipeline.compile_expression
+    real = problems.compile_expression
 
     def counting(source, *args):
         calls.append(source)
         return real(source, *args)
 
-    monkeypatch.setattr(pipeline, "compile_expression", counting)
-    source = "0.25 * kappa_once + t ** 3"
-    sub = ReducedSubmodel(
-        spec=submodel_spec([source], [source]),
-        basis=np.eye(2),
-        op_terms=[np.eye(2)],
-        mass=np.eye(2),
-        load_terms=[np.ones(2)],
-        u0_reduced=np.zeros(2),
-    )
-    mu = {"kappa_once": 2.0}
-    loads = sub.loads_per_state(mu, TimeSpec(0.001, 999))
-    weights = [sub.theta_weights(mu, k * 0.001)[0] for k in range(1000)]
-    assert calls == [source]
-    expected = [eval_theta(source, mu, k * 0.001) for k in range(1000)]
-    assert np.array_equal(loads[0], expected) and weights == expected
+    monkeypatch.setattr(problems, "compile_expression", counting)
+    raw = json.loads((REPO / "perfbench" / "configs" / "heat-unsteady.json").read_text())
+    raw["outputs"]["directory"] = str(tmp_path)
+    config = config_from_dict(raw)
+    per_spec = sorted(calls)
+    assert "alpha" in per_spec and len(set(per_spec)) == len(per_spec)
+    training, results = run_offline(config)
+    assert sorted(calls) == per_spec
+    loaded = load_bundle(results[0][1])
+    assert sorted(calls) == sorted(per_spec * 2)
+    calls.clear()
+    fom = training.fom
+    for artifacts in (results[0][3], loaded):
+        online = cr.online_solve(artifacts, [0.5], [])
+        query_bounds(fom, artifacts, [0.5], [], online, cr.fom_coupled_solve(fom, [0.5], []))
+    assert calls == []
+    # a copy is a new spec object, and its validation compiles again
+    copy = dataclasses.replace(config.problem.master)
+    assert copy == config.problem.master and calls == []
+    copy.validate("master")
+    assert calls.count("alpha") == 1 and len(set(calls)) == len(calls)
+    calls.clear()
+    # a failed compile keeps nothing, so every validation raises
+    bad = submodel_spec(["kappa_typo"], [])
     for _ in range(2):
-        with pytest.raises(ConfigError):
-            sub.theta_weights({"kappa": 1.0})
-    assert calls == [source] * 3
-    # a submodel built again compiles again, so every run compiles as often
-    dataclasses.replace(sub).theta_weights(mu)
-    assert calls == [source] * 4
+        with pytest.raises(ConfigError, match=re.escape("master.operator[0].theta")):
+            bad.validate("master")
+    assert calls == ["kappa_typo", "kappa_typo"]
 
 
 class TestTimeIndependentLoadWeights:
@@ -850,12 +864,13 @@ class TestTimeIndependentLoadWeights:
         assert np.array_equal(sub.loads_per_state(mu), load_at(sub, mu))
 
     def test_reads_time_looks_into_nested_code(self):
-        names = {"t", "kappa"}
-        assert reads_time(compile_expression("kappa * t", names))
-        assert reads_time(compile_expression("minimum(*[k * t for k in (1.0, 2.0)])", names))
-        assert not reads_time(compile_expression("minimum(*[t for t in (1.0, kappa)])", names))
-        assert not reads_time(compile_expression("2.0 * kappa", names))
-        assert not reads_time(1.0)
+        # the spec decides once, when it compiles, whether each load weight reads t
+        weights = ["kappa * t", "minimum(*[k * t for k in (1.0, 2.0)])",
+                   "minimum(*[t for t in (1.0, kappa)])", "2.0 * kappa", 1.0]
+        spec = submodel_spec([1.0], weights)
+        assert [timed for _, timed in spec.compiled.forcing_weights] == [
+            True, True, False, False, False
+        ]
 
     def test_heat_query_evaluates_its_load_weight_once(self, monkeypatch):
         import coupledrom.pipeline as pipeline
@@ -1191,3 +1206,28 @@ class TestNonNestedInterface:
             trace_errors = np.linalg.norm(np.atleast_2d(res.dirichlet - online.trace), axis=1)
             for report, error in zip(reports, trace_errors, strict=True):
                 assert error <= report.deim_term + report.master_term
+
+
+def test_steady_pair_on_a_time_grid_answers_every_instant():
+    """A problem is unsteady exactly when it has a time grid: two steady
+    submodels on one respond at each of its states, and the full-order
+    solve, the online query and the bound all give one state per instant."""
+    steady = steady_pair_2d(master_subdivisions=(6, 6), slave_subdivisions=(3, 3))
+    spec = steady.with_time(0.1, 3)
+    assert spec.is_unsteady and not steady.is_unsteady
+    training = cr.run_training(spec, n_train=8, seed=4)
+    art = cr.build_artifacts(training, (1e-4, 1e-4, 1e-4))
+    fom, mu1 = training.fom, [1.3, 2.1]
+    res = cr.fom_coupled_solve(fom, mu1, [])
+    assert res.master.shape[0] == res.slave.shape[0] == res.dirichlet.shape[0] == 4
+    # the load does not depend on t: every state is the steady answer
+    steady_slave = cr.fom_coupled_solve(cr.build_fom(steady), mu1, []).slave
+    assert np.allclose(res.slave, steady_slave, rtol=1e-12, atol=0.0)
+    online = cr.online_solve(art, mu1, [])
+    assert online.master_reduced.shape[0] == online.slave_solution.shape[0] == 4
+    with pytest.raises(ConfigError):
+        cr.online_steady(art, mu1, [])
+    reports = query_bounds(fom, art, mu1, [], online, res)
+    assert len(reports) == 4 and all(r.valid for r in reports)
+    rows = cr.evaluate_test_set(art, fom, n_test=3, seed=9, with_bounds=True)
+    assert cr.summarize(rows)["bound_valid_fraction"] == 1.0

@@ -1,7 +1,12 @@
+import json
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from coupledrom.errors import ConfigError
+from coupledrom.experiments import config_from_dict
 from coupledrom.library import heat_laplace_pair, steady_pair_2d
 from coupledrom.problems import (
     AffineTerm,
@@ -16,10 +21,15 @@ from coupledrom.problems import (
 )
 
 
+def spatial(source: str):
+    return compile_expression(source, {"x", "y", "z"}, "profile")
+
+
 class TestExpressions:
+    # the evaluators read compiled forms: a float, or code from compile_expression
     def test_spatial_expression(self):
         pts = np.array([[0.5, 1.0, 2.0], [0.0, 0.0, 0.0]])
-        out = eval_spatial("x + 2*y + exp(z)", pts)
+        out = eval_spatial(spatial("x + 2*y + exp(z)"), pts)
         assert out[0] == pytest.approx(0.5 + 2.0 + np.exp(2.0))
         assert out[1] == pytest.approx(1.0)
 
@@ -29,25 +39,27 @@ class TestExpressions:
 
     def test_spatial_z_defaults_to_zero_in_2d(self):
         pts = np.array([[1.0, 2.0]])
-        assert eval_spatial("z + x", pts)[0] == 1.0
+        assert eval_spatial(spatial("z + x"), pts)[0] == 1.0
 
     def test_constant_profile(self):
         # the value eval_spatial gives at every point, when it reads no coordinate
         pts = np.zeros((1, 3))
-        for value in (2, 0.04, "0.5 + sqrt(2.25)", "pi * minimum(1, 2)"):
+        for value in (2.0, 0.04, spatial("0.5 + sqrt(2.25)"), spatial("pi * minimum(1, 2)")):
             assert constant_profile(value) == eval_spatial(value, pts)[0]
-        for value in ("1 + x*y", "z", "maximum(*[k * y for k in (1.0,)])", ("y", "0.0")):
-            assert constant_profile(value) is None
+        for source in ("1 + x*y", "z", "maximum(*[k * y for k in (1.0,)])"):
+            assert constant_profile(spatial(source)) is None
+        assert constant_profile((spatial("y"), 0.0)) is None
 
     def test_theta_expression(self):
-        assert eval_theta("alpha * 2", {"alpha": 3.0}) == 6.0
-        assert eval_theta("sin(pi*t)", {}, t=0.5) == pytest.approx(1.0)
+        alpha = compile_expression("alpha * 2", {"alpha"}, "theta")
+        assert eval_theta(alpha, {"alpha": 3.0}) == 6.0
+        wave = compile_expression("sin(pi*t)", {"t"}, "theta")
+        assert eval_theta(wave, {}, t=0.5) == pytest.approx(1.0)
         assert eval_theta(1.25, {}) == 1.25
 
     def test_theta_accepts_compiled_expression(self):
-        source = "alpha * sin(pi*t)"
-        code = compile_expression(source, {"alpha", "t"}, "theta")
-        assert eval_theta(code, {"alpha": 3.0}, t=0.25) == eval_theta(source, {"alpha": 3.0}, t=0.25)
+        code = compile_expression("alpha * sin(pi*t)", {"alpha", "t"}, "theta")
+        assert eval_theta(code, {"alpha": 3.0}, t=0.25) == 3.0 * np.sin(np.pi * 0.25)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
@@ -69,10 +81,10 @@ class TestExpressions:
         code = compile_expression("minimum(*[k * t for k in (1.0, 2.0)])", {"t"}, "theta")
         assert eval_theta(code, {}, t=0.5) == 0.5
         pts = np.array([[0.25, 0.0]])
-        assert eval_spatial("maximum(*[k * x for k in (1.0, 2.0)])", pts)[0] == 0.5
+        assert eval_spatial(spatial("maximum(*[k * x for k in (1.0, 2.0)])"), pts)[0] == 0.5
 
     def test_vector_coefficient(self):
-        coeff = spatial_coefficient(("y", "0.0"))
+        coeff = spatial_coefficient((spatial("y"), 0.0))
         pts = np.array([[[0.0, 2.0]]])
         out = coeff(pts)
         assert out.shape == (1, 1, 2)
@@ -85,8 +97,11 @@ class TestSpecValidation:
             AffineTerm(kind="banana")
 
     def test_advection_needs_vector(self):
-        with pytest.raises(ConfigError):
-            AffineTerm(kind="advection", coefficient="1.0")
+        data = problem_to_dict(steady_pair_2d())
+        data["master"]["operator"].append({"kind": "advection", "coefficient": "1.0"})
+        with pytest.raises(ConfigError) as err:
+            problem_from_dict(data)
+        assert err.value.field == "master.operator[2].coefficient"
 
     def test_time_spec_positive(self):
         with pytest.raises(ConfigError):
@@ -107,6 +122,26 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             problem_from_dict(data)
 
+    def test_operator_weight_reading_time_refused(self):
+        # operator weights are theta_q(mu), assembled once per query
+        data = problem_to_dict(heat_laplace_pair())
+        data["master"]["operator"][0]["theta"] = "alpha*(1+100*t)"
+        with pytest.raises(ConfigError) as err:
+            problem_from_dict(data)
+        assert err.value.field == "master.operator[0].theta"
+        # load weights are theta_k(mu, t)
+        data["master"]["operator"][0]["theta"] = "alpha"
+        data["master"]["forcing"][0]["theta"] = "alpha*(1+100*t)"
+        compiled = problem_from_dict(data).master.compiled
+        assert [timed for _, timed in compiled.forcing_weights] == [True]
+
+    def test_validated_spec_pickles(self):
+        spec = heat_laplace_pair()
+        spec.validate()
+        again = pickle.loads(pickle.dumps(spec))
+        assert again == spec and "compiled" not in vars(again.master)
+        assert again.master.compiled.operator_weights[0].co_names == ("alpha",)
+
     def test_missing_keys_carry_field_path(self):
         data = problem_to_dict(steady_pair_2d())
         del data["master"]["mesh"]
@@ -123,3 +158,20 @@ class TestSpecValidation:
     def test_time_instants(self):
         ts = TimeSpec(dt=0.25, n_steps=8)
         assert np.array_equal(ts.instants(), 0.25 * np.arange(9))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted(
+    [*(ROOT / "configs").glob("*.json"), *(ROOT / "perfbench" / "configs").glob("*.json")]
+)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[str(p.relative_to(ROOT)) for p in CONFIGS])
+def test_compiled_forms_leak_into_neither_the_dict_nor_equality(path):
+    spec = config_from_dict(json.loads(path.read_text())).problem
+    data = problem_to_dict(spec)
+    again = problem_from_dict(data)
+    assert "compiled" in vars(again.master) and "compiled" in vars(again.slave)
+    assert problem_to_dict(again) == data
+    assert json.dumps(problem_to_dict(again)) == json.dumps(data)
+    assert again == spec

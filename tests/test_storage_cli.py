@@ -577,6 +577,59 @@ class TestCli:
         assert solution.shape[1] == 11  # states as columns, n_steps + 1
 
 
+def _set(path, value):
+    """An edit of a config's problem section that sets ``path`` to ``value``."""
+    def edit(problem):
+        *keys, last = path
+        node = problem
+        for key in keys:
+            node = node[key]
+        node[last] = value
+    return edit
+
+
+#: config, edit, the field its configuration error names
+MALFORMED_EXPRESSIONS = {
+    "list-weight": ("steady_pair", _set(("master", "operator", 0, "theta"), [1.0]),
+                    "master.operator[0].theta"),
+    "list-coefficient": ("steady_pair",
+                         _set(("master", "operator", 0, "coefficient"), [1.0, 2.0]),
+                         "master.operator[0].coefficient"),
+    "list-profile": ("steady_pair", _set(("master", "forcing", 0, "profile"), [1.0]),
+                     "master.forcing[0].profile"),
+    "velocity-components": (
+        "heat_laplace",
+        lambda problem: problem["master"]["operator"].append(
+            {"kind": "advection", "theta": 1.0, "coefficient": ["1.0", "0.0"]}
+        ),
+        "master.operator[1].coefficient",
+    ),
+    "unknown-name-in-coefficient": (
+        "steady_pair", _set(("slave", "operator", 0, "coefficient"), "1 + w"),
+        "slave.operator[0].coefficient",
+    ),
+    "unknown-name-in-initial": ("heat_laplace", _set(("master", "initial"), "sin(w)"),
+                                "master.initial"),
+    "time-in-operator-weight": ("heat_laplace",
+                                _set(("master", "operator", 0, "theta"), "alpha*(1+100*t)"),
+                                "master.operator[0].theta"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_EXPRESSIONS))
+def test_malformed_expression_is_config_error_naming_its_field(tmp_path, capsys, case):
+    name, edit, field = MALFORMED_EXPRESSIONS[case]
+    config = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    edit(config["problem"])
+    config["outputs"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["offline", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"{field}:" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mu1", ["0.7,1", ""], ids=["too-many", "too-few"])
 def test_online_wrong_parameter_count_exit_code(tmp_path, capsys, mu1):
     config = make_config(tmp_path, unsteady=True, n_train=2)
