@@ -291,20 +291,6 @@ def factorized_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     return lu.solve
 
 
-def lu_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """The solve with ``A`` of one right-hand side or a block of columns by
-    one ``factorized_solver`` of ``A``.  A block is solved column by column:
-    with threaded OpenBLAS on 2 CPUs, SuperLU's multi-column solve made the
-    heat benchmark's offline build about 14% slower, and it did not with one
-    BLAS thread."""
-    lu_solve = factorized_solver(A)
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        return lu_solve(b) if b.ndim == 1 else np.column_stack([lu_solve(c) for c in b.T])
-
-    return solve
-
-
 def axis_matrices(mesh: Mesh, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """The 1-D unit stiffness and mass ``(K_a, M_a)`` on every node of one
     axis, assembled with the quadrature of ``cell_quadrature``."""
@@ -424,14 +410,14 @@ def solve_steady(
     ``f`` is one load ``(N,)`` or a block ``(N, k)``; in a block, each
     column is checked on its own and column ``j`` is reported as step ``j``.
     ``solve`` is a solve with ``A`` of one load or a block, when the caller
-    has one; the default is one ``lu_solver`` of ``A``.
+    has one; the default is one ``factorized_solver`` of ``A``.
     """
     f = np.asarray(f, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != len(f):
         raise DimensionMismatchError(
             f"system shape {A.shape} incompatible with load of length {len(f)}"
         )
-    u = (solve or lu_solver(A))(f)
+    u = (solve or factorized_solver(A))(f)
     _check_residuals(f - A @ u, f, first_step=0 if f.ndim == 2 else None)
     return u
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
@@ -181,11 +180,10 @@ def deim_indices(Phi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DeimBasis:
-    """Interpolation basis with its selected rows pre-factorized."""
+    """Interpolation basis and its selected rows ("magic points")."""
 
     Phi: np.ndarray = field(repr=False)
     indices: np.ndarray  # selection order positions into the trace
-    lu: tuple = field(repr=False)
     #: upper bound of ``||Phi_I^{-1}||_2``, the amplification of the
     #: projection error in the interpolation error
     inverse_norm: float
@@ -194,34 +192,37 @@ class DeimBasis:
     def m(self) -> int:
         return self.Phi.shape[1]
 
-    def interpolate(self, values_at_indices: np.ndarray) -> np.ndarray:
-        """Coefficients reproducing ``values_at_indices`` at the magic rows."""
-        return sla.lu_solve(self.lu, values_at_indices)
-
     def reconstruct(self, values_at_indices: np.ndarray) -> np.ndarray:
-        return self.Phi @ self.interpolate(values_at_indices)
+        return self.Phi @ _solve_magic_rows(self, values_at_indices)
+
+
+def _solve_magic_rows(deim: DeimBasis, rhs: np.ndarray) -> np.ndarray:
+    """``Phi_I^{-1} rhs``; an exactly singular ``Phi_I`` is degenerate."""
+    try:
+        return np.linalg.solve(deim.Phi[deim.indices], rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateBasisError(f"magic-row submatrix singular ({exc})")
 
 
 def make_deim_basis(Phi: np.ndarray, indices: np.ndarray | None = None) -> DeimBasis:
-    """Factorize the magic rows ``Phi_I`` and take ``cond(Phi_I)`` and
-    ``||Phi_I^{-1}||_2 = 1 / s_min`` from one SVD.
+    """Select the magic rows ``Phi_I``, greedily unless ``indices`` are given,
+    and take ``||Phi_I^{-1}||_2 = 1 / s_min`` from one SVD.
 
     The computed singular values are off by at most a modest multiple of
     ``m eps s_max`` (backward stability of the SVD); ``s_min`` is lowered by
     the margin ``4 m eps s_max`` before it is inverted, so that
-    ``inverse_norm`` stays an upper bound.
+    ``inverse_norm`` stays an upper bound, infinite when the lowered
+    ``s_min`` is not positive.
     """
     indices = deim_indices(Phi) if indices is None else np.asarray(indices)
     sub = Phi[indices, :]
-    try:
-        lu = sla.lu_factor(sub)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise DegenerateBasisError(f"magic-row submatrix not factorizable: {exc}")
+    if not np.isfinite(sub).all():
+        raise DegenerateBasisError("magic-row submatrix is not finite")
     s = np.linalg.svd(sub, compute_uv=False)
     s_low = s[-1] - 4 * len(s) * np.finfo(float).eps * s[0]
     inverse_norm = float(1.0 / s_low) if s_low > 0 else np.inf
-    log.info("interpolation basis: m=%d, cond(selected rows)=%.3e", Phi.shape[1], s[0] / s[-1])
-    return DeimBasis(Phi=Phi, indices=indices, lu=lu, inverse_norm=inverse_norm)
+    log.info("interpolation basis: m=%d, ||Phi_I^-1||_2 <= %.3e", Phi.shape[1], inverse_norm)
+    return DeimBasis(Phi=Phi, indices=indices, inverse_norm=inverse_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +283,15 @@ def assemble_reducer(
     """
     B_I = sp.csr_matrix(transfer)[deim.indices]  # (m, len master trace)
 
-    # the magic-point values of the master basis, then the interpolation
-    # solve, both folded into dense offline products
+    # the magic-point values of the master basis and B_I itself, through one
+    # interpolation solve, folded into dense offline products
     extracted = B_I @ master_basis[master_trace.dof_indices]  # (m, n1)
-    full_transfer = deim.Phi @ sla.lu_solve(deim.lu, extracted)
+    solved = _solve_magic_rows(deim, np.hstack([extracted, B_I.toarray()]))
+    full_transfer = deim.Phi @ solved[:, : extracted.shape[1]]
     # Phi has orthonormal columns: ||Phi Phi_I^{-1} B_I||_2 = ||Phi_I^{-1} B_I||_2,
     # raised by the margin 4 m eps s_max of make_deim_basis, so that it stays
     # an upper bound under the rounding of the SVD
-    s = np.linalg.svd(sla.lu_solve(deim.lu, B_I.toarray()), compute_uv=False)
+    s = np.linalg.svd(solved[:, extracted.shape[1] :], compute_uv=False)
     transfer_norm = float(s[0] + 4 * len(s) * np.finfo(float).eps * s[0])
 
     gamma = slave_trace.dof_indices

@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import estimator as est
@@ -192,7 +191,7 @@ class FomSubmodel(AffineSubmodel):
         A_ff = affine_sum(weights, [ff for ff, _ in self.free_blocks])
         if dt is not None:
             A_ff = fem.bdf1_system(self._mass_blocks[0], A_ff, dt)[1]
-        solve = fem.lu_solver(A_ff)
+        solve = fem.factorized_solver(A_ff)
         self._kept_lu = (key, solve)
         return solve
 
@@ -633,9 +632,8 @@ def _query_parameters(spec: CoupledProblemSpec, mu1, mu2):
     return mappings[0], mappings[1], warnings
 
 
-# Every reduced factorization and solve goes through ``_reduced_solve`` or
-# ``_reduced_march``: an exactly singular system or a non-finite result
-# raises ``SingularRomError``.
+# Every reduced solve, the march's too, is one ``_reduced_solve``: an exactly
+# singular system or a non-finite result raises ``SingularRomError``.
 
 
 def _singular(detail: str) -> SingularRomError:
@@ -660,21 +658,15 @@ def _reduced_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _reduced_march(S: np.ndarray, M_dt: np.ndarray, G: np.ndarray, u0: np.ndarray) -> np.ndarray:
     """States ``u[0] = u0`` and ``S u[k+1] = G[:, k+1] + M_dt u[k]``, one per
-    column of the load block ``G`` (column 0 is not read), with ``S``
-    factorized once."""
-    # LAPACK itself: scipy's lu_factor only warns on an exactly zero pivot,
-    # and lu_solve(..., check_finite=False) calls this same getrs on the same
-    # arrays behind a per-call wrapper that costs more than the 2n^2 flops
-    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (S,))
-    lu, piv, info = getrf(S)
-    if info != 0:
-        raise _singular(f"getrf info {info}")
-    u = np.empty((G.shape[1], len(u0)))
+    column of the load block ``G`` (column 0 is not read): one solve gives
+    ``T = S^{-1} M_dt`` and ``H = S^{-1} G``, then each step is
+    ``u[k+1] = H[:, k+1] + T u[k]``."""
+    n = len(u0)
+    TH = _reduced_solve(S, np.hstack([M_dt, G]))
+    T, u = TH[:, :n], TH[:, n:].T.copy()  # u[k] holds H[:, k] until step k
     u[0] = u0
-    for k in range(G.shape[1] - 1):
-        u[k + 1], info = getrs(lu, piv, G[:, k + 1] + M_dt @ u[k])
-        if info != 0:
-            raise _singular(f"getrs info {info}")
+    for k in range(1, len(u)):
+        u[k] += T @ u[k - 1]
     return _finite(u)
 
 

@@ -137,12 +137,6 @@ class AffineTerm:
     theta: str | float = 1.0
     coefficient: object = 1.0  # number or expression; for advection, a velocity tuple
 
-    def __post_init__(self):
-        if self.kind not in OPERATOR_KINDS:
-            raise ConfigError(
-                f"operator kind must be one of {OPERATOR_KINDS}, got {self.kind!r}"
-            )
-
 
 @dataclass(frozen=True)
 class ForcingTerm:
@@ -202,6 +196,11 @@ class SubmodelSpec:
     def _compile(self, role: str) -> CompiledSubmodel:
         names, dim = set(self.parameters.names), len(self.mesh.extent)
         op = f"{role}.operator"
+        for i, term in enumerate(self.operator):
+            if term.kind not in OPERATOR_KINDS:
+                raise ConfigError(
+                    f"must be one of {OPERATOR_KINDS}, got {term.kind!r}", field=f"{op}[{i}].kind"
+                )
 
         def each(group: str, attr: str, allowed: set[str]) -> tuple:
             return tuple(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -231,11 +232,21 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
     return _digest(contents)
 
 
+def _finite_positive(raw) -> float:
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError("must be finite and positive")
+    return value
+
+
 def load_bundle(path):
     """Reconstruct artifacts from a bundle directory.  The problem spec sets
     every term count and kind, so which matrices are read, each once; a
     listed matrix that the spec does not need is refused, as is a needed
-    one that is not listed."""
+    one that is not listed.  The reducer's indices must be distinct rows of
+    ``phi``, one per column, and its ``transfer_norm`` finite and positive.
+    Loading factorizes nothing: one SVD of the magic rows gives their
+    ``inverse_norm``."""
     from .pipeline import ReducedSubmodel, RomArtifacts
 
     path = Path(path)
@@ -256,8 +267,7 @@ def load_bundle(path):
         for key in ("master", "slave", "interface")
     )
     rd = _entry(manifest, "reducer", where)
-    indices = _entry(rd, "indices", f"{where}.reducer", lambda v: np.asarray(v, dtype=np.int64))
-    transfer_norm = _entry(rd, "transfer_norm", f"{where}.reducer", float)
+    transfer_norm = _entry(rd, "transfer_norm", f"{where}.reducer", _finite_positive)
     provenance = _entry(manifest, "provenance", where)
     unread = set(files)
 
@@ -286,6 +296,16 @@ def load_bundle(path):
     slave = load_submodel("slave")
     lift_products = tuple(mat(name) for name in _lift_names(spec.slave))
     phi, full_transfer = mat("phi"), mat("full_transfer")
+    rows, cols = phi.shape
+
+    def magic_rows(raw) -> np.ndarray:
+        if len(raw) != cols or len(set(raw)) != cols or not all(
+            type(i) is int and 0 <= i < rows for i in raw
+        ):
+            raise ValueError(f"need {cols} distinct integers in [0, {rows})")
+        return np.asarray(raw, dtype=np.int64)
+
+    indices = _entry(rd, "indices", f"{where}.reducer", magic_rows)
     if unread:
         raise ConfigError(
             f"{path / min(unread)}: listed in the manifest's files, but the problem "

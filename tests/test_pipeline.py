@@ -679,49 +679,60 @@ class TestOnlineUnsteady:
         assert online.slave_solution.shape == res.slave.shape
 
 
-def reference_online_unsteady(art, mu1, mu2):
-    """The reduced coupled march composed step by step: one load per state
-    from the load terms, one factorization per march and one solve per
-    step."""
+def solved_reduced_march(S, M_dt, G, u0):
+    """The march of ``S u[k+1] = G[:, k+1] + M_dt u[k]`` composed from one
+    solve ``S^{-1} [M_dt | G]``, then one product per step."""
+    n = len(u0)
+    TH = np.linalg.solve(S, np.hstack([M_dt, G]))
+    u = np.empty((G.shape[1], n))
+    u[0] = u0
+    for k in range(G.shape[1] - 1):
+        u[k + 1] = TH[:, n + k + 1] + TH[:, :n] @ u[k]
+    return u
+
+
+def lu_reduced_march(S, M_dt, G, u0):
+    """The same march with one LU of ``S`` and one solve per step, from
+    scipy's factor and solve wrappers."""
+    lu = sla.lu_factor(S)
+    u = np.empty((G.shape[1], len(u0)))
+    u[0] = u0
+    for k in range(G.shape[1] - 1):
+        u[k + 1] = sla.lu_solve(lu, G[:, k + 1] + M_dt @ u[k], check_finite=False)
+    return u
+
+
+def reference_online_unsteady(art, mu1, mu2, march=solved_reduced_march):
+    """The reduced coupled march composed by ``march``: one load per state
+    from the load terms, the marching slave's lifting per state."""
     ts = art.spec.time
     dt, n = ts.dt, ts.n_steps
     m1, s2 = art.master, art.slave
     mu1m = art.spec.master.parameters.as_mapping(np.atleast_1d(mu1))
     mu2m = art.spec.slave.parameters.as_mapping(np.atleast_1d(mu2))
 
-    def march(S, rhs, u0):
-        lu = sla.lu_factor(S)
-        u = np.empty((n + 1, len(u0)))
-        u[0] = u0
-        for k in range(n):
-            u[k + 1] = sla.lu_solve(lu, rhs(k, u[k]), check_finite=False)
-        return u
+    def loads(sub, mu):
+        return np.column_stack([load_at(sub, mu, k * dt) for k in range(n + 1)])
 
     M1_dt = m1.mass / dt
-    u1 = march(
-        M1_dt + m1.assemble_operator(mu1m),
-        lambda k, u: load_at(m1, mu1m, (k + 1) * dt) + M1_dt @ u,
-        m1.u0_reduced,
-    )
+    u1 = march(M1_dt + m1.assemble_operator(mu1m), M1_dt, loads(m1, mu1m), m1.u0_reduced)
     w2 = s2.theta_weights(mu2m)
     if s2.spec.unsteady:
         lift = art.reducer.lift_products
         LA = affine_sum(w2, lift[: len(w2)])
         LM_dt = lift[len(w2)] / dt
         M2_dt = s2.mass / dt
-        u2 = march(
-            M2_dt + s2.assemble_operator(mu2m),
-            lambda k, u: load_at(s2, mu2m, (k + 1) * dt)
-            + M2_dt @ u
-            + LM_dt @ (u1[k] - u1[k + 1])
-            - LA @ u1[k + 1],
-            s2.u0_reduced,
-        )
+        G2 = loads(s2, mu2m)
+        G2[:, 1:] += LM_dt @ (u1[:-1] - u1[1:]).T - LA @ u1[1:].T
+        u2 = march(M2_dt + s2.assemble_operator(mu2m), M2_dt, G2, s2.u0_reduced)
     else:
         lifting = art.reducer.reduced_lifting(u1.T, w2)
-        loads = np.column_stack([load_at(s2, mu2m, k * dt) for k in range(n + 1)])
-        u2 = np.linalg.solve(s2.assemble_operator(mu2m), loads - lifting).T
+        u2 = np.linalg.solve(s2.assemble_operator(mu2m), loads(s2, mu2m) - lifting).T
     return u1, u2
+
+
+def max_relative_gap(got, reference):
+    return np.max(np.abs(got - reference)) / np.max(np.abs(reference))
 
 
 class TestOnlineMatchesPerStepMarch:
@@ -733,6 +744,10 @@ class TestOnlineMatchesPerStepMarch:
         u1, u2 = reference_online_unsteady(art, mu1, [])
         assert np.array_equal(online.master_reduced, u1)
         assert np.array_equal(online.slave_reduced, u2)
+        # the per-step LU march rounds otherwise: measured at most 2.9e-15
+        u1, u2 = reference_online_unsteady(art, mu1, [], march=lu_reduced_march)
+        assert max_relative_gap(online.master_reduced, u1) <= 1e-13
+        assert max_relative_gap(online.slave_reduced, u2) <= 1e-13
 
     @pytest.mark.parametrize("sample", [0, 5])
     def test_steady_pair_bit_identical(self, steady_training, sample):
@@ -759,6 +774,9 @@ class TestOnlineMatchesPerStepMarch:
         # (1/dt)(L_M du), not as (sum_q w_q L_q) u1 + (L_M/dt) du: the
         # summation order differs
         assert np.max(np.abs(online.slave_reduced - u2)) <= 1e-12 * np.max(np.abs(u2))
+        u1, u2 = reference_online_unsteady(art, mu1, [], march=lu_reduced_march)
+        assert max_relative_gap(online.master_reduced, u1) <= 1e-13
+        assert max_relative_gap(online.slave_reduced, u2) <= 1e-12
 
 
     @pytest.mark.parametrize("sample", [0, 2])
@@ -768,14 +786,21 @@ class TestOnlineMatchesPerStepMarch:
         mu1 = training.master_samples.points[sample]
         res = cr.fom_coupled_solve(training.fom, mu1, [])
         online = cr.online_unsteady(art, mu1, [])
-        u1, u2 = reference_online_unsteady(art, mu1, [])
-        reference = dataclasses.replace(online, master_reduced=u1, slave_reduced=u2)
-        totals, ref_totals = (
+        references = [
+            dataclasses.replace(online, master_reduced=u1, slave_reduced=u2)
+            for u1, u2 in (
+                reference_online_unsteady(art, mu1, []),
+                reference_online_unsteady(art, mu1, [], march=lu_reduced_march),
+            )
+        ]
+        totals, ref_totals, lu_totals = (
             np.array([r.total for r in unsteady_query_bounds(training.fom, art, mu1, [], o, res)])
-            for o in (online, reference)
+            for o in (online, *references)
         )
         # the slave residual cancels: its 1e-16 state differences grow here
         assert np.all(np.abs(totals - ref_totals) <= 2e-11 * ref_totals)
+        # and the per-step LU march's 1e-15 ones to at most 2.9e-11 (samples 0-5)
+        assert np.all(np.abs(totals - lu_totals) <= 1e-10 * lu_totals)
 
 
 def submodel_spec(op_thetas, load_thetas, names=("kappa",)):
@@ -1100,20 +1125,10 @@ class TestSingularReducedSystems:
             )
 
 
-def reference_reduced_march(S, M_dt, G, u0):
-    """``_reduced_march`` composed from scipy's factor and solve wrappers."""
-    lu = sla.lu_factor(S)
-    u = np.empty((G.shape[1], len(u0)))
-    u[0] = u0
-    for k in range(G.shape[1] - 1):
-        u[k + 1] = sla.lu_solve(lu, G[:, k + 1] + M_dt @ u[k], check_finite=False)
-    return u
-
-
 class TestReducedMarch:
     @given(n=st.integers(1, 12), n_steps=st.integers(1, 60), seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
-    def test_matches_scipy_lu_solve_bit_for_bit(self, n, n_steps, seed):
+    def test_matches_one_solve_then_products_bit_for_bit(self, n, n_steps, seed):
         rng = np.random.default_rng(seed)
         K = rng.standard_normal((n, n))
         S = K + (np.linalg.norm(K) + 1.0) * np.eye(n)  # sigma_min(S) >= 1
@@ -1121,7 +1136,23 @@ class TestReducedMarch:
         G = rng.standard_normal((n, n_steps + 1))
         u0 = rng.standard_normal(n)
         got = _reduced_march(S, M_dt, G, u0)
-        assert np.array_equal(got, reference_reduced_march(S, M_dt, G, u0))
+        assert np.array_equal(got, solved_reduced_march(S, M_dt, G, u0))
+
+    @given(n=st.integers(1, 12), n_steps=st.integers(1, 60), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_bdf1_march_matches_per_step_lu(self, n, n_steps, seed):
+        # a BDF1 system S = M/dt + A with M and A symmetric positive
+        # (semi)definite, as every reduced march solves: each step of either
+        # march is off by a few cond(S) eps relative, and the dissipative
+        # march adds them up; 40,000 draws gave at most 1.8 n_steps cond(S) eps
+        rng = np.random.default_rng(seed)
+        X, Y = rng.standard_normal((2, n, n))
+        M_dt = (X @ X.T + n * np.eye(n)) / 10.0 ** rng.uniform(-3, 0)
+        S = M_dt + Y @ Y.T
+        G = rng.standard_normal((n, n_steps + 1))
+        u0 = rng.standard_normal(n)
+        gap = max_relative_gap(_reduced_march(S, M_dt, G, u0), lu_reduced_march(S, M_dt, G, u0))
+        assert gap <= 4 * (n + 1) * n_steps * np.linalg.cond(S) * np.finfo(float).eps
 
     @given(n=st.integers(1, 12), seed=st.integers(0, 10_000), data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -1130,7 +1161,7 @@ class TestReducedMarch:
         rng = np.random.default_rng(seed)
         S = rng.standard_normal((n, n))
         S[:, data.draw(st.integers(0, n - 1))] = 0.0
-        with pytest.raises(SingularRomError, match="getrf"):
+        with pytest.raises(SingularRomError, match="Singular matrix"):
             _reduced_march(S, np.eye(n), rng.standard_normal((n, 4)), np.zeros(n))
 
 

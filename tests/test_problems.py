@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pickle
 from pathlib import Path
@@ -93,8 +94,17 @@ class TestExpressions:
 
 class TestSpecValidation:
     def test_bad_operator_kind(self):
-        with pytest.raises(ConfigError):
-            AffineTerm(kind="banana")
+        # the kind is checked where the submodel compiles, which knows the
+        # term's place, not by the term itself
+        data = problem_to_dict(steady_pair_2d())
+        data["master"]["operator"][1]["kind"] = "banana"
+        with pytest.raises(ConfigError) as err:
+            problem_from_dict(data)
+        assert err.value.field == "master.operator[1].kind"
+        spec = dataclasses.replace(steady_pair_2d().slave, operator=(AffineTerm(kind="banana"),))
+        with pytest.raises(ConfigError) as err:
+            spec.compiled
+        assert err.value.field == "submodel.operator[0].kind"
 
     def test_advection_needs_vector(self):
         data = problem_to_dict(steady_pair_2d())

@@ -347,6 +347,19 @@ MALFORMED_MANIFESTS = {
     "no-transfer-norm": (lambda m: m["reducer"].pop("transfer_norm"), "'transfer_norm'"),
     "null-indices": (lambda m: m["reducer"].update(indices=None), "reducer.indices"),
     "text-tolerance": (lambda m: m["tolerances"].update(slave="tight"), "tolerances.slave"),
+    # the reducer's indices: distinct integers in [0, rows of phi), one per
+    # column; its transfer norm: finite and positive
+    "index-past-phi": (lambda m: m["reducer"]["indices"].__setitem__(0, 10**6),
+                       "reducer.indices"),
+    "negative-index": (lambda m: m["reducer"]["indices"].__setitem__(0, -1), "reducer.indices"),
+    "too-few-indices": (lambda m: m["reducer"]["indices"].pop(), "reducer.indices"),
+    "repeated-index": (lambda m: m["reducer"].update(indices=[m["reducer"]["indices"][0]] * 2),
+                       "reducer.indices"),
+    "fractional-indices": (lambda m: m["reducer"].update(indices=[0.5, 0.5]), "reducer.indices"),
+    "negative-transfer-norm": (lambda m: m["reducer"].update(transfer_norm=-1.0),
+                               "reducer.transfer_norm"),
+    "nan-transfer-norm": (lambda m: m["reducer"].update(transfer_norm=float("nan")),
+                          "reducer.transfer_norm"),
 }
 
 
@@ -372,6 +385,43 @@ def test_manifest_that_is_not_a_mapping_is_config_error(tmp_path, artifacts):
         for call in (load_bundle, hash_bundle):
             with pytest.raises(ConfigError, match="manifest.json"):
                 call(tmp_path / "b")
+
+
+def scipy_functions_entered(call) -> set[str]:
+    """The functions under scipy's package directory whose Python frames
+    ``call()`` enters."""
+    import scipy
+
+    root = str(Path(scipy.__file__).parent) + "/"
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            entered.add(f"{frame.f_code.co_filename[len(root):]}:{frame.f_code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+@pytest.mark.parametrize("fixture", ["artifacts", "transport_artifacts"])
+def test_loading_and_querying_a_bundle_run_no_scipy_code(tmp_path, request, fixture):
+    """A bundle holds dense arrays only: loading it and an online query
+    need numpy alone."""
+    write_bundle(tmp_path / "b", request.getfixturevalue(fixture))
+
+    def load_and_query():
+        loaded = load_bundle(tmp_path / "b")
+        mu1, mu2 = (
+            [np.mean(r) for r in side.parameters.ranges]
+            for side in (loaded.spec.master, loaded.spec.slave)
+        )
+        cr.online_solve(loaded, mu1, mu2)
+
+    assert scipy_functions_entered(load_and_query) == set()
 
 
 #: the benchmark's bundle round trip, on its heat configs and the non-nested one
@@ -613,6 +663,8 @@ MALFORMED_EXPRESSIONS = {
     "time-in-operator-weight": ("heat_laplace",
                                 _set(("master", "operator", 0, "theta"), "alpha*(1+100*t)"),
                                 "master.operator[0].theta"),
+    "unknown-operator-kind": ("steady_pair", _set(("master", "operator", 0, "kind"), "banana"),
+                              "master.operator[0].kind"),
 }
 
 
