@@ -23,7 +23,7 @@ from .errors import (
     InconsistentConstraintError,
     SolverFailureError,
 )
-from .mesh import Mesh, grid_indices
+from .mesh import Mesh, build_box_mesh, grid_indices
 
 SOLVE_RTOL = 1e-10
 #: SuperLU ordering of every factorization in the library: each operator has
@@ -291,6 +291,18 @@ def factorized_solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     return lu.solve
 
 
+def assemble_term(
+    mesh: Mesh, kind: str, coefficient, quadrature: CellQuadrature | None = None
+) -> sp.csr_matrix:
+    """One operator term of ``kind``: ``"diffusion"`` the stiffness,
+    ``"reaction"`` the mass and ``"advection"`` the advection operator,
+    with ``coefficient``."""
+    assemble = {
+        "diffusion": assemble_stiffness, "reaction": assemble_mass, "advection": assemble_advection,
+    }[kind]
+    return assemble(mesh, coefficient, quadrature=quadrature)
+
+
 def axis_matrices(mesh: Mesh, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """The 1-D unit stiffness and mass ``(K_a, M_a)`` on every node of one
     axis, assembled with the quadrature of ``cell_quadrature``."""
@@ -308,74 +320,176 @@ def axis_matrices(mesh: Mesh, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return K, M
 
 
-class FastDiagonalization:
-    """``(a_m M + a_k K)^{-1}`` on a tensor-product set of DoFs of a box mesh,
-    for its unit-coefficient mass ``M`` and stiffness ``K`` restricted to
-    them.  Its axes run slowest first (z, y, x), the order in which
-    ``mesh.grid_indices`` and ``mesh.flat_index`` number the DoFs.
+def affine_sum(weights, terms):
+    """``sum_q weights[q] * terms[q]``, accumulated in term order."""
+    out = weights[0] * terms[0]
+    for w, A in zip(weights[1:], terms[1:]):
+        out = out + w * A
+    return out
 
-    On such a set both are Kronecker forms of the 1-D matrices of each axis
-    restricted to its nodes in the set: ``M`` the product of the ``M_a``, and
-    ``K`` the sum over axes of that product with ``K_a`` in the place of
-    ``M_a``.  With ``V_a^T M_a V_a = I`` and ``V_a^T K_a V_a = diag(l_a)``
-    from ``eigh(K_a, M_a)``, ``V`` the product of the ``V_a`` gives
-    ``V^T M V = I`` and ``V^T K V = diag(L)``, ``L`` the sum over axes of
-    the ``l_a``; so ``(a_m M + a_k K)^{-1} = V diag(1 / (a_m + a_k L)) V^T``
-    (R. E. Lynch, J. R. Rice and D. H. Thomas, Numer. Math. 6, 1964).  A
-    solve contracts each axis with ``V_a^T``, divides, and contracts back.
+
+def _rest_factors(
+    mesh: Mesh, rest: list[int], keep: list[np.ndarray], kind: str, coefficient
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """``(Q, P)`` of one operator term over the axes ``rest`` (0 = x, x
+    first), restricted to the nodes ``keep`` of each, for a term that
+    separates along every other axis (see ``FastDiagonalization``).  They
+    are assembled on the box of ``rest`` alone, with the coefficient read at
+    points whose other coordinates are the mesh origin's; with no axis left
+    they are the 1x1 weights of the unit mass and stiffness."""
+    vector = kind == "advection"
+    if not rest:
+        value = 0.0 if vector else float(_at_points(coefficient, np.array([mesh.origin]))[0])
+        q, p = (0.0, value) if kind == "diffusion" else (value, 0.0)
+        return np.array([[q]]), np.array([[p]])
+    box = build_box_mesh(
+        [mesh.origin[a] for a in rest],
+        [mesh.extent[a] for a in rest],
+        [mesh.subdivisions[a] for a in rest],
+        mesh.order,
+    )
+
+    def on_rest(points: np.ndarray) -> np.ndarray:
+        full = np.empty(points.shape[:-1] + (mesh.dim,))
+        full[...] = mesh.origin
+        full[..., rest] = points
+        value = _at_points(coefficient, full, vector)
+        return value[..., rest] if vector else value
+
+    # the box's DoFs on its grid, slowest axis first, at the kept nodes
+    nodes = np.arange(box.n_dofs).reshape(box.nodes_per_axis[::-1])[np.ix_(*keep[::-1])].ravel()
+    Q = assemble_term(box, kind, on_rest)[nodes][:, nodes]
+    if kind == "diffusion":
+        return Q, assemble_mass(box, on_rest)[nodes][:, nodes]
+    return Q, sp.csr_matrix(Q.shape)
+
+
+class FastDiagonalization:
+    """Solves with a weighted sum of operator terms ``A_q``, plus ``M/dt``
+    for a march, on a tensor-product set of DoFs of a box mesh: the axes S
+    along which every term separates are diagonalized, and one sparse block
+    per S-mode over the remaining axes R is factorized.  Its grid runs
+    slowest axis first (z, y, x), the order in which ``mesh.grid_indices``
+    and ``mesh.flat_index`` number the DoFs.
+
+    On such a set, with ``M_S`` the Kronecker product of the 1-D masses
+    ``M_a`` of the axes of S restricted to their nodes, and ``G_S`` the sum
+    over S of that product with the stiffness ``K_a`` in the place of
+    ``M_a``, term ``q`` is ``M_S ⊗ Q_q + G_S ⊗ P_q`` for factors over R: a
+    diffusion term with coefficient ``c`` has ``(K_c, M_c)``, its stiffness
+    and mass over R; a reaction term ``(M_c, 0)``; an advection term
+    ``(C_v, 0)``; the unit mass ``(M, 0)``.  With ``V_a^T M_a V_a = I`` and
+    ``V_a^T K_a V_a = diag(l_a)`` from ``eigh(K_a, M_a)``, ``V`` the product
+    of the ``V_a`` gives ``V^T M_S V = I`` and ``V^T G_S V = diag(L)``, ``L``
+    the sum over S of the ``l_a``; in those coordinates ``sum_q w_q A_q`` is
+    one block ``Q + L_j P`` per S-mode ``j``, with ``Q = sum_q w_q Q_q`` and
+    ``P = sum_q w_q P_q`` (R. E. Lynch, J. R. Rice and D. H. Thomas,
+    Numer. Math. 6, 1964).  A solve contracts each axis of S with ``V_a^T``,
+    solves every block, and contracts back.  When S is every axis the
+    blocks are 1x1 and the solve divides by ``Q + P L``; when S is empty
+    there is one block, the whole system.
     """
 
-    def __init__(self, axis_pairs: list[tuple[np.ndarray, np.ndarray]]):
-        """``axis_pairs``: ``(K_a, M_a)`` of each axis, slowest axis first
-        (z, y, x), as the lexicographic DoF order reads them."""
-        self.shape = tuple(len(K) for K, _ in axis_pairs)
+    def __init__(self, shape, axis_pairs: list, factors: list, mass: tuple):
+        """``shape``: the grid of the DoFs, slowest axis first (z, y, x);
+        ``axis_pairs``: per grid axis, ``(K_a, M_a)`` on its nodes when it is
+        in S, else None; ``factors``: ``(Q_q, P_q)`` of each term, sparse
+        over the nodes of R (1x1 arrays when R is empty), and ``mass`` those
+        of the unit mass."""
+        self.shape = tuple(shape)
         self.n = int(np.prod(self.shape))
-        spectra = [sla.eigh(K, M) for K, M in axis_pairs]
-        self._vectors = [V for _, V in spectra]
-        self._transposed = [np.ascontiguousarray(V.T) for _, V in spectra]
-        # the sum over axes of each axis's eigenvalues, broadcast to the grid
+        self.factors, self.mass = factors, mass
+        self._separated = [i for i, pair in enumerate(axis_pairs) if pair is not None]
+        self._rest = [i for i, pair in enumerate(axis_pairs) if pair is None]
+        spectra = [None if pair is None else sla.eigh(*pair) for pair in axis_pairs]
+        self._vectors = [None if e is None else e[1] for e in spectra]
+        self._transposed = [None if e is None else np.ascontiguousarray(e[1].T) for e in spectra]
+        # the sum over S of each axis's eigenvalues, broadcast to the grid of S
         self.eigenvalues = sum(
-            np.reshape(lam, [-1 if b == a else 1 for b in range(len(self.shape))])
-            for a, (lam, _) in enumerate(spectra)
+            (np.reshape(spectra[i][0], [-1 if b == a else 1 for b in range(len(self._separated))])
+             for a, i in enumerate(self._separated)),
+            np.zeros(()),
         )
+        # the axes of S first, then the right-hand sides, then the axes of R
+        self._modes_first = [1 + i for i in self._separated] + [0] + [1 + i for i in self._rest]
+
+    @property
+    def blocks(self) -> tuple[int, int]:
+        """The number of S-modes and the size of each one's block."""
+        return self.eigenvalues.size, self.n // self.eigenvalues.size
 
     @classmethod
-    def of(cls, mesh: Mesh, dofs: np.ndarray) -> FastDiagonalization | None:
-        """The diagonalization on the sorted ``dofs`` of ``mesh``, or None
-        when they are not the tensor product of one node set per axis."""
+    def of(cls, mesh: Mesh, dofs: np.ndarray, terms, separated=None) -> FastDiagonalization:
+        """The diagonalization on the sorted ``dofs`` of ``mesh``, which must
+        be the tensor product of one node set per axis, of the operator
+        terms ``(kind, coefficient)`` of ``assemble_term``, along the axes
+        ``separated`` (0 = x; every axis by default): along those no term's
+        coefficient may vary and no velocity may have a component."""
         grid = mesh.nodes_per_axis[::-1]
         nodes = [np.unique(i) for i in np.unravel_index(dofs, grid)]
         if len(dofs) == 0 or np.prod([len(i) for i in nodes]) != len(dofs):
-            return None
+            raise DimensionMismatchError(
+                f"{len(dofs)} DoFs are not the tensor product of one node set per axis"
+            )
+        separated = range(mesh.dim) if separated is None else separated
         pairs = []
         for a, keep in zip(range(mesh.dim - 1, -1, -1), nodes):
-            K, M = axis_matrices(mesh, a)
-            pairs.append((K[np.ix_(keep, keep)], M[np.ix_(keep, keep)]))
-        return cls(pairs)
-
-    def _contract(self, x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-        """Each axis of ``x`` ``(k, *shape)`` multiplied by its matrix, as
-        reshapes and matrix products."""
-        after = self.n
-        for W in mats:
-            after //= len(W)
-            if after == 1:
-                x = x.reshape(-1, len(W)) @ W.T
+            if a in separated:
+                K, M = axis_matrices(mesh, a)
+                pairs.append((K[np.ix_(keep, keep)], M[np.ix_(keep, keep)]))
             else:
-                x = np.matmul(W, x.reshape(-1, len(W), after))
+                pairs.append(None)
+        rest = [a for a in range(mesh.dim) if a not in separated]
+        keep = [nodes[mesh.dim - 1 - a] for a in rest]
+        factors = [_rest_factors(mesh, rest, keep, kind, c) for kind, c in terms]
+        mass = _rest_factors(mesh, rest, keep, "reaction", 1.0)
+        return cls([len(i) for i in nodes], pairs, factors, mass)
+
+    def _contract(self, x: np.ndarray, mats: list) -> np.ndarray:
+        """Each axis of S of ``x`` ``(k, *shape)`` multiplied by its matrix,
+        as reshapes and matrix products."""
+        after = self.n
+        for W, size in zip(mats, self.shape):
+            after //= size
+            if W is None:
+                continue
+            if after == 1:
+                x = x.reshape(-1, size) @ W.T
+            else:
+                x = np.matmul(W, x.reshape(-1, size, after))
         return x
 
-    def solver(self, a_m: float, a_k: float) -> Callable[[np.ndarray], np.ndarray]:
-        """The solve with ``a_m M + a_k K`` of one right-hand side or a block
-        of columns; ``SolverFailureError`` when a diagonal entry is zero."""
-        diagonal = a_m + a_k * self.eigenvalues
-        if not np.all(diagonal != 0.0):
-            raise SolverFailureError("fast diagonalization: singular system", residual=np.inf)
+    def solver(self, weights, dt: float | None = None) -> Callable[[np.ndarray], np.ndarray]:
+        """The solve with ``sum_q weights[q] A_q``, plus ``M/dt`` when ``dt``
+        is given, of one right-hand side or a block of columns; each block
+        is factorized by ``factorized_solver``.  ``SolverFailureError`` when
+        the system is singular."""
+        Q, P = (affine_sum(weights, [f[part] for f in self.factors]) for part in (0, 1))
+        if dt is not None:
+            Q = Q + self.mass[0] / dt
+        if not self._rest:
+            diagonal = Q[0, 0] + P[0, 0] * self.eigenvalues
+            if not np.all(diagonal != 0.0):
+                raise SolverFailureError("fast diagonalization: singular system", residual=np.inf)
+
+            def solve_modes(x):
+                return x / diagonal
+
+        else:
+            blocks = [factorized_solver(Q + P * float(l)) for l in self.eigenvalues.ravel()]
+            order = np.argsort(self._modes_first)
+
+            def solve_modes(x):
+                x = x.transpose(self._modes_first)  # (*S, k, *R)
+                k = x.shape[len(self._separated)]
+                per_mode = x.reshape(len(blocks), k, -1)
+                solved = np.stack([block(xj.T).T for block, xj in zip(blocks, per_mode)])
+                return solved.reshape(x.shape).transpose(order)
 
         def solve(b: np.ndarray) -> np.ndarray:
             b = np.asarray(b, dtype=float)
             x = self._contract(b.T.reshape((-1,) + self.shape), self._transposed)
-            x = self._contract(x.reshape((-1,) + self.shape) / diagonal, self._vectors)
+            x = self._contract(solve_modes(x.reshape((-1,) + self.shape)), self._vectors)
             return x.reshape(b.T.shape).T
 
         return solve
@@ -422,13 +536,6 @@ def solve_steady(
     return u
 
 
-def bdf1_system(M: sp.spmatrix, A: sp.spmatrix, dt: float) -> tuple:
-    """``(M/dt, M/dt + A)``: the mass term of an implicit Euler step's load
-    and the matrix that every step solves with."""
-    m_dt = (M / dt).tocsr()
-    return m_dt, (m_dt + A).tocsr()
-
-
 def solve_unsteady_bdf1(
     M: sp.spmatrix,
     A: sp.spmatrix,
@@ -456,7 +563,8 @@ def solve_unsteady_bdf1(
             f"an initial state ({n},), got dt={dt}, {F.shape} and {u0.shape}"
         )
     n_steps = F.shape[1] - 1
-    m_dt, system = bdf1_system(M, A, dt)
+    m_dt = (M / dt).tocsr()
+    system = (m_dt + A).tocsr()
     solver = solve or factorized_solver(system)
 
     traj = np.empty((n_steps + 1, n))

@@ -47,7 +47,7 @@ class Mesh:
 
     Attributes
     ----------
-    dim : spatial dimension (2 or 3)
+    dim : spatial dimension (1, 2 or 3)
     origin, extent : box corner and per-axis lengths
     subdivisions : per-axis cell counts
     order : polynomial degree (1 or 2)
@@ -123,7 +123,8 @@ def build_box_mesh(origin, extent, subdivisions, order=1) -> Mesh:
 
     Parameters
     ----------
-    origin, extent : length-d sequences (d = 2 or 3)
+    origin, extent : length-d sequences (d = 1, 2 or 3; ``fem`` assembles
+        the factors of a term over one axis on a 1-D mesh)
     subdivisions : per-axis cell counts (all >= 1)
     order : FE polynomial degree, 1 or 2
     """
@@ -131,9 +132,9 @@ def build_box_mesh(origin, extent, subdivisions, order=1) -> Mesh:
     extent = tuple(float(v) for v in extent)
     subdivisions = tuple(int(v) for v in subdivisions)
     dim = len(extent)
-    if dim not in (2, 3) or len(origin) != dim or len(subdivisions) != dim:
+    if dim not in (1, 2, 3) or len(origin) != dim or len(subdivisions) != dim:
         raise InvalidGeometryError(
-            f"origin/extent/subdivisions must share length 2 or 3, got "
+            f"origin/extent/subdivisions must share length 1, 2 or 3, got "
             f"{len(origin)}/{len(extent)}/{len(subdivisions)}"
         )
     if order not in (1, 2):

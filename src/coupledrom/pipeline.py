@@ -22,19 +22,19 @@ import scipy.sparse as sp
 from . import estimator as est
 from . import fem
 from .errors import ConfigError, SingularRomError
+from .fem import affine_sum
 from .interface import (
     InterfaceReducer,
     assemble_reducer,
     build_transfer_matrix,
     make_deim_basis,
 )
-from .mesh import InterfaceTrace, Mesh, extract_interface
+from .mesh import AXIS_NAMES, InterfaceTrace, Mesh, extract_interface
 from .pod import PodFactorization, SnapshotSet
 from .problems import (
     CoupledProblemSpec,
     SubmodelSpec,
     TimeSpec,
-    constant_profile,
     eval_spatial,
     eval_theta,
     spatial_coefficient,
@@ -45,14 +45,6 @@ log = logging.getLogger(__name__)
 
 #: deterministic offset separating master and slave sample streams
 _SLAVE_SEED_OFFSET = 0x9E3779B9
-
-
-def affine_sum(weights, terms):
-    """``sum_q weights[q] * terms[q]``, accumulated in term order."""
-    out = weights[0] * terms[0]
-    for w, A in zip(weights[1:], terms[1:]):
-        out = out + w * A
-    return out
 
 
 class AffineSubmodel:
@@ -91,15 +83,16 @@ class FomSubmodel(AffineSubmodel):
     """Assembled full-order operators for one submodel.
 
     What the solves and certification need of the operators and not of the
-    parameters (the free and constrained blocks of each term, their fast
-    diagonalization, and the ``constants`` proved on them) is computed on
-    first use and kept.  A submodel that is not separable keeps the sparse
-    LU of its last free system, so solves at unchanged operator weights and
+    parameters (the free and constrained blocks of each term, the fast
+    diagonalizations of the free DoFs, and the ``constants`` proved on them)
+    is computed on first use and kept.  So is the operator solve of the
+    last operator weights and step, so that solves at unchanged weights and
     step, such as those of a master whose weights do not depend on the
     parameters, factorize once.
     """
 
     spec: SubmodelSpec
+    role: str
     mesh: Mesh
     interface: InterfaceTrace
     op_terms: list[sp.csr_matrix]
@@ -110,10 +103,11 @@ class FomSubmodel(AffineSubmodel):
     u0: np.ndarray
     #: Dirichlet DoFs, followed on the slave by the interface DoFs
     constrained_dofs: np.ndarray
-    #: sorted complement of ``constrained_dofs``
+    #: sorted complement of ``constrained_dofs``, a union of whole faces, so
+    #: a tensor product of one node set per axis
     free_dofs: np.ndarray
-    #: ``((weights, dt), solve)`` of the last sparse LU of ``free_solver``
-    _kept_lu: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    #: ``((weights, dt), solve)`` of the last ``free_solver``
+    _kept_solve: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_dofs(self) -> int:
@@ -148,64 +142,45 @@ class FomSubmodel(AffineSubmodel):
         return self._split(self.mass)
 
     @cached_property
-    def _fast_diagonalization(self) -> fem.FastDiagonalization | None:
-        """The fast diagonalization of the free DoFs, or None when they are
-        not a tensor product."""
-        return fem.FastDiagonalization.of(self.mesh, self.free_dofs)
-
-    @cached_property
-    def diagonalized(self) -> tuple[fem.FastDiagonalization, np.ndarray] | None:
-        """``(fd, coefficients)`` when the submodel is separable: every
-        operator term is diffusion or reaction whose coefficient is constant
-        in space (a number, or an expression that reads none of x, y, z),
-        and the free DoFs are a tensor product.  Each free block is then its
-        coefficient times the unit stiffness or mass on the free DoFs, so
-        row ``q`` of ``coefficients`` holds the ``(mass, stiffness)`` weights
-        of term ``q``.  None, and every operator solve takes a sparse LU,
-        otherwise."""
-        # an advection term's coefficient, a velocity tuple, has no value
-        values = [constant_profile(c) for c in self.spec.compiled.coefficients]
-        if None in values or self._fast_diagonalization is None:
-            return None
-        coefficients = np.zeros((len(values), 2))
-        for row, term, value in zip(coefficients, self.spec.operator, values):
-            row[int(term.kind == "diffusion")] = value
-        return self._fast_diagonalization, coefficients
+    def operator_diagonalization(self) -> fem.FastDiagonalization:
+        """The diagonalization of the operator terms on the free DoFs along
+        every axis that the spec separates, with one block per mode over
+        the other axes."""
+        terms = [
+            (term.kind, spatial_coefficient(value))
+            for term, value in zip(self.spec.operator, self.spec.compiled.coefficients)
+        ]
+        separated = self.spec.separated_axes
+        fd = fem.FastDiagonalization.of(self.mesh, self.free_dofs, terms, separated)
+        log.info(
+            "%s operator solve: axes %s diagonalized, %d mode blocks of size %d",
+            self.role, "".join(AXIS_NAMES[a] for a in separated) or "none", *fd.blocks,
+        )
+        return fd
 
     def free_solver(self, weights, dt: float | None = None):
         """The solve with the free operator ``A_ff(weights)``, or with the
         march's ``M_ff/dt + A_ff`` when ``dt`` is given, of one load or a
-        block of loads: the fast diagonalization when the submodel is
-        separable, else one sparse LU kept for the last ``(weights, dt)``."""
-        if self.diagonalized is not None:
-            fd, coefficients = self.diagonalized
-            a_m, a_k = np.asarray(weights, dtype=float) @ coefficients
-            if dt is not None:
-                a_m += 1.0 / dt
-            return fd.solver(a_m, a_k)
+        block of loads, by ``operator_diagonalization``; the solve of the
+        last ``(weights, dt)`` is kept."""
         key = (tuple(weights), dt)
-        kept = self._kept_lu
+        kept = self._kept_solve
         if kept is not None and kept[0] == key:
             return kept[1]
-        self._kept_lu = None  # free the old factors before the new ones fill in
-        A_ff = affine_sum(weights, [ff for ff, _ in self.free_blocks])
-        if dt is not None:
-            A_ff = fem.bdf1_system(self._mass_blocks[0], A_ff, dt)[1]
-        solve = fem.factorized_solver(A_ff)
-        self._kept_lu = (key, solve)
+        self._kept_solve = None  # free the old factors before the new ones fill in
+        solve = self.operator_diagonalization.solver(weights, dt)
+        self._kept_solve = (key, solve)
         return solve
 
     @cached_property
     def constants(self) -> est.StabilityConstants:
         """The stability constants proved on the free blocks, kept for every
-        query against this submodel; the mass block solves by the fast
-        diagonalization of the free DoFs when they are a tensor product,
-        whatever the operator terms are, else by its own LU."""
+        query against this submodel; the mass block solves by the
+        diagonalization of the unit mass along every axis."""
         mass = None
         if self.mass is not None:
-            fd = self._fast_diagonalization
-            unit_mass = None if fd is None else fd.solver(1.0, 0.0)
-            mass = est.MassBlock(self._mass_blocks[0], unit_mass)
+            fd = fem.FastDiagonalization.of(self.mesh, self.free_dofs, [("reaction", 1.0)])
+            mass = est.MassBlock(self._mass_blocks[0], fd.solver([1.0]))
         return est.StabilityConstants([ff for ff, _ in self.free_blocks], mass)
 
     def free_system(
@@ -257,16 +232,10 @@ class FomSubmodel(AffineSubmodel):
 def build_submodel(spec: SubmodelSpec, role: str) -> FomSubmodel:
     mesh = spec.mesh.build()
     quad = fem.cell_quadrature(mesh)
-    terms = []
-    for term, value in zip(spec.operator, spec.compiled.coefficients):
-        coeff = spatial_coefficient(value)
-        if term.kind == "diffusion":
-            A = fem.assemble_stiffness(mesh, coeff, quadrature=quad)
-        elif term.kind == "reaction":
-            A = fem.assemble_mass(mesh, coeff, quadrature=quad)
-        else:
-            A = fem.assemble_advection(mesh, coeff, quadrature=quad)
-        terms.append(A)
+    terms = [
+        fem.assemble_term(mesh, term.kind, spatial_coefficient(value), quadrature=quad)
+        for term, value in zip(spec.operator, spec.compiled.coefficients)
+    ]
     mass = fem.assemble_mass(mesh, quadrature=quad) if spec.unsteady else None
     loads = [fem.assemble_load(mesh, spatial_coefficient(p)) for p in spec.compiled.profiles]
     interface = extract_interface(mesh, spec.interface_tag)
@@ -294,6 +263,7 @@ def build_submodel(spec: SubmodelSpec, role: str) -> FomSubmodel:
     u0 = np.asarray(eval_spatial(spec.compiled.initial, mesh.node_coords), dtype=float).copy()
     return FomSubmodel(
         spec=spec,
+        role=role,
         mesh=mesh,
         interface=interface,
         op_terms=terms,

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .mesh import Mesh, build_box_mesh, face_ids
+from .mesh import AXIS_NAMES, Mesh, build_box_mesh, face_ids
 from .sampling import ParameterSpace
 
 _FUNCTIONS = {
@@ -84,6 +84,11 @@ def _compile_value(value, allowed: set[str], where: str, components: int = 0):
     raise ConfigError(f"must be a number or an expression string, got {value!r}", field=where)
 
 
+def _coordinates(value) -> set[str]:
+    """The coordinates among x, y, z that a compiled spatial profile reads."""
+    return _names(value) & _SPATIAL_NAMES if isinstance(value, CodeType) else set()
+
+
 def eval_spatial(value, points: np.ndarray):
     """Evaluate a compiled spatial profile (a float, or code in x, y, z)."""
     if not isinstance(value, CodeType):
@@ -98,16 +103,6 @@ def eval_spatial(value, points: np.ndarray):
     }
     out = eval(value, env)
     return np.broadcast_to(np.asarray(out, dtype=float), points.shape[:-1])
-
-
-def constant_profile(value) -> float | None:
-    """A compiled spatial profile's value when it is a float or code that
-    reads none of x, y, z; None when it varies in space or is a velocity."""
-    if isinstance(value, float):
-        return value
-    if not isinstance(value, CodeType) or _names(value) & _SPATIAL_NAMES:
-        return None
-    return float(eval(value, {"__builtins__": {}, **_FUNCTIONS}))
 
 
 def eval_theta(value, mu: Mapping[str, float], t: float | None = None) -> float:
@@ -189,6 +184,32 @@ class SubmodelSpec:
         by ``validate``, whose errors name the fields under its role."""
         return self._compile("submodel")
 
+    @property
+    def separated_axes(self) -> tuple[int, ...]:
+        """The axes (0 = x) along which every operator term separates: no
+        coefficient reads the axis's coordinate, and every advection
+        velocity's component along it is the number 0, an expression that
+        reads no coordinate counting by its value.  Along such an axis each
+        term is a Kronecker form of the axis's 1-D mass or stiffness, which
+        ``fem.FastDiagonalization`` diagonalizes."""
+        origin = np.zeros((1, 3))
+
+        def separates(axis: int, name: str) -> bool:
+            for value in self.compiled.coefficients:
+                parts = value if isinstance(value, tuple) else (value,)
+                if any(name in _coordinates(v) for v in parts):
+                    return False
+                if isinstance(value, tuple) and (
+                    _coordinates(value[axis]) or eval_spatial(value[axis], origin)[0] != 0.0
+                ):
+                    return False
+            return True
+
+        return tuple(
+            axis for axis, name in enumerate(AXIS_NAMES[: len(self.mesh.extent)])
+            if separates(axis, name)
+        )
+
     def __getstate__(self) -> dict:
         # code does not pickle: an unpickled or copied spec compiles again
         return {k: v for k, v in self.__dict__.items() if k != "compiled"}
@@ -228,6 +249,11 @@ class SubmodelSpec:
             raise ConfigError("operator expansion is empty", field=f"{role}.operator")
         if "compiled" not in self.__dict__:  # the cached property's slot
             self.__dict__["compiled"] = self._compile(role)
+        if len(self.mesh.extent) not in (2, 3):
+            raise ConfigError(
+                f"a submodel's box has 2 or 3 axes, got {len(self.mesh.extent)}",
+                field=f"{role}.mesh.extent",
+            )
         valid_faces = set(face_ids(len(self.mesh.extent)))
         for face in self.dirichlet:
             if face not in valid_faces:

@@ -243,10 +243,12 @@ def load_bundle(path):
     """Reconstruct artifacts from a bundle directory.  The problem spec sets
     every term count and kind, so which matrices are read, each once; a
     listed matrix that the spec does not need is refused, as is a needed
-    one that is not listed.  The reducer's indices must be distinct rows of
-    ``phi``, one per column, and its ``transfer_norm`` finite and positive.
-    Loading factorizes nothing: one SVD of the magic rows gives their
-    ``inverse_norm``."""
+    one that is not listed.  Every matrix must have the shape that the
+    spec's meshes and slave trace and the bases' sizes ``n1``, ``n2`` and
+    ``m`` (their column counts) give it.  The reducer's indices must be
+    distinct rows of ``phi``, one per column, and its ``transfer_norm``
+    finite and positive.  Loading factorizes nothing: one SVD of the magic
+    rows gives their ``inverse_norm``."""
     from .pipeline import ReducedSubmodel, RomArtifacts
 
     path = Path(path)
@@ -269,33 +271,44 @@ def load_bundle(path):
     rd = _entry(manifest, "reducer", where)
     transfer_norm = _entry(rd, "transfer_norm", f"{where}.reducer", _finite_positive)
     provenance = _entry(manifest, "provenance", where)
+    slave_mesh = spec.slave.mesh.build()
+    slave_trace = extract_interface(slave_mesh, spec.slave.interface_tag)
     unread = set(files)
 
-    def mat(name):
+    def mat(name, rows, cols=None):
+        """The matrix ``name``, of ``rows`` rows and ``cols`` columns (any
+        number when None)."""
         file = f"{name}.rombin"
         if file not in files:
             raise ConfigError(f"{path / file}: not listed in the manifest's files")
         unread.discard(file)
-        return read_matrix(path / file, files[file])
+        array = read_matrix(path / file, files[file])
+        if array.shape[0] != rows or cols not in (None, array.shape[1]):
+            raise ConfigError(
+                f"{path / file}: a {array.shape[0]}x{array.shape[1]} matrix, expected "
+                f"{rows}x{'any' if cols is None else cols}"
+            )
+        return array
 
-    def vec(name):
-        return mat(name).ravel()
-
-    def load_submodel(side: str) -> ReducedSubmodel:
+    def load_submodel(side: str, n_dofs: int) -> ReducedSubmodel:
         sub = getattr(spec, side)
+        basis = mat(f"{side}_basis", n_dofs)
+        n = basis.shape[1]
         return ReducedSubmodel(
             spec=sub,
-            basis=mat(f"{side}_basis"),
-            op_terms=[mat(f"{side}_op_{q}") for q in range(len(sub.operator))],
-            mass=mat(f"{side}_mass") if sub.unsteady else None,
-            load_terms=[vec(f"{side}_load_{k}") for k in range(len(sub.forcing))],
-            u0_reduced=vec(f"{side}_u0"),
+            basis=basis,
+            op_terms=[mat(f"{side}_op_{q}", n, n) for q in range(len(sub.operator))],
+            mass=mat(f"{side}_mass", n, n) if sub.unsteady else None,
+            load_terms=[mat(f"{side}_load_{k}", n, 1).ravel() for k in range(len(sub.forcing))],
+            u0_reduced=mat(f"{side}_u0", n, 1).ravel(),
         )
 
-    master = load_submodel("master")
-    slave = load_submodel("slave")
-    lift_products = tuple(mat(name) for name in _lift_names(spec.slave))
-    phi, full_transfer = mat("phi"), mat("full_transfer")
+    master = load_submodel("master", spec.master.mesh.build().n_dofs)
+    slave = load_submodel("slave", slave_mesh.n_dofs)
+    n1, n2 = master.n, slave.n
+    lift_products = tuple(mat(name, n2, n1) for name in _lift_names(spec.slave))
+    phi = mat("phi", len(slave_trace))
+    full_transfer = mat("full_transfer", len(slave_trace), n1)
     rows, cols = phi.shape
 
     def magic_rows(raw) -> np.ndarray:
@@ -313,7 +326,7 @@ def load_bundle(path):
         )
     reducer = InterfaceReducer(
         deim=make_deim_basis(phi, indices=indices),
-        slave_trace=extract_interface(spec.slave.mesh.build(), spec.slave.interface_tag),
+        slave_trace=slave_trace,
         full_transfer=full_transfer,
         lift_products=lift_products,
         transfer_norm=transfer_norm,

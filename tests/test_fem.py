@@ -412,24 +412,40 @@ def test_quadrature_weights_sum_to_cell_volume():
     assert q.weights.sum() == pytest.approx((2.0 / 4) * (3.0 / 5), rel=1e-14)
 
 
+def free_of_faces(mesh, *faces):
+    """The DoFs of ``mesh`` off the given faces, a tensor product."""
+    fixed = np.unique(np.concatenate([extract_interface(mesh, f).dof_indices for f in faces]))
+    return np.setdiff1d(np.arange(mesh.n_dofs), fixed)
+
+
+def kron_forms(mesh, free, axes):
+    """The 1-D ``(K_a, M_a)`` of each of ``axes`` (slowest first) on its free nodes."""
+    nodes = [np.unique(i) for i in np.unravel_index(free, mesh.nodes_per_axis[::-1])]
+    pairs = []
+    for a in axes:
+        keep = nodes[mesh.dim - 1 - a]
+        K_a, M_a = axis_matrices(mesh, a)
+        pairs.append((K_a[np.ix_(keep, keep)], M_a[np.ix_(keep, keep)]))
+    return pairs
+
+
+def velocity_along_x(p):
+    return np.stack([4 * p[..., 2] * (1 - p[..., 2]), 0 * p[..., 0], 0 * p[..., 0]], axis=-1)
+
+
 class TestFastDiagonalization:
     @pytest.mark.parametrize("order", [1, 2])
     def test_kronecker_forms_and_solve_match_assembly(self, order):
-        # anisotropic cells, two constrained faces on different axes
+        # anisotropic cells, two constrained faces on different axes; every
+        # axis separates, so each block is 1x1
         mesh = build_box_mesh((0, 0, 0), (1.0, 0.5, 2.0), (3, 2, 4), order=order)
-        fixed = np.union1d(
-            extract_interface(mesh, "x-").dof_indices, extract_interface(mesh, "z+").dof_indices
-        )
-        free = np.setdiff1d(np.arange(mesh.n_dofs), fixed)
-        fd = FastDiagonalization.of(mesh, free)
+        free = free_of_faces(mesh, "x-", "z+")
+        fd = FastDiagonalization.of(mesh, free, [("reaction", 1.0), ("diffusion", 1.0)])
+        assert fd.blocks == (len(free), 1)
         M_ref = assemble_mass(mesh)[free][:, free]
         K_ref = assemble_stiffness(mesh, 1.0)[free][:, free]
         # the Kronecker forms of the 1-D matrices on the kept nodes, slowest axis first
-        nodes = [np.unique(i) for i in np.unravel_index(free, mesh.nodes_per_axis[::-1])]
-        pairs = []
-        for a, keep in zip(range(mesh.dim - 1, -1, -1), nodes):
-            K_a, M_a = axis_matrices(mesh, a)
-            pairs.append((K_a[np.ix_(keep, keep)], M_a[np.ix_(keep, keep)]))
+        pairs = kron_forms(mesh, free, (2, 1, 0))
         M = functools.reduce(sp.kron, [M_a for _, M_a in pairs])
         K = sum(
             functools.reduce(sp.kron, [Kb if b == a else Mb for b, (Kb, Mb) in enumerate(pairs)])
@@ -438,23 +454,57 @@ class TestFastDiagonalization:
         assert abs(M - M_ref).max() <= 1e-15 * abs(M_ref).max()
         assert abs(K - K_ref).max() <= 1e-15 * abs(K_ref).max()
         B = np.random.default_rng(2).standard_normal((len(free), 3))
-        # the mass and the stiffness Kronecker forms alone, then a sum
-        for a_m, a_k in [(1.0, 0.0), (0.0, 1.0), (2.0, 0.3)]:
-            solve = fd.solver(a_m, a_k)
-            oracle = np.linalg.solve((a_m * M_ref + a_k * K_ref).toarray(), B)
+        # the mass and the stiffness Kronecker forms alone, then a sum, then a march
+        for weights, dt in [((1.0, 0.0), None), ((0.0, 1.0), None), ((2.0, 0.3), None),
+                            ((0.0, 0.3), 0.5)]:
+            solve = fd.solver(weights, dt)
+            A = weights[0] * M_ref + weights[1] * K_ref + (0 if dt is None else M_ref / dt)
+            oracle = np.linalg.solve(A.toarray(), B)
             scale = np.max(np.abs(oracle))
             assert np.max(np.abs(solve(B) - oracle)) <= 1e-13 * scale
             assert np.max(np.abs(solve(B[:, 1]) - oracle[:, 1])) <= 1e-13 * scale
 
-    def test_dof_set_that_is_not_a_tensor_product_has_none(self):
-        mesh = unit_square(3)
-        assert FastDiagonalization.of(mesh, np.arange(1, mesh.n_dofs)) is None
-        assert FastDiagonalization.of(mesh, np.arange(0)) is None
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_partly_separable_terms_are_kronecker_forms_solved_by_mode_blocks(self, order):
+        # diffusion "1 + x" and a velocity along x that reads z separate
+        # along y only: one block over (z, x) per y-mode
+        mesh = build_box_mesh((0, 0, 0), (2.0, 1.0, 1.0), (3, 2, 3), order=order)
+        free = free_of_faces(mesh, "x-", "y+")
+        terms = [("diffusion", lambda p: 1 + p[..., 0]), ("advection", velocity_along_x)]
+        fd = FastDiagonalization.of(mesh, free, terms, separated=(1,))
+        shape = fd.shape  # (z, y, x)
+        assert fd.blocks == (shape[1], shape[0] * shape[2])
+        # free DoFs reordered (y, z, x), where each term is kron(M_y, Q) + kron(K_y, P)
+        yzx = np.arange(len(free)).reshape(shape).transpose(1, 0, 2).ravel()
+        [(K_y, M_y)] = kron_forms(mesh, free, (1,))
+        assembled = [
+            assemble_stiffness(mesh, terms[0][1]), assemble_advection(mesh, velocity_along_x)
+        ]
+        for A, (Q, P) in zip(assembled + [assemble_mass(mesh)], fd.factors + [fd.mass]):
+            A_ff = A[free][:, free][yzx][:, yzx]
+            kron = sp.kron(M_y, Q) + sp.kron(K_y, P)
+            assert abs(kron - A_ff).max() <= 1e-15 * abs(A_ff).max()
+        M_ff = assemble_mass(mesh)[free][:, free]
+        B = np.random.default_rng(5).standard_normal((len(free), 2))
+        for weights, dt in [((1.0, 1.0), None), ((0.4, 2.0), 0.1)]:
+            A = weights[0] * assembled[0] + weights[1] * assembled[1]
+            A = A[free][:, free] + (0 if dt is None else M_ff / dt)
+            oracle = np.linalg.solve(A.toarray(), B)
+            solved = fd.solver(weights, dt)(B)
+            assert np.max(np.abs(solved - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
-    def test_zero_system_raises(self):
+    def test_dof_set_that_is_not_a_tensor_product_is_refused(self):
+        mesh = unit_square(3)
+        for dofs in (np.arange(1, mesh.n_dofs), np.arange(0)):
+            with pytest.raises(DimensionMismatchError):
+                FastDiagonalization.of(mesh, dofs, [("reaction", 1.0)])
+
+    @pytest.mark.parametrize("separated", [None, (0,), ()], ids=["1x1", "mode-blocks", "one-block"])
+    def test_zero_system_raises(self, separated):
         mesh = unit_square(2)
+        fd = FastDiagonalization.of(mesh, np.arange(mesh.n_dofs), [("reaction", 1.0)], separated)
         with pytest.raises(SolverFailureError):
-            FastDiagonalization.of(mesh, np.arange(mesh.n_dofs)).solver(0.0, 0.0)
+            fd.solver([0.0])
 
 
 def march_system(spec, mu):

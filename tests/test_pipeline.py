@@ -190,7 +190,9 @@ class TestFomCoupledSolve:
         fom = cr.build_fom(spec)
         res = cr.fom_coupled_solve(fom, [0.6], [])
         traj1, traj2 = reference_coupled_solve(fom, [0.6], [])
-        assert np.array_equal(res.master, traj1)
+        # the master solves one block per y-mode, the reference the whole
+        # identity-padded system by LU
+        assert np.max(np.abs(res.master - traj1)) <= 1e-13 * np.max(np.abs(traj1))
         # the march lifts on the free rows as A_fc L + M_fc dL/dt, the
         # reference as system @ lift on padded rows: summation order differs
         assert np.max(np.abs(res.slave - traj2)) <= 1e-12 * np.max(np.abs(traj2))
@@ -274,8 +276,8 @@ def corrupt_solves(monkeypatch, n_dofs, call):
     unknowns, which a separable submodel's march and series use."""
     real = fem.FastDiagonalization.solver
 
-    def factory(self, a_m, a_k):
-        solve = real(self, a_m, a_k)
+    def factory(self, weights, dt=None):
+        solve = real(self, weights, dt)
         if self.n != n_dofs:
             return solve
         solved = [0]
@@ -337,19 +339,6 @@ def heat_with_diffusion(coefficient):
     return dataclasses.replace(spec, master=dataclasses.replace(spec.master, operator=(term,)))
 
 
-SEPARABLE = {
-    "heat-master": (heat_laplace_pair((4, 4, 4), (2, 2, 2), n_steps=8), "master"),
-    "3d-q1-master": (steady_reaction_diffusion_pair((4, 4, 4), (2, 2, 2)), "master"),
-    "3d-q2-master": (steady_reaction_diffusion_pair((3, 3, 3), (2, 2, 2), 2, 2), "master"),
-    "2d-master": (steady_pair_2d(), "master"),
-    "2d-slave": (steady_pair_2d(), "slave"),
-    "transport-wall-slave": (transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8), "slave"),
-    "non-nested-5-slave": (heat_laplace_pair((8, 8, 8), (5, 5, 5), n_steps=8), "slave"),
-    # an expression that reads none of x, y, z is a constant
-    "constant-expression-master": (heat_with_diffusion("0.5 + sqrt(2.25)"), "master"),
-}
-
-
 def varying_diffusion_steady():
     spec = steady_pair_2d((4, 4), (2, 2))
     term = AffineTerm(kind="diffusion", theta="alpha", coefficient="1 + x*y")
@@ -357,25 +346,49 @@ def varying_diffusion_steady():
     return dataclasses.replace(spec, master=dataclasses.replace(spec.master, operator=operator))
 
 
-NON_SEPARABLE = {
-    "transport-master-advection": (transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8), "master"),
-    "varying-diffusion-master": (heat_with_diffusion("1 + x*y"), "master"),
-    "varying-diffusion-steady-master": (varying_diffusion_steady(), "master"),
+def small_transport_fom(n_steps=8):
+    return cr.build_fom(transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=n_steps))
+
+
+#: (spec, role, the axes that separate, 0 = x)
+SEPARATED_AXES = {
+    "heat-master": (heat_laplace_pair((4, 4, 4), (2, 2, 2), n_steps=8), "master", (0, 1, 2)),
+    "3d-q1-master": (steady_reaction_diffusion_pair((4, 4, 4), (2, 2, 2)), "master", (0, 1, 2)),
+    "3d-q2-master": (
+        steady_reaction_diffusion_pair((3, 3, 3), (2, 2, 2), 2, 2), "master", (0, 1, 2)
+    ),
+    "2d-master": (steady_pair_2d(), "master", (0, 1)),
+    "2d-slave": (steady_pair_2d(), "slave", (0, 1)),
+    "transport-wall-slave": (
+        transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8), "slave", (0, 1, 2)
+    ),
+    "non-nested-5-slave": (heat_laplace_pair((8, 8, 8), (5, 5, 5), n_steps=8), "slave", (0, 1, 2)),
+    # an expression that reads none of x, y, z is a constant
+    "constant-expression-master": (heat_with_diffusion("0.5 + sqrt(2.25)"), "master", (0, 1, 2)),
+    # the velocity (4z(1-z), 0, 0) has a component along x that reads z
+    "transport-master": (transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8), "master", (1,)),
+    # 1-D blocks along x
+    "diffusion-1+x-master": (heat_with_diffusion("1 + x"), "master", (1, 2)),
+    "diffusion-1+xy-master": (heat_with_diffusion("1 + x*y"), "master", (2,)),
+    # no axis separates: one block, the whole free system
+    "2d-diffusion-1+xy-master": (varying_diffusion_steady(), "master", ()),
 }
 
 
 class TestFastDiagonalization:
-    @pytest.mark.parametrize("spec, role", SEPARABLE.values(), ids=SEPARABLE)
-    def test_separable_submodel_agrees_with_lu(self, spec, role):
-        sub, fast, lu = solved_and_lu(cr.build_fom(spec), role)
-        assert sub.diagonalized is not None
-        assert np.max(np.abs(fast - lu)) <= 1e-13 * np.max(np.abs(lu))
-
-    @pytest.mark.parametrize("spec, role", NON_SEPARABLE.values(), ids=NON_SEPARABLE)
-    def test_non_separable_submodel_solves_by_lu(self, spec, role):
+    @pytest.mark.parametrize(
+        "spec, role, axes", SEPARATED_AXES.values(), ids=SEPARATED_AXES
+    )
+    def test_separated_axes_and_solve_agree_with_lu(self, spec, role, axes):
         sub, solved, lu = solved_and_lu(cr.build_fom(spec), role)
-        assert sub.diagonalized is None
-        assert np.array_equal(solved, lu)
+        assert sub.spec.separated_axes == axes
+        free_nodes = [len(np.unique(i)) for i in np.unravel_index(
+            sub.free_dofs, sub.mesh.nodes_per_axis[::-1])][::-1]  # x first
+        modes = int(np.prod([free_nodes[a] for a in axes]))
+        assert sub.operator_diagonalization.blocks == (modes, len(sub.free_dofs) // modes)
+        assert np.max(np.abs(solved - lu)) <= 1e-13 * np.max(np.abs(lu))
+        if not axes:  # the one block is the free system, factorized as the LU is
+            assert np.array_equal(solved, lu)
 
     def test_free_block_off_its_kronecker_form_fails_the_residual_check(self):
         # separability is read from the spec, so a block that is not its
@@ -386,7 +399,7 @@ class TestFastDiagonalization:
         A = fom.master.op_terms[0]
         i = fom.master.free_dofs[len(fom.master.free_dofs) // 2]
         A[i, i] *= 1.0 + 1e-7  # an existing entry of a free row and column
-        assert fom.master.diagonalized is not None
+        assert fom.master.spec.separated_axes == (0, 1, 2)
         with pytest.raises(SolverFailureError) as info:
             cr.fom_coupled_solve(fom, [0.8], [])
         assert info.value.step == 1
@@ -395,8 +408,8 @@ class TestFastDiagonalization:
         assert_mass_solve_is_diagonalized(small_heat_fom().master)
 
     def test_advecting_submodel_diagonalizes_its_mass_block(self):
-        sub = cr.build_fom(transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8)).master
-        assert sub.diagonalized is None
+        sub = small_transport_fom().master
+        assert sub.spec.separated_axes == (1,)
         assert_mass_solve_is_diagonalized(sub)
 
 
@@ -413,21 +426,24 @@ REPO = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIGS = sorted(
     [*(REPO / "configs").glob("*.json"), *(REPO / "perfbench" / "configs").glob("*.json")]
 )
-#: the one shipped operator that stays on LU: the transport master advects
-LU_OPERATORS = {("transport-unsteady", "master")}
+#: the one shipped operator that does not separate along every axis: the
+#: transport master's velocity runs along x and varies in z
+PARTLY_SEPARATED = {("transport-unsteady", "master"): (1,)}
 
 
 @pytest.mark.parametrize(
     "path", SHIPPED_CONFIGS, ids=[str(p.relative_to(REPO)) for p in SHIPPED_CONFIGS]
 )
 def test_shipped_configs_take_fast_diagonalization(path):
-    """Every operator of a shipped config but the transport master's solves
-    by fast diagonalization, and so does every mass block, so that an edit
-    that moves a benchmarked block to LU fails here."""
+    """Every operator of a shipped config but the transport master's
+    separates along every axis, so its solve divides by 1x1 blocks, and
+    every mass block solves by fast diagonalization, so that an edit that
+    moves a benchmarked block to sparse LU fails here."""
     fom = cr.build_fom(config_from_dict(json.loads(path.read_text())).problem)
     for role in ("master", "slave"):
         sub = getattr(fom, role)
-        assert (sub.diagonalized is None) == ((path.stem, role) in LU_OPERATORS), role
+        every_axis = tuple(range(sub.mesh.dim))
+        assert sub.spec.separated_axes == PARTLY_SEPARATED.get((path.stem, role), every_axis), role
         if sub.mass is not None:
             assert sub.constants.mass.solve is not sub.constants.mass.factorized, role
 
@@ -445,47 +461,58 @@ def count_factorizations(monkeypatch) -> list:
 
 
 class TestKeptFactorization:
-    """A submodel that is not separable keeps the LU of its last free system."""
+    """A submodel keeps the operator solve of its last weights and step; on
+    the transport master, one sparse LU per y-mode block."""
 
-    def test_transport_states_equal_a_fresh_lu_march(self):
-        spec = transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8)
-        fom = cr.build_fom(spec)
-        sub, free = fom.master, fom.master.free_dofs
+    def test_transport_states_agree_with_a_fresh_lu_march(self):
+        fom = small_transport_fom()
+        spec, sub, free = fom.spec, fom.master, fom.master.free_dofs
         for zeta in ([0.2], [0.5], [0.9]):
             res = cr.fom_coupled_solve(fom, zeta, [])
             A_ff, F = sub.free_system(sub.mu_mapping(zeta), None, spec.time)
             fresh = fem.solve_unsteady_bdf1(
                 sub.mass[free][:, free], A_ff, F, sub.u0[free], spec.time.dt
             )
-            assert np.array_equal(res.master[:, free], fresh)
+            # mode blocks against one 3-D LU: rounding apart
+            assert np.max(np.abs(res.master[:, free] - fresh)) <= 1e-13 * np.max(np.abs(fresh))
 
     def test_training_on_mu_free_weights_factorizes_once(self, monkeypatch):
         # the transport master's weights do not depend on mu, and its slave
-        # is separable
+        # separates along every axis: each of the master's y-mode blocks,
+        # one per y node of its 4x3x3 grid, is factorized once
         matrices = count_factorizations(monkeypatch)
-        cr.run_training(transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=4), 4, seed=1)
-        assert len(matrices) == 1
+        training = cr.run_training(
+            transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=4), 4, seed=1
+        )
+        modes, size = training.fom.master.operator_diagonalization.blocks
+        assert (modes, size) == (4, 16)
+        assert len(matrices) == modes
+        assert all(A.shape == (size, size) for A in matrices)
 
     def test_new_weights_or_step_refactorize(self, monkeypatch):
         matrices = count_factorizations(monkeypatch)
         sub = cr.build_fom(heat_with_diffusion("1 + x*y")).master
+        modes = sub.operator_diagonalization.blocks[0]  # one per z node
         weights = sub.theta_weights(sub.mu_mapping([0.7]))
         solve = sub.free_solver(weights, 0.1)
         assert sub.free_solver(list(weights), 0.1) is solve
-        assert len(matrices) == 1
+        assert len(matrices) == modes
         sub.free_solver([2.0 * w for w in weights], 0.1)
         sub.free_solver([2.0 * w for w in weights], 0.05)
         sub.free_solver([2.0 * w for w in weights])
         sub.free_solver(weights, 0.1)  # only the last system is kept
-        assert len(matrices) == 5
-        # each is the matrix fem forms: M/dt + A, or A alone
-        A_ff = affine_sum(weights, [ff for ff, _ in sub.free_blocks])
-        system = (sub.mass[sub.free_dofs][:, sub.free_dofs] / 0.1).tocsr() + A_ff
-        assert (abs(matrices[0] - system)).max() == 0.0
-        assert (abs(matrices[3] - 2.0 * A_ff)).max() == 0.0
+        assert len(matrices) == 5 * modes
+        # the blocks of the doubled weights without the mass are Q + L_j P
+        # of the factors, twice those of the weights: doubling is exact
+        fd = sub.operator_diagonalization
+        Q, P = (affine_sum(weights, [f[k] for f in fd.factors]) for k in (0, 1))
+        for A, L in zip(matrices[3 * modes : 4 * modes], fd.eigenvalues.ravel()):
+            assert abs(A - 2.0 * (Q + P * L)).max() == 0.0
 
-    def test_corrupted_kept_solve_raises_at_its_step(self, monkeypatch):
-        spec = transport_wall_pair((4, 3, 3), (2, 2, 2), n_steps=8)
+    def test_corrupted_mode_block_solve_raises_at_its_step(self, monkeypatch):
+        fom = small_transport_fom()
+        modes = fom.master.operator_diagonalization.blocks[0]
+        n_steps = fom.spec.time.n_steps
         real, calls = fem.factorized_solver, [0]
 
         def corrupting(A):
@@ -494,21 +521,26 @@ class TestKeptFactorization:
             def corrupted(b):
                 calls[0] += 1
                 x = solve(b)
-                # step 3 of the second march, which reuses the kept solve
-                return x * 1.001 if calls[0] == spec.time.n_steps + 3 else x
+                # the first mode block of step 3 of the second march, which
+                # reuses the kept blocks
+                return x * 1.001 if calls[0] == modes * (n_steps + 2) + 1 else x
 
             return corrupted
 
         monkeypatch.setattr(fem, "factorized_solver", corrupting)
-        fom = cr.build_fom(spec)
         cr.fom_coupled_solve(fom, [0.5], [])
+        assert calls[0] == modes * n_steps
         with pytest.raises(SolverFailureError) as info:
             cr.fom_coupled_solve(fom, [0.6], [])
         assert info.value.step == 3
         assert info.value.residual > 0.0
 
-    def test_racing_callers_get_the_solve_of_their_weights(self):
-        sub = cr.build_fom(varying_diffusion_steady()).master
+    @pytest.mark.parametrize("role", ["2d-one-block", "transport-mode-blocks"])
+    def test_racing_callers_get_the_solve_of_their_weights(self, role):
+        if role == "2d-one-block":
+            sub = cr.build_fom(varying_diffusion_steady()).master
+        else:
+            sub = small_transport_fom().master
         systems = {w: affine_sum([w, 1.0], [ff for ff, _ in sub.free_blocks]) for w in (1.0, 3.0)}
         b = np.ones(len(sub.free_dofs))
 

@@ -11,9 +11,10 @@ from coupledrom.experiments import config_from_dict
 from coupledrom.library import heat_laplace_pair, steady_pair_2d
 from coupledrom.problems import (
     AffineTerm,
+    BoxMeshSpec,
+    SubmodelSpec,
     TimeSpec,
     compile_expression,
-    constant_profile,
     eval_spatial,
     eval_theta,
     problem_from_dict,
@@ -42,14 +43,36 @@ class TestExpressions:
         pts = np.array([[1.0, 2.0]])
         assert eval_spatial(spatial("z + x"), pts)[0] == 1.0
 
-    def test_constant_profile(self):
-        # the value eval_spatial gives at every point, when it reads no coordinate
-        pts = np.zeros((1, 3))
-        for value in (2.0, 0.04, spatial("0.5 + sqrt(2.25)"), spatial("pi * minimum(1, 2)")):
-            assert constant_profile(value) == eval_spatial(value, pts)[0]
-        for source in ("1 + x*y", "z", "maximum(*[k * y for k in (1.0,)])"):
-            assert constant_profile(spatial(source)) is None
-        assert constant_profile((spatial("y"), 0.0)) is None
+    @pytest.mark.parametrize(
+        "coefficients, axes",
+        [
+            # numbers, and expressions that read no coordinate, are constants
+            ((2.0, 0.04), (0, 1, 2)),
+            (("0.5 + sqrt(2.25)", "pi * minimum(1, 2)"), (0, 1, 2)),
+            (("1 + x*y",), (2,)),
+            (("1 + x", 3.0), (1, 2)),
+            # a comprehension's own code is read too
+            (("maximum(*[k * y for k in (1.0,)])",), (0, 2)),
+            # a velocity separates where its component is the number 0 and
+            # no component reads the coordinate
+            ((0.05, ("4*z*(1-z)", "0.0", "0.0")), (1,)),
+            ((("0.0", 0.0, "2 - 2"),), (0, 1, 2)),
+            (((1.0, 0.0, 0.0),), (1, 2)),
+            ((("0*x", 0.0, 0.0),), (1, 2)),
+            (((0.0, "x", 0.0),), (2,)),
+        ],
+    )
+    def test_separated_axes(self, coefficients, axes):
+        operator = tuple(
+            AffineTerm(kind="advection" if isinstance(c, tuple) else "diffusion", coefficient=c)
+            for c in coefficients
+        )
+        spec = SubmodelSpec(
+            mesh=BoxMeshSpec((0, 0, 0), (1, 1, 1), (2, 2, 2)), operator=operator,
+            interface_tag="x+",
+        )
+        spec.validate("master")
+        assert spec.separated_axes == axes
 
     def test_theta_expression(self):
         alpha = compile_expression("alpha * 2", {"alpha"}, "theta")
@@ -112,6 +135,15 @@ class TestSpecValidation:
         with pytest.raises(ConfigError) as err:
             problem_from_dict(data)
         assert err.value.field == "master.operator[2].coefficient"
+
+    def test_one_axis_box_is_config_error(self):
+        # fem builds 1-D boxes for the factors of a term, but a submodel's
+        # box has 2 or 3 axes
+        data = problem_to_dict(steady_pair_2d())
+        data["slave"]["mesh"].update(origin=[1.0], extent=[1.0], subdivisions=[2])
+        with pytest.raises(ConfigError) as err:
+            problem_from_dict(data)
+        assert err.value.field == "slave.mesh.extent"
 
     def test_time_spec_positive(self):
         with pytest.raises(ConfigError):

@@ -378,6 +378,39 @@ def test_malformed_manifest_is_config_error_naming_the_key(
     assert "configuration error" in capsys.readouterr().err
 
 
+#: a matrix file rewritten with a row or a column too few or too many, its
+#: sha256 updated; unchecked, the first two load and answer wrongly
+#: (``affine_sum`` broadcasts them), the slave basis gives a slave field
+#: short of its mesh and the transfer raises a raw ValueError
+MISSHAPEN_MATRICES = {
+    "master_op_0-column": ("master_op_0", lambda a: a[:, :-1]),
+    "master_load_0-row": ("master_load_0", lambda a: a[:-1]),
+    "slave_basis-row": ("slave_basis", lambda a: a[:-1]),
+    "full_transfer-row": ("full_transfer", lambda a: a[:-1]),
+    "master_u0-row": ("master_u0", lambda a: np.vstack([a, a[:1]])),
+    "lift_op_0-column": ("lift_op_0", lambda a: a[:, :-1]),
+    "phi-row": ("phi", lambda a: a[:-1]),
+    "slave_op_0-row": ("slave_op_0", lambda a: a[:-1]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, cut", MISSHAPEN_MATRICES.values(), ids=list(MISSHAPEN_MATRICES)
+)
+def test_misshapen_matrix_is_config_error_naming_its_file(tmp_path, artifacts, capsys, name, cut):
+    bundle = tmp_path / "b"
+    write_bundle(bundle, artifacts)
+    target = bundle / f"{name}.rombin"
+    data = write_matrix(target, cut(read_matrix(target)))
+    edit_manifest(
+        bundle, lambda m: m["files"].update({target.name: hashlib.sha256(data).hexdigest()})
+    )
+    with pytest.raises(ConfigError, match=re.escape(target.name)):
+        load_bundle(bundle)
+    assert main(["online", "--bundle", str(bundle), "--mu1", "1.0,1.0"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_manifest_that_is_not_a_mapping_is_config_error(tmp_path, artifacts):
     write_bundle(tmp_path / "b", artifacts)
     for text in ("[1, 2]", "{not json"):
