@@ -378,16 +378,18 @@ class FastDiagonalization:
     ``M_a``, term ``q`` is ``M_S ⊗ Q_q + G_S ⊗ P_q`` for factors over R: a
     diffusion term with coefficient ``c`` has ``(K_c, M_c)``, its stiffness
     and mass over R; a reaction term ``(M_c, 0)``; an advection term
-    ``(C_v, 0)``; the unit mass ``(M, 0)``.  With ``V_a^T M_a V_a = I`` and
-    ``V_a^T K_a V_a = diag(l_a)`` from ``eigh(K_a, M_a)``, ``V`` the product
-    of the ``V_a`` gives ``V^T M_S V = I`` and ``V^T G_S V = diag(L)``, ``L``
-    the sum over S of the ``l_a``; in those coordinates ``sum_q w_q A_q`` is
-    one block ``Q + L_j P`` per S-mode ``j``, with ``Q = sum_q w_q Q_q`` and
-    ``P = sum_q w_q P_q`` (R. E. Lynch, J. R. Rice and D. H. Thomas,
-    Numer. Math. 6, 1964).  A solve contracts each axis of S with ``V_a^T``,
-    solves every block, and contracts back.  When S is every axis the
-    blocks are 1x1 and the solve divides by ``Q + P L``; when S is empty
-    there is one block, the whole system.
+    ``(C_v, 0)``; the unit mass ``(M_R, 0)``.  With ``V_a^T M_a V_a = I``
+    and ``V_a^T K_a V_a = diag(l_a)`` from ``eigh(K_a, M_a)``, ``V`` the
+    product of the ``V_a`` gives ``V^T M_S V = I`` and ``V^T G_S V =
+    diag(L)``, ``L`` the sum over S of the ``l_a``; in the mode coordinates
+    ``z`` of ``u = (V ⊗ I) z``, ``sum_q w_q A_q`` is one block ``Q + L_j P``
+    per S-mode ``j``, with ``Q = sum_q w_q Q_q`` and ``P = sum_q w_q P_q``,
+    and the unit mass is ``M_R`` in every mode (R. E. Lynch, J. R. Rice and
+    D. H. Thomas, Numer. Math. 6, 1964).  A load enters those coordinates
+    by ``V^T`` along each axis of S and a state by ``V^{-1} = V^T M_S``, and
+    a state leaves them by ``V``.  When S is every axis the blocks are 1x1
+    and a solve divides by ``Q + P L``; when S is empty there is one block,
+    the whole system, and the coordinates are the DoFs themselves.
     """
 
     def __init__(self, shape, axis_pairs: list, factors: list, mass: tuple):
@@ -404,14 +406,17 @@ class FastDiagonalization:
         spectra = [None if pair is None else sla.eigh(*pair) for pair in axis_pairs]
         self._vectors = [None if e is None else e[1] for e in spectra]
         self._transposed = [None if e is None else np.ascontiguousarray(e[1].T) for e in spectra]
+        self._inverse = [
+            None if e is None else e[1].T @ pair[1] for e, pair in zip(spectra, axis_pairs)
+        ]
         # the sum over S of each axis's eigenvalues, broadcast to the grid of S
         self.eigenvalues = sum(
             (np.reshape(spectra[i][0], [-1 if b == a else 1 for b in range(len(self._separated))])
              for a, i in enumerate(self._separated)),
             np.zeros(()),
         )
-        # the axes of S first, then the right-hand sides, then the axes of R
-        self._modes_first = [1 + i for i in self._separated] + [0] + [1 + i for i in self._rest]
+        # mode coordinates of k vectors: the grid (k, *shape) as (k, *R, *S)
+        self._modes_last = [0] + [1 + i for i in self._rest] + [1 + i for i in self._separated]
 
     @property
     def blocks(self) -> tuple[int, int]:
@@ -445,6 +450,14 @@ class FastDiagonalization:
         mass = _rest_factors(mesh, rest, keep, "reaction", 1.0)
         return cls([len(i) for i in nodes], pairs, factors, mass)
 
+    @classmethod
+    def of_matrices(cls, A: sp.spmatrix, M: sp.spmatrix) -> FastDiagonalization:
+        """The diagonalization along no axis of the one operator ``A`` with
+        the mass ``M``: the coordinates are the DoFs, and the one block is
+        the whole system."""
+        zero = sp.csr_matrix(A.shape)
+        return cls(A.shape[:1], [None], [(A, zero)], (M, zero))
+
     def _contract(self, x: np.ndarray, mats: list) -> np.ndarray:
         """Each axis of S of ``x`` ``(k, *shape)`` multiplied by its matrix,
         as reshapes and matrix products."""
@@ -459,16 +472,37 @@ class FastDiagonalization:
                 x = np.matmul(W, x.reshape(-1, size, after))
         return x
 
-    def solver(self, weights, dt: float | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    def to_modes(self, b: np.ndarray, state: bool = False) -> np.ndarray:
+        """The mode coordinates ``(k, size, modes)`` of one vector ``(n,)``
+        or the columns of a block ``(n, k)``: of loads by ``V^T``, of
+        states (``state``) by ``V^{-1}``."""
+        mats = self._inverse if state else self._transposed
+        x = self._contract(b.T.reshape((-1,) + self.shape), mats)
+        x = x.reshape((-1,) + self.shape).transpose(self._modes_last)
+        return x.reshape((-1,) + self.blocks[::-1])
+
+    def from_modes(self, z: np.ndarray) -> np.ndarray:
+        """The states ``(k, n)`` of mode coordinates ``(k, size, modes)``."""
+        grid = [self.shape[i - 1] for i in self._modes_last[1:]]
+        x = z.reshape([-1] + grid).transpose(np.argsort(self._modes_last))
+        return self._contract(x, self._vectors).reshape(len(z), self.n)
+
+    def solver(self, weights, dt: float | None = None) -> ModeSolve:
         """The solve with ``sum_q weights[q] A_q``, plus ``M/dt`` when ``dt``
-        is given, of one right-hand side or a block of columns; each block
-        is factorized by ``factorized_solver``.  ``SolverFailureError`` when
-        the system is singular."""
+        is given; each block is factorized by ``factorized_solver``.
+        ``SolverFailureError`` when the system is singular."""
         Q, P = (affine_sum(weights, [f[part] for f in self.factors]) for part in (0, 1))
         if dt is not None:
             Q = Q + self.mass[0] / dt
+        return self._solver(Q, P)
+
+    def mass_solver(self) -> ModeSolve:
+        """The solve with the unit mass."""
+        return self._solver(*self.mass)
+
+    def _solver(self, Q, P) -> ModeSolve:
         if not self._rest:
-            diagonal = Q[0, 0] + P[0, 0] * self.eigenvalues
+            diagonal = Q[0, 0] + P[0, 0] * self.eigenvalues.ravel()
             if not np.all(diagonal != 0.0):
                 raise SolverFailureError("fast diagonalization: singular system", residual=np.inf)
 
@@ -477,22 +511,27 @@ class FastDiagonalization:
 
         else:
             blocks = [factorized_solver(Q + P * float(l)) for l in self.eigenvalues.ravel()]
-            order = np.argsort(self._modes_first)
 
             def solve_modes(x):
-                x = x.transpose(self._modes_first)  # (*S, k, *R)
-                k = x.shape[len(self._separated)]
-                per_mode = x.reshape(len(blocks), k, -1)
-                solved = np.stack([block(xj.T).T for block, xj in zip(blocks, per_mode)])
-                return solved.reshape(x.shape).transpose(order)
+                return np.stack([block(x[..., j].T).T for j, block in enumerate(blocks)], axis=-1)
 
-        def solve(b: np.ndarray) -> np.ndarray:
-            b = np.asarray(b, dtype=float)
-            x = self._contract(b.T.reshape((-1,) + self.shape), self._transposed)
-            x = self._contract(solve_modes(x.reshape((-1,) + self.shape)), self._vectors)
-            return x.reshape(b.T.shape).T
+        return ModeSolve(self, solve_modes)
 
-        return solve
+
+@dataclass(frozen=True)
+class ModeSolve:
+    """The solve with one system of ``coordinates``, of one right-hand side
+    or a block of columns: into the mode coordinates, ``solve_modes``, and
+    back.  ``solve_modes`` solves every mode's block for mode coordinates
+    ``(..., size, modes)``, which is how a march steps."""
+
+    coordinates: FastDiagonalization
+    solve_modes: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        fd = self.coordinates
+        return fd.from_modes(self.solve_modes(fd.to_modes(b))).reshape(b.T.shape).T
 
 
 def _check_residuals(res: np.ndarray, rhs: np.ndarray, first_step=None) -> None:
@@ -542,17 +581,23 @@ def solve_unsteady_bdf1(
     F: np.ndarray,
     u0: np.ndarray,
     dt: float,
-    solve: Callable[[np.ndarray], np.ndarray] | None = None,
+    solve: ModeSolve | None = None,
 ) -> np.ndarray:
     """March ``M u' + A u = f`` with implicit Euler from ``u0``.
 
     ``F`` holds one load column per state ``(N, n_steps + 1)``; column 0
-    belongs to ``u0`` and is not used.  Each step solves with ``M/dt + A``:
-    by ``solve`` when the caller has one, else by one ``factorized_solver``
-    of it.  After the march every step's residual is
-    checked with one sparse product; the first step above ``SOLVE_RTOL``
-    raises ``SolverFailureError`` with ``.step`` set.  Returns the
-    trajectory of ``n_steps + 1`` states.
+    belongs to ``u0`` and is not used.  Each step solves with ``M/dt + A``
+    by ``solve``, the ``FastDiagonalization`` solve of it when the caller
+    has one, else by one ``factorized_solver`` of it in the coordinates of
+    ``FastDiagonalization.of_matrices``.  The march runs in the mode
+    coordinates of that solve: the loads and ``u0`` enter them once, each
+    step solves every mode's block ``(Q + L_j P + M_R/dt) z_k = g_k +
+    (M_R/dt) z_{k-1}``, carrying the previous state with one product by
+    ``M_R/dt``, and the trajectory leaves them once.  After the march every
+    step's residual is checked in the DoFs with one sparse product of the
+    whole trajectory; the first step above ``SOLVE_RTOL`` raises
+    ``SolverFailureError`` with ``.step`` set.  Returns the trajectory of
+    ``n_steps + 1`` states.
     """
     F = np.asarray(F, dtype=float)
     u0 = np.asarray(u0, dtype=float)
@@ -563,18 +608,18 @@ def solve_unsteady_bdf1(
             f"an initial state ({n},), got dt={dt}, {F.shape} and {u0.shape}"
         )
     n_steps = F.shape[1] - 1
-    m_dt = (M / dt).tocsr()
-    system = (m_dt + A).tocsr()
-    solver = solve or factorized_solver(system)
-
+    solver = solve or FastDiagonalization.of_matrices(A, M).solver([1.0], dt)
+    fd = solver.coordinates
+    carry = fd.mass[0] / dt
+    loads = fd.to_modes(F[:, 1:])
+    modes = np.empty((n_steps + 1,) + loads.shape[1:])
+    modes[0] = fd.to_modes(u0, state=True)[0]
+    for k in range(1, n_steps + 1):
+        modes[k] = solver.solve_modes(loads[k - 1] + carry @ modes[k - 1])
     traj = np.empty((n_steps + 1, n))
     traj[0] = u0
-    rhs = np.empty((n_steps, n))
-    for k in range(1, n_steps + 1):
-        rhs[k - 1] = F[:, k] + m_dt @ traj[k - 1]
-        try:
-            traj[k] = solver(rhs[k - 1])
-        except SolverFailureError as exc:
-            raise SolverFailureError(str(exc), residual=exc.residual, step=k)
-    _check_residuals(rhs.T - system @ traj[1:].T, rhs.T, first_step=1)
+    traj[1:] = fd.from_modes(modes[1:])
+    m_dt = (M / dt).tocsr()
+    rhs = F[:, 1:] + m_dt @ traj[:-1].T
+    _check_residuals(rhs - (m_dt + A) @ traj[1:].T, rhs, first_step=1)
     return traj

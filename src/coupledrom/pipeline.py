@@ -175,12 +175,16 @@ class FomSubmodel(AffineSubmodel):
     @cached_property
     def constants(self) -> est.StabilityConstants:
         """The stability constants proved on the free blocks, kept for every
-        query against this submodel; the mass block solves by the
-        diagonalization of the unit mass along every axis."""
+        query against this submodel; the mass block solves by a
+        diagonalization along every axis: ``operator_diagonalization`` when
+        the operator separates along every axis, else one of the unit mass
+        alone."""
         mass = None
         if self.mass is not None:
-            fd = fem.FastDiagonalization.of(self.mesh, self.free_dofs, [("reaction", 1.0)])
-            mass = est.MassBlock(self._mass_blocks[0], fd.solver([1.0]))
+            fd = self.operator_diagonalization
+            if len(self.spec.separated_axes) < self.mesh.dim:
+                fd = fem.FastDiagonalization.of(self.mesh, self.free_dofs, [])
+            mass = est.MassBlock(self._mass_blocks[0], fd.mass_solver())
         return est.StabilityConstants([ff for ff, _ in self.free_blocks], mass)
 
     def free_system(
@@ -537,6 +541,7 @@ def build_artifacts(training: TrainingData, tolerances) -> RomArtifacts:
             "slave": fom.slave.mesh.content_hash(),
         },
         "conforming": bool(fom.conforming),
+        "pod_blas_threads": training.pod_master.blas_threads,
         "timings": dict(training.timings),
     }
     artifacts = _assemble_artifacts(fom, V1, V2, deim_basis, (eps1, eps2, eps_d), provenance)

@@ -23,11 +23,21 @@ against ``X``: the right factors ``W_i`` of the kept and dropped parts are
 orthogonal, so for the projector ``P`` on the kept modes ``||(I - P) X||^2 =
 ||(I - P) Y||^2 + ||(I - P) E||^2 <= tol^2 ||Y||^2 + ||E||^2``, and ``||X||^2
 = ||Y||^2 + ||E||^2``.
+
+The SVDs run on one thread of numpy's OpenBLAS, whose threaded kernels round
+differently at each thread count, so a basis does not depend on the count.
+The count is process-global: other threads of the caller that call numpy's
+BLAS while a factorization runs also run on one thread.  Where numpy's BLAS
+exports no OpenBLAS thread control, the count is left as it is.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +45,49 @@ import numpy as np
 from .errors import DegenerateSnapshotsError, DimensionMismatchError, RomError
 
 log = logging.getLogger(__name__)
+
+#: the OpenBLAS thread count of every factorization
+POD_BLAS_THREADS = 1
+_PIN_LOCK = threading.Lock()
+
+
+@functools.cache
+def blas_thread_control():
+    """``(get, set)`` of the thread count of the OpenBLAS behind numpy's
+    LAPACK, through ctypes, looked up from the extension module whose SVD the
+    factorization calls; None when that library exports neither name."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on ``POD_BLAS_THREADS`` threads of numpy's OpenBLAS and
+    restore the old count after it, also when it raises; yields the pinned
+    count, or None where the count cannot be set.  One body runs at a time,
+    so that concurrent callers restore the count they found."""
+    control = blas_thread_control()
+    if control is None:
+        yield None
+        return
+    get, put = control
+    with _PIN_LOCK:
+        old = get()
+        put(POD_BLAS_THREADS)
+        try:
+            yield POD_BLAS_THREADS
+        finally:
+            put(old)
 
 
 @dataclass(frozen=True)
@@ -63,18 +116,21 @@ class PodFactorization:
     """
 
     def __init__(self, snapshots: SnapshotSet | np.ndarray):
-        X = snapshots.matrix if isinstance(snapshots, SnapshotSet) else snapshots
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] < 1:
-            raise DimensionMismatchError("snapshot matrix must be 2-D and nonempty")
-        if not np.any(X):
-            raise DegenerateSnapshotsError("snapshot matrix is identically zero")
-        resolution = max(X.shape) * np.finfo(float).eps
-        block = snapshots.block if isinstance(snapshots, SnapshotSet) else None
-        if block is not None and block < X.shape[1]:
-            X = _stacked_factors(X, block, resolution)
-        self.stacked_cols = X.shape[1]
-        U, sigma, _ = np.linalg.svd(X, full_matrices=False)
+        with _one_blas_thread() as threads:
+            #: the OpenBLAS thread count the SVDs ran on, None where not pinned
+            self.blas_threads = threads
+            X = snapshots.matrix if isinstance(snapshots, SnapshotSet) else snapshots
+            X = np.asarray(X, dtype=float)
+            if X.ndim != 2 or X.shape[1] < 1:
+                raise DimensionMismatchError("snapshot matrix must be 2-D and nonempty")
+            if not np.any(X):
+                raise DegenerateSnapshotsError("snapshot matrix is identically zero")
+            resolution = max(X.shape) * np.finfo(float).eps
+            block = snapshots.block if isinstance(snapshots, SnapshotSet) else None
+            if block is not None and block < X.shape[1]:
+                X = _stacked_factors(X, block, resolution)
+            self.stacked_cols = X.shape[1]
+            U, sigma, _ = np.linalg.svd(X, full_matrices=False)
         rank = int(np.sum(sigma > sigma[0] * resolution))
         self.U = _fix_signs(U[:, :rank])
         self.singular_values = sigma

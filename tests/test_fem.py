@@ -429,6 +429,17 @@ def kron_forms(mesh, free, axes):
     return pairs
 
 
+def per_step_march(M, A, F, u0, dt):
+    """The BDF1 march stepped in the DoFs, one sparse LU solve a step: the
+    reference for ``solve_unsteady_bdf1``."""
+    m_dt = (M / dt).tocsr()
+    solve = spla.splu((m_dt + A).tocsc()).solve
+    traj = [u0]
+    for k in range(1, F.shape[1]):
+        traj.append(solve(F[:, k] + m_dt @ traj[-1]))
+    return np.array(traj)
+
+
 def velocity_along_x(p):
     return np.stack([4 * p[..., 2] * (1 - p[..., 2]), 0 * p[..., 0], 0 * p[..., 0]], axis=-1)
 
@@ -492,6 +503,27 @@ class TestFastDiagonalization:
             oracle = np.linalg.solve(A.toarray(), B)
             solved = fd.solver(weights, dt)(B)
             assert np.max(np.abs(solved - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("separated", [None, (1,), ()], ids=["1x1", "mode-blocks", "one-block"])
+    def test_march_in_mode_coordinates_agrees_with_a_per_step_march(self, separated):
+        # a nonzero initial state enters the coordinates by V^T M_S
+        mesh = build_box_mesh((0, 0, 0), (2.0, 1.0, 1.0), (3, 3, 2))
+        free = free_of_faces(mesh, "x-", "y+")
+        if separated is None:
+            terms = [("diffusion", 1.0), ("reaction", 2.0)]
+        else:
+            terms = [("diffusion", lambda p: 1 + p[..., 0]), ("advection", velocity_along_x)]
+        fd = FastDiagonalization.of(mesh, free, terms, separated)
+        weights, dt = [0.7, 1.3], 0.05
+        A = sum(w * cr.fem.assemble_term(mesh, kind, c) for w, (kind, c) in zip(weights, terms))
+        A_ff, M_ff = A[free][:, free], assemble_mass(mesh)[free][:, free]
+        rng = np.random.default_rng(7)
+        F, u0 = rng.standard_normal((len(free), 7)), rng.standard_normal(len(free))
+        reference = per_step_march(M_ff, A_ff, F, u0, dt)
+        for solve in (fd.solver(weights, dt), None):
+            traj = solve_unsteady_bdf1(M_ff, A_ff, F, u0, dt, solve)
+            assert np.array_equal(traj[0], u0)
+            assert np.max(np.abs(traj - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     def test_dof_set_that_is_not_a_tensor_product_is_refused(self):
         mesh = unit_square(3)

@@ -271,9 +271,10 @@ class TestFomCoupledSolve:
 
 
 def corrupt_solves(monkeypatch, n_dofs, call):
-    """Scale by 1.001 the ``call``-th solved right-hand side (1-based; each
-    column of a block counts) of the fast-diagonalized solves on ``n_dofs``
-    unknowns, which a separable submodel's march and series use."""
+    """Scale by 1.001 the ``call``-th state (1-based; each state of a block
+    counts) that the mode-coordinate solves of a fast diagonalization on
+    ``n_dofs`` unknowns return: a march solves one step per call, the
+    steady and quasi-static series every state in one call."""
     real = fem.FastDiagonalization.solver
 
     def factory(self, weights, dt=None):
@@ -282,15 +283,16 @@ def corrupt_solves(monkeypatch, n_dofs, call):
             return solve
         solved = [0]
 
-        def corrupted(b):
-            x = solve(b).copy()
+        def corrupted(x):
+            z = np.array(solve.solve_modes(x))
+            states = z.reshape((-1,) + z.shape[-2:])
             first = solved[0]
-            solved[0] += 1 if b.ndim == 1 else b.shape[1]
+            solved[0] += len(states)
             if first < call <= solved[0]:
-                x.reshape(len(x), -1)[:, call - first - 1] *= 1.001
-            return x
+                states[call - first - 1] *= 1.001
+            return z
 
-        return corrupted
+        return dataclasses.replace(solve, solve_modes=corrupted)
 
     monkeypatch.setattr(fem.FastDiagonalization, "solver", factory)
 
@@ -406,6 +408,18 @@ class TestFastDiagonalization:
 
     def test_mass_block_solve_agrees_with_its_lu(self):
         assert_mass_solve_is_diagonalized(small_heat_fom().master)
+
+    def test_separable_mass_block_solves_by_the_operator_diagonalization(self, monkeypatch):
+        # one eigh per axis serves the operator and the mass block
+        sub = small_heat_fom().master
+        eigh, calls = fem.sla.eigh, []
+        monkeypatch.setattr(fem.sla, "eigh", lambda *a: calls.append(a) or eigh(*a))
+        mass = sub.constants.mass
+        sub.free_solver(sub.theta_weights(sub.mu_mapping([0.8])), 0.1)
+        assert len(calls) == sub.mesh.dim
+        B = np.random.default_rng(8).standard_normal((len(sub.free_dofs), 2))
+        own = fem.FastDiagonalization.of(sub.mesh, sub.free_dofs, []).mass_solver()
+        assert np.array_equal(mass.solve(B), own(B))
 
     def test_advecting_submodel_diagonalizes_its_mass_block(self):
         sub = small_transport_fom().master

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +13,9 @@ import coupledrom as cr
 from coupledrom import pipeline
 from coupledrom.errors import DegenerateSnapshotsError, DimensionMismatchError
 from coupledrom.library import heat_laplace_pair, steady_pair_2d
-from coupledrom.pod import PodFactorization, SnapshotSet, _fix_signs, pod
+from coupledrom.pod import (
+    PodFactorization, SnapshotSet, _fix_signs, blas_thread_control, pod,
+)
 
 
 def align_signs(A, B):
@@ -268,3 +276,85 @@ class TestTwoLevel:
             U, s = one_svd(snapshots.matrix)
             assert np.array_equal(getattr(training, f"pod_{family}").U, U)
             assert np.array_equal(getattr(training, f"pod_{family}").singular_values, s)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+#: the tightest-bundle digests of a heat pair, whose master marches and
+#: whose POD at two OpenBLAS threads rounds differently from one thread when
+#: unpinned, and of a transport pair, whose master marches in y-mode blocks
+OFFLINE_DIGESTS = """
+import tempfile
+from coupledrom.experiments import ExperimentConfig, run_offline
+from coupledrom.library import heat_laplace_pair, transport_wall_pair
+for spec in (heat_laplace_pair((8, 8, 8), (4, 4, 4), n_steps=50),
+             transport_wall_pair((8, 5, 5), (4, 2, 3), n_steps=12)):
+    with tempfile.TemporaryDirectory() as out:
+        config = ExperimentConfig(spec, 8, 3, (1e-6,), (1e-6,), (1e-6,), 2, 5, out)
+        print(run_offline(config)[1][0][2])
+"""
+
+
+class TestBlasThreads:
+    def test_bundle_digests_do_not_depend_on_the_thread_count(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        digests = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", OFFLINE_DIGESTS],
+                env={**env, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split())
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
+
+    @pytest.fixture
+    def control(self):
+        control = blas_thread_control()
+        if control is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread control")
+        get, put = control
+        old = get()
+        put(2)
+        yield control
+        put(old)
+
+    def test_svds_run_on_one_thread_and_the_count_is_restored(self, control, monkeypatch):
+        get, _ = control
+        seen, svd = [], np.linalg.svd
+
+        def recording(*args, **kwargs):
+            seen.append(get())
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        X = np.random.default_rng(5).standard_normal((40, 12))
+        fact = PodFactorization(SnapshotSet(X, block=4))
+        assert seen == [1, 1]  # the blocks, then the stacked factors
+        assert fact.blas_threads == 1
+        assert get() == 2
+        with pytest.raises(DegenerateSnapshotsError):
+            PodFactorization(np.zeros((5, 3)))
+        assert get() == 2
+
+    def test_concurrent_factorizations_restore_the_count(self, control):
+        get, _ = control
+        X = np.random.default_rng(6).standard_normal((200, 60))
+
+        def factorize(_):
+            return PodFactorization(SnapshotSet(X, block=10)).U
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            bases = [f.result(timeout=60) for f in [pool.submit(factorize, i) for i in range(16)]]
+        assert all(np.array_equal(U, bases[0]) for U in bases)
+        assert get() == 2
+
+    def test_bundle_provenance_records_the_pinned_count(self):
+        training = cr.run_training(steady_pair_2d(), 3, seed=1)
+        artifacts = cr.build_artifacts(training, (1e-4, 1e-4, 1e-4))
+        pinned = None if blas_thread_control() is None else 1
+        assert artifacts.provenance["pod_blas_threads"] == pinned
