@@ -345,9 +345,8 @@ def run_offline(config: ExperimentConfig):
     for triple in config.grid():
         artifacts = build_artifacts(training, triple)
         bundle_dir = out_root / bundle_dirname(triple)
-        timings = dict(artifacts.provenance.get("timings", {}))
-        timings["offline_s"] = _time.perf_counter() - t0
-        digest = write_bundle(bundle_dir, artifacts, timings=timings)
+        artifacts.timings["offline_s"] = _time.perf_counter() - t0
+        digest = write_bundle(bundle_dir, artifacts)
         results.append((triple, bundle_dir, digest, artifacts))
     return training, results
 

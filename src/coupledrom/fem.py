@@ -386,10 +386,10 @@ class FastDiagonalization:
     per S-mode ``j``, with ``Q = sum_q w_q Q_q`` and ``P = sum_q w_q P_q``,
     and the unit mass is ``M_R`` in every mode (R. E. Lynch, J. R. Rice and
     D. H. Thomas, Numer. Math. 6, 1964).  A load enters those coordinates
-    by ``V^T`` along each axis of S and a state by ``V^{-1} = V^T M_S``, and
-    a state leaves them by ``V``.  When S is every axis the blocks are 1x1
-    and a solve divides by ``Q + P L``; when S is empty there is one block,
-    the whole system, and the coordinates are the DoFs themselves.
+    by ``V^T`` along each axis of S, and a state leaves them by ``V``.  When
+    S is every axis the blocks are 1x1 and a solve divides by ``Q + P L``;
+    when S is empty there is one block, the whole system, and the
+    coordinates are the DoFs themselves.
     """
 
     def __init__(self, shape, axis_pairs: list, factors: list, mass: tuple):
@@ -405,10 +405,6 @@ class FastDiagonalization:
         self._rest = [i for i, pair in enumerate(axis_pairs) if pair is None]
         spectra = [None if pair is None else sla.eigh(*pair) for pair in axis_pairs]
         self._vectors = [None if e is None else e[1] for e in spectra]
-        self._transposed = [None if e is None else np.ascontiguousarray(e[1].T) for e in spectra]
-        self._inverse = [
-            None if e is None else e[1].T @ pair[1] for e, pair in zip(spectra, axis_pairs)
-        ]
         # the sum over S of each axis's eigenvalues, broadcast to the grid of S
         self.eigenvalues = sum(
             (np.reshape(spectra[i][0], [-1 if b == a else 1 for b in range(len(self._separated))])
@@ -458,26 +454,24 @@ class FastDiagonalization:
         zero = sp.csr_matrix(A.shape)
         return cls(A.shape[:1], [None], [(A, zero)], (M, zero))
 
-    def _contract(self, x: np.ndarray, mats: list) -> np.ndarray:
-        """Each axis of S of ``x`` ``(k, *shape)`` multiplied by its matrix,
-        as reshapes and matrix products."""
+    def _contract(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        """Each axis of S of ``x`` ``(k, *shape)`` multiplied by its ``V_a``,
+        or by ``V_a^T`` when ``transpose``, as reshapes and matrix products."""
         after = self.n
-        for W, size in zip(mats, self.shape):
+        for V, size in zip(self._vectors, self.shape):
             after //= size
-            if W is None:
+            if V is None:
                 continue
             if after == 1:
-                x = x.reshape(-1, size) @ W.T
+                x = x.reshape(-1, size) @ (V if transpose else V.T)
             else:
-                x = np.matmul(W, x.reshape(-1, size, after))
+                x = np.matmul(V.T if transpose else V, x.reshape(-1, size, after))
         return x
 
-    def to_modes(self, b: np.ndarray, state: bool = False) -> np.ndarray:
-        """The mode coordinates ``(k, size, modes)`` of one vector ``(n,)``
-        or the columns of a block ``(n, k)``: of loads by ``V^T``, of
-        states (``state``) by ``V^{-1}``."""
-        mats = self._inverse if state else self._transposed
-        x = self._contract(b.T.reshape((-1,) + self.shape), mats)
+    def to_modes(self, b: np.ndarray) -> np.ndarray:
+        """The mode coordinates ``(k, size, modes)``, by ``V^T``, of one load
+        ``(n,)`` or the columns of a block of loads ``(n, k)``."""
+        x = self._contract(b.T.reshape((-1,) + self.shape), transpose=True)
         x = x.reshape((-1,) + self.shape).transpose(self._modes_last)
         return x.reshape((-1,) + self.blocks[::-1])
 
@@ -485,7 +479,7 @@ class FastDiagonalization:
         """The states ``(k, n)`` of mode coordinates ``(k, size, modes)``."""
         grid = [self.shape[i - 1] for i in self._modes_last[1:]]
         x = z.reshape([-1] + grid).transpose(np.argsort(self._modes_last))
-        return self._contract(x, self._vectors).reshape(len(z), self.n)
+        return self._contract(x, transpose=False).reshape(len(z), self.n)
 
     def solver(self, weights, dt: float | None = None) -> ModeSolve:
         """The solve with ``sum_q weights[q] A_q``, plus ``M/dt`` when ``dt``
@@ -590,14 +584,15 @@ def solve_unsteady_bdf1(
     by ``solve``, the ``FastDiagonalization`` solve of it when the caller
     has one, else by one ``factorized_solver`` of it in the coordinates of
     ``FastDiagonalization.of_matrices``.  The march runs in the mode
-    coordinates of that solve: the loads and ``u0`` enter them once, each
-    step solves every mode's block ``(Q + L_j P + M_R/dt) z_k = g_k +
-    (M_R/dt) z_{k-1}``, carrying the previous state with one product by
-    ``M_R/dt``, and the trajectory leaves them once.  After the march every
-    step's residual is checked in the DoFs with one sparse product of the
-    whole trajectory; the first step above ``SOLVE_RTOL`` raises
-    ``SolverFailureError`` with ``.step`` set.  Returns the trajectory of
-    ``n_steps + 1`` states.
+    coordinates of that solve from zero modes: the loads enter them once,
+    ``u0`` as the load ``(M/dt) u0`` of the first step; each step solves
+    every mode's block ``(Q + L_j P + M_R/dt) z_k = g_k + (M_R/dt) z_{k-1}``,
+    carrying the previous state with one product by ``M_R/dt``, and the
+    trajectory leaves them once.  After the march every step's residual is
+    checked in the DoFs against its ``F_k + (M/dt) u_{k-1}``, with one
+    product of ``M`` and one of ``A`` by the whole trajectory; the first step
+    above ``SOLVE_RTOL`` raises ``SolverFailureError`` with ``.step`` set.
+    Returns the trajectory of ``n_steps + 1`` states.
     """
     F = np.asarray(F, dtype=float)
     u0 = np.asarray(u0, dtype=float)
@@ -611,15 +606,16 @@ def solve_unsteady_bdf1(
     solver = solve or FastDiagonalization.of_matrices(A, M).solver([1.0], dt)
     fd = solver.coordinates
     carry = fd.mass[0] / dt
-    loads = fd.to_modes(F[:, 1:])
-    modes = np.empty((n_steps + 1,) + loads.shape[1:])
-    modes[0] = fd.to_modes(u0, state=True)[0]
+    G = F[:, 1:].copy()
+    G[:, 0] += (M @ u0) / dt
+    loads = fd.to_modes(G)
+    modes = np.zeros((n_steps + 1,) + loads.shape[1:])
     for k in range(1, n_steps + 1):
         modes[k] = solver.solve_modes(loads[k - 1] + carry @ modes[k - 1])
     traj = np.empty((n_steps + 1, n))
     traj[0] = u0
     traj[1:] = fd.from_modes(modes[1:])
-    m_dt = (M / dt).tocsr()
-    rhs = F[:, 1:] + m_dt @ traj[:-1].T
-    _check_residuals(rhs - (m_dt + A) @ traj[1:].T, rhs, first_step=1)
+    m_traj = (M @ traj.T) / dt
+    rhs = F[:, 1:] + m_traj[:, :-1]
+    _check_residuals(rhs - m_traj[:, 1:] - A @ traj[1:].T, rhs, first_step=1)
     return traj

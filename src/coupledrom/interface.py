@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateBasisError,
@@ -34,8 +33,6 @@ log = logging.getLogger(__name__)
 
 #: coincidence tolerance for conforming-trace detection, relative to trace extent
 CONFORMING_RTOL = 1e-12
-#: below this size nearest-neighbor queries use brute force
-KDTREE_THRESHOLD = 512
 
 
 # ---------------------------------------------------------------------------
@@ -48,32 +45,24 @@ def _trace_scale(trace: InterfaceTrace) -> float:
 
 
 def nearest_dof_map(slave_points: np.ndarray, master_trace: InterfaceTrace) -> np.ndarray:
-    """Index of the nearest master-trace DoF for each query point.
-
-    Ties are broken by the smallest trace index (equivalently the smallest
-    global DoF index, since traces are sorted).
+    """Index of the nearest master-trace DoF for each query point, located on
+    the trace grid axis by axis: the nearer node of the point's cell along
+    each in-plane axis, the smaller one on a tie, so that of equally near
+    DoFs the smallest trace index is taken.
     """
     if len(master_trace) == 0:
         raise EmptyTraceError("master trace is empty")
     pts = np.atleast_2d(np.asarray(slave_points, dtype=float))
-    coords = master_trace.coords
-    if pts.shape[1] != coords.shape[1]:
-        raise DimensionMismatchError(
-            f"query points have dim {pts.shape[1]}, trace has dim {coords.shape[1]}"
-        )
-    if len(master_trace) <= KDTREE_THRESHOLD:
-        d2 = np.sum((pts[:, None, :] - coords[None, :, :]) ** 2, axis=2)
-        return np.argmin(d2, axis=1)  # argmin takes the first (smallest) index on ties
-
-    tree = cKDTree(coords)
-    dist, idx = tree.query(pts)
-    out = np.asarray(idx, dtype=np.int64)
-    # resolve ties deterministically towards the smallest index
-    for k, (p, d) in enumerate(zip(pts, dist)):
-        ball = tree.query_ball_point(p, d * (1 + 1e-12) + 1e-300)
-        if len(ball) > 1:
-            out[k] = min(ball)
-    return out
+    dim = master_trace.coords.shape[1]
+    if pts.shape[1] != dim:
+        raise DimensionMismatchError(f"query points have dim {pts.shape[1]}, trace has dim {dim}")
+    grids = master_trace.inplane_grids
+    nodes = []
+    for grid, axis in zip(grids, master_trace.inplane_axes):
+        x = pts[:, axis]
+        j = _locate_1d(grid, x)[0]
+        nodes.append(j + (grid[j + 1] - x < x - grid[j]))
+    return flat_index(np.stack(nodes, axis=1), [len(g) for g in grids])
 
 
 def _locate_1d(grid: np.ndarray, x: np.ndarray):
@@ -235,14 +224,16 @@ class InterfaceReducer:
 
     ``full_transfer @ u_n1`` yields the Dirichlet values on the whole slave
     trace from the reduced master solution; ``lift_products[q] @ u_n1`` the
-    reduced lifting contribution of the slave operator term ``q``.  A
-    marching slave's mass product follows its operator terms' products.
+    reduced lifting contribution of the slave operator term ``q``, and
+    ``lift_mass @ u_n1`` that of the mass of a marching slave (None for a
+    steady slave).
     """
 
     deim: DeimBasis
     slave_trace: InterfaceTrace = field(repr=False)
     full_transfer: np.ndarray = field(repr=False)  # (len slave trace, n1)
     lift_products: tuple = field(repr=False)  # each (n2, n1)
+    lift_mass: np.ndarray | None = field(repr=False)  # (n2, n1)
     #: ``||Phi Phi_I^{-1} B_I||_2``, the reduced transfer's two-norm on
     #: master trace values
     transfer_norm: float
@@ -255,7 +246,7 @@ class InterfaceReducer:
         """``sum_q weights[q] * (lift_products[q] @ u_n1)``, one weight per
         slave operator term, accumulated in term order."""
         n = len(self.lift_products)
-        if not 0 < len(weights) <= n:
+        if len(weights) != n or n == 0:
             raise DimensionMismatchError(f"{len(weights)} weights for {n} lifting products")
         out = weights[0] * (self.lift_products[0] @ u_n1)
         for w, product in zip(weights[1:], self.lift_products[1:]):
@@ -271,10 +262,11 @@ def assemble_reducer(
     master_basis: np.ndarray,
     slave_basis: np.ndarray,
     slave_operators: Sequence[sp.spmatrix] = (),
+    slave_mass: sp.spmatrix | None = None,
 ) -> InterfaceReducer:
     """Assemble the stored online products for a given interpolation basis:
-    one lifting product per matrix of ``slave_operators``, in their order
-    (the slave's operator terms, then the mass of a marching slave).
+    one lifting product per matrix of ``slave_operators``, in their order,
+    and one of ``slave_mass``, the mass of a marching slave, when given.
 
     ``transfer`` is the full-order transfer ``B`` (slave trace x master
     trace) that made the interface snapshots; the reduced trace reads its
@@ -295,16 +287,16 @@ def assemble_reducer(
     transfer_norm = float(s[0] + 4 * len(s) * np.finfo(float).eps * s[0])
 
     gamma = slave_trace.dof_indices
-    # each (n2, n1): the reduced slave columns at the trace, then the transfer
-    lift_products = tuple(
-        np.asarray((slave_basis.T @ A.tocsc()[:, gamma]) @ full_transfer)
-        for A in slave_operators
-    )
+
+    def lift(A: sp.spmatrix) -> np.ndarray:
+        # (n2, n1): the reduced slave columns at the trace, then the transfer
+        return np.asarray((slave_basis.T @ A.tocsc()[:, gamma]) @ full_transfer)
 
     return InterfaceReducer(
         deim=deim,
         slave_trace=slave_trace,
         full_transfer=full_transfer,
-        lift_products=lift_products,
+        lift_products=tuple(lift(A) for A in slave_operators),
+        lift_mass=None if slave_mass is None else lift(slave_mass),
         transfer_norm=transfer_norm,
     )

@@ -457,6 +457,9 @@ class RomArtifacts:
     reducer: InterfaceReducer
     tolerances: tuple[float, float, float]  # (master, slave, interface)
     provenance: dict = field(default_factory=dict)
+    #: wall-clock seconds of the build's stages, which no comparison and no
+    #: bundle hash reads
+    timings: dict = field(default_factory=dict, compare=False)
 
     @property
     def basis_sizes(self) -> dict:
@@ -502,7 +505,8 @@ def _assemble_artifacts(
         slave.interface,
         V1,
         V2,
-        slave_operators=slave.op_terms + ([slave.mass] if slave.spec.unsteady else []),
+        slave_operators=slave.op_terms,
+        slave_mass=slave.mass,
     )
     return RomArtifacts(
         spec=fom.spec,
@@ -542,10 +546,9 @@ def build_artifacts(training: TrainingData, tolerances) -> RomArtifacts:
         },
         "conforming": bool(fom.conforming),
         "pod_blas_threads": training.pod_master.blas_threads,
-        "timings": dict(training.timings),
     }
     artifacts = _assemble_artifacts(fom, V1, V2, deim_basis, (eps1, eps2, eps_d), provenance)
-    artifacts.provenance["timings"]["reduce_s"] = _time.perf_counter() - t0
+    artifacts.timings = {**training.timings, "reduce_s": _time.perf_counter() - t0}
     log.info(
         "artifacts: basis sizes %s at tolerances %s",
         artifacts.basis_sizes,
@@ -678,11 +681,11 @@ def _online(
 
     def lifting(weights):
         # the operator terms on the master states and, for a marching slave,
-        # the mass (its product is the last) on their time derivative, 0 at t_0
+        # the mass on their time derivative, 0 at t_0
         out = reducer.reduced_lifting(u1.T, weights)
-        if slave.spec.unsteady:
+        if reducer.lift_mass is not None:
             du = np.diff(u1, axis=0, prepend=u1[:1])
-            out = out + (1.0 / time.dt) * (reducer.lift_products[-1] @ du.T)
+            out = out + (1.0 / time.dt) * (reducer.lift_mass @ du.T)
         return out
 
     u2 = _reduced_states(slave, mu2m, time, lifting)

@@ -12,7 +12,7 @@ with numpy semantics, which each spec compiles once (``SubmodelSpec.compiled``).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from types import CodeType
 from typing import Callable, Mapping, NamedTuple
@@ -313,42 +313,12 @@ class CoupledProblemSpec:
 # JSON round trip
 
 
-def _term_to_dict(term: AffineTerm) -> dict:
-    coeff = term.coefficient
-    if isinstance(coeff, tuple):
-        coeff = list(coeff)
-    return {"kind": term.kind, "theta": term.theta, "coefficient": coeff}
-
-
-def submodel_to_dict(spec: SubmodelSpec) -> dict:
-    return {
-        "mesh": {
-            "origin": list(spec.mesh.origin),
-            "extent": list(spec.mesh.extent),
-            "subdivisions": list(spec.mesh.subdivisions),
-            "order": spec.mesh.order,
-        },
-        "operator": [_term_to_dict(t) for t in spec.operator],
-        "forcing": [{"theta": t.theta, "profile": t.profile} for t in spec.forcing],
-        "dirichlet": dict(spec.dirichlet),
-        "parameters": {
-            "names": list(spec.parameters.names),
-            "ranges": [list(r) for r in spec.parameters.ranges],
-        },
-        "interface_tag": spec.interface_tag,
-        "unsteady": spec.unsteady,
-        "initial": spec.initial,
-    }
-
-
 def problem_to_dict(spec: CoupledProblemSpec) -> dict:
-    out = {
-        "name": spec.name,
-        "master": submodel_to_dict(spec.master),
-        "slave": submodel_to_dict(spec.slave),
-    }
-    if spec.time is not None:
-        out["time"] = {"dt": spec.time.dt, "n_steps": spec.time.n_steps}
+    """The spec's JSON form: its fields, with tuples for JSON lists, and no
+    ``time`` key for a steady problem."""
+    out = asdict(spec)
+    if spec.time is None:
+        del out["time"]
     return out
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError
 from .interface import InterfaceReducer, make_deim_basis
 from .mesh import extract_interface
-from .problems import SubmodelSpec, config_mapping, config_value, problem_from_dict, problem_to_dict
+from .problems import config_mapping, config_value, problem_from_dict, problem_to_dict
 
 MAGIC = b"ROMB"
 #: matrix file header version
@@ -141,13 +141,14 @@ def _vec(array) -> np.ndarray:
     return np.asarray(array, dtype=float).reshape(-1, 1)
 
 
-def write_bundle(path, artifacts, timings: dict | None = None) -> str:
+def write_bundle(path, artifacts) -> str:
     """Persist artifacts into a directory; returns the bundle hash.
 
-    The manifest is written last so a complete manifest marks a complete
-    bundle; then matrix files it does not list, and a timings file this
-    call did not write, are removed, and on any failure the files written
-    by this call are.
+    ``artifacts.timings``, when any, go to ``timings.json``, outside the
+    hash.  The manifest is written last so a complete manifest marks a
+    complete bundle; then matrix files it does not list, and a timings file
+    this call did not write, are removed, and on any failure the files
+    written by this call are.
     """
     from .pipeline import RomArtifacts  # local import to avoid a cycle
 
@@ -157,7 +158,7 @@ def write_bundle(path, artifacts, timings: dict | None = None) -> str:
     path.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
-        return _write_bundle_files(path, artifacts, timings, written)
+        return _write_bundle_files(path, artifacts, written)
     except BaseException:
         for item in written:
             item.unlink(missing_ok=True)
@@ -166,13 +167,7 @@ def write_bundle(path, artifacts, timings: dict | None = None) -> str:
         raise
 
 
-def _lift_names(slave: SubmodelSpec) -> list[str]:
-    """The names of the lifting products, in their order: one per slave
-    operator term, then the mass's of a marching slave."""
-    return [f"lift_op_{q}" for q in range(len(slave.operator))] + ["lift_mass"] * slave.unsteady
-
-
-def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> str:
+def _write_bundle_files(path: Path, artifacts, written: list[Path]) -> str:
     reducer = artifacts.reducer
     files: dict[str, np.ndarray] = {
         "phi": reducer.deim.Phi,
@@ -186,7 +181,9 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
         files.update({f"{side}_load_{k}": _vec(f) for k, f in enumerate(sub.load_terms)})
         if sub.spec.unsteady:
             files[f"{side}_mass"] = sub.mass
-    files.update(zip(_lift_names(artifacts.spec.slave), reducer.lift_products, strict=True))
+    files.update({f"lift_op_{q}": L for q, L in enumerate(reducer.lift_products)})
+    if reducer.lift_mass is not None:
+        files["lift_mass"] = reducer.lift_mass
 
     contents = {}  # the bytes of each file the bundle hash covers
     for name, array in files.items():
@@ -195,12 +192,8 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
         written.append(target)
     shas = {name: hashlib.sha256(data).hexdigest() for name, data in contents.items()}
 
-    provenance = dict(artifacts.provenance)
-    clock = dict(provenance.pop("timings", {}))  # wall clock never enters the hash
-    if timings:
-        clock.update(timings)
-    if clock:
-        dump_json(path / "timings.json", clock)
+    if artifacts.timings:
+        dump_json(path / "timings.json", artifacts.timings)
         written.append(path / "timings.json")
 
     manifest = {
@@ -216,7 +209,7 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
             "indices": reducer.deim.indices.tolist(),
             "transfer_norm": reducer.transfer_norm,
         },
-        "provenance": provenance,
+        "provenance": artifacts.provenance,
         "files": shas,
     }
     tmp = path / "manifest.json.tmp"
@@ -227,7 +220,7 @@ def _write_bundle_files(path: Path, artifacts, timings, written: list[Path]) -> 
     for item in path.glob("*.rombin"):
         if item.name not in shas:
             item.unlink()
-    if not clock:  # an earlier write's timings describe another build
+    if not artifacts.timings:  # an earlier write's timings describe another build
         (path / "timings.json").unlink(missing_ok=True)
     return _digest(contents)
 
@@ -306,7 +299,8 @@ def load_bundle(path):
     master = load_submodel("master", spec.master.mesh.build().n_dofs)
     slave = load_submodel("slave", slave_mesh.n_dofs)
     n1, n2 = master.n, slave.n
-    lift_products = tuple(mat(name, n2, n1) for name in _lift_names(spec.slave))
+    lift_products = tuple(mat(f"lift_op_{q}", n2, n1) for q in range(len(spec.slave.operator)))
+    lift_mass = mat("lift_mass", n2, n1) if spec.slave.unsteady else None
     phi = mat("phi", len(slave_trace))
     full_transfer = mat("full_transfer", len(slave_trace), n1)
     rows, cols = phi.shape
@@ -329,6 +323,7 @@ def load_bundle(path):
         slave_trace=slave_trace,
         full_transfer=full_transfer,
         lift_products=lift_products,
+        lift_mass=lift_mass,
         transfer_norm=transfer_norm,
     )
     return RomArtifacts(

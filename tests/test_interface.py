@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import coupledrom as cr
 from coupledrom.errors import (
     DegenerateBasisError,
+    DimensionMismatchError,
     OversamplingError,
     ProjectionDistanceError,
 )
@@ -230,6 +233,25 @@ class TestNearestDofMap:
         got = nearest_dof_map(np.array([[0.25, 0.0]]), tm)
         assert got.tolist() == [0]
 
+    def test_points_off_the_face_match_exhaustive_oracle(self):
+        # off the plane, beyond the face's edges, on a second-order grid
+        rng = np.random.default_rng(5)
+        _, tm = cube_trace(3, order=2)
+        pts = rng.uniform(-0.5, 1.5, (60, 3))
+        d2 = np.sum((pts[:, None, :] - tm.coords[None, :, :]) ** 2, axis=2)
+        assert np.array_equal(nearest_dof_map(pts, tm), np.argmin(d2, axis=1))
+
+
+def test_import_loads_no_kd_tree():
+    # the nearest-DoF map locates points on the trace grid, so importing the
+    # package does not load scipy.spatial
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, coupledrom; print('scipy.spatial' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
 
 def reducer_from_snapshots(S_D, eps, tm, ts, V1, V2=None, slave_operators=()):
     """Interpolation basis over the trace snapshots ``S_D`` and the stored
@@ -331,6 +353,14 @@ class TestInterfaceReducer:
             rec = deim.reconstruct(w[deim.indices])
             rel_errors.append(np.linalg.norm(rec - w) / np.linalg.norm(w))
         assert max(rel_errors) <= 10 * eps
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_lifting_needs_one_weight_per_product(self, count):
+        reducer, tm, ts, P, V1, V2, K2 = make_reducer_setup()
+        two = assemble_reducer(reducer.deim, P, tm, ts, V1, V2, [K2, 2 * K2])
+        assert len(two.lift_products) == 2 and two.lift_mass is None
+        with pytest.raises(DimensionMismatchError, match="2 lifting products"):
+            two.reduced_lifting(np.ones(V1.shape[1]), [1.0] * count)
 
     def test_zero_input(self):
         reducer, *_ = make_reducer_setup()

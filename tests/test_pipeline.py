@@ -764,9 +764,8 @@ def reference_online_unsteady(art, mu1, mu2, march=solved_reduced_march):
     u1 = march(M1_dt + m1.assemble_operator(mu1m), M1_dt, loads(m1, mu1m), m1.u0_reduced)
     w2 = s2.theta_weights(mu2m)
     if s2.spec.unsteady:
-        lift = art.reducer.lift_products
-        LA = affine_sum(w2, lift[: len(w2)])
-        LM_dt = lift[len(w2)] / dt
+        LA = affine_sum(w2, art.reducer.lift_products)
+        LM_dt = art.reducer.lift_mass / dt
         M2_dt = s2.mass / dt
         G2 = loads(s2, mu2m)
         G2[:, 1:] += LM_dt @ (u1[:-1] - u1[1:]).T - LA @ u1[1:].T

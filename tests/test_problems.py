@@ -8,7 +8,12 @@ import pytest
 
 from coupledrom.errors import ConfigError
 from coupledrom.experiments import config_from_dict
-from coupledrom.library import heat_laplace_pair, steady_pair_2d
+from coupledrom.library import (
+    heat_laplace_pair,
+    steady_pair_2d,
+    steady_reaction_diffusion_pair,
+    transport_wall_pair,
+)
 from coupledrom.problems import (
     AffineTerm,
     BoxMeshSpec,
@@ -131,7 +136,7 @@ class TestSpecValidation:
 
     def test_advection_needs_vector(self):
         data = problem_to_dict(steady_pair_2d())
-        data["master"]["operator"].append({"kind": "advection", "coefficient": "1.0"})
+        data["master"]["operator"] += ({"kind": "advection", "coefficient": "1.0"},)
         with pytest.raises(ConfigError) as err:
             problem_from_dict(data)
         assert err.value.field == "master.operator[2].coefficient"
@@ -206,6 +211,29 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted(
     [*(ROOT / "configs").glob("*.json"), *(ROOT / "perfbench" / "configs").glob("*.json")]
 )
+
+
+FAMILIES = {
+    "steady-reaction-diffusion": steady_reaction_diffusion_pair,
+    "steady-2d": steady_pair_2d,
+    "heat-laplace": heat_laplace_pair,
+    "transport-wall": transport_wall_pair,
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES)
+def test_json_form_survives_a_round_trip(family):
+    spec = family()
+    text = json.dumps(problem_to_dict(spec), sort_keys=True)
+    again = problem_from_dict(json.loads(text))
+    assert json.dumps(problem_to_dict(again), sort_keys=True) == text
+    assert again == spec
+    data = json.loads(text)
+    assert ("time" in data) == spec.is_unsteady
+    for side in ("master", "slave"):
+        for term, raw in zip(getattr(spec, side).operator, data[side]["operator"]):
+            if term.kind == "advection":  # a velocity is a JSON list
+                assert raw["coefficient"] == list(term.coefficient)
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[str(p.relative_to(ROOT)) for p in CONFIGS])
