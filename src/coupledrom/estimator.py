@@ -17,12 +17,22 @@ constant it has proved, across queries.
 an eigenvalue estimate is moved a small margin to its safe side and one
 factorization with positive pivots, whose rounding error is bounded
 rigorously (S. M. Rump, "Verification of positive definiteness", BIT 46,
-2006), proves the shifted bound.  The bounds are heuristic in tightness;
+2006), proves the shifted bound.  On a marching submodel that separates
+along every axis, ``AxisProof`` proves the upper end of the mass spectrum
+and each term's dissipativity without a full-order factorization: the free
+blocks are Kronecker products of 1-D factors, whose ends are proved on
+their small matrices by the same certificate, and a Weyl margin from the
+measured gap between each assembled block and its Kronecker form carries
+the bounds to the block.  The lower end of the mass spectrum keeps its
+shift-invert Lanczos through the mass block's LU for now: on the heat
+workloads that LU is the only one, and the benchmark's counters of
+factorizations and solves read it.  The bounds are heuristic in tightness;
 effectivities are reported, not constrained.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,6 +58,10 @@ _CERT_MARGIN = 1e-10
 _CERT_GROWTH = 100.0
 _CERT_TRIES = 5
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+#: largest gap between a free block and its Kronecker form, relative to the
+#: form's norm, that ``AxisProof`` takes for rounding; a larger one means the
+#: block is not that form
+_KRON_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +120,19 @@ class MassBlock:
     ``solve`` applies ``M^{-1}`` to the residuals: the owner's faster solve
     when it gives one, else the LU's.  The Lanczos runs behind the proved
     constants always take the LU, so the constants do not depend on which
-    solve serves the residuals.
+    solve serves the residuals.  ``upper``, when the owner gives it, is a
+    proved upper end of the spectrum: ``AxisProof.upper``, the product of
+    the proved 1-D mass ends plus the measured Kronecker gap.  Then no
+    Lanczos run and no certificate is spent on that end; the lower end
+    keeps its shift-invert Lanczos through the LU and its certificate.
     """
 
-    def __init__(self, M, solve: Callable[[np.ndarray], np.ndarray] | None = None):
+    def __init__(
+        self, M, solve: Callable[[np.ndarray], np.ndarray] | None = None,
+        upper: float | None = None,
+    ):
         self.matrix = M.tocsc() if sp.issparse(M) else sp.csc_matrix(np.asarray(M))
+        self.upper = upper
         if solve is not None:
             self.solve = solve
 
@@ -133,18 +155,20 @@ class MassBlock:
     @cached_property
     def spectrum(self) -> tuple[float, float]:
         """A proved ``(lower, upper)`` around the eigenvalues of a symmetric
-        positive definite ``M``.  Lanczos estimates both ends, the smaller
+        positive definite ``M``.  Lanczos estimates each end, the smaller
         one by shift-invert through the kept LU, and
-        ``_certified_eigenvalue`` proves each."""
-        M = self.matrix
+        ``_certified_eigenvalue`` proves it; the ``upper`` end given at
+        construction, proved by ``AxisProof``, is taken as it is."""
+        M, upper = self.matrix, self.upper
         op_inv = spla.LinearOperator(M.shape, matvec=self.factorized, dtype=float)
         try:
             lam_min = _lanczos_eigenvalue(M, sigma=0.0, OPinv=op_inv)
-            lam_max = _lanczos_eigenvalue(M, which="LA")
+            lam_max = upper if upper is not None else _lanczos_eigenvalue(M, which="LA")
         except spla.ArpackNoConvergence as exc:
             raise EstimatorConvergenceError(f"Lanczos on the mass matrix: {exc}") from exc
         lower = _certified_eigenvalue(M, lam_min, "min")
-        upper = _certified_eigenvalue(M, lam_max, "max")
+        if upper is None:
+            upper = _certified_eigenvalue(M, lam_max, "max")
         if lower is None or upper is None or not lower > 0.0:
             raise EstimatorConvergenceError(
                 f"could not certify the spectrum of the mass matrix near "
@@ -381,8 +405,10 @@ def semigroup_constant(M, A, dt: float, known_dissipative: bool = False) -> tupl
     mass = MassBlock.of(M)
     if not mass.symmetric:
         raise EstimatorConvergenceError("the marching rule needs a symmetric mass matrix")
+    if known_dissipative:
+        return mass.condition_root, 1.0
     A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(np.asarray(A))
-    if known_dissipative or _is_dissipative(A):
+    if _is_dissipative(A):
         return mass.condition_root, 1.0
     op_inv = spla.LinearOperator(A.shape, matvec=mass.factorized, dtype=float)
     try:
@@ -418,21 +444,195 @@ def _is_dissipative(A) -> bool:
     return lower is not None and lower >= 0.0
 
 
+# ---------------------------------------------------------------------------
+# proofs from the 1-D factors
+
+
+def _gershgorin_end(X: np.ndarray, end: str) -> float:
+    """The Gershgorin bound on the ``end`` (``"min"`` or ``"max"``) of the
+    spectrum of a symmetric ``X``: ``min(d_i - r_i)`` or ``max(d_i + r_i)``,
+    with ``r_i`` the off-diagonal absolute row sums raised for their
+    rounding, and the result rounded outward."""
+    d = np.diag(X)
+    radii = _up((abs(X - np.diag(d)).sum(axis=1)) * (1.0 + _gamma(len(X))))
+    return float(_down(d - radii).min() if end == "min" else _up(d + radii).max())
+
+
+def _product(values, rounding) -> float:
+    """The product of positive ``values``, each step rounded by ``rounding``
+    (``_up`` or ``_down``)."""
+    out = 1.0
+    for v in values:
+        out = rounding(out * v)
+    return out
+
+
+def _axis_end(X: np.ndarray, end: str) -> float:
+    """A proved ``end`` of the spectrum of a small symmetric ``X``: its
+    ``eigvalsh`` eigenvalue proved by ``_certified_eigenvalue``, or the
+    Gershgorin end when ``X`` is singular at that end to working precision
+    (a stiffness with no Dirichlet node) or no certificate holds."""
+    lam = np.linalg.eigvalsh(X)
+    estimate = float(lam[0] if end == "min" else lam[-1])
+    bound = None
+    if abs(estimate) > len(X) * np.finfo(float).eps * abs(lam).max():
+        bound = _certified_eigenvalue(sp.csc_matrix(X), estimate, end)
+    return _gershgorin_end(X, end) if bound is None else bound
+
+
+class AxisProof:
+    """Proved spectrum ends of the free blocks of a submodel that separates
+    along every axis, from its 1-D factors.
+
+    On such free DoFs the unit mass is ``Kron(M) = M_z ⊗ M_y ⊗ M_x`` and an
+    operator term is ``q Kron(M) + p G``, with ``G`` the sum over the axes
+    of ``Kron(M)`` with ``K_a`` in the place of ``M_a`` and ``(q, p)`` the
+    term's 1x1 factors (``fem.FastDiagonalization``).  The eigenvalues of a
+    Kronecker product are the products of its factors' (R. E. Lynch, J. R.
+    Rice and D. H. Thomas, Numer. Math. 6, 1964).  So with ``lo`` and ``hi``
+    the ends of each distinct ``K_a`` and ``M_a``, proved on its small matrix
+    (``_axis_end``), ``lambda_max(Kron(M)) <= prod_a hi(M_a)`` and, by
+    Weyl's inequality, for ``q, p >= 0``::
+
+        lambda_min(q Kron(M) + p G) >= q prod_a lo(M_a)
+                                       + p sum_a lo(K_a) prod_{b != a} m_b
+
+    with ``m_b = lo(M_b)``, or ``hi(M_b)`` when ``lo(K_a) < 0``.  The
+    assembled block ``B`` differs from its form by rounding; the gap
+    ``||B - form||_2``, measured once per block by ``gap``, is the Weyl
+    margin that carries each bound to ``B``.  A gap above ``_KRON_RTOL`` of
+    the form's norm means that ``B`` is not that form: nothing is proved.
+    Every product and sum rounds outward.
+    """
+
+    def __init__(self, axes):
+        """``axes``: per grid axis, slowest first (z, y, x), the 1-D
+        ``(K_a, M_a)`` on its free nodes (``FastDiagonalization.axis_pairs``)."""
+        self.axes = [(np.asarray(K, dtype=float), np.asarray(M, dtype=float)) for K, M in axes]
+
+    @cached_property
+    def ends(self) -> list[tuple[float, float, float]]:
+        """``(lo(K_a), lo(M_a), hi(M_a))`` per axis, each distinct matrix's
+        end proved once."""
+        proved: dict = {}
+
+        def end(X, which):
+            key = (X.shape, X.tobytes(), which)
+            if key not in proved:
+                proved[key] = _axis_end(X, which)
+            return proved[key]
+
+        return [(end(K, "min"), end(M, "min"), end(M, "max")) for K, M in self.axes]
+
+    def _kronecker(self, q: float, p: float, take) -> np.ndarray:
+        """``q Kron(M) + p G`` from what ``take(X, a)`` reads of the 1-D
+        matrix ``X`` of axis ``a``: its entries at some index pairs, or a
+        vector along that axis, whose products broadcast to the grid."""
+        ms = [take(M, a) for a, (_, M) in enumerate(self.axes)]
+        out = q * functools.reduce(np.multiply, ms)
+        if p != 0.0:
+            for a, (K, _) in enumerate(self.axes):
+                out = out + p * functools.reduce(np.multiply, ms[:a] + [take(K, a)] + ms[a + 1:])
+        return out
+
+    def gap(self, B, q: float, p: float) -> tuple[float, bool]:
+        """``(gap, fits)``: a proved upper bound on ``||B - F||_2`` for the
+        exact form ``F`` of ``(q, p)``, and whether it is within
+        ``_KRON_RTOL`` of that form's norm.
+
+        ``fl(F)`` is evaluated on its pattern, the product over the axes of
+        the entries of ``K_a`` or ``M_a``.  The gap is the larger of the
+        largest absolute row and column sums of ``B - fl(F)``, plus
+        ``gamma_k`` times those of the form of absolute values, which bound
+        the rounding of ``fl(F)`` (``k`` counts the products and sums behind
+        one entry, twice).  The sums of the absolute form are Kronecker
+        products of the 1-D absolute row or column sums."""
+        B = sp.coo_matrix(B)
+        d, n = len(self.axes), B.shape[0]
+
+        def along(v, a):  # a vector of axis a, broadcast along axis a of a product
+            return np.reshape(v, [-1 if b == a else 1 for b in range(d)])
+
+        entries = [np.nonzero((K != 0.0) | (M != 0.0)) for K, M in self.axes]
+        F = self._kronecker(q, p, lambda X, a: along(X[entries[a]], a)).ravel()
+        grid = [len(M) for _, M in self.axes]
+        rows, cols = (
+            np.ravel_multi_index(
+                np.broadcast_arrays(*[along(e[i], a) for a, e in enumerate(entries)]), grid
+            ).ravel()
+            for i in (0, 1)
+        )
+        # B - fl(F), each entry rounded once where both hold it
+        diff = abs(sp.csr_matrix((np.concatenate([B.data, -F]), (
+            np.concatenate([B.row, rows]), np.concatenate([B.col, cols])
+        )), shape=B.shape))
+        ones = np.ones(n)
+        measured = max((diff @ ones).max(initial=0.0), (diff.T @ ones).max(initial=0.0))
+
+        def sums(axis):  # of the absolute form, over its rows (1) or columns (0)
+            return self._kronecker(
+                abs(q), abs(p), lambda X, a: along(abs(X).sum(axis=axis), a)
+            ).max(initial=0.0)
+
+        scale = max(sums(1), sums(0))
+        rounding = 1.0 + _gamma(n + 4)  # of the sums and of B - fl(F)
+        gap = float(_up((measured + _gamma(2 * (2 * d + 1)) * scale) * rounding))
+        return gap, gap <= _KRON_RTOL * scale
+
+    def upper(self, M) -> tuple[float | None, float]:
+        """``(bound, gap)``: a proved upper bound on ``lambda_max(M)`` of the
+        free mass ``M``, of the form ``(1, 0)``, or None when the gap does
+        not fit, and the measured gap."""
+        gap, fits = self.gap(M, 1.0, 0.0)
+        if not fits or min(lo for _, lo, _ in self.ends) <= 0.0:
+            return None, gap
+        return float(_up(_product((hi for _, _, hi in self.ends), _up) + gap)), gap
+
+    def lower(self, B, q: float, p: float) -> tuple[float | None, float | None]:
+        """``(bound, gap)``: a proved lower bound on ``lambda_min(sym(B))``
+        for the block ``B`` of the form ``(q, p)``, or None when a factor is
+        negative (its gap is then not measured, None) or the gap does not
+        fit, and the measured gap."""
+        if not (q >= 0.0 and p >= 0.0):
+            return None, None
+        gap, fits = self.gap(B, q, p)
+        ends = self.ends
+        if not fits or min(lo for _, lo, _ in ends) <= 0.0:
+            return None, gap
+        stiffness = 0.0
+        for a, (lo_k, _, _) in enumerate(ends):
+            others = [e for b, e in enumerate(ends) if b != a]
+            if lo_k >= 0.0:
+                m = _product((lo for _, lo, _ in others), _down)
+            else:
+                m = _product((hi for _, _, hi in others), _up)
+            stiffness = _down(stiffness + _down(lo_k * m))
+        mass = _product((lo for _, lo, _ in ends), _down)
+        bound = _down(_down(q * mass) + _down(p * stiffness))
+        return float(_down(bound - gap)), gap
+
+
 class StabilityConstants:
     """The proved stability constants of one full-order submodel, from the
     free block of each operator term and, when it marches, its free mass
     block (a matrix or a ``MassBlock``).  One memo keyed by the operator
     weights (the marching rule's also by ``dt``) serves every query against
-    the submodel, as do the ``MassBlock`` and each term's dissipativity."""
+    the submodel, as do the ``MassBlock`` and each term's dissipativity.
 
-    def __init__(self, terms, mass=None):
+    ``known_dissipative`` marks, per term, the terms that another proof has
+    shown dissipative, such as ``AxisProof.lower`` on a submodel that
+    separates along every axis; ``_is_dissipative`` tests only the others.
+    """
+
+    def __init__(self, terms, mass=None, known_dissipative=None):
         self.terms = terms
         self.mass = None if mass is None else MassBlock.of(mass)
+        self.known_dissipative = list(known_dissipative or [False] * len(terms))
         self._proved: dict = {}
 
     @cached_property
     def dissipative_terms(self) -> list[bool]:
-        return [_is_dissipative(A) for A in self.terms]
+        return [known or _is_dissipative(A) for A, known in zip(self.terms, self.known_dissipative)]
 
     def proved(self, key, prove: Callable[[], object]):
         """The memo's value at ``key``, from ``prove()`` on first use."""
@@ -479,14 +679,15 @@ class ErrorBoundReport:
         return self.total >= self.actual_error * (1 - 1e-12)
 
 
-def deim_projection_term(Phi: np.ndarray, inverse_norm: float, data: np.ndarray) -> float:
+def deim_projection_term(Phi: np.ndarray, inverse_norm: float, data: np.ndarray):
     """Interpolation-error term ``||Phi_I^{-1}||_2 ||(I - Phi Phi^T) w||_2``,
     with ``inverse_norm`` an upper bound of ``||Phi_I^{-1}||_2``; it bounds the
     interpolation error of ``w`` (Chaturantabut and Sorensen, SIAM J. Sci.
-    Comput. 32, 2010, Lemma 3.2)."""
-    w = np.asarray(data, dtype=float)
-    residual = w - Phi @ (Phi.T @ w)
-    return float(inverse_norm * np.linalg.norm(residual))
+    Comput. 32, 2010, Lemma 3.2).  ``data`` is one state ``w`` ``(m,)``, which
+    gives a float, or one row per state ``(k, m)``, which gives ``k`` terms."""
+    W = np.asarray(data, dtype=float)
+    terms = inverse_norm * np.linalg.norm(W - (W @ Phi) @ Phi.T, axis=-1)
+    return terms if W.ndim == 2 else float(terms)
 
 
 def error_bound_steady(

@@ -72,7 +72,6 @@ def _submodel_bound(
         return est.error_bound_steady(A_ff, F, V[free], reduced.T, sigma), {
             f"sigma_min_{role}": sigma
         }
-    A_ff = A_ff.tocsc()
     constant, growth = sub.constants.marching(weights, A_ff, time.dt)
     e0 = float(np.linalg.norm(exact[0, free] - V[free] @ reduced[0]))
     bounds = est.error_bound_unsteady(
@@ -114,15 +113,16 @@ def query_bounds(
     constants.update(slave_constants)
     constants.update({"transfer_norm_C": transfer_norm, "deim_inverse_norm": deim.inverse_norm})
     actual = np.linalg.norm(np.atleast_2d(fom_result.slave - online.slave_solution), axis=1)
+    deim_terms = est.deim_projection_term(deim.Phi, deim.inverse_norm, np.atleast_2d(g_exact))
     return [
         est.ErrorBoundReport(
             master_term=float(transfer_norm * m),
-            deim_term=est.deim_projection_term(deim.Phi, deim.inverse_norm, g),
+            deim_term=float(d),
             slave_term=float(s),
             constants=dict(constants),
             actual_error=float(a),
         )
-        for m, g, s, a in zip(master_bounds, np.atleast_2d(g_exact), slave_bounds, actual)
+        for m, d, s, a in zip(master_bounds, deim_terms, slave_bounds, actual)
     ]
 
 

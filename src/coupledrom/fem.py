@@ -400,7 +400,7 @@ class FastDiagonalization:
         of the unit mass."""
         self.shape = tuple(shape)
         self.n = int(np.prod(self.shape))
-        self.factors, self.mass = factors, mass
+        self.axis_pairs, self.factors, self.mass = axis_pairs, factors, mass
         self._separated = [i for i, pair in enumerate(axis_pairs) if pair is not None]
         self._rest = [i for i, pair in enumerate(axis_pairs) if pair is None]
         spectra = [None if pair is None else sla.eigh(*pair) for pair in axis_pairs]

@@ -178,14 +178,34 @@ class FomSubmodel(AffineSubmodel):
         query against this submodel; the mass block solves by a
         diagonalization along every axis: ``operator_diagonalization`` when
         the operator separates along every axis, else one of the unit mass
-        alone."""
-        mass = None
-        if self.mass is not None:
-            fd = self.operator_diagonalization
-            if len(self.spec.separated_axes) < self.mesh.dim:
-                fd = fem.FastDiagonalization.of(self.mesh, self.free_dofs, [])
-            mass = est.MassBlock(self._mass_blocks[0], fd.mass_solver())
-        return est.StabilityConstants([ff for ff, _ in self.free_blocks], mass)
+        alone.  A marching submodel that separates along every axis proves
+        the upper end of its mass spectrum and the dissipativity of its terms
+        from the 1-D factors of that diagonalization (``est.AxisProof``) and
+        logs what it proved."""
+        terms = [ff for ff, _ in self.free_blocks]
+        if self.mass is None:
+            return est.StabilityConstants(terms)
+        fd, M_ff = self.operator_diagonalization, self._mass_blocks[0]
+        if len(self.spec.separated_axes) < self.mesh.dim:
+            log.info("%s constants: the operator does not separate along every axis, so no "
+                     "constant comes from the 1-D factors", self.role)
+            fd = fem.FastDiagonalization.of(self.mesh, self.free_dofs, [])
+            return est.StabilityConstants(terms, est.MassBlock(M_ff, fd.mass_solver()))
+        proof = est.AxisProof(fd.axis_pairs)
+        upper, mass_gap = proof.upper(M_ff)
+        lowers = [proof.lower(B, Q[0, 0], P[0, 0]) for B, (Q, P) in zip(terms, fd.factors)]
+        known = [lo is not None and lo >= 0.0 for lo, _ in lowers]
+        log.info(
+            "%s constants from the 1-D factors: mass upper end %s (gap %.2e); %s",
+            self.role, "proved" if upper is not None else "left to Lanczos", mass_gap,
+            ", ".join(
+                f"{term.kind} term {'dissipative' if ok else 'left to the general test'}"
+                + ("" if gap is None else f" (gap {gap:.2e})")
+                for term, ok, (_, gap) in zip(self.spec.operator, known, lowers)
+            ),
+        )
+        mass = est.MassBlock(M_ff, fd.mass_solver(), upper)
+        return est.StabilityConstants(terms, mass, known)
 
     def free_system(
         self, mu: Mapping, trace=None, time: TimeSpec | None = None, weights=None

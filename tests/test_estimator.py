@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -240,6 +242,19 @@ class TestErrorBoundSteady:
         w = Phi @ rng.standard_normal(4)
         assert deim_projection_term(Phi, 1.0, w) <= 1e-10 * np.linalg.norm(w)
 
+    def test_projection_term_of_each_row(self):
+        # one row per state gives one term per state; one state, one float
+        rng = np.random.default_rng(8)
+        Phi = np.linalg.qr(rng.standard_normal((12, 4)))[0]
+        W = rng.standard_normal((5, 12))
+        terms = deim_projection_term(Phi, 2.5, W)
+        assert terms.shape == (5,)
+        single = [deim_projection_term(Phi, 2.5, w) for w in W]
+        assert all(isinstance(t, float) for t in single)
+        assert np.allclose(terms, single, rtol=1e-14, atol=0.0)
+        oracle = 2.5 * np.linalg.norm(W.T - Phi @ (Phi.T @ W.T), axis=0)
+        assert np.allclose(terms, oracle, rtol=1e-14, atol=0.0)
+
     def test_bound_valid_on_test_sample(self):
         spec = steady_pair_2d()
         training = cr.run_training(spec, 20, seed=9)
@@ -477,12 +492,15 @@ def sweep_config(problem, tmp_path):
     })
 
 
-def reference_semigroup_constant(M, A, dt, **_):
+def reference_semigroup_constant(M, A, dt, upper=None, **_):
     """Per-query composition of the marching constants, computing everything
-    afresh: a new mass block, with its own factorization and spectrum, and
-    the eigenvalue test on A(mu) whatever the caller knows."""
-    M = (M.matrix if isinstance(M, MassBlock) else M).tocsc()
-    return semigroup_constant(MassBlock(M), A.tocsr(), dt)
+    afresh: a new mass block, with its own factorization and lower spectrum
+    end, and the eigenvalue test on A(mu) whatever the caller knows.  The
+    upper end proved from the 1-D factors is passed along: ``upper``, or the
+    one a given ``MassBlock`` holds."""
+    if isinstance(M, MassBlock):
+        M, upper = M.matrix, M.upper
+    return semigroup_constant(MassBlock(M.tocsc(), upper=upper), A.tocsr(), dt)
 
 
 def bounds_at(spec, artifacts, mu1s, fom=None):
@@ -566,11 +584,14 @@ class TestConstantsPerFom:
         assert set(calls.values()) == {0}
         assert "constants" not in vars(fom.master)
         bounds_at(spec, art, [[0.7]], fom)
-        # one factorization and the two certificates of the mass; one Lanczos
-        # run per spectrum end and one for the eigenvalue test of the one
-        # operator term, with its certificate; one certificate of the
-        # slave's sigma_min
-        once = {"two_norm": 0, "factorize": 1, "dissipative": 1, "eigsh": 3, "certificate": 4}
+        # the mass's one factorization, and one Lanczos run and certificate
+        # for its lower end; the master separates along every axis, so its
+        # upper end and its one term's dissipativity come from the 1-D
+        # factors: certificates of lo(K_x), lo(M_x) and hi(M_x) on the 4
+        # free x nodes and of lo(M) and hi(M) of the 5 y and z nodes, whose
+        # singular stiffness takes its Gershgorin end; one certificate of
+        # the slave's sigma_min
+        once = {"two_norm": 0, "factorize": 1, "dissipative": 0, "eigsh": 1, "certificate": 7}
         assert calls == once
         bounds_at(spec, art, self.ALPHAS, fom)
         # the slave keeps its sigma_min: later queries, each with its own
@@ -717,7 +738,9 @@ class TestConstantsPerFom:
         free = sub.free_dofs
         A_ff = sub.assemble_operator(sub.mu_mapping([beta]))[np.ix_(free, free)]
         M_ff = sub.mass[np.ix_(free, free)]
-        expected = reference_semigroup_constant(M_ff, A_ff, spec.time.dt)
+        expected = reference_semigroup_constant(
+            M_ff, A_ff, spec.time.dt, upper=sub.constants.mass.upper
+        )
         # K - 0.5 M stays definite on this mesh, K - 30 M does not
         assert (expected[1] > 1.0) == (beta < -1.0)
         assert sub.constants.dissipative_terms == [True, True]
@@ -894,6 +917,154 @@ class TestCertifiedConstants:
         _is_dissipative(A)
         assert len(seen) == 2
         assert seen[0].tobytes() == seen[1].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# proofs from the 1-D factors of a submodel that separates along every axis
+
+
+def axis_proof(sub):
+    """The per-axis proof of a marching submodel, and its terms' free blocks
+    with their 1x1 factors ``(q, p)``."""
+    fd = sub.operator_diagonalization
+    terms = [
+        (ff, float(Q[0, 0]), float(P[0, 0]))
+        for (ff, _), (Q, P) in zip(sub.free_blocks, fd.factors)
+    ]
+    return est.AxisProof(fd.axis_pairs), terms
+
+
+def dense_lambda_min(B):
+    return np.linalg.eigvalsh((B + B.T).toarray() / 2)[0]
+
+
+def perturbed(B, rtol, seed=0):
+    """``B`` plus a symmetric perturbation of ``rtol`` times its largest
+    entry on each stored entry, so its pattern is kept."""
+    coo = sp.coo_matrix(B)
+    noise = np.random.default_rng(seed).uniform(-1.0, 1.0, coo.nnz)
+    E = sp.csr_matrix((noise, (coo.row, coo.col)), shape=B.shape)
+    return (B + rtol * abs(B).max() * (E + E.T) / 2).tocsr()
+
+
+class TestAxisProof:
+    @pytest.fixture(
+        scope="class",
+        params=["heat-8^3", "heat-10^3", "reaction-heat-2d", "transport-slave"],
+    )
+    def submodel(self, request):
+        spec = {
+            "heat-8^3": lambda: heat_laplace_pair((8, 8, 8), (4, 4, 4)),
+            "heat-10^3": lambda: heat_laplace_pair((10, 10, 10), (5, 5, 5)),
+            "reaction-heat-2d": reaction_heat_pair,
+            "transport-slave": transport_wall_pair,
+        }[request.param]()
+        role = "slave" if request.param == "transport-slave" else "master"
+        sub = getattr(cr.build_fom(spec), role)
+        assert len(sub.spec.separated_axes) == sub.mesh.dim and sub.spec.unsteady
+        return sub
+
+    @staticmethod
+    def rebuilt(sub):
+        """A fresh full-order model of the submodel's own problem."""
+        return pipeline.build_submodel(sub.spec, sub.role)
+
+    def test_upper_end_above_dense_maximum_and_near_the_certified_one(self, submodel):
+        M = free_mass(submodel)
+        proof, _ = axis_proof(submodel)
+        upper, gap = proof.upper(M)
+        assert upper >= np.linalg.eigvalsh(M.toarray())[-1]
+        assert abs(upper / MassBlock(M).spectrum[1] - 1.0) <= 1e-9
+        assert 0.0 <= gap <= 1e-14 * abs(M).max()
+        # the kept mass block takes it, and proves its lower end as before
+        mass = submodel.constants.mass
+        assert mass.upper == upper
+        assert mass.spectrum[0] == MassBlock(M).spectrum[0]
+
+    def test_term_lower_bounds_below_dense_minimum(self, submodel):
+        proof, terms = axis_proof(submodel)
+        verdicts = []
+        for B, q, p in terms:
+            lower, gap = proof.lower(B, q, p)
+            assert lower <= dense_lambda_min(B)
+            assert gap <= 1e-13 * abs(B).max()
+            verdicts.append(lower >= 0.0)
+            assert verdicts[-1] == _is_dissipative(B)
+        assert submodel.constants.known_dissipative == verdicts == [True] * len(terms)
+
+    def test_weighted_operator_below_dense_minimum(self, submodel):
+        # a positive weighting of the terms is the form of the weighted factors
+        proof, terms = axis_proof(submodel)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            w = rng.uniform(0.01, 10.0, len(terms))
+            A = sum(wq * B for wq, (B, _, _) in zip(w, terms))
+            q, p = (float(sum(wq * t[i] for wq, t in zip(w, terms))) for i in (1, 2))
+            lower, _ = proof.lower(A, q, p)
+            assert 0.0 <= lower <= dense_lambda_min(A)
+
+    def test_first_marching_proof_runs_no_dissipativity_test(self, submodel, monkeypatch):
+        calls = {"dissipative": 0, "eigsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(est, "_is_dissipative", counted("dissipative", _is_dissipative))
+        monkeypatch.setattr(est.spla, "eigsh", counted("eigsh", est.spla.eigsh))
+        constants = self.rebuilt(submodel).constants
+        weights = (1.0,) * len(constants.terms)
+        A = sum(constants.terms)
+        assert constants.marching(weights, A, 0.01)[1] == 1.0
+        # the mass's lower end is the one Lanczos run
+        assert calls == {"dissipative": 0, "eigsh": 1}
+
+    def test_negative_coefficient_is_not_proved(self, submodel):
+        proof, terms = axis_proof(submodel)
+        B, q, p = terms[0]
+        assert proof.lower(-B, -q, -p) == (None, None)
+
+    def test_negative_reaction_coefficient_goes_to_the_general_test(self, caplog):
+        spec = reaction_heat_pair()
+        master = dataclasses.replace(spec.master, operator=(
+            spec.master.operator[0], AffineTerm(kind="reaction", theta="beta", coefficient=-1.0),
+        ))
+        sub = pipeline.build_submodel(master, "master")
+        with caplog.at_level(logging.INFO, logger="coupledrom.pipeline"):
+            constants = sub.constants
+        assert constants.known_dissipative == [True, False]
+        assert constants.dissipative_terms == [True, False]
+        [line] = [r.getMessage() for r in caplog.records if "1-D factors" in r.getMessage()]
+        assert "mass upper end proved (gap " in line
+        assert "diffusion term dissipative (gap " in line
+        # no gap is measured for a negative factor
+        assert line.endswith("reaction term left to the general test")
+
+    def test_block_off_its_kronecker_form_falls_back(self, submodel, monkeypatch):
+        proof, terms = axis_proof(submodel)
+        B, q, p = terms[0]
+        off = perturbed(B, 1e-8)
+        lower, gap = proof.lower(off, q, p)
+        assert lower is None and gap > 1e-10 * abs(B).max()
+        upper, _ = proof.upper(perturbed(free_mass(submodel), 1e-8))
+        assert upper is None
+        # on the submodel: the term goes to the general test, the mass's
+        # upper end to Lanczos
+        sub = self.rebuilt(submodel)
+        sub.free_blocks[0] = (perturbed(sub.free_blocks[0][0], 1e-8), sub.free_blocks[0][1])
+        sub._mass_blocks = (perturbed(sub._mass_blocks[0], 1e-8), sub._mass_blocks[1])
+        tested = []
+        monkeypatch.setattr(
+            est, "_is_dissipative", lambda A: tested.append(A) or _is_dissipative(A)
+        )
+        constants = sub.constants
+        assert constants.known_dissipative[0] is False
+        assert constants.mass.upper is None
+        assert constants.dissipative_terms[0] is True
+        assert len(tested) == 1
 
 
 class TestOneByOneBlocks:
