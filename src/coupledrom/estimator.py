@@ -17,17 +17,12 @@ constant it has proved, across queries.
 an eigenvalue estimate is moved a small margin to its safe side and one
 factorization with positive pivots, whose rounding error is bounded
 rigorously (S. M. Rump, "Verification of positive definiteness", BIT 46,
-2006), proves the shifted bound.  On a marching submodel that separates
-along every axis, ``AxisProof`` proves the upper end of the mass spectrum
-and each term's dissipativity without a full-order factorization: the free
-blocks are Kronecker products of 1-D factors, whose ends are proved on
-their small matrices by the same certificate, and a Weyl margin from the
-measured gap between each assembled block and its Kronecker form carries
-the bounds to the block.  The lower end of the mass spectrum keeps its
-shift-invert Lanczos through the mass block's LU for now: on the heat
-workloads that LU is the only one, and the benchmark's counters of
-factorizations and solves read it.  The bounds are heuristic in tightness;
-effectivities are reported, not constrained.
+2006), proves the shifted bound.  On a marching submodel, ``AxisProof``
+proves the upper end of the mass spectrum, and the dissipativity of each
+term that separates along every axis, from 1-D factors without a
+full-order factorization; any other term takes the general test.  The
+bounds are heuristic in tightness; effectivities are reported, not
+constrained.
 """
 
 from __future__ import annotations
@@ -120,11 +115,9 @@ class MassBlock:
     ``solve`` applies ``M^{-1}`` to the residuals: the owner's faster solve
     when it gives one, else the LU's.  The Lanczos runs behind the proved
     constants always take the LU, so the constants do not depend on which
-    solve serves the residuals.  ``upper``, when the owner gives it, is a
-    proved upper end of the spectrum: ``AxisProof.upper``, the product of
-    the proved 1-D mass ends plus the measured Kronecker gap.  Then no
-    Lanczos run and no certificate is spent on that end; the lower end
-    keeps its shift-invert Lanczos through the LU and its certificate.
+    solve serves the residuals.  ``upper``, when the owner gives it, as
+    every marching submodel does, is the proved upper end of
+    ``AxisProof.upper``, and no Lanczos run or certificate is spent on it.
     """
 
     def __init__(
@@ -481,13 +474,14 @@ def _axis_end(X: np.ndarray, end: str) -> float:
 
 
 class AxisProof:
-    """Proved spectrum ends of the free blocks of a submodel that separates
-    along every axis, from its 1-D factors.
+    """Proved spectrum ends of the free blocks of a box submodel, from the
+    1-D factors of its diagonalization along every axis.
 
-    On such free DoFs the unit mass is ``Kron(M) = M_z ⊗ M_y ⊗ M_x`` and an
-    operator term is ``q Kron(M) + p G``, with ``G`` the sum over the axes
-    of ``Kron(M)`` with ``K_a`` in the place of ``M_a`` and ``(q, p)`` the
-    term's 1x1 factors (``fem.FastDiagonalization``).  The eigenvalues of a
+    On its free DoFs the unit mass is ``Kron(M) = M_z ⊗ M_y ⊗ M_x`` and an
+    operator term that separates along every axis is ``q Kron(M) + p G``,
+    with ``G`` the sum over the axes of ``Kron(M)`` with ``K_a`` in the
+    place of ``M_a`` and ``(q, p)`` the term's 1x1 factors
+    (``fem.FastDiagonalization``).  The eigenvalues of a
     Kronecker product are the products of its factors' (R. E. Lynch, J. R.
     Rice and D. H. Thomas, Numer. Math. 6, 1964).  So with ``lo`` and ``hi``
     the ends of each distinct ``K_a`` and ``M_a``, proved on its small matrix
@@ -619,9 +613,8 @@ class StabilityConstants:
     weights (the marching rule's also by ``dt``) serves every query against
     the submodel, as do the ``MassBlock`` and each term's dissipativity.
 
-    ``known_dissipative`` marks, per term, the terms that another proof has
-    shown dissipative, such as ``AxisProof.lower`` on a submodel that
-    separates along every axis; ``_is_dissipative`` tests only the others.
+    ``known_dissipative`` marks the terms that ``AxisProof.lower`` proved
+    dissipative; ``_is_dissipative`` tests only the others.
     """
 
     def __init__(self, terms, mass=None, known_dissipative=None):

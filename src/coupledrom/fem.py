@@ -425,7 +425,9 @@ class FastDiagonalization:
         be the tensor product of one node set per axis, of the operator
         terms ``(kind, coefficient)`` of ``assemble_term``, along the axes
         ``separated`` (0 = x; every axis by default): along those no term's
-        coefficient may vary and no velocity may have a component."""
+        coefficient may vary and no velocity may have a component.  The
+        factors of a term that does not separate along an axis are not its
+        form; their one reader, the estimator's ``AxisProof.gap``, refuses them."""
         grid = mesh.nodes_per_axis[::-1]
         nodes = [np.unique(i) for i in np.unravel_index(dofs, grid)]
         if len(dofs) == 0 or np.prod([len(i) for i in nodes]) != len(dofs):

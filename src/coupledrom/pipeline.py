@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from . import estimator as est
 from . import fem
-from .errors import ConfigError, SingularRomError
+from .errors import ConfigError, OversamplingError, SingularRomError
 from .fem import affine_sum
 from .interface import (
     InterfaceReducer,
@@ -95,6 +95,8 @@ class FomSubmodel(AffineSubmodel):
     role: str
     mesh: Mesh
     interface: InterfaceTrace
+    #: ``(kind, coefficient)`` of each term, as ``fem`` assembles and factors it
+    term_forms: list[tuple]
     op_terms: list[sp.csr_matrix]
     mass: sp.csr_matrix | None
     load_terms: list[np.ndarray]
@@ -146,12 +148,8 @@ class FomSubmodel(AffineSubmodel):
         """The diagonalization of the operator terms on the free DoFs along
         every axis that the spec separates, with one block per mode over
         the other axes."""
-        terms = [
-            (term.kind, spatial_coefficient(value))
-            for term, value in zip(self.spec.operator, self.spec.compiled.coefficients)
-        ]
         separated = self.spec.separated_axes
-        fd = fem.FastDiagonalization.of(self.mesh, self.free_dofs, terms, separated)
+        fd = fem.FastDiagonalization.of(self.mesh, self.free_dofs, self.term_forms, separated)
         log.info(
             "%s operator solve: axes %s diagonalized, %d mode blocks of size %d",
             self.role, "".join(AXIS_NAMES[a] for a in separated) or "none", *fd.blocks,
@@ -175,22 +173,17 @@ class FomSubmodel(AffineSubmodel):
     @cached_property
     def constants(self) -> est.StabilityConstants:
         """The stability constants proved on the free blocks, kept for every
-        query against this submodel; the mass block solves by a
-        diagonalization along every axis: ``operator_diagonalization`` when
-        the operator separates along every axis, else one of the unit mass
-        alone.  A marching submodel that separates along every axis proves
-        the upper end of its mass spectrum and the dissipativity of its terms
-        from the 1-D factors of that diagonalization (``est.AxisProof``) and
-        logs what it proved."""
+        query against this submodel.  A marching submodel proves the upper
+        end of its mass spectrum, and the dissipativity of each term that is
+        its Kronecker form, from the 1-D factors of its diagonalization along
+        every axis (``est.AxisProof``; the operator's own, or one more when
+        that is not along every axis), and logs what it proved."""
         terms = [ff for ff, _ in self.free_blocks]
         if self.mass is None:
             return est.StabilityConstants(terms)
         fd, M_ff = self.operator_diagonalization, self._mass_blocks[0]
-        if len(self.spec.separated_axes) < self.mesh.dim:
-            log.info("%s constants: the operator does not separate along every axis, so no "
-                     "constant comes from the 1-D factors", self.role)
-            fd = fem.FastDiagonalization.of(self.mesh, self.free_dofs, [])
-            return est.StabilityConstants(terms, est.MassBlock(M_ff, fd.mass_solver()))
+        if None in fd.axis_pairs:
+            fd = fem.FastDiagonalization.of(self.mesh, self.free_dofs, self.term_forms)
         proof = est.AxisProof(fd.axis_pairs)
         upper, mass_gap = proof.upper(M_ff)
         lowers = [proof.lower(B, Q[0, 0], P[0, 0]) for B, (Q, P) in zip(terms, fd.factors)]
@@ -256,10 +249,11 @@ class FomSubmodel(AffineSubmodel):
 def build_submodel(spec: SubmodelSpec, role: str) -> FomSubmodel:
     mesh = spec.mesh.build()
     quad = fem.cell_quadrature(mesh)
-    terms = [
-        fem.assemble_term(mesh, term.kind, spatial_coefficient(value), quadrature=quad)
+    forms = [
+        (term.kind, spatial_coefficient(value))
         for term, value in zip(spec.operator, spec.compiled.coefficients)
     ]
+    terms = [fem.assemble_term(mesh, *form, quadrature=quad) for form in forms]
     mass = fem.assemble_mass(mesh, quadrature=quad) if spec.unsteady else None
     loads = [fem.assemble_load(mesh, spatial_coefficient(p)) for p in spec.compiled.profiles]
     interface = extract_interface(mesh, spec.interface_tag)
@@ -290,6 +284,7 @@ def build_submodel(spec: SubmodelSpec, role: str) -> FomSubmodel:
         role=role,
         mesh=mesh,
         interface=interface,
+        term_forms=forms,
         op_terms=terms,
         mass=mass,
         load_terms=loads,
@@ -548,8 +543,6 @@ def build_artifacts(training: TrainingData, tolerances) -> RomArtifacts:
     Phi = training.pod_dirichlet.truncate(eps_d)
     fom = training.fom
     if Phi.shape[1] > len(fom.master.interface):
-        from .errors import OversamplingError
-
         raise OversamplingError(
             f"{Phi.shape[1]} interpolation indices exceed master trace size "
             f"{len(fom.master.interface)}"

@@ -11,6 +11,7 @@ with numpy semantics, which each spec compiles once (``SubmodelSpec.compiled``).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -79,9 +80,9 @@ def _compile_value(value, allowed: set[str], where: str, components: int = 0):
         return tuple(_compile_value(c, allowed, f"{where}[{j}]") for j, c in enumerate(value))
     if isinstance(value, str):
         return compile_expression(value, allowed, where)
-    if isinstance(value, numbers.Real):
+    if isinstance(value, numbers.Real) and math.isfinite(value):
         return float(value)
-    raise ConfigError(f"must be a number or an expression string, got {value!r}", field=where)
+    raise ConfigError(f"must be a finite number or an expression, got {value!r}", field=where)
 
 
 def _coordinates(value) -> set[str]:
@@ -254,6 +255,10 @@ class SubmodelSpec:
                 f"a submodel's box has 2 or 3 axes, got {len(self.mesh.extent)}",
                 field=f"{role}.mesh.extent",
             )
+        for name in ("origin", "extent"):
+            values = getattr(self.mesh, name)
+            if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
+                raise ConfigError(f"must be finite, got {values!r}", field=f"{role}.mesh.{name}")
         valid_faces = set(face_ids(len(self.mesh.extent)))
         for face in self.dirichlet:
             if face not in valid_faces:
@@ -273,8 +278,10 @@ class TimeSpec:
     n_steps: int
 
     def __post_init__(self):
-        if self.dt <= 0 or self.n_steps < 1:
-            raise ConfigError("time grid needs dt > 0 and n_steps >= 1", field="time")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"must be a finite number > 0, got {self.dt!r}", field="time.dt")
+        if self.n_steps < 1:
+            raise ConfigError(f"must be >= 1, got {self.n_steps!r}", field="time.n_steps")
 
     def instants(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
@@ -330,10 +337,13 @@ def _require(mapping: Mapping, key: str, where: str):
 
 def config_value(convert, raw, where: str):
     """``convert(raw)`` for one config value; a value of the wrong type or
-    shape raises ``ConfigError`` naming its field ``where``."""
+    shape, or one that ``convert`` refuses naming no field, raises
+    ``ConfigError`` naming its field ``where``."""
     try:
         return convert(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
+        if isinstance(exc, ConfigError) and exc.field:
+            raise
         raise ConfigError(f"invalid value {raw!r} ({exc})", field=where) from None
 
 
@@ -381,9 +391,9 @@ def submodel_from_dict(data: Mapping, where: str) -> SubmodelSpec:
             str(k): config_value(float, v, f"{where}.dirichlet.{k}")
             for k, v in config_mapping(data.get("dirichlet", {}), f"{where}.dirichlet").items()
         },
-        parameters=ParameterSpace(
-            names=tuple(params.get("names", [])),
-            ranges=config_value(_ranges, params.get("ranges", []), f"{where}.parameters.ranges"),
+        parameters=config_value(
+            lambda ranges: ParameterSpace(tuple(params.get("names", [])), _ranges(ranges)),
+            params.get("ranges", []), f"{where}.parameters.ranges",
         ),
         interface_tag=str(_require(data, "interface_tag", where)),
         unsteady=bool(data.get("unsteady", False)),

@@ -20,8 +20,8 @@ class ParameterSpace:
         if len(self.names) != len(self.ranges):
             raise ConfigError("names and ranges must align", field="parameters")
         for name, (lo, hi) in zip(self.names, self.ranges):
-            if not lo < hi:
-                raise ConfigError(f"range for {name!r} must satisfy lower < upper")
+            if not -np.inf < lo < hi < np.inf:
+                raise ConfigError(f"range for {name!r} must be finite with lower < upper")
 
     @property
     def dim(self) -> int:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -37,7 +38,7 @@ from coupledrom.experiments import (
     summarize,
     unsteady_query_bounds,
 )
-from coupledrom.fem import factorized_solver
+from coupledrom.fem import FastDiagonalization, factorized_solver
 from coupledrom.library import heat_laplace_pair, steady_pair_2d, transport_wall_pair
 from coupledrom.problems import (
     AffineTerm,
@@ -641,7 +642,7 @@ class TestConstantsPerFom:
         coarse, fine = (r.constants["sigma_min_master"] for r in reports)
         assert fine < 0.5 * coarse
 
-    def test_mu_free_marching_constant_proved_once_per_fom(self, monkeypatch):
+    def test_mu_free_marching_constant_proved_once_per_fom(self, monkeypatch, caplog):
         spec = transport_wall_pair((4, 2, 2), (2, 2, 2), n_steps=3)
         art = cr.full_rank_artifacts(spec)
         fom = cr.build_fom(spec)
@@ -652,17 +653,27 @@ class TestConstantsPerFom:
             return _is_dissipative(A)
 
         monkeypatch.setattr(est, "_is_dissipative", recording)
-        for zeta in ([0.2], [0.5], [0.9]):
-            assert fom.master.theta_weights(fom.master.mu_mapping(zeta)) == [1.0, 1.0]
-            res = cr.fom_coupled_solve(fom, zeta, [])
-            online = cr.online_unsteady(art, zeta, [])
-            assert all(r.valid for r in query_bounds(fom, art, zeta, [], online, res))
+        with caplog.at_level(logging.INFO, logger="coupledrom.pipeline"):
+            for zeta in ([0.2], [0.5], [0.9]):
+                assert fom.master.theta_weights(fom.master.mu_mapping(zeta)) == [1.0, 1.0]
+                res = cr.fom_coupled_solve(fom, zeta, [])
+                online = cr.online_unsteady(art, zeta, [])
+                assert all(r.valid for r in query_bounds(fom, art, zeta, [], online, res))
         terms = fom.master.constants.terms + fom.slave.constants.terms
         summed = [A for A in tested if all(A is not T for T in terms)]
         # the advection term is not proved dissipative, so the summed master
-        # operator is tested, once for all three queries
+        # operator is tested, once for all three queries; the 1-D factors
+        # prove both diffusion terms and both upper mass ends
         assert fom.master.constants.dissipative_terms == [True, False]
         assert len(summed) == 1
+        _, advection = fom.master.constants.terms
+        assert len(tested) == 2 and tested[0] is advection and tested[1] is summed[0]
+        assert fom.master.constants.mass.upper is not None
+        assert fom.slave.constants.mass.upper is not None
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("master constants from the 1-D factors")]
+        assert "mass upper end proved (gap " in line and "diffusion term dissipative (gap " in line
+        assert re.search(r"advection term left to the general test \(gap [^)]+\)$", line)
 
     def test_kept_sigma_min_under_racing_threads(self):
         constants = cr.build_fom(steady_pair_2d((2, 2), (2, 2))).master.constants
@@ -920,18 +931,33 @@ class TestCertifiedConstants:
 
 
 # ---------------------------------------------------------------------------
-# proofs from the 1-D factors of a submodel that separates along every axis
+# proofs from the 1-D factors of a marching submodel
 
 
 def axis_proof(sub):
     """The per-axis proof of a marching submodel, and its terms' free blocks
-    with their 1x1 factors ``(q, p)``."""
-    fd = sub.operator_diagonalization
+    with their 1x1 factors ``(q, p)`` along every axis."""
+    fd = FastDiagonalization.of(sub.mesh, sub.free_dofs, sub.term_forms)
     terms = [
         (ff, float(Q[0, 0]), float(P[0, 0]))
         for (ff, _), (Q, P) in zip(sub.free_blocks, fd.factors)
     ]
     return est.AxisProof(fd.axis_pairs), terms
+
+
+def off_form(sub) -> list[bool]:
+    """Per term, whether it is not its Kronecker form along every axis: an
+    advection term, or a coefficient that varies in space."""
+    return [t.kind == "advection" or isinstance(t.coefficient, str) for t in sub.spec.operator]
+
+
+def varying_diffusion_pair():
+    """The 2-D reaction master with the diffusivity ``1 + x*y``: no axis
+    separates, so its operator solve is one block."""
+    spec = reaction_heat_pair()
+    diffusion = AffineTerm(kind="diffusion", theta=1.0, coefficient="1 + x*y")
+    master = dataclasses.replace(spec.master, operator=(diffusion, spec.master.operator[1]))
+    return dataclasses.replace(spec, master=master)
 
 
 def dense_lambda_min(B):
@@ -947,21 +973,25 @@ def perturbed(B, rtol, seed=0):
     return (B + rtol * abs(B).max() * (E + E.T) / 2).tocsr()
 
 
+#: the submodels whose every term is its Kronecker form
+SEPARATED = ["heat-8^3", "heat-10^3", "reaction-heat-2d", "transport-slave"]
+
+
 class TestAxisProof:
-    @pytest.fixture(
-        scope="class",
-        params=["heat-8^3", "heat-10^3", "reaction-heat-2d", "transport-slave"],
-    )
+    @pytest.fixture(scope="class", params=SEPARATED + ["transport-master", "diffusion-1+xy"])
     def submodel(self, request):
         spec = {
             "heat-8^3": lambda: heat_laplace_pair((8, 8, 8), (4, 4, 4)),
             "heat-10^3": lambda: heat_laplace_pair((10, 10, 10), (5, 5, 5)),
             "reaction-heat-2d": reaction_heat_pair,
             "transport-slave": transport_wall_pair,
+            "transport-master": lambda: transport_wall_pair((6, 4, 4), (3, 2, 2)),
+            "diffusion-1+xy": varying_diffusion_pair,
         }[request.param]()
         role = "slave" if request.param == "transport-slave" else "master"
         sub = getattr(cr.build_fom(spec), role)
-        assert len(sub.spec.separated_axes) == sub.mesh.dim and sub.spec.unsteady
+        assert sub.spec.unsteady
+        assert (len(sub.spec.separated_axes) == sub.mesh.dim) == (request.param in SEPARATED)
         return sub
 
     @staticmethod
@@ -984,17 +1014,23 @@ class TestAxisProof:
     def test_term_lower_bounds_below_dense_minimum(self, submodel):
         proof, terms = axis_proof(submodel)
         verdicts = []
-        for B, q, p in terms:
+        for (B, q, p), off in zip(terms, off_form(submodel)):
             lower, gap = proof.lower(B, q, p)
+            verdicts.append(lower is not None and lower >= 0.0)
+            if off:  # the factors are not the term's form: the gap refuses them
+                assert lower is None and gap > 1e-3 * abs(B).max()
+                continue
             assert lower <= dense_lambda_min(B)
             assert gap <= 1e-13 * abs(B).max()
-            verdicts.append(lower >= 0.0)
             assert verdicts[-1] == _is_dissipative(B)
-        assert submodel.constants.known_dissipative == verdicts == [True] * len(terms)
+        assert submodel.constants.known_dissipative == verdicts
+        assert verdicts == [not off for off in off_form(submodel)]
 
     def test_weighted_operator_below_dense_minimum(self, submodel):
-        # a positive weighting of the terms is the form of the weighted factors
+        # a positive weighting of the terms of their Kronecker forms is the
+        # form of the weighted factors
         proof, terms = axis_proof(submodel)
+        terms = [t for t, off in zip(terms, off_form(submodel)) if not off]
         rng = np.random.default_rng(3)
         for _ in range(3):
             w = rng.uniform(0.01, 10.0, len(terms))
@@ -1003,6 +1039,7 @@ class TestAxisProof:
             lower, _ = proof.lower(A, q, p)
             assert 0.0 <= lower <= dense_lambda_min(A)
 
+    @pytest.mark.parametrize("submodel", SEPARATED, indirect=True)
     def test_first_marching_proof_runs_no_dissipativity_test(self, submodel, monkeypatch):
         calls = {"dissipative": 0, "eigsh": 0}
 
@@ -1043,6 +1080,7 @@ class TestAxisProof:
         # no gap is measured for a negative factor
         assert line.endswith("reaction term left to the general test")
 
+    @pytest.mark.parametrize("submodel", SEPARATED, indirect=True)
     def test_block_off_its_kronecker_form_falls_back(self, submodel, monkeypatch):
         proof, terms = axis_proof(submodel)
         B, q, p = terms[0]

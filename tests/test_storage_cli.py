@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -830,6 +831,28 @@ BAD_CLI_INPUTS = {
     "list-training": (["sweep"], _set("training", [1]), "training"),
     "nan-parameter": (["fom", "--mu1", "nan,1.0"], None, None),
     "inf-parameter": (["fom", "--mu1", "inf,1.0"], None, None),
+    "nan-dt": (["sweep"], _set("problem", "time", {"dt": math.nan, "n_steps": 5}), "time.dt"),
+    "inf-dt": (["sweep"], _set("problem", "time", {"dt": math.inf, "n_steps": 5}), "time.dt"),
+    "inf-range": (
+        ["sweep"], _set("problem", "master", "parameters", "ranges", 0, [0.5, math.inf]),
+        "master.parameters.ranges",
+    ),
+    "reversed-range": (
+        ["sweep"], _set("problem", "master", "parameters", "ranges", 0, [5.0, 0.5]),
+        "master.parameters.ranges",
+    ),
+    "nan-extent": (
+        ["sweep"], _set("problem", "slave", "mesh", "extent", [math.nan, 1.0]),
+        "slave.mesh.extent",
+    ),
+    "inf-origin": (
+        ["sweep"], _set("problem", "slave", "mesh", "origin", [math.inf, 0.0]),
+        "slave.mesh.origin",
+    ),
+    "nan-coefficient": (
+        ["sweep"], _set("problem", "master", "operator", 1, "coefficient", math.nan),
+        "master.operator[1].coefficient",
+    ),
 }
 
 
