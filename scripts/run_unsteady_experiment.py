@@ -55,7 +55,7 @@ def main():
         )
 
     art = cr.build_artifacts(training, (1e-5, 1e-5, 1e-5))
-    mu_star = training.master_samples.points[0]
+    mu_star = training.master_samples[0]
     timing = cr.measure_speedup(art, training.fom, mu_star, [], repeats=3)
     print("\ntiming (one trajectory query):")
     print(f"  reference path  {timing['fom_s'] * 1e3:9.1f} ms")

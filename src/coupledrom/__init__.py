@@ -59,13 +59,12 @@ from .pipeline import (
     build_fom,
     fom_coupled_solve,
     full_rank_artifacts,
-    offline,
     online_solve,
     online_steady,
     online_unsteady,
     run_training,
 )
-from .pod import PodFactorization, SnapshotSet, pod
+from .pod import PodFactorization, SnapshotSet
 from .problems import (
     AffineTerm,
     BoxMeshSpec,
@@ -76,7 +75,7 @@ from .problems import (
     problem_from_dict,
     problem_to_dict,
 )
-from .sampling import ParameterSpace, SampleSet, lhs_sample
+from .sampling import ParameterSpace, lhs_sample
 from .storage import (
     hash_bundle,
     load_bundle,

@@ -47,12 +47,7 @@ def _parse_mu(text: str | None) -> np.ndarray:
 
 
 def _load_config(path: str):
-    try:
-        data = load_json(path)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+    data = load_json(path)
     try:
         return config_from_dict(data)
     except (TypeError, ValueError) as exc:  # a value of the wrong type or shape

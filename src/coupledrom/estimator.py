@@ -11,7 +11,8 @@ M-norm: with ``sym(A) >= -gamma M``, one BDF1 step grows the M-norm by at
 most ``rho = 1 / (1 - dt gamma)``, and ``sqrt(cond(M))`` carries the M-norm
 to the two-norm.  What depends on ``M`` alone a ``MassBlock`` computes
 once, on first use; a submodel's ``StabilityConstants`` keeps it, with every
-constant it has proved, across queries.
+constant it has proved, across queries.  An LU that a proof takes is
+dropped with the Lanczos run that reads it.
 
 ``sqrt(cond(M))``, ``gamma``, dissipativity and ``sigma_min`` are proved:
 an eigenvalue estimate is moved a small margin to its safe side and one
@@ -109,15 +110,16 @@ def residual_unsteady(
 class MassBlock:
     """A mass matrix with the quantities that depend on it alone.
 
-    The sparse LU ``factorized``, the proved ends of the spectrum and
-    ``condition_root = sqrt(cond(M))`` are each computed on first use and
-    then kept, so that every query against one full-order model shares them.
-    ``solve`` applies ``M^{-1}`` to the residuals: the owner's faster solve
-    when it gives one, else the LU's.  The Lanczos runs behind the proved
-    constants always take the LU, so the constants do not depend on which
-    solve serves the residuals.  ``upper``, when the owner gives it, as
-    every marching submodel does, is the proved upper end of
-    ``AxisProof.upper``, and no Lanczos run or certificate is spent on it.
+    The proved ends of the spectrum and ``condition_root = sqrt(cond(M))``
+    are each computed on first use and then kept, so that every query
+    against one full-order model shares them.  ``solve`` applies ``M^{-1}``
+    to the residuals: the owner's faster solve when it gives one, else a
+    sparse LU's, kept.  The Lanczos runs behind the proved constants each
+    take an LU of their own that lives only for that run, so the constants
+    do not depend on which solve serves the residuals, and no LU outlives
+    the proof that reads it.  ``upper``, when the owner gives it, as every
+    marching submodel does, is the proved upper end of ``AxisProof.upper``,
+    and no Lanczos run or certificate is spent on it.
     """
 
     def __init__(
@@ -134,12 +136,8 @@ class MassBlock:
         return M if isinstance(M, cls) else cls(M)
 
     @cached_property
-    def factorized(self) -> Callable[[np.ndarray], np.ndarray]:
-        return factorized_solver(self.matrix)
-
-    @cached_property
     def solve(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self.factorized
+        return factorized_solver(self.matrix)
 
     @cached_property
     def symmetric(self) -> bool:
@@ -149,13 +147,12 @@ class MassBlock:
     def spectrum(self) -> tuple[float, float]:
         """A proved ``(lower, upper)`` around the eigenvalues of a symmetric
         positive definite ``M``.  Lanczos estimates each end, the smaller
-        one by shift-invert through the kept LU, and
+        one by shift-invert through an LU of that run alone, and
         ``_certified_eigenvalue`` proves it; the ``upper`` end given at
         construction, proved by ``AxisProof``, is taken as it is."""
         M, upper = self.matrix, self.upper
-        op_inv = spla.LinearOperator(M.shape, matvec=self.factorized, dtype=float)
         try:
-            lam_min = _lanczos_eigenvalue(M, sigma=0.0, OPinv=op_inv)
+            lam_min = _lanczos_eigenvalue(M, sigma=0.0, OPinv=_lu_inverse(M))
             lam_max = upper if upper is not None else _lanczos_eigenvalue(M, which="LA")
         except spla.ArpackNoConvergence as exc:
             raise EstimatorConvergenceError(f"Lanczos on the mass matrix: {exc}") from exc
@@ -271,6 +268,12 @@ def _lanczos_eigenvalue(S, **options) -> float:
         return float(S[0, 0] / options["M"][0, 0]) if "M" in options else float(S[0, 0])
     return float(spla.eigsh(S, k=1, v0=_start_vector(S.shape[0]),
                             return_eigenvectors=False, **options)[0])
+
+
+def _lu_inverse(M) -> spla.LinearOperator:
+    """``M^{-1}`` through a new sparse LU, for one Lanczos run: the LU lives
+    as long as the returned operator, and so no longer than the run."""
+    return spla.LinearOperator(M.shape, matvec=factorized_solver(M), dtype=float)
 
 
 def _product_norm_bound(P, Q) -> float:
@@ -393,7 +396,7 @@ def semigroup_constant(M, A, dt: float, known_dissipative: bool = False) -> tupl
     proved by ``_certified_eigenvalue``.  Without a proof, with
     ``dt gamma >= 1`` or a non-symmetric ``M``, no bound is claimed:
     ``EstimatorConvergenceError``.  ``M`` is a matrix or a ``MassBlock``,
-    whose factorization and spectrum are then kept across calls.
+    whose spectrum is then kept across calls.
     """
     mass = MassBlock.of(M)
     if not mass.symmetric:
@@ -403,10 +406,11 @@ def semigroup_constant(M, A, dt: float, known_dissipative: bool = False) -> tupl
     A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(np.asarray(A))
     if _is_dissipative(A):
         return mass.condition_root, 1.0
-    op_inv = spla.LinearOperator(A.shape, matvec=mass.factorized, dtype=float)
     try:
-        estimate = _lanczos_eigenvalue(((A + A.T) * 0.5).tocsc(), M=mass.matrix, Minv=op_inv,
-                                       which="SA", maxiter=_POWER_MAX_ITER)
+        estimate = _lanczos_eigenvalue(
+            ((A + A.T) * 0.5).tocsc(), M=mass.matrix, Minv=_lu_inverse(mass.matrix),
+            which="SA", maxiter=_POWER_MAX_ITER,
+        )
     except spla.ArpackError as exc:  # no convergence included
         raise EstimatorConvergenceError(f"Lanczos on (sym(A), M): {exc}") from exc
     lower = _certified_eigenvalue(A, estimate, "min", mass)

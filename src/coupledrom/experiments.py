@@ -164,9 +164,9 @@ class QueryResult:
 def _references(fom: FomProblem, n_test: int, seed: int) -> list[tuple]:
     """``(mu1, mu2, fom_result)`` at each LHS test point, the master's drawn
     from ``seed`` and the slave's from ``seed + 1``."""
-    mu1s = lhs_sample(fom.master.spec.parameters, n_test, seed, "test")
-    mu2s = lhs_sample(fom.slave.spec.parameters, n_test, seed + 1, "test")
-    return [(a, b, fom_coupled_solve(fom, a, b)) for a, b in zip(mu1s.points, mu2s.points)]
+    mu1s = lhs_sample(fom.master.spec.parameters, n_test, seed)
+    mu2s = lhs_sample(fom.slave.spec.parameters, n_test, seed + 1)
+    return [(a, b, fom_coupled_solve(fom, a, b)) for a, b in zip(mu1s, mu2s)]
 
 
 def _score(

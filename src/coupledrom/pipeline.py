@@ -39,7 +39,7 @@ from .problems import (
     eval_theta,
     spatial_coefficient,
 )
-from .sampling import SampleSet, lhs_sample
+from .sampling import lhs_sample
 
 log = logging.getLogger(__name__)
 
@@ -102,7 +102,8 @@ class FomSubmodel(AffineSubmodel):
     load_terms: list[np.ndarray]
     dirichlet_dofs: np.ndarray
     dirichlet_values: np.ndarray
-    u0: np.ndarray
+    #: the initial state of a marching submodel; None when it does not march
+    u0: np.ndarray | None
     #: Dirichlet DoFs, followed on the slave by the interface DoFs
     constrained_dofs: np.ndarray
     #: sorted complement of ``constrained_dofs``, a union of whole faces, so
@@ -278,7 +279,9 @@ def build_submodel(spec: SubmodelSpec, role: str) -> FomSubmodel:
             "across its constrained faces",
             field=f"{role}.mesh",
         )
-    u0 = np.asarray(eval_spatial(spec.compiled.initial, mesh.node_coords), dtype=float).copy()
+    u0 = None
+    if spec.unsteady:
+        u0 = np.asarray(eval_spatial(spec.compiled.initial, mesh.node_coords), dtype=float).copy()
     return FomSubmodel(
         spec=spec,
         role=role,
@@ -360,8 +363,8 @@ class TrainingData:
     """The snapshots' factorizations; independent of any tolerance."""
 
     fom: FomProblem
-    master_samples: SampleSet
-    slave_samples: SampleSet
+    master_samples: np.ndarray  # (n_train, dim) each
+    slave_samples: np.ndarray
     pod_master: PodFactorization
     pod_slave: PodFactorization
     pod_dirichlet: PodFactorization
@@ -393,8 +396,8 @@ def run_training(spec_or_fom, n_train: int, seed: int) -> TrainingData:
     t0 = _time.perf_counter()
 
     m_space, s_space = fom.master.spec.parameters, fom.slave.spec.parameters
-    master_samples = lhs_sample(m_space, n_train, seed, "train")
-    slave_samples = lhs_sample(s_space, n_train, seed + _SLAVE_SEED_OFFSET, "train")
+    master_samples = lhs_sample(m_space, n_train, seed)
+    slave_samples = lhs_sample(s_space, n_train, seed + _SLAVE_SEED_OFFSET)
     nt = None if fom.spec.time is None else fom.spec.time.n_steps
     cols_per = nt if nt else 1
     n_cols = n_train * cols_per
@@ -403,7 +406,7 @@ def run_training(spec_or_fom, n_train: int, seed: int) -> TrainingData:
     SD = np.empty((len(fom.slave.interface), n_cols))
 
     for k in range(n_train):
-        res = fom_coupled_solve(fom, master_samples.points[k], slave_samples.points[k])
+        res = fom_coupled_solve(fom, master_samples[k], slave_samples[k])
         base = k * cols_per
         if nt:
             # columns are the states at t_1 .. t_nt; t_0 is data, not response
@@ -455,7 +458,7 @@ class ReducedSubmodel(AffineSubmodel):
     op_terms: list[np.ndarray]
     mass: np.ndarray | None
     load_terms: list[np.ndarray]
-    u0_reduced: np.ndarray
+    u0_reduced: np.ndarray | None  # None when the submodel does not march
 
     @property
     def n(self) -> int:
@@ -497,7 +500,7 @@ def _project_submodel(sub: FomSubmodel, V: np.ndarray) -> ReducedSubmodel:
         op_terms=[np.asarray(V.T @ (A @ V)) for A in sub.op_terms],
         mass=np.asarray(V.T @ (sub.mass @ V)) if sub.mass is not None else None,
         load_terms=[np.asarray(V.T @ vec) for vec in sub.load_terms],
-        u0_reduced=np.asarray(V.T @ sub.u0),
+        u0_reduced=np.asarray(V.T @ sub.u0) if sub.u0 is not None else None,
     )
 
 
@@ -551,8 +554,8 @@ def build_artifacts(training: TrainingData, tolerances) -> RomArtifacts:
     provenance = {
         "n_train": len(training.master_samples),
         "seed": training.seed,
-        "master_samples": training.master_samples.points.tolist(),
-        "slave_samples": training.slave_samples.points.tolist(),
+        "master_samples": training.master_samples.tolist(),
+        "slave_samples": training.slave_samples.tolist(),
         "mesh_hashes": {
             "master": fom.master.mesh.content_hash(),
             "slave": fom.slave.mesh.content_hash(),
@@ -568,12 +571,6 @@ def build_artifacts(training: TrainingData, tolerances) -> RomArtifacts:
         tolerances,
     )
     return artifacts
-
-
-def offline(spec: CoupledProblemSpec, n_train: int, tolerances, seed: int) -> RomArtifacts:
-    """Complete offline stage: training solves, bases, stored products."""
-    training = run_training(spec, n_train, seed)
-    return build_artifacts(training, tolerances)
 
 
 def _unit_columns(n: int, rows: np.ndarray) -> np.ndarray:

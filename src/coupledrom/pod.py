@@ -178,9 +178,3 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     mag = np.abs(U)
     first = np.argmax(mag > np.sqrt(np.finfo(float).eps) * mag.max(axis=0), axis=0)
     return U * np.where(U[first, np.arange(U.shape[1])] < 0, -1.0, 1.0)
-
-
-def pod(snapshots: SnapshotSet | np.ndarray, tolerance: float) -> np.ndarray:
-    """The ``(N, n)`` orthonormal basis retaining all but ``tolerance**2`` of
-    the snapshot energy; its singular values are ``PodFactorization``'s."""
-    return PodFactorization(snapshots).truncate(tolerance)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from types import CodeType
 from typing import Callable, Mapping, NamedTuple
@@ -311,9 +311,6 @@ class CoupledProblemSpec:
     def is_unsteady(self) -> bool:
         """Whether the problem has a time grid: one state per instant."""
         return self.time is not None
-
-    def with_time(self, dt: float, n_steps: int) -> "CoupledProblemSpec":
-        return replace(self, time=TimeSpec(dt=dt, n_steps=n_steps))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,24 +40,10 @@ class ParameterSpace:
         return {n: float(v) for n, v in zip(self.names, point)}
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Parameter vectors plus the seed that produced them."""
-
-    points: np.ndarray = field(repr=False)  # (n, dim)
-    seed: int
-    kind: str  # "train" | "test"
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def __iter__(self):
-        return iter(self.points)
-
-
-def lhs_sample(space: ParameterSpace, n: int, seed: int, kind: str = "train") -> SampleSet:
-    """Latin hypercube sample: one point per equal-width stratum per dimension,
-    jittered uniformly inside its stratum.  Deterministic for a fixed seed.
+def lhs_sample(space: ParameterSpace, n: int, seed: int) -> np.ndarray:
+    """Latin hypercube sample, one point per row of the ``(n, dim)`` result:
+    one point per equal-width stratum per dimension, jittered uniformly
+    inside its stratum.  Deterministic for a fixed seed.
     """
     if n < 1:
         raise EmptySampleError(f"sample size must be >= 1, got {n}")
@@ -67,5 +53,4 @@ def lhs_sample(space: ParameterSpace, n: int, seed: int, kind: str = "train") ->
         perm = rng.permutation(n)
         unit = (perm + rng.uniform(size=n)) / n
         cols.append(lo + (hi - lo) * unit)
-    points = np.stack(cols, axis=1) if cols else np.zeros((n, 0))
-    return SampleSet(points=points, seed=seed, kind=kind)
+    return np.stack(cols, axis=1) if cols else np.zeros((n, 0))

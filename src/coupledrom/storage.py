@@ -32,8 +32,9 @@ VERSION = 1
 #: (the reduced trace reads the full-order transfer's rows instead), 4 the
 #: POD singular values and the provenance's copy of the tolerances, 5 the
 #: copies of the spec's weights and kinds, the basis sizes and the
-#: interpolation conditioning, all of which nothing loaded read
-BUNDLE_VERSION = 5
+#: interpolation conditioning, all of which nothing loaded read, 6 the
+#: initial state of a side that does not march, which nothing read
+BUNDLE_VERSION = 6
 _HEADER = struct.Struct("<4sIQQ")
 
 def write_matrix(path, array: np.ndarray) -> bytes:
@@ -82,8 +83,13 @@ def dump_json(path, payload: dict) -> bytes:
 
 
 def load_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document at ``path``; one that cannot be read or parsed, or
+    is not UTF-8, raises ``ConfigError`` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise ConfigError(f"{path}: cannot read JSON ({exc})")
 
 
 def _entry(mapping: Mapping, key: str, where: str, convert=None):
@@ -100,10 +106,7 @@ def _entry(mapping: Mapping, key: str, where: str, convert=None):
 def _read_manifest(path: Path) -> Mapping:
     if not (path / "manifest.json").exists():
         raise ConfigError(f"{path} is not a bundle (missing manifest.json)")
-    try:
-        return config_mapping(load_json(path / "manifest.json"), f"{path / 'manifest.json'}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path / 'manifest.json'}: not valid JSON ({exc})")
+    return config_mapping(load_json(path / "manifest.json"), f"{path / 'manifest.json'}")
 
 
 def _listed_files(path: Path, manifest: Mapping) -> Mapping[str, str]:
@@ -176,11 +179,11 @@ def _write_bundle_files(path: Path, artifacts, written: list[Path]) -> str:
     for side in ("master", "slave"):
         sub = getattr(artifacts, side)
         files[f"{side}_basis"] = sub.basis
-        files[f"{side}_u0"] = _vec(sub.u0_reduced)
         files.update({f"{side}_op_{q}": A for q, A in enumerate(sub.op_terms)})
         files.update({f"{side}_load_{k}": _vec(f) for k, f in enumerate(sub.load_terms)})
         if sub.spec.unsteady:
             files[f"{side}_mass"] = sub.mass
+            files[f"{side}_u0"] = _vec(sub.u0_reduced)
     files.update({f"lift_op_{q}": L for q, L in enumerate(reducer.lift_products)})
     if reducer.lift_mass is not None:
         files["lift_mass"] = reducer.lift_mass
@@ -293,7 +296,7 @@ def load_bundle(path):
             op_terms=[mat(f"{side}_op_{q}", n, n) for q in range(len(sub.operator))],
             mass=mat(f"{side}_mass", n, n) if sub.unsteady else None,
             load_terms=[mat(f"{side}_load_{k}", n, 1).ravel() for k in range(len(sub.forcing))],
-            u0_reduced=mat(f"{side}_u0", n, 1).ravel(),
+            u0_reduced=mat(f"{side}_u0", n, 1).ravel() if sub.unsteady else None,
         )
 
     master = load_submodel("master", spec.master.mesh.build().n_dofs)

@@ -268,7 +268,7 @@ def test_criterion_8_offline_determinism(tmp_path):
     )
     hashes = []
     for name in ("run1", "run2"):
-        art = cr.offline(spec, n_train=5, tolerances=(1e-4, 1e-4, 1e-4), seed=33)
+        art = cr.build_artifacts(cr.run_training(spec, 5, seed=33), (1e-4, 1e-4, 1e-4))
         hashes.append(write_bundle(tmp_path / name, art))
     ok = hashes[0] == hashes[1] == hash_bundle(tmp_path / "run1")
     check(
@@ -338,7 +338,7 @@ def test_criterion_9_bdf1_temporal_order():
 
     # reduced marcher: POD basis from a fine trajectory, same BDF1 driver
     snapshots = march_full(128)[1:].T
-    V = cr.pod(snapshots, 1e-12)
+    V = cr.PodFactorization(snapshots).truncate(1e-12)
     M_r = sp.csr_matrix(V.T @ (M_bc @ V))
     K_r = sp.csr_matrix(V.T @ (K_bc @ V))
     u0_r = V.T @ u0

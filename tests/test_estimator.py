@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import coupledrom as cr
 import coupledrom.estimator as est
@@ -504,6 +505,24 @@ def reference_semigroup_constant(M, A, dt, upper=None, **_):
     return semigroup_constant(MassBlock(M.tocsc(), upper=upper), A.tocsr(), dt)
 
 
+def holds_superlu(value, depth: int = 4) -> bool:
+    """Whether ``value`` is a SuperLU or reaches one, within ``depth`` steps,
+    through a bound method's owner, a closure cell, an attribute or an
+    entry of a list, tuple or dict."""
+    if isinstance(value, spla.SuperLU):
+        return True
+    if depth == 0 or isinstance(value, (np.ndarray, sp.spmatrix, sp.sparray)):
+        return False
+    inner = [getattr(value, "__self__", None)]
+    inner += [cell.cell_contents for cell in getattr(value, "__closure__", None) or ()]
+    inner += list(getattr(value, "__dict__", {}).values())
+    if isinstance(value, dict):
+        inner += list(value.values())
+    elif isinstance(value, (list, tuple)):
+        inner += list(value)
+    return any(holds_superlu(v, depth - 1) for v in inner if v is not None)
+
+
 def bounds_at(spec, artifacts, mu1s, fom=None):
     """Per-step totals and constants of ``unsteady_query_bounds`` on one FOM,
     each query with its own (empty) cache."""
@@ -598,6 +617,18 @@ class TestConstantsPerFom:
         # the slave keeps its sigma_min: later queries, each with its own
         # cache, certify nothing
         assert calls == once
+
+    def test_no_lu_outlives_the_proof(self, heat_artifacts):
+        # the mass spectrum's Lanczos run reads an LU, which goes with it;
+        # the residuals' mass solve is the fast diagonalization
+        spec, art = heat_artifacts
+        fom = cr.build_fom(spec)
+        bounds_at(spec, art, [[0.7]], fom)
+        constants = fom.master.constants
+        assert constants.mass.spectrum and "solve" in vars(constants.mass)
+        for owner in (constants, constants.mass):
+            for name, value in vars(owner).items():
+                assert not holds_superlu(value), name
 
     def test_steady_sigma_min_once_per_distinct_weights(self, monkeypatch):
         spec = steady_pair_2d()

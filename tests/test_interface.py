@@ -25,7 +25,7 @@ from coupledrom.interface import (
 )
 from coupledrom.mesh import build_box_mesh, extract_interface
 from coupledrom.library import steady_pair_2d
-from coupledrom.pod import PodFactorization, pod
+from coupledrom.pod import PodFactorization
 
 
 def cube_trace(n, order=1, origin=(0, 0, 0), face="x+"):
@@ -256,7 +256,7 @@ def test_import_loads_no_kd_tree():
 def reducer_from_snapshots(S_D, eps, tm, ts, V1, V2=None, slave_operators=()):
     """Interpolation basis over the trace snapshots ``S_D`` and the stored
     products, through the full-order transfer from ``tm`` to ``ts``."""
-    deim = make_deim_basis(pod(S_D, eps))
+    deim = make_deim_basis(PodFactorization(S_D).truncate(eps))
     P = build_transfer_matrix(tm, ts)
     return assemble_reducer(deim, P, tm, ts, V1, V2, slave_operators)
 
@@ -346,7 +346,7 @@ class TestInterfaceReducer:
         train = np.stack(
             [P @ field(a, b) for a, b in rng.uniform(0.5, 5.0, size=(40, 2))], axis=1
         )
-        deim = make_deim_basis(pod(train, eps))
+        deim = make_deim_basis(PodFactorization(train).truncate(eps))
         rel_errors = []
         for a, b in rng.uniform(0.5, 5.0, size=(10, 2)):
             w = P @ field(a, b)

@@ -14,7 +14,7 @@ from coupledrom import pipeline
 from coupledrom.errors import DegenerateSnapshotsError, DimensionMismatchError
 from coupledrom.library import heat_laplace_pair, steady_pair_2d
 from coupledrom.pod import (
-    PodFactorization, SnapshotSet, _fix_signs, blas_thread_control, pod,
+    PodFactorization, SnapshotSet, _fix_signs, blas_thread_control,
 )
 
 
@@ -31,7 +31,7 @@ class TestPod:
     def test_rank_one(self):
         s = np.array([3.0, 0.0, 4.0])
         X = np.tile(s[:, None], (1, 5))
-        basis = pod(X, 1e-8)
+        basis = PodFactorization(X).truncate(1e-8)
         assert basis.shape == (3, 1)
         assert np.allclose(np.abs(basis[:, 0]), s / 5.0)
 
@@ -113,8 +113,8 @@ class TestPod:
     def test_reproducible_and_sign_fixed(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((30, 8))
-        a = pod(X.copy(), 1e-6)
-        b = pod(X.copy(), 1e-6)
+        a = PodFactorization(X.copy()).truncate(1e-6)
+        b = PodFactorization(X.copy()).truncate(1e-6)
         assert np.array_equal(a, b)
         for j in range(a.shape[1]):
             nz = np.nonzero(a[:, j])[0]
@@ -145,14 +145,14 @@ class TestPod:
 
     def test_degenerate_snapshots(self):
         with pytest.raises(DegenerateSnapshotsError):
-            pod(np.zeros((10, 3)), 1e-6)
+            PodFactorization(np.zeros((10, 3))).truncate(1e-6)
 
     def test_factorization_truncation_consistency(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((40, 10)) * np.logspace(0, -8, 10)
         fact = PodFactorization(X)
         for tol in (1e-1, 1e-3, 1e-6):
-            assert np.array_equal(fact.truncate(tol), pod(X, tol))
+            assert np.array_equal(fact.truncate(tol), PodFactorization(X).truncate(tol))
 
 
 TOLERANCES = [10.0**-k for k in range(1, 11)]

@@ -12,14 +12,14 @@ SPACE_2D = ParameterSpace(names=("alpha", "beta"), ranges=((0.5, 5.0), (0.5, 5.0
 def test_single_point_in_range():
     space = ParameterSpace(names=("a",), ranges=((0.0, 1.0),))
     s = lhs_sample(space, 1, seed=0)
-    assert len(s) == 1
-    assert 0.0 <= s.points[0, 0] <= 1.0
+    assert s.shape == (1, 1)
+    assert 0.0 <= s[0, 0] <= 1.0
 
 
 def test_four_point_stratification():
     space = ParameterSpace(names=("a",), ranges=((0.0, 4.0),))
     s = lhs_sample(space, 4, seed=3)
-    strata = np.floor(s.points[:, 0]).astype(int)
+    strata = np.floor(s[:, 0]).astype(int)
     assert sorted(strata) == [0, 1, 2, 3]
 
 
@@ -28,7 +28,7 @@ def test_four_point_stratification():
 def test_stratification_property(n, seed):
     s = lhs_sample(SPACE_2D, n, seed=seed)
     for d, (lo, hi) in enumerate(SPACE_2D.ranges):
-        strata = np.floor((s.points[:, d] - lo) / (hi - lo) * n).astype(int)
+        strata = np.floor((s[:, d] - lo) / (hi - lo) * n).astype(int)
         strata = np.clip(strata, 0, n - 1)
         assert sorted(strata) == list(range(n))
 
@@ -36,13 +36,13 @@ def test_stratification_property(n, seed):
 def test_determinism_bit_identical():
     a = lhs_sample(SPACE_2D, 60, seed=42)
     b = lhs_sample(SPACE_2D, 60, seed=42)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a, b)
 
 
 def test_disjoint_seeds_differ():
     a = lhs_sample(SPACE_2D, 10, seed=1)
     b = lhs_sample(SPACE_2D, 10, seed=2)
-    assert not np.array_equal(a.points, b.points)
+    assert not np.array_equal(a, b)
 
 
 def test_empty_sample_rejected():
@@ -56,8 +56,8 @@ def test_bad_range_rejected():
 
 
 def test_points_inside_space():
-    s = lhs_sample(SPACE_2D, 25, seed=9, kind="test")
-    assert s.kind == "test"
+    s = lhs_sample(SPACE_2D, 25, seed=9)
+    assert s.shape == (25, 2)
     assert all(SPACE_2D.contains(p) for p in s)
 
 

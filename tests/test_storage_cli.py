@@ -101,7 +101,16 @@ def transport_artifacts():
     spec = transport_wall_pair(
         channel_subdivisions=(6, 4, 4), wall_subdivisions=(3, 2, 2), n_steps=15
     )
-    return cr.offline(spec, n_train=4, tolerances=(1e-4, 1e-4, 1e-4), seed=3)
+    return cr.build_artifacts(cr.run_training(spec, 4, seed=3), (1e-4, 1e-4, 1e-4))
+
+
+@pytest.fixture(scope="module")
+def heat_artifacts():
+    """A pair whose master marches and whose slave is steady."""
+    spec = heat_laplace_pair(
+        master_subdivisions=(3, 3, 3), slave_subdivisions=(2, 2, 2), n_steps=4
+    )
+    return cr.build_artifacts(cr.run_training(spec, 3, seed=2), (1e-4, 1e-4, 1e-4))
 
 
 ONLINE_FIELDS = ("master_reduced", "slave_reduced", "trace", "slave_solution")
@@ -143,15 +152,12 @@ class TestBundle:
     def test_double_offline_bit_identical(self, tmp_path):
         spec = steady_pair_2d(master_subdivisions=(4, 4), slave_subdivisions=(2, 2))
         for name in ("r1", "r2"):
-            art = cr.offline(spec, n_train=5, tolerances=(1e-3, 1e-3, 1e-3), seed=21)
+            art = cr.build_artifacts(cr.run_training(spec, 5, seed=21), (1e-3, 1e-3, 1e-3))
             write_bundle(tmp_path / name, art)
         assert hash_bundle(tmp_path / "r1") == hash_bundle(tmp_path / "r2")
 
-    def test_round_trip_answers_bit_identically(self, tmp_path):
-        spec = heat_laplace_pair(
-            master_subdivisions=(3, 3, 3), slave_subdivisions=(2, 2, 2), n_steps=4
-        )
-        art = cr.offline(spec, n_train=3, tolerances=(1e-4, 1e-4, 1e-4), seed=2)
+    def test_round_trip_answers_bit_identically(self, tmp_path, heat_artifacts):
+        art = heat_artifacts
         write_bundle(tmp_path / "b", art)
         loaded = load_bundle(tmp_path / "b")
         assert np.array_equal(loaded.reducer.full_transfer, art.reducer.full_transfer)
@@ -187,7 +193,7 @@ class TestBundle:
     def test_stores_no_point_transfer_or_master_positions(self, tmp_path, artifacts):
         write_bundle(tmp_path / "b", artifacts)
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
-        assert manifest["version"] == 5
+        assert manifest["version"] == 6
         assert not {"master_positions", "master_indices", "max_magic_distance"} & set(
             manifest["reducer"]
         )
@@ -197,21 +203,18 @@ class TestBundle:
         write_bundle(tmp_path / "b", artifacts)
         path = tmp_path / "b" / "manifest.json"
         manifest = json.loads(path.read_text())
-        for version in (1, 2, 3, 4, None):
+        for version in (1, 2, 3, 4, 5, None):
             manifest["version"] = version
             path.write_text(json.dumps(manifest))
             with pytest.raises(ConfigError, match="bundle version.*rebuild it with offline"):
                 load_bundle(tmp_path / "b")
 
-    def test_every_stored_matrix_is_loaded(self, tmp_path, artifacts, monkeypatch):
+    def test_every_stored_matrix_is_loaded(
+        self, tmp_path, artifacts, heat_artifacts, monkeypatch
+    ):
         import coupledrom.storage as storage
 
-        unsteady = cr.offline(
-            heat_laplace_pair(
-                master_subdivisions=(3, 3, 3), slave_subdivisions=(2, 2, 2), n_steps=4
-            ),
-            n_train=3, tolerances=(1e-4, 1e-4, 1e-4), seed=2,
-        )
+        unsteady = heat_artifacts
         read = []
         original = storage.read_matrix
 
@@ -227,6 +230,15 @@ class TestBundle:
             read.clear()
             load_bundle(tmp_path / name)
             assert sorted(read) == sorted(stored)  # each file once
+
+    def test_only_a_marching_side_stores_its_initial_state(self, tmp_path, heat_artifacts):
+        # the heat pair's master marches and its slave is steady
+        write_bundle(tmp_path / "b", heat_artifacts)
+        listed = json.loads((tmp_path / "b" / "manifest.json").read_text())["files"]
+        loaded = load_bundle(tmp_path / "b")
+        assert "master_u0.rombin" in listed and "slave_u0.rombin" not in listed
+        assert np.array_equal(loaded.master.u0_reduced, heat_artifacts.master.u0_reduced)
+        assert heat_artifacts.slave.u0_reduced is None and loaded.slave.u0_reduced is None
 
     def test_rewrite_removes_matrix_files_the_manifest_does_not_list(self, tmp_path, artifacts):
         fresh = write_bundle(tmp_path / "fresh", artifacts)
@@ -289,7 +301,9 @@ class TestBundle:
         with pytest.raises(ConfigError, match=re.escape(name)):
             load_bundle(tmp_path / "b")
 
-    @pytest.mark.parametrize("name", ["master_mass", "lift_mass", "slave_op_1", "lift_op_1"])
+    @pytest.mark.parametrize(
+        "name", ["master_mass", "master_u0", "lift_mass", "slave_op_1", "lift_op_1"]
+    )
     def test_listed_matrix_the_problem_does_not_need_is_refused(self, tmp_path, artifacts, name):
         # the steady pair marches on neither side and its slave has one
         # operator term
@@ -401,9 +415,12 @@ MISSHAPEN_MATRICES = {
 @pytest.mark.parametrize(
     "name, cut", MISSHAPEN_MATRICES.values(), ids=list(MISSHAPEN_MATRICES)
 )
-def test_misshapen_matrix_is_config_error_naming_its_file(tmp_path, artifacts, capsys, name, cut):
+def test_misshapen_matrix_is_config_error_naming_its_file(
+    tmp_path, artifacts, transport_artifacts, capsys, name, cut
+):
+    # only a marching side stores an initial state
     bundle = tmp_path / "b"
-    write_bundle(bundle, artifacts)
+    write_bundle(bundle, transport_artifacts if name == "master_u0" else artifacts)
     target = bundle / f"{name}.rombin"
     data = write_matrix(target, cut(read_matrix(target)))
     edit_manifest(
@@ -415,13 +432,21 @@ def test_misshapen_matrix_is_config_error_naming_its_file(tmp_path, artifacts, c
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_manifest_that_is_not_a_mapping_is_config_error(tmp_path, artifacts):
+def test_manifest_that_is_not_a_mapping_is_config_error(tmp_path, artifacts, capsys):
+    # not a mapping, not JSON, not UTF-8, and not a file
     write_bundle(tmp_path / "b", artifacts)
-    for text in ("[1, 2]", "{not json"):
-        (tmp_path / "b" / "manifest.json").write_text(text)
+    manifest = tmp_path / "b" / "manifest.json"
+    for data in (b"[1, 2]", b"{not json", b'{"version": "\xff"}', None):
+        manifest.unlink()
+        if data is None:
+            manifest.mkdir()
+        else:
+            manifest.write_bytes(data)
         for call in (load_bundle, hash_bundle):
             with pytest.raises(ConfigError, match="manifest.json"):
                 call(tmp_path / "b")
+        assert main(["online", "--bundle", str(tmp_path / "b"), "--mu1", "1.0,1.0"]) == 2
+        assert str(manifest) in capsys.readouterr().err
 
 
 def scipy_functions_entered(call) -> set[str]:
@@ -619,11 +644,16 @@ class TestCli:
         assert main(["fom", "--config", str(config), "--mu1", "1.0,1.0"]) == 0
         assert (tmp_path / "out" / "fom_slave.rombin").exists()
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"problem\": {}}")
         assert main(["offline", "--config", str(bad)]) == 2
-        assert main(["offline", "--config", str(tmp_path / "missing.json")]) == 2
+        # missing, a directory, not UTF-8: each names its path
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b'{"problem": "\xe9"}')
+        for path in (tmp_path / "missing.json", tmp_path, latin):
+            assert main(["offline", "--config", str(path)]) == 2
+            assert f"configuration error: {path}" in capsys.readouterr().err
 
     def test_invalid_tolerance_exit_code(self, tmp_path):
         config = json.loads(make_config(tmp_path).read_text())
