@@ -22,9 +22,7 @@ def main():
     training = cr.run_training(spec, args.n_train, args.seed)
     art = cr.build_artifacts(training, (1e-5, 1e-5, 1e-5))
     print(f"offline {time.perf_counter() - t0:.1f}s, sizes {art.basis_sizes}")
-    rows = cr.evaluate_test_set(
-        art, training.fom, args.n_test, seed=args.seed + 1, with_bounds=True
-    )
+    rows = cr.evaluate_test_set(art, training.fom, args.n_test, seed=args.seed + 1)
     for r in rows:
         print(
             f"zeta={r.mu1[0]:.3f}  rel_err={r.rel_error:.3e}  "

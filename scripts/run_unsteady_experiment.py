@@ -45,7 +45,7 @@ def main():
     print("\nerror vs tolerance (master fixed loose, then all tight):")
     for tols in ((1e-2, 1e-2, 1e-2), (1e-2, 1e-5, 1e-5), (1e-5, 1e-5, 1e-5)):
         art = cr.build_artifacts(training, tols)
-        rows = cr.evaluate_test_set(art, training.fom, args.n_test, seed=99, with_bounds=True)
+        rows = cr.evaluate_test_set(art, training.fom, args.n_test, seed=99)
         summary = cr.summarize(rows)
         print(
             f"  eps={tols}  sizes={art.basis_sizes}  "

@@ -21,9 +21,10 @@ rigorously (S. M. Rump, "Verification of positive definiteness", BIT 46,
 2006), proves the shifted bound.  On a marching submodel, ``AxisProof``
 proves the upper end of the mass spectrum, and the dissipativity of each
 term that separates along every axis, from 1-D factors without a
-full-order factorization; any other term takes the general test.  The
-bounds are heuristic in tightness; effectivities are reported, not
-constrained.
+full-order factorization.  When a term is not proved so, or a weight is
+negative, the weighted operator takes the general test; no term is tested
+alone.  The bounds are heuristic in tightness; effectivities are reported,
+not constrained.
 """
 
 from __future__ import annotations
@@ -522,15 +523,14 @@ class AxisProof:
 
         return [(end(K, "min"), end(M, "min"), end(M, "max")) for K, M in self.axes]
 
-    def _kronecker(self, q: float, p: float, take) -> np.ndarray:
-        """``q Kron(M) + p G`` from what ``take(X, a)`` reads of the 1-D
-        matrix ``X`` of axis ``a``: its entries at some index pairs, or a
-        vector along that axis, whose products broadcast to the grid."""
-        ms = [take(M, a) for a, (_, M) in enumerate(self.axes)]
-        out = q * functools.reduce(np.multiply, ms)
+    def _kronecker(self, q: float, p: float, operand, kron):
+        """``q Kron(M) + p G`` of ``operand(X)`` for each 1-D ``X``, each
+        product formed by ``kron`` slowest axis first, ``(z y) x``."""
+        ms = [operand(M) for _, M in self.axes]
+        out = q * functools.reduce(kron, ms)
         if p != 0.0:
             for a, (K, _) in enumerate(self.axes):
-                out = out + p * functools.reduce(np.multiply, ms[:a] + [take(K, a)] + ms[a + 1:])
+                out = out + p * functools.reduce(kron, ms[:a] + [operand(K)] + ms[a + 1:])
         return out
 
     def gap(self, B, q: float, p: float) -> tuple[float, bool]:
@@ -538,43 +538,23 @@ class AxisProof:
         exact form ``F`` of ``(q, p)``, and whether it is within
         ``_KRON_RTOL`` of that form's norm.
 
-        ``fl(F)`` is evaluated on its pattern, the product over the axes of
-        the entries of ``K_a`` or ``M_a``.  The gap is the larger of the
-        largest absolute row and column sums of ``B - fl(F)``, plus
-        ``gamma_k`` times those of the form of absolute values, which bound
-        the rounding of ``fl(F)`` (``k`` counts the products and sums behind
-        one entry, twice).  The sums of the absolute form are Kronecker
-        products of the 1-D absolute row or column sums."""
-        B = sp.coo_matrix(B)
-        d, n = len(self.axes), B.shape[0]
-
-        def along(v, a):  # a vector of axis a, broadcast along axis a of a product
-            return np.reshape(v, [-1 if b == a else 1 for b in range(d)])
-
-        entries = [np.nonzero((K != 0.0) | (M != 0.0)) for K, M in self.axes]
-        F = self._kronecker(q, p, lambda X, a: along(X[entries[a]], a)).ravel()
-        grid = [len(M) for _, M in self.axes]
-        rows, cols = (
-            np.ravel_multi_index(
-                np.broadcast_arrays(*[along(e[i], a) for a, e in enumerate(entries)]), grid
-            ).ravel()
-            for i in (0, 1)
-        )
-        # B - fl(F), each entry rounded once where both hold it
-        diff = abs(sp.csr_matrix((np.concatenate([B.data, -F]), (
-            np.concatenate([B.row, rows]), np.concatenate([B.col, cols])
-        )), shape=B.shape))
-        ones = np.ones(n)
+        ``fl(F)`` is multiplied out by ``sp.kron``.  Its rounding is at most
+        ``gamma_k`` times the form of absolute values (``k`` counts the
+        products and sums behind one entry, twice), whose row and column
+        sums are the Kronecker products of the 1-D absolute row or column
+        sums.  The gap is the larger of the largest absolute row and column
+        sums of ``B - fl(F)``, plus that rounding, raised by ``1 + gamma``
+        for the rounding of the subtraction and of the sums."""
+        F = self._kronecker(q, p, sp.csr_matrix, functools.partial(sp.kron, format="csr"))
+        diff = abs(sp.csr_matrix(B) - F)
+        ones = np.ones(B.shape[0])
         measured = max((diff @ ones).max(initial=0.0), (diff.T @ ones).max(initial=0.0))
-
-        def sums(axis):  # of the absolute form, over its rows (1) or columns (0)
-            return self._kronecker(
-                abs(q), abs(p), lambda X, a: along(abs(X).sum(axis=axis), a)
-            ).max(initial=0.0)
-
-        scale = max(sums(1), sums(0))
-        rounding = 1.0 + _gamma(n + 4)  # of the sums and of B - fl(F)
-        gap = float(_up((measured + _gamma(2 * (2 * d + 1)) * scale) * rounding))
+        scale = max(  # the row (axis 1) and column (axis 0) sums of the absolute form
+            self._kronecker(abs(q), abs(p), lambda X: abs(X).sum(axis=axis), np.kron)
+            .max(initial=0.0) for axis in (1, 0)
+        )
+        rounding = 1.0 + _gamma(B.shape[0] + 4)
+        gap = float(_up((measured + _gamma(2 * (2 * len(self.axes) + 1)) * scale) * rounding))
         return gap, gap <= _KRON_RTOL * scale
 
     def upper(self, M) -> tuple[float | None, float]:
@@ -611,25 +591,19 @@ class AxisProof:
 
 
 class StabilityConstants:
-    """The proved stability constants of one full-order submodel, from the
-    free block of each operator term and, when it marches, its free mass
-    block (a matrix or a ``MassBlock``).  One memo keyed by the operator
-    weights (the marching rule's also by ``dt``) serves every query against
-    the submodel, as do the ``MassBlock`` and each term's dissipativity.
+    """The proved stability constants of one full-order submodel and, when
+    it marches, its free mass block (a matrix or a ``MassBlock``).  One memo
+    keyed by the operator weights (the marching rule's also by ``dt``)
+    serves every query against the submodel, as does the ``MassBlock``.
 
-    ``known_dissipative`` marks the terms that ``AxisProof.lower`` proved
-    dissipative; ``_is_dissipative`` tests only the others.
+    ``known_dissipative`` holds, per operator term, whether
+    ``AxisProof.lower`` proved it dissipative.
     """
 
-    def __init__(self, terms, mass=None, known_dissipative=None):
-        self.terms = terms
+    def __init__(self, mass=None, known_dissipative=()):
         self.mass = None if mass is None else MassBlock.of(mass)
-        self.known_dissipative = list(known_dissipative or [False] * len(terms))
+        self.known_dissipative = list(known_dissipative)
         self._proved: dict = {}
-
-    @cached_property
-    def dissipative_terms(self) -> list[bool]:
-        return [known or _is_dissipative(A) for A, known in zip(self.terms, self.known_dissipative)]
 
     def proved(self, key, prove: Callable[[], object]):
         """The memo's value at ``key``, from ``prove()`` on first use."""
@@ -643,9 +617,11 @@ class StabilityConstants:
 
     def marching(self, weights: tuple, A, dt: float) -> tuple[float, float]:
         """``semigroup_constant`` of the operator ``A`` of ``weights``: with no
-        negative weight, dissipative terms sum to a dissipative ``A``."""
+        negative weight, terms proved dissipative sum to a dissipative ``A``;
+        otherwise ``A`` itself is tested."""
         def prove():
-            known = all(w >= 0.0 for w in weights) and all(self.dissipative_terms)
+            verdicts = zip(weights, self.known_dissipative, strict=True)
+            known = all(w >= 0.0 and ok for w, ok in verdicts)
             return semigroup_constant(self.mass, A, dt, known_dissipative=known)
 
         return self.proved(("marching", weights, dt), prove)

@@ -26,7 +26,9 @@ from .pipeline import (
     online_solve,
     run_training,
 )
-from .problems import CoupledProblemSpec, config_mapping, config_value, problem_from_dict
+from .problems import (
+    CoupledProblemSpec, config_mapping, config_value, json_integer, problem_from_dict,
+)
 from .sampling import lhs_sample
 from .storage import write_bundle
 
@@ -154,10 +156,10 @@ class QueryResult:
     rel_error: float
     online_s: float
     fom_s: float
-    bound: float | None = None
-    rel_bound: float | None = None
-    bound_valid: bool | None = None
-    effectivity: float | None = None
+    bound: float
+    rel_bound: float
+    bound_valid: bool
+    effectivity: float | None  # None when every state's error is zero
     warnings: list = field(default_factory=list)
 
 
@@ -169,42 +171,41 @@ def _references(fom: FomProblem, n_test: int, seed: int) -> list[tuple]:
     return [(a, b, fom_coupled_solve(fom, a, b)) for a, b in zip(mu1s, mu2s)]
 
 
-def _score(
-    artifacts: RomArtifacts, fom: FomProblem, references, with_bounds: bool
-) -> list[QueryResult]:
-    """Online queries of ``artifacts`` against the ``_references`` results."""
+def _score(artifacts: RomArtifacts, fom: FomProblem, references) -> list[QueryResult]:
+    """Certified online queries of ``artifacts`` against the ``_references``
+    results."""
     rows = []
     for mu1, mu2, fres in references:
         online = online_solve(artifacts, mu1, mu2)
-        row = QueryResult(
+        reports = query_bounds(fom, artifacts, mu1, mu2, online, fres)
+        per_step_bounds = np.array([r.total for r in reports])
+        per_step_errors = np.array([r.actual_error for r in reports])
+        bound = float(np.linalg.norm(per_step_bounds))
+        nonzero = per_step_errors > 0
+        rows.append(QueryResult(
             mu1=np.atleast_1d(mu1).tolist(),
             mu2=np.atleast_1d(mu2).tolist(),
             abs_error=float(np.linalg.norm(fres.slave - online.slave_solution)),
             rel_error=relative_error(fres.slave, online.slave_solution),
             online_s=online.diagnostics["online_s"],
             fom_s=fres.timings["total_s"],
-            warnings=online.diagnostics["warnings"],
-        )
-        if with_bounds:
-            reports = query_bounds(fom, artifacts, mu1, mu2, online, fres)
-            per_step_bounds = np.array([r.total for r in reports])
-            per_step_errors = np.array([r.actual_error for r in reports])
-            row.bound = float(np.linalg.norm(per_step_bounds))
-            row.rel_bound = row.bound / np.linalg.norm(fres.slave)
-            row.bound_valid = all(r.valid for r in reports)
-            nonzero = per_step_errors > 0
-            row.effectivity = float(
+            bound=bound,
+            rel_bound=bound / np.linalg.norm(fres.slave),
+            bound_valid=all(r.valid for r in reports),
+            effectivity=float(
                 np.median(per_step_bounds[nonzero] / per_step_errors[nonzero])
-            ) if np.any(nonzero) else None
-        rows.append(row)
+            ) if np.any(nonzero) else None,
+            warnings=online.diagnostics["warnings"],
+        ))
     return rows
 
 
 def evaluate_test_set(
-    artifacts: RomArtifacts, fom: FomProblem, n_test: int, seed: int, with_bounds: bool = False
+    artifacts: RomArtifacts, fom: FomProblem, n_test: int, seed: int
 ) -> list[QueryResult]:
-    """Online queries against the reference path over an LHS test sample."""
-    return _score(artifacts, fom, _references(fom, n_test, seed), with_bounds)
+    """Certified online queries against the reference path over an LHS test
+    sample."""
+    return _score(artifacts, fom, _references(fom, n_test, seed))
 
 
 def summarize(rows: Sequence[QueryResult]) -> dict:
@@ -214,15 +215,11 @@ def summarize(rows: Sequence[QueryResult]) -> dict:
         "max_rel_error": float(np.max([r.rel_error for r in rows])),
         "mean_online_s": float(np.mean([r.online_s for r in rows])),
         "mean_fom_s": float(np.mean([r.fom_s for r in rows])),
+        "mean_rel_bound": float(np.mean([r.rel_bound for r in rows])),
+        "bound_valid_fraction": float(np.mean([1.0 if r.bound_valid else 0.0 for r in rows])),
     }
-    bounds = [r.rel_bound for r in rows if r.rel_bound is not None]
-    if bounds:
-        out["mean_rel_bound"] = float(np.mean(bounds))
-        out["bound_valid_fraction"] = float(
-            np.mean([1.0 if r.bound_valid else 0.0 for r in rows])
-        )
-        effs = [r.effectivity for r in rows if r.effectivity is not None]
-        out["median_effectivity"] = float(np.median(effs)) if effs else None
+    effs = [r.effectivity for r in rows if r.effectivity is not None]
+    out["median_effectivity"] = float(np.median(effs)) if effs else None
     return out
 
 
@@ -296,10 +293,10 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     for key in ("master", "slave", "interface"):
         if key not in tols:
             raise ConfigError(f"missing tolerance {key!r}", field="training.tolerances")
-    n_train = config_value(int, training.get("n_train", 0), "training.n_train")
+    n_train = config_value(json_integer, training.get("n_train", 0), "training.n_train")
     if n_train < 2:
         raise ConfigError("n_train must be >= 2", field="training.n_train")
-    n_test = config_value(int, testing.get("n_test", 5), "testing.n_test")
+    n_test = config_value(json_integer, testing.get("n_test", 5), "testing.n_test")
     if n_test < 1:
         raise ConfigError("n_test must be >= 1", field="testing.n_test")
     if training.get("pairing", "paired") != "paired":  # the one training plan
@@ -310,14 +307,14 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     return ExperimentConfig(
         problem=problem,
         n_train=n_train,
-        train_seed=config_value(int, training.get("seed", 0), "training.seed"),
+        train_seed=config_value(json_integer, training.get("seed", 0), "training.seed"),
         tolerances_master=_tolerance_tuple(tols["master"], "training.tolerances.master"),
         tolerances_slave=_tolerance_tuple(tols["slave"], "training.tolerances.slave"),
         tolerances_interface=_tolerance_tuple(
             tols["interface"], "training.tolerances.interface"
         ),
         n_test=n_test,
-        test_seed=config_value(int, testing.get("seed", 10_000), "testing.seed"),
+        test_seed=config_value(json_integer, testing.get("seed", 10_000), "testing.seed"),
         output_dir=str(outputs["directory"]),
     )
 
@@ -361,16 +358,16 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     rows = []
     for triple in config.grid():
         artifacts = build_artifacts(training, triple)
-        summary = summarize(_score(artifacts, fom, references, True))
+        summary = summarize(_score(artifacts, fom, references))
         rows.append({
             "eps_master": triple[0],
             "eps_interface": triple[2],
             "eps_slave": triple[1],
             "mean_error": summary["mean_rel_error"],
-            "mean_bound": summary.get("mean_rel_bound"),
+            "mean_bound": summary["mean_rel_bound"],
             "online_s": summary["mean_online_s"],
-            "bound_valid_fraction": summary.get("bound_valid_fraction"),
-            "median_effectivity": summary.get("median_effectivity"),
+            "bound_valid_fraction": summary["bound_valid_fraction"],
+            "median_effectivity": summary["median_effectivity"],
             "basis_sizes": artifacts.basis_sizes,
         })
     log.info("sweep: %d training and %d reference solves, %d tolerance triples in %.2fs",

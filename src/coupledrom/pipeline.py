@@ -179,15 +179,15 @@ class FomSubmodel(AffineSubmodel):
         its Kronecker form, from the 1-D factors of its diagonalization along
         every axis (``est.AxisProof``; the operator's own, or one more when
         that is not along every axis), and logs what it proved."""
-        terms = [ff for ff, _ in self.free_blocks]
         if self.mass is None:
-            return est.StabilityConstants(terms)
+            return est.StabilityConstants()
         fd, M_ff = self.operator_diagonalization, self._mass_blocks[0]
         if None in fd.axis_pairs:
             fd = fem.FastDiagonalization.of(self.mesh, self.free_dofs, self.term_forms)
         proof = est.AxisProof(fd.axis_pairs)
         upper, mass_gap = proof.upper(M_ff)
-        lowers = [proof.lower(B, Q[0, 0], P[0, 0]) for B, (Q, P) in zip(terms, fd.factors)]
+        lowers = [proof.lower(B, Q[0, 0], P[0, 0])
+                  for (B, _), (Q, P) in zip(self.free_blocks, fd.factors)]
         known = [lo is not None and lo >= 0.0 for lo, _ in lowers]
         log.info(
             "%s constants from the 1-D factors: mass upper end %s (gap %.2e); %s",
@@ -199,7 +199,7 @@ class FomSubmodel(AffineSubmodel):
             ),
         )
         mass = est.MassBlock(M_ff, fd.mass_solver(), upper)
-        return est.StabilityConstants(terms, mass, known)
+        return est.StabilityConstants(mass, known)
 
     def free_system(
         self, mu: Mapping, trace=None, time: TimeSpec | None = None, weights=None

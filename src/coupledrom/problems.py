@@ -217,6 +217,12 @@ class SubmodelSpec:
 
     def _compile(self, role: str) -> CompiledSubmodel:
         names, dim = set(self.parameters.names), len(self.mesh.extent)
+        given = self.parameters.names
+        for i, name in enumerate(given):
+            reserved = name == "t" or name in _FUNCTIONS
+            if reserved or name in given[:i]:
+                why = "a name that expressions reserve" if reserved else "repeated"
+                raise ConfigError(f"{name!r} is {why}", field=f"{role}.parameters.names")
         op = f"{role}.operator"
         for i, term in enumerate(self.operator):
             if term.kind not in OPERATOR_KINDS:
@@ -259,6 +265,13 @@ class SubmodelSpec:
             values = getattr(self.mesh, name)
             if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
                 raise ConfigError(f"must be finite, got {values!r}", field=f"{role}.mesh.{name}")
+        mesh = self.mesh
+        for name, values in (("subdivisions", mesh.subdivisions), ("order", (mesh.order,))):
+            for v in values:
+                config_value(json_integer, v, f"{role}.mesh.{name}")
+        if not isinstance(self.unsteady, bool):
+            raise ConfigError(f"must be true or false, got {self.unsteady!r}",
+                              field=f"{role}.unsteady")
         valid_faces = set(face_ids(len(self.mesh.extent)))
         for face in self.dirichlet:
             if face not in valid_faces:
@@ -278,6 +291,7 @@ class TimeSpec:
     n_steps: int
 
     def __post_init__(self):
+        config_value(json_integer, self.n_steps, "time.n_steps")
         if not 0 < self.dt < math.inf:
             raise ConfigError(f"must be a finite number > 0, got {self.dt!r}", field="time.dt")
         if self.n_steps < 1:
@@ -344,6 +358,13 @@ def config_value(convert, raw, where: str):
         raise ConfigError(f"invalid value {raw!r} ({exc})", field=where) from None
 
 
+def json_integer(raw) -> int:
+    """``raw`` if it is an integer: a bool, a float or a string is refused."""
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Integral):
+        raise TypeError(f"must be an integer, got {type(raw).__name__}")
+    return int(raw)
+
+
 def config_mapping(raw, where: str) -> Mapping:
     """``raw``, a config section: anything else raises ``ConfigError``."""
     if not isinstance(raw, Mapping):
@@ -373,12 +394,9 @@ def submodel_from_dict(data: Mapping, where: str) -> SubmodelSpec:
                                 f"{where}.mesh.origin"),
             extent=config_value(tuple, _require(mesh, "extent", f"{where}.mesh"),
                                 f"{where}.mesh.extent"),
-            subdivisions=config_value(
-                lambda v: tuple(int(n) for n in v),
-                _require(mesh, "subdivisions", f"{where}.mesh"),
-                f"{where}.mesh.subdivisions",
-            ),
-            order=config_value(int, mesh.get("order", 1), f"{where}.mesh.order"),
+            subdivisions=config_value(tuple, _require(mesh, "subdivisions", f"{where}.mesh"),
+                                      f"{where}.mesh.subdivisions"),
+            order=mesh.get("order", 1),
         ),
         operator=tuple(terms),
         forcing=tuple(
@@ -393,7 +411,7 @@ def submodel_from_dict(data: Mapping, where: str) -> SubmodelSpec:
             params.get("ranges", []), f"{where}.parameters.ranges",
         ),
         interface_tag=str(_require(data, "interface_tag", where)),
-        unsteady=bool(data.get("unsteady", False)),
+        unsteady=data.get("unsteady", False),
         initial=data.get("initial", 0.0),
     )
 
@@ -403,7 +421,7 @@ def problem_from_dict(data: Mapping) -> CoupledProblemSpec:
     if "time" in data and data["time"] is not None:
         time = TimeSpec(
             dt=config_value(float, _require(data["time"], "dt", "time"), "time.dt"),
-            n_steps=config_value(int, _require(data["time"], "n_steps", "time"), "time.n_steps"),
+            n_steps=_require(data["time"], "n_steps", "time"),
         )
     spec = CoupledProblemSpec(
         master=submodel_from_dict(_require(data, "master", "problem"), "master"),

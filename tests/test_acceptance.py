@@ -205,7 +205,7 @@ def test_criterion_6_estimator_validity(heat_training):
     spec = steady_reaction_diffusion_pair((8, 8, 8), (4, 4, 4))
     training = cr.run_training(spec, 30, seed=17)
     art = cr.build_artifacts(training, (1e-4, 1e-4, 1e-4))
-    rows = cr.evaluate_test_set(art, training.fom, n_test=50, seed=2024, with_bounds=True)
+    rows = cr.evaluate_test_set(art, training.fom, n_test=50, seed=2024)
     valid = sum(r.bound_valid for r in rows)
     effs = [r.effectivity for r in rows if r.effectivity]
     all_valid &= valid == len(rows)
@@ -217,7 +217,7 @@ def test_criterion_6_estimator_validity(heat_training):
     spec4 = steady_reaction_diffusion_pair((6, 6, 6), (6, 6, 6))
     art4 = cr.full_rank_artifacts(spec4)
     fom4 = cr.build_fom(spec4)
-    rows4 = cr.evaluate_test_set(art4, fom4, n_test=3, seed=5, with_bounds=True)
+    rows4 = cr.evaluate_test_set(art4, fom4, n_test=3, seed=5)
     all_valid &= all(r.bound_valid for r in rows4)
     parts.append(f"conforming full-rank: {sum(r.bound_valid for r in rows4)}/3 valid")
 
@@ -227,9 +227,7 @@ def test_criterion_6_estimator_validity(heat_training):
     effs_u = []
     for tols in ((1e-2, 1e-2, 1e-2), (1e-2, 1e-5, 1e-5), (1e-5, 1e-5, 1e-5)):
         art_u = cr.build_artifacts(heat_training, tols)
-        rows_u = cr.evaluate_test_set(
-            art_u, heat_training.fom, n_test=5, seed=99, with_bounds=True
-        )
+        rows_u = cr.evaluate_test_set(art_u, heat_training.fom, n_test=5, seed=99)
         unsteady_valid += sum(r.bound_valid for r in rows_u)
         unsteady_total += len(rows_u)
         effs_u.extend(r.effectivity for r in rows_u if r.effectivity)

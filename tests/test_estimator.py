@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import logging
 import re
@@ -261,7 +262,7 @@ class TestErrorBoundSteady:
         spec = steady_pair_2d()
         training = cr.run_training(spec, 20, seed=9)
         art = cr.build_artifacts(training, (1e-4, 1e-4, 1e-4))
-        rows = cr.evaluate_test_set(art, training.fom, n_test=10, seed=123, with_bounds=True)
+        rows = cr.evaluate_test_set(art, training.fom, n_test=10, seed=123)
         assert all(r.bound_valid for r in rows)
 
 
@@ -329,7 +330,7 @@ class TestErrorBoundUnsteady:
         )
         training = cr.run_training(spec, 8, seed=3)
         art = cr.build_artifacts(training, (1e-4, 1e-4, 1e-4))
-        rows = cr.evaluate_test_set(art, training.fom, n_test=3, seed=55, with_bounds=True)
+        rows = cr.evaluate_test_set(art, training.fom, n_test=3, seed=55)
         assert all(r.bound_valid for r in rows)
 
     def test_bound_valid_every_step_unsteady_slave(self):
@@ -338,7 +339,7 @@ class TestErrorBoundUnsteady:
         )
         training = cr.run_training(spec, 6, seed=13)
         art = cr.build_artifacts(training, (1e-5, 1e-5, 1e-5))
-        rows = cr.evaluate_test_set(art, training.fom, n_test=3, seed=77, with_bounds=True)
+        rows = cr.evaluate_test_set(art, training.fom, n_test=3, seed=77)
         assert all(r.bound_valid for r in rows)
 
 
@@ -690,15 +691,13 @@ class TestConstantsPerFom:
                 res = cr.fom_coupled_solve(fom, zeta, [])
                 online = cr.online_unsteady(art, zeta, [])
                 assert all(r.valid for r in query_bounds(fom, art, zeta, [], online, res))
-        terms = fom.master.constants.terms + fom.slave.constants.terms
-        summed = [A for A in tested if all(A is not T for T in terms)]
-        # the advection term is not proved dissipative, so the summed master
-        # operator is tested, once for all three queries; the 1-D factors
-        # prove both diffusion terms and both upper mass ends
-        assert fom.master.constants.dissipative_terms == [True, False]
-        assert len(summed) == 1
-        _, advection = fom.master.constants.terms
-        assert len(tested) == 2 and tested[0] is advection and tested[1] is summed[0]
+        # the advection term is not proved dissipative, so the weighted master
+        # operator is tested, once for all three queries, and no term alone;
+        # the 1-D factors prove both diffusion terms and both upper mass ends
+        assert fom.master.constants.known_dissipative == [True, False]
+        assert fom.slave.constants.known_dissipative == [True]
+        [A] = tested
+        assert (A != sum(ff for ff, _ in fom.master.free_blocks)).nnz == 0
         assert fom.master.constants.mass.upper is not None
         assert fom.slave.constants.mass.upper is not None
         [line] = [r.getMessage() for r in caplog.records
@@ -743,7 +742,7 @@ class TestConstantsPerFom:
         for row, triple in zip(rows, config.grid()):
             art = cr.build_artifacts(training, triple)
             summary = summarize(cr.evaluate_test_set(
-                art, training.fom, config.n_test, config.test_seed, with_bounds=True
+                art, training.fom, config.n_test, config.test_seed
             ))
             del row["online_s"]  # a wall-clock time
             assert row == {
@@ -785,7 +784,7 @@ class TestConstantsPerFom:
         )
         # K - 0.5 M stays definite on this mesh, K - 30 M does not
         assert (expected[1] > 1.0) == (beta < -1.0)
-        assert sub.constants.dissipative_terms == [True, True]
+        assert sub.constants.known_dissipative == [True, True]
 
         tested = []
 
@@ -797,7 +796,7 @@ class TestConstantsPerFom:
         [(_, constants)] = bounds_at(spec, art, [[beta]], fom)
         assert constants["master_semigroup_C1"] == expected[0]
         assert constants["master_growth"] == expected[1]
-        # the per-term verdicts are cached; only a negative weight tests A(mu)
+        # the 1-D factors prove both terms; only a negative weight tests A(mu)
         assert len(tested) == (1 if beta < 0 else 0)
 
 
@@ -1042,6 +1041,20 @@ class TestAxisProof:
         assert mass.upper == upper
         assert mass.spectrum[0] == MassBlock(M).spectrum[0]
 
+    def test_gap_above_dense_distance_to_the_form(self, submodel):
+        # the form multiplied out densely in the gap's order, (z y) x and
+        # then the scalar; the gap bounds the distance of each block, on its
+        # form or off it, and of each block perturbed off it
+        proof, terms = axis_proof(submodel)
+        ms = [M for _, M in proof.axes]
+        for B, q, p in [(free_mass(submodel), 1.0, 0.0)] + terms:
+            F = q * functools.reduce(np.kron, ms)
+            for a, (K, _) in enumerate(proof.axes):
+                F = F + p * functools.reduce(np.kron, ms[:a] + [K] + ms[a + 1:])
+            for block in (B, perturbed(B, 1e-8)):
+                gap, _ = proof.gap(block, q, p)
+                assert gap >= np.linalg.norm(block.toarray() - F, 2)
+
     def test_term_lower_bounds_below_dense_minimum(self, submodel):
         proof, terms = axis_proof(submodel)
         verdicts = []
@@ -1083,9 +1096,10 @@ class TestAxisProof:
 
         monkeypatch.setattr(est, "_is_dissipative", counted("dissipative", _is_dissipative))
         monkeypatch.setattr(est.spla, "eigsh", counted("eigsh", est.spla.eigsh))
-        constants = self.rebuilt(submodel).constants
-        weights = (1.0,) * len(constants.terms)
-        A = sum(constants.terms)
+        sub = self.rebuilt(submodel)
+        constants = sub.constants
+        weights = (1.0,) * len(sub.free_blocks)
+        A = sum(ff for ff, _ in sub.free_blocks)
         assert constants.marching(weights, A, 0.01)[1] == 1.0
         # the mass's lower end is the one Lanczos run
         assert calls == {"dissipative": 0, "eigsh": 1}
@@ -1104,7 +1118,6 @@ class TestAxisProof:
         with caplog.at_level(logging.INFO, logger="coupledrom.pipeline"):
             constants = sub.constants
         assert constants.known_dissipative == [True, False]
-        assert constants.dissipative_terms == [True, False]
         [line] = [r.getMessage() for r in caplog.records if "1-D factors" in r.getMessage()]
         assert "mass upper end proved (gap " in line
         assert "diffusion term dissipative (gap " in line
@@ -1120,8 +1133,8 @@ class TestAxisProof:
         assert lower is None and gap > 1e-10 * abs(B).max()
         upper, _ = proof.upper(perturbed(free_mass(submodel), 1e-8))
         assert upper is None
-        # on the submodel: the term goes to the general test, the mass's
-        # upper end to Lanczos
+        # on the submodel: the mass's upper end goes to Lanczos, and the
+        # weighted operator, not the term alone, to the general test
         sub = self.rebuilt(submodel)
         sub.free_blocks[0] = (perturbed(sub.free_blocks[0][0], 1e-8), sub.free_blocks[0][1])
         sub._mass_blocks = (perturbed(sub._mass_blocks[0], 1e-8), sub._mass_blocks[1])
@@ -1132,8 +1145,11 @@ class TestAxisProof:
         constants = sub.constants
         assert constants.known_dissipative[0] is False
         assert constants.mass.upper is None
-        assert constants.dissipative_terms[0] is True
-        assert len(tested) == 1
+        assert tested == []
+        weights = (1.0,) * len(sub.free_blocks)
+        A = sum(ff for ff, _ in sub.free_blocks)
+        assert constants.marching(weights, A, 0.01)[1] == 1.0
+        assert len(tested) == 1 and tested[0] is not sub.free_blocks[0][0]
 
 
 class TestOneByOneBlocks:

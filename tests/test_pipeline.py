@@ -1249,7 +1249,7 @@ def interface_pairs():
             spec = make(slave)
             training = cr.run_training(spec, n_train=12, seed=11)
             art = cr.build_artifacts(training, (tol, tol, tol))
-            rows = cr.evaluate_test_set(art, training.fom, n_test=4, seed=99, with_bounds=True)
+            rows = cr.evaluate_test_set(art, training.fom, n_test=4, seed=99)
             out[family, nesting] = (spec, training.fom, art, rows)
     return out
 
@@ -1308,5 +1308,5 @@ def test_steady_pair_on_a_time_grid_answers_every_instant():
         cr.online_steady(art, mu1, [])
     reports = query_bounds(fom, art, mu1, [], online, res)
     assert len(reports) == 4 and all(r.valid for r in reports)
-    rows = cr.evaluate_test_set(art, fom, n_test=3, seed=9, with_bounds=True)
+    rows = cr.evaluate_test_set(art, fom, n_test=3, seed=9)
     assert cr.summarize(rows)["bound_valid_fraction"] == 1.0

@@ -917,8 +917,21 @@ def test_bad_input_is_config_error_before_any_solve(
         (_set("problem", "master", "parameters", "ranges", 0, [1.0, 2.0, 3.0]),
          "master.parameters.ranges"),
         (_set("training", "seed", "eleven"), "training.seed"),
+        (_set("training", "n_train", 20.7), "training.n_train"),
+        (_set("training", "seed", 1.9), "training.seed"),
+        (_set("training", "seed", True), "training.seed"),
+        (_set("testing", "n_test", 5.5), "testing.n_test"),
+        (_set("testing", "n_test", "5"), "testing.n_test"),
+        (_set("problem", "master", "mesh", "subdivisions", [8.9, 8]),
+         "master.mesh.subdivisions"),
+        (_set("problem", "master", "mesh", "order", 1.5), "master.mesh.order"),
+        (_set("problem", "time", {"dt": 0.01, "n_steps": 50.5}), "time.n_steps"),
+        (_set("problem", "slave", "unsteady", "false"), "slave.unsteady"),
+        (_set("problem", "master", "unsteady", 0), "master.unsteady"),
     ],
-    ids=["time-dt-text", "time-n_steps-list", "long-range", "seed-text"],
+    ids=["time-dt-text", "time-n_steps-list", "long-range", "seed-text", "n_train-float",
+         "seed-float", "seed-bool", "n_test-float", "n_test-text", "subdivisions-float",
+         "order-float", "n_steps-float", "unsteady-text", "unsteady-number"],
 )
 def test_wrongly_typed_value_is_config_error_with_its_field(tmp_path, edit, field):
     config = json.loads(make_config(tmp_path).read_text())
@@ -926,6 +939,45 @@ def test_wrongly_typed_value_is_config_error_with_its_field(tmp_path, edit, fiel
     with pytest.raises(ConfigError) as err:
         config_from_dict(config)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: steady_pair_2d((4.0, 4), (2, 2)), "master.mesh.subdivisions"),
+    (lambda: heat_laplace_pair((2, 2, 2), (2, 2, 2), n_steps=10.0), "time.n_steps"),
+], ids=["float-subdivisions", "float-n_steps"])
+def test_spec_built_in_python_takes_the_config_types(build, field):
+    # such a spec would write a bundle whose manifest no load accepts
+    with pytest.raises(ConfigError) as err:
+        cr.build_fom(build())
+    assert err.value.field == field
+
+
+#: parameter names that expressions would misread: each is refused
+BAD_PARAMETER_NAMES = {
+    "constant": ["pi", "beta"],
+    "time": ["t", "beta"],
+    "function": ["exp", "beta"],
+    "repeated": ["alpha", "alpha"],
+}
+
+
+@pytest.mark.parametrize("names", BAD_PARAMETER_NAMES.values(), ids=list(BAD_PARAMETER_NAMES))
+def test_reserved_or_repeated_parameter_name_is_config_error(tmp_path, names):
+    config = json.loads(make_config(tmp_path).read_text())
+    assert config["problem"]["master"]["parameters"]["names"] == ["alpha", "beta"]
+    config["problem"]["master"]["parameters"]["names"] = names
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(config)
+    assert err.value.field == "master.parameters.names"
+
+
+def test_reserved_parameter_name_exits_2_from_offline(tmp_path, capsys):
+    config = json.loads(make_config(tmp_path).read_text())
+    config["problem"]["master"]["parameters"]["names"] = ["exp", "beta"]
+    path = tmp_path / "reserved.json"
+    path.write_text(json.dumps(config))
+    assert main(["offline", "--config", str(path)]) == 2
+    assert "configuration error: master.parameters.names: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
